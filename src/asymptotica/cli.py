@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from . import construct, curves, exprlang, flow, monodromy, planefield, surfaces, tubular
+from . import construct, curves, exprlang, flow, monodromy, planefield, spectral, surfaces, tubular
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,15 +76,18 @@ def resolve_field(name):
         return field, tubular.TubularChart(field.curve)
     if name == "circle-example":
         return planefield.circle_example_field(), tubular.TubularChart(_circle_curve())
-    doc = None
     if name.lstrip().startswith("{"):
-        doc = json.loads(name)
-    elif os.path.exists(name):
+        text = name
+    elif os.path.isfile(name):
         with open(name) as fh:
-            doc = json.load(fh)
-    if doc is None:
+            text = fh.read()
+    else:
         raise UsageError(f"unknown field {name!r}: use t1, circle-example, a JSON document, or a file path")
-    if "xi" not in doc or len(doc["xi"]) != 3:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"field document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("xi"), list) or len(doc["xi"]) != 3:
         raise UsageError('field document needs "xi": [three component expressions]')
     try:
         field = planefield.AmbientField(doc["xi"])
@@ -102,6 +105,14 @@ def parse_orders(spec):
     except ValueError:
         raise UsageError(f"orders {spec!r}: expected arnold:m,n with integers 1 < m < n")
     return m, n
+
+
+def positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def emit(args, document, csv_rows=None, csv_header=None):
@@ -192,6 +203,8 @@ def cmd_integrate(args):
         x0, y0, z0 = (float(v) for v in args.start.split(","))
     except ValueError:
         raise UsageError(f"--start {args.start!r}: expected x,y,z")
+    if not all(math.isfinite(v) for v in (x0, y0, z0, args.to)):
+        raise UsageError("--start and --to must be finite")
     path = flow.integrate_asymptotic(
         field, chart, (x0, y0, z0), args.to, rtol=args.rtol, atol=args.atol
     )
@@ -529,7 +542,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify a grid of tube points")
     p.add_argument("--field", default="t1")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=positive_int, default=64)
     p.add_argument("--rings", type=int, default=3, help="offsets per transverse direction")
     p.add_argument("--offset", type=float, default=0.01, help="largest transverse offset")
     common(p, default_format="csv")
@@ -556,14 +569,14 @@ def build_parser():
 
     p = sub.add_parser("curvature", help="Gaussian curvature along the core curve")
     p.add_argument("--field", default="t1")
-    p.add_argument("--samples", type=int, default=128)
+    p.add_argument("--samples", type=positive_int, default=128)
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("integrability", help="integrability defect of an ambient field")
     p.add_argument("--field", default="circle-example")
     p.add_argument("--point", default=None, help="ambient x,y,z (default: sample along the curve)")
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=positive_int, default=32)
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_integrability)
 
@@ -602,10 +615,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except exprlang.ExprError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (
+        exprlang.DomainError,  # an expression evaluated outside its domain, not a parse error
+        spectral.FitError,
         flow.FlowError,
         tubular.ReductionSingular,
         monodromy.ParabolicOnCurve,
@@ -615,6 +627,9 @@ def main(argv=None):
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except exprlang.ExprError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from .curves import Curve, finite_type_symbol
 from .exprlang import compile_function
 from .jets import Jet, value_of
 from .rational_series import PowerSeriesQ, SeriesError
-from .spectral import TrigSeries
+from .spectral import TrigSeries, refine
 
 COEFFICIENT_NAMES = (
     "k1", "k2", "k3", "l1", "l2", "l3",
@@ -363,9 +363,7 @@ def _t1_flatten(curve, chart, base_coefficients, nodes=256, residual_tol=1e-9, m
         ("slope", _CUBIC_MONOMS, [("rem", "B", mon) for mon in _CUBIC_MONOMS]),
     )
 
-    n = nodes
-    while True:
-        xs = np.arange(n) * (period / n)
+    def attempt(xs, probe):
         store = {}  # slot -> node samples of the solved coefficient function
 
         def assemble(bump=None):
@@ -428,18 +426,15 @@ def _t1_flatten(curve, chart, base_coefficients, nodes=256, residual_tol=1e-9, m
         # verify the full quadratic + cubic expansion of (dy/dx, dz/dx) at
         # the midpoints of the build grid, so the probe resolution grows
         # with the node count and localized residual peaks cannot hide
-        probe = xs + period / (2 * n)
         p, _, full = _slope_and_vertical_jets(field, chart, probe, 3)
         res = max(
             float(np.max(np.abs(np.asarray(r.coef.get((0, i, j), 0), dtype=float))))
             for r in (p, full)
             for i, j in quad + _CUBIC_MONOMS
         )
-        if res <= residual_tol * initial_scale:
-            return field
-        if 2 * n > max_nodes:
-            raise ConstructError(f"flattening residual {res} did not meet {residual_tol * initial_scale}")
-        n *= 2
+        return field, res, residual_tol * initial_scale
+
+    return refine(attempt, period, nodes, max_nodes)
 
 
 def t1_curve():
@@ -514,10 +509,7 @@ def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
     k1 = k1_function(curve, l1=l1, H=1)
     chart = tubular.TubularChart(curve)
 
-    n = nodes
-    while True:
-        xs = np.arange(n) * (period / n)
-
+    def attempt(xs, probe):
         def targets(l2_const, k2_const):
             field = TubularField(
                 curve,
@@ -551,17 +543,14 @@ def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
         }
         field = TubularField(curve, coefficients=base, name="t1")
         # off-node residuals check both the affine model and the interpolation
-        probe = xs + period / (2 * n)
         d = tubular.chart_data(field, chart, probe, 0.0, 0.0, order=1)
         res = max(
             float(np.max(np.abs(d.partial("e", "z")))),
             float(np.max(np.abs(d.partial("e", "y") + 2 * d.value("f")))),
         )
-        if res <= residual_tol:
-            break
-        if 2 * n > max_nodes:
-            raise ConstructError(f"worked-example residual {res} did not meet {residual_tol}")
-        n *= 2
+        return base, res, residual_tol
+
+    base = refine(attempt, period, nodes, max_nodes)
 
     # choose the free quadratic/cubic coefficients so the flow around the
     # curve is linear to third order (the finite-difference cross-check of

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import tubular
+from .spectral import TrigSeries
 
 
 class FlowError(Exception):
@@ -131,49 +132,28 @@ class ChartSpectralCache:
         self.monomials = [
             (i, j) for total in range(degree + 1) for i in range(total + 1) for j in (total - i,)
         ]
-        n = int(nodes)
-        while True:
-            xs = np.arange(n) * (self.period / n)
-            table = self._taylor_table(field, chart, xs)
-            spec = np.fft.rfft(table, axis=1) / n
-            cos_c = 2.0 * spec.real
-            sin_c = -2.0 * spec.imag
-            cos_c[:, 0] /= 2.0
-            if n % 2 == 0:
-                cos_c[:, -1] /= 2.0
-            self._cos = cos_c
-            self._sin = sin_c
-            self._k = np.arange(cos_c.shape[1]) * (2.0 * np.pi / self.period)
-            probe = xs + self.period / (2 * n)
-            ref = self._taylor_table(field, chart, probe)
-            scale = np.maximum(1.0, np.max(np.abs(table), axis=1))
-            err = np.max(np.abs(self._coeff_values(probe) - ref.T), axis=0)
-            if np.all(err <= tol * scale):
-                self.nodes = n
-                return
-            if 2 * n > max_nodes:
-                raise FlowError(f"chart cache interpolation did not converge at {max_nodes} nodes")
-            n *= 2
+        self.series = TrigSeries.fit(
+            lambda xs: self._taylor_table(field, chart, xs), self.period, nodes, tol, max_nodes
+        )
+        self.nodes = self.series.nodes
 
     def _taylor_table(self, field, chart, xs):
-        d = tubular.chart_data(field, chart, np.asarray(xs, dtype=float), 0.0, 0.0, order=self.degree)
-        zeros = np.zeros(len(xs))
-        rows = []
-        for name in self._QUANTITIES:
-            jet = getattr(d, name)
-            for i, j in self.monomials:
-                rows.append(np.asarray(jet.coef.get((0, i, j), 0), dtype=float) + zeros)
-        return np.stack(rows)
-
-    def _coeff_values(self, x):
-        t = np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return np.cos(t) @ self._cos.T + np.sin(t) @ self._sin.T
+        """Taylor coefficients at (x, 0, 0), shape (len(xs), nquant * nmono)."""
+        d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=self.degree)
+        return np.stack(
+            [
+                np.broadcast_to(np.asarray(getattr(d, name).coef.get((0, i, j), 0), dtype=float), xs.shape)
+                for name in self._QUANTITIES
+                for i, j in self.monomials
+            ],
+            axis=1,
+        )
 
     def efgab(self, x, y, z):
         """Values of (e, f, g, A, B); x, y, z arrays of equal length."""
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        coeffs = self._coeff_values(x)  # (npts, nquant * nmono)
+        coeffs = self.series(x)  # (npts, nquant * nmono)
         mono = np.stack([y ** i * z ** j for i, j in self.monomials], axis=1)
         nm = len(self.monomials)
         return tuple(

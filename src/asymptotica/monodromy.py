@@ -31,72 +31,43 @@ class ParabolicOnCurve(Exception):
 
 
 def variational_matrix(field, chart, x):
-    """M(x) from jet partials of the reduced coefficient pipeline."""
-    d = tubular.chart_data(field, chart, float(x), 0.0, 0.0, order=1)
-    f = d.value("f")
-    if abs(f) < 1e-12:
-        raise ParabolicOnCurve(f"f(x,0,0) = {f} at x = {x}")
+    """M(x) from jet partials of the reduced coefficient pipeline.
+
+    x is a float or an array of shape s; the result has shape (2, 2) or
+    s + (2, 2).
+    """
+    x = np.asarray(x, dtype=float)
+    d = tubular.chart_data(field, chart, x if x.ndim else float(x), 0.0, 0.0, order=1)
+    f = np.asarray(d.value("f"), dtype=float)
+    if np.any(np.abs(f) < 1e-12):
+        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve (min |f| = {np.min(np.abs(f))})")
     b0 = d.value("B")
     m11 = -d.partial("e", "y") / (2 * f)
     m12 = -d.partial("e", "z") / (2 * f)
-    return np.array(
-        [
-            [m11, m12],
-            [d.partial("A", "y") + b0 * m11, d.partial("A", "z") + b0 * m12],
-        ]
-    )
+    entries = (m11, m12, d.partial("A", "y") + b0 * m11, d.partial("A", "z") + b0 * m12)
+    return np.stack([np.broadcast_to(m, x.shape) for m in entries], axis=-1).reshape(x.shape + (2, 2))
 
 
 class VariationalCache:
-    """Trigonometric interpolants of the four entries of M over one period.
+    """Trigonometric interpolant of the four entries of M over one period.
 
-    Entries are sampled at uniform nodes with one vectorized pipeline pass
-    and validated against direct evaluation between nodes; the node count
-    doubles until the residual passes.  This makes the Q integration (and the
-    diagonal quadratures) cheap without touching accuracy.
+    The entries are sampled at uniform nodes with one vectorized pipeline
+    pass and fitted as one vector TrigSeries (TrigSeries.fit doubles the node
+    count until the midpoint residual passes).  This makes the Q integration
+    cheap, and the mean of each entry gives its exact integral over a period.
     """
 
     def __init__(self, field, chart, period, nodes=256, tol=1e-9, max_nodes=2048):
         self.period = float(period)
-        n = nodes
-        while True:
-            xs = np.arange(n) * (self.period / n)
-            entries = self._sample(field, chart, xs)
-            series = [TrigSeries.from_samples(v, self.period) for v in entries]
-            probe = xs + self.period / (2 * n)
-            ref = self._sample(field, chart, probe)
-            res = max(
-                float(np.max(np.abs(s(probe) - r))) / max(1.0, float(np.max(np.abs(v))))
-                for s, r, v in zip(series, ref, entries)
-            )
-            if res <= tol:
-                self.series = series
-                self.nodes = n
-                self.residual = res
-                return
-            if 2 * n > max_nodes:
-                raise ParabolicOnCurve(f"variational entries failed to interpolate (residual {res})")
-            n *= 2
-
-    @staticmethod
-    def _sample(field, chart, xs):
-        d = tubular.chart_data(field, chart, np.asarray(xs, dtype=float), 0.0, 0.0, order=1)
-        f = np.asarray(d.value("f"), dtype=float)
-        if np.any(np.abs(f) < 1e-12):
-            raise ParabolicOnCurve("f(x,0,0) vanishes at a sample node")
-        b0 = np.asarray(d.value("B"), dtype=float)
-        m11 = -np.asarray(d.partial("e", "y")) / (2 * f)
-        m12 = -np.asarray(d.partial("e", "z")) / (2 * f)
-        return (
-            m11 + 0 * f,
-            m12 + 0 * f,
-            np.asarray(d.partial("A", "y"), dtype=float) + b0 * m11 + 0 * f,
-            np.asarray(d.partial("A", "z"), dtype=float) + b0 * m12 + 0 * f,
+        self.series = TrigSeries.fit(
+            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, nodes, tol, max_nodes
         )
+        self.nodes = self.series.nodes
+        self.residual = self.series.residual
 
     def matrix(self, x):
-        m11, m12, m21, m22 = (float(s(x)) for s in self.series)
-        return np.array([[m11, m12], [m21, m22]])
+        """M at x (a float or an array of shape s), shape (2, 2) or s + (2, 2)."""
+        return self.series(x).reshape(np.shape(x) + (2, 2))
 
 
 @dataclass
@@ -177,25 +148,29 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     dist = min(abs(abs(e) - 1.0) for e in ev)
     hyperbolic = dist > tol
 
+    # the cached path integrates its validated interpolant exactly (period
+    # times the mean); the direct path, the oracle for the cache, uses quad
+    if vc is None:
+        def integral(entry):
+            return quad(lambda x: float(entry(mfn(x))), 0.0, period, limit=200, epsabs=1e-12)[0]
+    else:
+        mean = vc.series.mean().reshape(2, 2)
+
+        def integral(entry):
+            return period * float(entry(mean))
+
     # Liouville identity: det Q(l) = exp of the integrated trace
-    trace_integral = quad(lambda x: float(np.trace(mfn(x))), 0.0, period, limit=200, epsabs=1e-12)[0]
+    trace_integral = integral(np.trace)
     detQ = float(np.linalg.det(Q))
     det_residual = abs(detQ - math.exp(trace_integral)) / max(abs(detQ), 1e-300)
 
     # when M is triangular the eigenvalues are exponentials of the diagonal integrals
-    if vc is not None:
-        xs_probe = np.linspace(0.0, period, 64, endpoint=False)
-        off_upper = float(np.max(np.abs(vc.series[1](xs_probe))))
-        off_lower = float(np.max(np.abs(vc.series[2](xs_probe))))
-    else:
-        ms = [mfn(x) for x in np.linspace(0.0, period, 32, endpoint=False)]
-        off_upper = max(abs(m[0, 1]) for m in ms)
-        off_lower = max(abs(m[1, 0]) for m in ms)
-    triangular = min(off_upper, off_lower) < 1e-7
+    ms = mfn(np.linspace(0.0, period, 64, endpoint=False))
+    triangular = bool(min(np.max(np.abs(ms[:, 0, 1])), np.max(np.abs(ms[:, 1, 0]))) < 1e-7)
     integrals = {"trace": trace_integral}
     if triangular:
-        i11 = quad(lambda x: float(mfn(x)[0, 0]), 0.0, period, limit=200, epsabs=1e-12)[0]
-        i22 = quad(lambda x: float(mfn(x)[1, 1]), 0.0, period, limit=200, epsabs=1e-12)[0]
+        i11 = integral(lambda m: m[0, 0])
+        i22 = integral(lambda m: m[1, 1])
         integrals.update(
             {
                 "diag_first": i11,

@@ -1,11 +1,13 @@
 """Trigonometric interpolation of smooth periodic functions of one variable.
 
 A TrigSeries stores the Fourier coefficients obtained from samples at N
-uniform nodes over one period.  For trigonometric polynomials of degree
-< N/2 the interpolant is exact; for other analytic periodic functions the
-node count is doubled until an off-node residual check passes, so the error
-is spectrally small.  Evaluation is ring-generic: floats, numpy arrays, and
-jets (through univariate Taylor recomposition) are all supported.
+uniform nodes over one period.  Samples of shape (N,) give a scalar series;
+samples of shape (N, m) give m series that share nodes and are evaluated
+together.  For trigonometric polynomials of degree < N/2 the interpolant is
+exact; for other analytic periodic functions the node count is doubled until
+an off-node residual check passes (refine), so the error is spectrally small.
+Scalar series evaluate on floats, numpy arrays, and jets (through univariate
+Taylor recomposition).
 """
 
 from __future__ import annotations
@@ -15,8 +17,36 @@ import numpy as np
 from . import jets
 
 
+class FitError(ValueError):
+    """An adaptive periodic fit ran out of nodes before its residual check passed."""
+
+
+def refine(attempt, period, nodes, max_nodes):
+    """Double the node count from nodes until attempt's residual check passes.
+
+    attempt(xs, probe) receives the n uniform nodes over one period and the
+    n midpoints between them (where interpolation error is largest) and
+    returns (result, residual, bound); refine returns the first result whose
+    residual is at most bound, and raises FitError once the next doubling
+    would exceed max_nodes.
+    """
+    n = int(nodes)
+    while True:
+        xs = np.arange(n) * (period / n)
+        result, residual, bound = attempt(xs, xs + period / (2 * n))
+        if residual <= bound:
+            return result
+        if 2 * n > max_nodes:
+            raise FitError(f"periodic fit residual {residual:.3g} above {bound:.3g} at {n} nodes")
+        n *= 2
+
+
 class TrigSeries:
-    """sum_k a_k cos(k w x) + b_k sin(k w x) with w = 2 pi / period."""
+    """sum_k a_k cos(k w x) + b_k sin(k w x) with w = 2 pi / period.
+
+    The coefficient arrays have shape (K,) for a scalar series or (K, m) for
+    m series; evaluation at points of shape s returns shape s or s + (m,).
+    """
 
     def __init__(self, cos_coeffs, sin_coeffs, period):
         self.cos_coeffs = np.asarray(cos_coeffs, dtype=float)
@@ -29,49 +59,48 @@ class TrigSeries:
     def fit(cls, fn, period, nodes=64, tol=1e-11, max_nodes=4096):
         """Interpolate fn at uniform nodes, doubling until off-node residuals pass.
 
-        fn must accept a numpy array of sample points.
+        fn maps a numpy array of n sample points to n values, shape (n,) or
+        (n, m).  Each of the m rows passes when its largest midpoint error is
+        at most tol * max(1, max |row|).  The result records its node count
+        in .nodes and the worst scaled residual in .residual.
         """
-        n = int(nodes)
-        while True:
-            xs = np.arange(n) * (period / n)
+
+        def attempt(xs, probe):
             vals = np.asarray(fn(xs), dtype=float)
-            series = cls._from_samples(vals, period)
-            # probe at every midpoint of the sample grid, where the
-            # interpolation error is largest
-            probe = xs + period / (2 * n)
-            ref = np.asarray(fn(probe), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            if np.max(np.abs(series(probe) - ref)) <= tol * scale:
-                return series
-            if 2 * n > max_nodes:
-                raise ValueError(f"trigonometric fit did not converge below {tol} with {max_nodes} nodes")
-            n *= 2
+            series = cls.from_samples(vals, period)
+            scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+            err = np.max(np.abs(series(probe) - np.asarray(fn(probe), dtype=float)), axis=0)
+            series.residual = float(np.max(err / scale))
+            return series, series.residual, tol
+
+        return refine(attempt, period, nodes, max_nodes)
 
     @classmethod
     def from_samples(cls, values, period):
-        return cls._from_samples(np.asarray(values, dtype=float), period)
-
-    @classmethod
-    def _from_samples(cls, vals, period):
+        """The interpolant through samples at n uniform nodes; n is kept in .nodes."""
+        vals = np.asarray(values, dtype=float)
         n = len(vals)
-        spec = np.fft.rfft(vals) / n
+        spec = np.fft.rfft(vals, axis=0) / n
         cos_c = 2.0 * spec.real
         sin_c = -2.0 * spec.imag
         cos_c[0] /= 2.0
         if n % 2 == 0:
             cos_c[-1] /= 2.0
-        return cls(cos_c, sin_c, period)
+        series = cls(cos_c, sin_c, period)
+        series.nodes = n
+        return series
 
     def _eval_scalar(self, x):
         t = self.omega * np.multiply.outer(np.asarray(x, dtype=float), self._k)
         return np.cos(t) @ self.cos_coeffs + np.sin(t) @ self.sin_coeffs
 
     def derivative(self):
-        k = self._k * self.omega
+        k = (self._k * self.omega).reshape((-1,) + (1,) * (self.cos_coeffs.ndim - 1))
         return TrigSeries(self.sin_coeffs * k, -self.cos_coeffs * k, self.period)
 
     def mean(self):
-        return float(self.cos_coeffs[0])
+        """The mean over one period (per row); period * mean() is the exact integral."""
+        return self.cos_coeffs[0].copy()
 
     def __call__(self, x):
         if isinstance(x, jets.Jet):

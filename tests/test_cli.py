@@ -87,6 +87,23 @@ def test_integrate_bad_start_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["poincare", "--field", "{bad"], 2),
+        (["classify", "--field", json.dumps({"xi": 5})], 2),
+        (["classify", "--field", "."], 2),
+        (["classify", "--samples", "-3"], 2),
+        (["integrate", "--field", "circle-example", "--to", "nan"], 2),
+        (["integrability", "--field", json.dumps({"xi": ["sqrt(x - 5)", "1", "0"]}), "--point", "0,0,0"], 3),
+    ],
+)
+def test_malformed_input_exit_codes(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+
+
 def test_unknown_field_is_usage_error(capsys):
     code, _, err = run(capsys, "classify", "--field", "no-such-field")
     assert code == 2

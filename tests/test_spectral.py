@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from asymptotica import jets
-from asymptotica.spectral import TrigSeries
+from asymptotica.monodromy import VariationalCache
+from asymptotica.spectral import FitError, TrigSeries
 
 
 def test_trig_polynomial_exact():
@@ -70,3 +71,41 @@ def test_array_evaluation_shape():
     xs = np.linspace(0, 1, 5)
     out = s(xs)
     assert out.shape == xs.shape
+
+
+def _two_rows(x):
+    # a large trig polynomial and a small analytic function: a shared scale
+    # of 1e6 would let the second row stop at 16 nodes
+    return np.stack([1e6 * np.cos(x), np.exp(np.sin(x))], axis=1)
+
+
+def test_vector_fit_stops_where_the_worse_row_does():
+    period = 2 * math.pi
+    v = TrigSeries.fit(_two_rows, period, nodes=8)
+    needed = [TrigSeries.fit(lambda x, k=k: _two_rows(x)[:, k], period, nodes=8).nodes for k in range(2)]
+    assert needed == [8, 32]
+    assert v.nodes == 32
+    assert 0.0 <= v.residual <= 1e-11
+    xs = np.arange(v.nodes) * (period / v.nodes)
+    for k in range(2):
+        row = TrigSeries.from_samples(_two_rows(xs)[:, k], period)
+        assert np.array_equal(v.cos_coeffs[:, k], row.cos_coeffs)
+        assert np.array_equal(v.sin_coeffs[:, k], row.sin_coeffs)
+    probe = np.linspace(0, period, 37)
+    assert v(probe).shape == (37, 2)
+    assert v(0.3).shape == (2,)
+    assert np.max(np.abs(v(probe) - _two_rows(probe)) / [1e6, 1.0]) < 1e-11
+
+
+def test_vector_derivative_and_mean_are_row_wise():
+    v = TrigSeries.fit(lambda x: np.stack([4.0 + np.cos(x), np.sin(2 * x)], axis=1), 2 * math.pi, nodes=16)
+    xs = np.linspace(0, 2 * math.pi, 50)
+    d = v.derivative()(xs)
+    assert np.max(np.abs(d[:, 0] + np.sin(xs))) < 1e-12
+    assert np.max(np.abs(d[:, 1] - 2 * np.cos(2 * xs))) < 1e-12
+    assert v.mean() == pytest.approx([4.0, 0.0], abs=1e-14)
+
+
+def test_variational_cache_out_of_nodes_raises_fit_error(t1_field, t1_chart):
+    with pytest.raises(FitError):
+        VariationalCache(t1_field, t1_chart, 2 * math.pi, nodes=8, max_nodes=8)
