@@ -115,6 +115,14 @@ def positive_int(text):
     return value
 
 
+def positive_float(text):
+    """argparse type for tolerances and steps that must be finite and positive."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def emit(args, document, csv_rows=None, csv_header=None):
     """Write the result document (JSON) or rows (CSV) to --output or stdout."""
     out = sys.stdout if args.output is None else open(args.output, "w")
@@ -180,6 +188,11 @@ def cmd_poincare(args):
     field, chart = resolve_field(args.field)
     if not chart.curve.closed:
         raise UsageError("the return map needs a closed core curve")
+    if args.fd_check:
+        try:
+            monodromy.check_fd_step(args.h, chart)
+        except ValueError as exc:
+            raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
     result = monodromy.monodromy(field, chart, period)
     doc = result.to_dict()
@@ -543,7 +556,7 @@ def build_parser():
     p = sub.add_parser("classify", help="classify a grid of tube points")
     p.add_argument("--field", default="t1")
     p.add_argument("--samples", type=positive_int, default=64)
-    p.add_argument("--rings", type=int, default=3, help="offsets per transverse direction")
+    p.add_argument("--rings", type=positive_int, default=3, help="offsets per transverse direction")
     p.add_argument("--offset", type=float, default=0.01, help="largest transverse offset")
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_classify)
@@ -551,9 +564,9 @@ def build_parser():
     p = sub.add_parser("poincare", help="return-map derivative over one period")
     p.add_argument("--field", default="t1")
     p.add_argument("--fd-check", action="store_true", help="cross-check with the finite-difference Jacobian")
-    p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--fd-rtol", type=float, default=1e-4)
-    p.add_argument("--fd-atol", type=float, default=1e-8)
+    p.add_argument("--h", type=positive_float, default=1e-5, help="finite-difference step")
+    p.add_argument("--fd-rtol", type=positive_float, default=1e-4)
+    p.add_argument("--fd-atol", type=positive_float, default=1e-8)
     common(p)
     p.set_defaults(fn=cmd_poincare)
 
@@ -561,8 +574,8 @@ def build_parser():
     p.add_argument("--field", default="t1")
     p.add_argument("--start", default="0,0,0", help="x,y,z chart start point")
     p.add_argument("--to", type=float, required=True, help="target x")
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--rtol", type=positive_float, default=1e-10)
+    p.add_argument("--atol", type=positive_float, default=1e-12)
     p.add_argument("--svg", default=None, help="write an SVG polyline of the (x, y) projection")
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_integrate)
@@ -587,7 +600,7 @@ def build_parser():
 
     p = sub.add_parser("arnold-surface", help="appendix surface report for a local model")
     p.add_argument("--orders", default="2,3", help="arnold:m,n or m,n")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=positive_int, default=64)
     common(p)
     p.set_defaults(fn=cmd_arnold_surface)
 

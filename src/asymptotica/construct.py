@@ -246,24 +246,17 @@ def realize_t5(curve, order=None):
     # on-curve reduced coefficients, exactly
     X = d1
     Y = (d1[1], -d1[0], PowerSeriesQ.constant(0, order))
-    Z = (
-        X[1] * Y[2] - X[2] * Y[1],
-        X[2] * Y[0] - X[0] * Y[2],
-        X[0] * Y[1] - X[1] * Y[0],
-    )
+    Z = jets.cross(X, Y)
     xi0 = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
     xi0p = [c.derivative() for c in xi0]
     xiy = [k1_series * X[i] for i in range(3)]
 
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    a_curve = dot(xi0, X)
-    L1 = dot(xi0p, X)
-    L2 = dot(xi0p, Y) + dot(xiy, X)
-    L3 = dot(xiy, Y)
-    L4 = dot(xi0p, Z) + 0  # xi_z = 0 for this construction
-    L5 = dot(xiy, Z)
+    a_curve = jets.dot(xi0, X)
+    L1 = jets.dot(xi0p, X)
+    L2 = jets.dot(xi0p, Y) + jets.dot(xiy, X)
+    L3 = jets.dot(xiy, Y)
+    L4 = jets.dot(xi0p, Z) + 0  # xi_z = 0 for this construction
+    L5 = jets.dot(xiy, Z)
     B = -(b_factored / c_factored)
     e_curve = L1  # A = -a/c = 0 since a vanishes on the curve
     f_curve = L2 / 2 + B * L4 / 2

@@ -152,7 +152,7 @@ class Curve:
         d = tuple(self.component(i, t, 1) for i in range(3))
         X = d
         Y = (d[1], -d[0], 0)
-        Z = _cross(X, Y)
+        Z = jets.cross(X, Y)
         return g, X, Y, Z
 
     def frame(self, x):
@@ -178,14 +178,6 @@ def _univariate_derivative(fn, u, k):
     for _ in range(k):
         v = v.partial(0)
     return v
-
-
-def _cross(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 # -- finite type symbol ------------------------------------------------------

@@ -1,11 +1,17 @@
 """Integration of asymptotic lines in chart coordinates.
 
 The line field is implicit: at each point the slope p = dy/dx solves
-g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  The integrator follows one root
+g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
 branch by continuity (nearest root to the previously accepted slope), with an
-adaptive Dormand-Prince 4(5) pair.  Steps that walk into a root collision
-(parabolic point), lose the real roots (elliptic point), or leave the tube
-terminate the path with a status instead of jumping branches.
+adaptive Dormand-Prince 4(5) pair, for a single chart path, a lockstep batch
+of chart paths and a path on a parametrized surface.  A start point with no
+real branch raises EllipticStop or VerticalDirection.  A later stop ends the
+path with its status instead of jumping branches: "parabolic" (root
+collision), "elliptic" (no real root), "vertical" (only dx = 0), "tube-exit"
+or "singular" (a singular reduction or step-size underflow).
+integrate_asymptotic reports the status with the partial path;
+integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
+with a message that begins with it.
 """
 
 from __future__ import annotations
@@ -59,8 +65,18 @@ class Path:
 def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
     """Real slope roots of g p^2 + 2 f p + e = 0 and the branch selection.
 
-    Returns (slopes, selected).  slopes has one entry in the linear case.
+    Returns (slopes, selected): the real roots, one in the linear case
+    |g| <= tol * max(|e|, |f|, |g|), and the root nearest prev_p (without
+    prev_p, the root of least modulus).  e, f, g (and prev_p) may be 1-D
+    arrays, a lockstep batch solved point by point; slopes then holds two
+    arrays, the first inf where the equation is linear.
     """
+    if np.ndim(e):
+        columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
+        columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
+        points = [branch_slopes(*point, tol=tol) for point in zip(*columns)]
+        roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
+        return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
     scale = max(abs(e), abs(f), abs(g))
     if scale == 0:
         raise FlowError("e = f = g = 0: every direction is asymptotic")
@@ -85,28 +101,6 @@ def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
     else:
         selected = min(slopes, key=lambda s: abs(s - prev_p))
     return slopes, selected
-
-
-def _slopes_array(e, f, g, prev_p):
-    """Vectorized branch-continuous slope selection (used by batch integration)."""
-    e = np.asarray(e, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    disc = f * f - g * e
-    if np.any(disc < 0):
-        raise EllipticStop("discriminant < 0 at a batch point")
-    if np.any(np.abs(g) < 1e-300):
-        raise VerticalDirection("g = 0 at a batch point")
-    r = np.sqrt(disc)
-    q = -np.where(f >= 0, f + r, f - r)
-    q = np.where(q == 0, -2 * f, q)
-    p1 = q / g
-    p2 = e / q
-    gap = np.abs(p1 - p2)
-    sel = np.where(np.abs(p1 - prev_p) <= np.abs(p2 - prev_p), p1, p2)
-    if np.any(gap < 1e-6 * (1 + np.abs(sel))):
-        raise ParabolicStop("root branches collided")
-    return sel
 
 
 class ChartSpectralCache:
@@ -177,7 +171,12 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
+_STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
+
+
 class _Stop(Exception):
+    """Ends an rk45 run early with a status; rk45 catches it, so it never leaves this module."""
+
     def __init__(self, status, reason):
         self.status = status
         self.reason = reason
@@ -186,9 +185,15 @@ class _Stop(Exception):
 def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14, on_accept=None):
     """Adaptive embedded Runge-Kutta; y may be any numpy array shape.
 
-    rhs(x, y) -> dy/dx; it may raise _Stop to terminate with a partial result.
-    Returns (x_end, y_end, stats).  on_accept(x, y) is called at every
-    accepted step.
+    rhs(x, y) -> dy/dx; it may raise _Stop.  A stop inside a step halves the
+    step, since overshooting may cause it, and ends the run once the step is
+    down to 4 min_step.  A NaN error estimate rejects and shrinks the step,
+    so such a run ends in a "singular" step-size underflow.  on_accept(x, y)
+    is called at every accepted step, right after the rhs call at (x, y)
+    (the FSAL stage).
+    Returns (x, y, stats) at x1, or at the last accepted point after a stop;
+    stats holds "steps", "rejected", "min_step", "status" ("reached" or the
+    stop's) and "reason".
     """
     y = np.array(y0, dtype=float)
     x = float(x0)
@@ -197,110 +202,126 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     if max_step is None:
         max_step = span / 16 if span > 0 else 1.0
     h = min(max_step, span / 100) if span > 0 else max_step
-    stats = {"steps": 0, "rejected": 0, "min_step": math.inf}
-    f0 = rhs(x, y)
-    while direction * (x1 - x) > 1e-15 * max(1.0, abs(x1)):
-        h = min(h, abs(x1 - x))
-        if h < min_step:
-            raise _Stop("singular", f"step size underflow at x = {x}")
-        try:
-            ks = [f0]
-            for i in range(1, 7):
-                yi = y + direction * h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                ks.append(rhs(x + direction * h * _DP_C[i], yi))
-            y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5, ks))
-            y4 = y + direction * h * sum(b * k for b, k in zip(_DP_B4, ks))
-        except _Stop:
-            # the stop may be an artifact of overshooting; shrink first
-            if h <= 4 * min_step:
-                raise
-            h /= 2
-            stats["rejected"] += 1
-            continue
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((np.asarray(y5 - y4) / scale) ** 2)))
-        if err <= 1.0:
-            x = x + direction * h
-            y = y5
-            f0 = ks[6]  # FSAL
-            stats["steps"] += 1
-            stats["min_step"] = min(stats["min_step"], h)
-            if on_accept is not None:
-                on_accept(x, y)
-        else:
-            stats["rejected"] += 1
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = min(max_step, h * min(5.0, max(0.2, factor)))
+    stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
+    try:
+        f0 = rhs(x, y)
+        while direction * (x1 - x) > 1e-15 * max(1.0, abs(x1)):
+            h = min(h, abs(x1 - x))
+            if h < min_step:
+                raise _Stop("singular", f"step size underflow at x = {x}")
+            try:
+                ks = [f0]
+                for i in range(1, 7):
+                    yi = y + direction * h * sum(a * k for a, k in zip(_DP_A[i], ks))
+                    ks.append(rhs(x + direction * h * _DP_C[i], yi))
+                y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5, ks))
+                y4 = y + direction * h * sum(b * k for b, k in zip(_DP_B4, ks))
+            except _Stop:
+                if h <= 4 * min_step:
+                    raise
+                h /= 2
+                stats["rejected"] += 1
+                continue
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = float(np.sqrt(np.mean((np.asarray(y5 - y4) / scale) ** 2)))
+            if err <= 1.0:
+                x = x + direction * h
+                y = y5
+                f0 = ks[6]  # FSAL
+                stats["steps"] += 1
+                stats["min_step"] = min(stats["min_step"], h)
+                if on_accept is not None:
+                    on_accept(x, y)
+            else:
+                stats["rejected"] += 1
+            if err > 0:
+                factor = 0.9 * err ** -0.2
+            else:  # a NaN estimate (no comparison holds) shrinks the step
+                factor = 5.0 if err == 0 else 0.2
+            h = min(max_step, h * min(5.0, max(0.2, factor)))
+    except _Stop as stop:
+        stats["status"], stats["reason"] = stop.status, stop.reason
     return x, y, stats
 
 
-def integrate_asymptotic(
-    field,
-    chart,
-    start,
-    x1,
-    branch=None,
-    rtol=1e-10,
-    atol=1e-12,
-    radius=None,
-    max_step=None,
-):
+def require_reached(stats):
+    """Raise FlowError, its message beginning with the status, if an rk45 run stopped early."""
+    if stats["status"] != "reached":
+        raise FlowError(f"{stats['status']}: {stats['reason']}")
+
+
+def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None):
+    """Follow one root branch of g p^2 + 2 f p + e = 0 from x0 toward x1.
+
+    state0 has shape (k,) for one path or (n, k) for a lockstep batch; its
+    first column moves with the tracked slope p.  equation(x, state) returns
+    (e, f, g) or (e, f, g, A, B), A and B moving the second column with
+    A + B p.  branch is an optional slope hint at the start.  A start with no
+    real root raises EllipticStop or VerticalDirection; a later stop ends
+    the run (a stage outside |state| <= radius is a "tube-exit").  Returns
+    (xs, states, ps, stats) at the start and every accepted step; stats are
+    rk45's plus "max_residual" of the slope equation.
+    """
+    track = {"p": branch}
+    latest = {}  # the latest stage
+    samples = []  # (x, state, p, residual) at the start and every accepted step
+
+    def evaluate(x, state):
+        e, f, g, *tail = equation(x, state)
+        slopes, p = branch_slopes(e, f, g, prev_p=track["p"])
+        latest.update(
+            efgp=(e, f, g, p),
+            derivative=np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1),
+            collided=len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))),
+        )
+
+    def on_accept(x, state):
+        # the last stage evaluated was at (x, state): keep its slope
+        e, f, g, p = latest["efgp"]
+        track["p"] = p
+        samples.append((x, state, p, abs(g * p * p + 2 * f * p + e)))
+
+    fresh = [True]  # rk45 begins with rhs(x0, state0), which the start evaluation answers
+
+    def rhs(x, state):
+        if (np.abs(state) > radius).any():
+            raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
+        if fresh:
+            fresh.clear()
+        else:
+            try:
+                evaluate(x, state)
+            except (FlowError, tubular.ReductionSingular) as exc:
+                raise _Stop(_STATUS.get(type(exc), "singular"), str(exc))
+        if latest["collided"]:
+            raise _Stop("parabolic", "root branches collided")
+        return latest["derivative"]
+
+    evaluate(x0, state0)
+    on_accept(x0, state0)
+    _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept)
+    xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
+    stats["max_residual"] = float(np.max(residuals))
+    return xs, states, ps, stats
+
+
+def integrate_asymptotic(field, chart, start, x1, branch=None, rtol=1e-10, atol=1e-12, radius=None, max_step=None):
     """Follow one asymptotic branch from start=(x0, y0, z0) until x = x1.
 
     branch is an optional slope hint selecting the initial root; afterwards
     the branch is tracked by root continuity.  Raises EllipticStop or
-    VerticalDirection if no branch exists at the start point; later
-    terminations are reported in Path.status with the partial path.
+    VerticalDirection if no branch exists at the start point; a later stop
+    is reported in Path.status with the partial path, and Path.stats keeps
+    the integrator statistics up to the stop.
     """
     x0, y0, z0 = (float(v) for v in start)
-    if radius is None:
-        radius = chart.radius
     efgab = tubular.binary_equation_data(field, chart)
-
-    e, f, g, A, B = efgab(x0, y0, z0)
-    _, p0 = branch_slopes(e, f, g, prev_p=branch)
-    state = {"p": p0}
-    samples = [(x0, y0, z0, p0)]
-    residuals = [abs(g * p0 * p0 + 2 * f * p0 + e)]
-
-    def rhs(x, yz):
-        yv, zv = float(yz[0]), float(yz[1])
-        if abs(yv) > radius or abs(zv) > radius:
-            raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
-        try:
-            e, f, g, A, B = efgab(x, yv, zv)
-            slopes, p = branch_slopes(e, f, g, prev_p=state["p"])
-        except EllipticStop as exc:
-            raise _Stop("elliptic", str(exc))
-        except VerticalDirection as exc:
-            raise _Stop("vertical", str(exc))
-        except tubular.ReductionSingular as exc:
-            raise _Stop("singular", str(exc))
-        if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p)):
-            raise _Stop("parabolic", "root branches collided")
-        return np.array([p, A + B * p])
-
-    def on_accept(x, yz):
-        e, f, g, A, B = efgab(x, float(yz[0]), float(yz[1]))
-        _, p = branch_slopes(e, f, g, prev_p=state["p"])
-        state["p"] = p
-        samples.append((x, float(yz[0]), float(yz[1]), p))
-        residuals.append(abs(g * p * p + 2 * f * p + e))
-
-    status, reason = "reached", ""
-    try:
-        _, _, stats = rk45(
-            rhs, x0, x1, np.array([y0, z0]), rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept
-        )
-    except _Stop as stop:
-        status, reason = stop.status, stop.reason
-        stats = {"steps": len(samples) - 1, "rejected": 0, "min_step": math.nan}
-    arr = np.array(samples)
-    stats["max_residual"] = float(max(residuals))
-    return Path(
-        xs=arr[:, 0], ys=arr[:, 1], zs=arr[:, 2], ps=arr[:, 3],
-        status=status, reason=reason, stats=stats,
+    xs, states, ps, stats = _track(
+        lambda x, yz: efgab(x, float(yz[0]), float(yz[1])), x0, x1, np.array([y0, z0]), branch,
+        chart.radius if radius is None else radius, rtol, atol, max_step,
     )
+    status, reason = stats.pop("status"), stats.pop("reason")
+    return Path(xs=xs, ys=states[:, 0], zs=states[:, 1], ps=ps, status=status, reason=reason, stats=stats)
 
 
 def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_step=None, cache=None):
@@ -310,28 +331,15 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_st
     Returns the (n, 2) endpoint array.  Used by the finite-difference
     return-map derivative, where the trajectories stay close together.
     cache may be a ChartSpectralCache built for the same field and chart; it
-    replaces the per-step jet pipeline with validated interpolants.
+    replaces the per-step jet pipeline with validated interpolants.  A start
+    with no real branch raises EllipticStop or VerticalDirection; a stop of
+    any trajectory stops the batch and raises FlowError, its message
+    beginning with the status.
     """
-    starts = np.asarray(starts, dtype=float)
     efgab = cache.efgab if cache is not None else tubular.binary_equation_data(field, chart)
-    state = {"p": np.zeros(len(starts))}
-
-    def rhs(x, yz):
-        y, z = yz[:, 0], yz[:, 1]
-        try:
-            e, f, g, A, B = efgab(np.full(len(y), x), y, z)
-            p = _slopes_array(e, f, g, state["p"])
-        except (EllipticStop, VerticalDirection, ParabolicStop) as exc:
-            raise _Stop("elliptic", str(exc))
-        return np.stack([p, A + B * p], axis=1)
-
-    def on_accept(x, yz):
-        y, z = yz[:, 0], yz[:, 1]
-        e, f, g, A, B = efgab(np.full(len(y), x), y, z)
-        state["p"] = _slopes_array(e, f, g, state["p"])
-
-    try:
-        _, yend, _ = rk45(rhs, x0, x1, starts, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept)
-    except _Stop as stop:
-        raise FlowError(f"batch integration stopped: {stop.reason}") from None
-    return yend
+    _, states, _, stats = _track(
+        lambda x, yz: efgab(np.full(len(yz), x), yz[:, 0], yz[:, 1]), x0, x1, np.asarray(starts, dtype=float),
+        None, chart.radius, rtol, atol, max_step,
+    )
+    require_reached(stats)
+    return states[-1]

@@ -232,6 +232,20 @@ def value_of(x):
     return x.value if isinstance(x, Jet) else x
 
 
+def dot(u, v):
+    """Dot product of two 3-vectors of ring elements."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def cross(u, v):
+    """Cross product of two 3-vectors of ring elements."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
 # -- analytic functions over float | Fraction | Jet --------------------------
 
 

@@ -140,6 +140,7 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     x_prev = 0.0
     for x_next in stations:
         _, q, stats = flow.rk45(rhs, x_prev, x_next, q, rtol=rtol, atol=atol)
+        flow.require_reached(stats)
         x_prev = x_next
         collected.append((float(x_next), q.reshape(2, 2).copy()))
     Q = q.reshape(2, 2)
@@ -197,6 +198,12 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     return result
 
 
+def check_fd_step(h, chart):
+    """Raise ValueError unless the finite-difference step h lies in (1e-8, tube radius)."""
+    if not (1e-8 < h < chart.radius):
+        raise ValueError(f"step h = {h} outside (1e-8, tube radius {chart.radius})")
+
+
 def fd_poincare_derivative(field, chart, period, h=1e-5, rtol=1e-11, atol=1e-14, cache=None):
     """Central-difference Jacobian of the actual return map at the fixed point.
 
@@ -207,8 +214,7 @@ def fd_poincare_derivative(field, chart, period, h=1e-5, rtol=1e-11, atol=1e-14,
     for the central differences to resolve; pass cache=False to force the
     direct per-step pipeline.
     """
-    if not (1e-8 < h < chart.radius):
-        raise ValueError(f"step h = {h} outside (1e-8, tube radius {chart.radius})")
+    check_fd_step(h, chart)
     if cache is None:
         cache = flow.ChartSpectralCache(field, chart, float(period))
     elif cache is False:

@@ -28,18 +28,6 @@ class DegenerateNormal(Exception):
     """alpha_u ^ alpha_v vanished at the queried point."""
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 class ParamSurface:
     """Surface (u, v) -> R^3 given by three ring-generic component functions."""
 
@@ -58,6 +46,17 @@ class ParamSurface:
         return tuple(c(uj, vj) for c in self.components)
 
 
+def _second_partials(surface, u, v):
+    """(alpha_uu, alpha_uv, alpha_vv) and w = alpha_u ^ alpha_v at (u, v)."""
+    cj = surface.jet(u, v, order=2)
+    a_u = tuple(c.deriv(1, 0) for c in cj)
+    a_v = tuple(c.deriv(0, 1) for c in cj)
+    a_uu = tuple(2 * c.deriv(2, 0) for c in cj)
+    a_uv = tuple(c.deriv(1, 1) for c in cj)
+    a_vv = tuple(2 * c.deriv(0, 2) for c in cj)
+    return (a_uu, a_uv, a_vv), jets.cross(a_u, a_v)
+
+
 def second_fundamental(surface, u, v):
     """Coefficients (e, f, g) of the second fundamental form at (u, v).
 
@@ -65,18 +64,12 @@ def second_fundamental(surface, u, v):
     normal N = (alpha_u ^ alpha_v)/|alpha_u ^ alpha_v|.  Accepts scalars or
     numpy arrays of parameter values.
     """
-    cj = surface.jet(u, v, order=2)
-    a_u = tuple(c.deriv(1, 0) for c in cj)
-    a_v = tuple(c.deriv(0, 1) for c in cj)
-    a_uu = tuple(2 * c.deriv(2, 0) for c in cj)
-    a_uv = tuple(c.deriv(1, 1) for c in cj)
-    a_vv = tuple(2 * c.deriv(0, 2) for c in cj)
-    w = _cross(a_u, a_v)
-    norm = np.sqrt(_dot(w, w))
+    second, w = _second_partials(surface, u, v)
+    norm = np.sqrt(jets.dot(w, w))
     if np.any(np.asarray(norm) < 1e-14):
         raise DegenerateNormal(f"|alpha_u ^ alpha_v| = {norm} at (u, v) = ({u}, {v})")
     n = tuple(wi / norm for wi in w)
-    return _dot(a_uu, n), _dot(a_uv, n), _dot(a_vv, n)
+    return tuple(jets.dot(a, n) for a in second)
 
 
 def second_fundamental_unnormalized(surface, u, v):
@@ -87,14 +80,8 @@ def second_fundamental_unnormalized(surface, u, v):
     and match the closed forms quoted for the rotating-type model, which
     are triple products [alpha_u, alpha_v, alpha_**].
     """
-    cj = surface.jet(u, v, order=2)
-    a_u = tuple(c.deriv(1, 0) for c in cj)
-    a_v = tuple(c.deriv(0, 1) for c in cj)
-    a_uu = tuple(2 * c.deriv(2, 0) for c in cj)
-    a_uv = tuple(c.deriv(1, 1) for c in cj)
-    a_vv = tuple(2 * c.deriv(0, 2) for c in cj)
-    w = _cross(a_u, a_v)
-    return _dot(a_uu, w), _dot(a_uv, w), _dot(a_vv, w)
+    second, w = _second_partials(surface, u, v)
+    return tuple(jets.dot(a, w) for a in second)
 
 
 def binary_equation(surface):
@@ -109,30 +96,19 @@ def binary_equation(surface):
 def integrate_surface_asymptotic(surface, start, u1, branch=None, rtol=1e-10, atol=1e-12):
     """Follow one asymptotic branch dv/du from start=(u0, v0) until u = u1.
 
-    Same branch-continuation contract as the chart-coordinate integrator,
-    with (u, v) in place of (x, y) and no transverse z component.
+    The chart-coordinate tracker with (u, v) in place of (x, y) and no
+    transverse z component; returns (us, vs, ps).  A start with no real
+    branch raises EllipticStop or VerticalDirection; a later stop raises
+    FlowError, its message beginning with the status.
     """
     u0, v0 = (float(s) for s in start)
     efg = binary_equation(surface)
-    e, f, g = (float(c) for c in efg(u0, v0))
-    _, p0 = flow.branch_slopes(e, f, g, prev_p=branch)
-    state = {"p": p0}
-    samples = [(u0, v0, p0)]
-
-    def rhs(u, v):
-        e, f, g = (float(c) for c in efg(u, float(v[0])))
-        _, p = flow.branch_slopes(e, f, g, prev_p=state["p"])
-        return np.array([p])
-
-    def on_accept(u, v):
-        e, f, g = (float(c) for c in efg(u, float(v[0])))
-        _, p = flow.branch_slopes(e, f, g, prev_p=state["p"])
-        state["p"] = p
-        samples.append((u, float(v[0]), p))
-
-    flow.rk45(rhs, u0, u1, np.array([v0]), rtol=rtol, atol=atol, on_accept=on_accept)
-    arr = np.array(samples)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+    us, vs, ps, stats = flow._track(
+        lambda u, v: [float(c) for c in efg(u, float(v[0]))],
+        u0, u1, np.array([v0]), branch, math.inf, rtol, atol,
+    )
+    flow.require_reached(stats)
+    return us, vs[:, 0], ps
 
 
 # -- rotating-type local model ------------------------------------------------

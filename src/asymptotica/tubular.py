@@ -100,10 +100,6 @@ def _truncate(v, order):
     return v.truncated(order) if isinstance(v, jets.Jet) else v
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
     """Evaluate the full coefficient pipeline at a chart point.
 
@@ -119,15 +115,15 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
     d_xi = [_partial_vec(xi, i) for i in range(3)]
     xi_t = [_truncate(cmp, order) for cmp in xi]
 
-    a = _dot(xi_t, d_alpha[0])
-    b = _dot(xi_t, d_alpha[1])
-    c = _dot(xi_t, d_alpha[2])
-    L1 = _dot(d_xi[0], d_alpha[0])
-    L2 = _dot(d_xi[0], d_alpha[1]) + _dot(d_xi[1], d_alpha[0])
-    L3 = _dot(d_xi[1], d_alpha[1])
-    L4 = _dot(d_xi[0], d_alpha[2]) + _dot(d_xi[2], d_alpha[0])
-    L5 = _dot(d_xi[1], d_alpha[2]) + _dot(d_xi[2], d_alpha[1])
-    L6 = _dot(d_xi[2], d_alpha[2])
+    a = jets.dot(xi_t, d_alpha[0])
+    b = jets.dot(xi_t, d_alpha[1])
+    c = jets.dot(xi_t, d_alpha[2])
+    L1 = jets.dot(d_xi[0], d_alpha[0])
+    L2 = jets.dot(d_xi[0], d_alpha[1]) + jets.dot(d_xi[1], d_alpha[0])
+    L3 = jets.dot(d_xi[1], d_alpha[1])
+    L4 = jets.dot(d_xi[0], d_alpha[2]) + jets.dot(d_xi[2], d_alpha[0])
+    L5 = jets.dot(d_xi[1], d_alpha[2]) + jets.dot(d_xi[2], d_alpha[1])
+    L6 = jets.dot(d_xi[2], d_alpha[2])
 
     cv = value_of(c)
     if np.any(np.abs(cv) < c_tol):

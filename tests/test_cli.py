@@ -96,6 +96,16 @@ def test_integrate_bad_start_is_usage_error(capsys):
         (["classify", "--samples", "-3"], 2),
         (["integrate", "--field", "circle-example", "--to", "nan"], 2),
         (["integrability", "--field", json.dumps({"xi": ["sqrt(x - 5)", "1", "0"]}), "--point", "0,0,0"], 3),
+        (["poincare", "--field", "circle-example", "--fd-check", "--h", "1.0"], 2),
+        (["poincare", "--field", "circle-example", "--fd-check", "--h", "nan"], 2),
+        (["poincare", "--field", "circle-example", "--fd-check", "--fd-rtol", "nan"], 2),
+        (["poincare", "--field", "circle-example", "--fd-check", "--fd-atol", "-1"], 2),
+        (["integrate", "--field", "t1", "--to", "0.5", "--rtol", "nan"], 2),
+        (["integrate", "--field", "t1", "--to", "0.5", "--rtol", "0", "--atol", "0"], 2),
+        (["integrate", "--field", "circle-example", "--to", "1", "--atol", "-1"], 2),
+        (["classify", "--rings", "0"], 2),
+        (["classify", "--rings", "-1"], 2),
+        (["arnold-surface", "--samples", "0"], 2),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):

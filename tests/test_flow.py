@@ -178,3 +178,43 @@ def test_tube_exit_reports_partial_path(t1_field, t1_chart):
     assert not path.reached
     assert path.status in ("tube-exit", "parabolic")
     assert len(path.xs) > 1
+    # a stop keeps the integrator statistics up to the last accepted step
+    assert math.isfinite(path.stats["min_step"])
+    assert path.stats["steps"] == len(path.xs) - 1
+
+
+def test_batch_stop_carries_the_path_status(t1_field, t1_chart):
+    path = integrate_asymptotic(t1_field, t1_chart, (0.0, 0.008, 0.0), 2 * math.pi, atol=1e-13)
+    assert not path.reached
+    with pytest.raises(FlowError, match=f"^{path.status}:"):
+        integrate_batch(t1_field, t1_chart, [[0.008, 0.0]], 0.0, 2 * math.pi, atol=1e-13)
+
+
+def test_rk45_nan_rhs_ends_in_a_singular_stop():
+    calls = []
+
+    def rhs(x, y):
+        calls.append(x)
+        if len(calls) > 100_000:
+            raise RuntimeError("rk45 does not terminate on a NaN right-hand side")
+        return np.array([math.nan]) if x > 0.5 else y
+
+    x, y, stats = rk45(rhs, 0.0, 1.0, np.array([1.0]))
+    assert stats["status"] == "singular"
+    assert x <= 0.5 and y[0] == pytest.approx(math.exp(x), rel=1e-8)
+
+
+def test_branch_slopes_on_arrays_match_scalars():
+    # quadratic, linear (g = 0) and near-linear points in one batch
+    e = np.array([-1.0, 4.0, 4.0, -2.0])
+    f = np.array([0.0, 1.0, 1.0, 0.5])
+    g = np.array([1.0, 0.0, 1e-14, 3.0])
+    prev = np.array([0.9, 0.0, -2.5, -1.0])
+    (far, near), sel = branch_slopes(e, f, g, prev_p=prev)
+    for i in range(4):
+        slopes, want = branch_slopes(e[i], f[i], g[i], prev_p=prev[i])
+        assert sel[i] == want
+        assert near[i] == slopes[-1]
+        assert far[i] == (slopes[0] if len(slopes) == 2 else math.inf)
+    with pytest.raises(EllipticStop):
+        branch_slopes(e, f, np.array([1.0, 0.0, 1e-14, -3.0]))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asymptotica.flow import FlowError
 from asymptotica.surfaces import (
     DegenerateNormal,
     ParamSurface,
@@ -126,3 +127,10 @@ def test_surface_asymptotic_off_curve_branch():
     us, vs, ps = integrate_surface_asymptotic(s, (0.0, 0.3), 1.0)
     assert vs[-1] == pytest.approx(0.3, abs=1e-10)
     assert np.max(np.abs(ps)) <= 1e-10
+
+
+def test_surface_asymptotic_stop_raises_with_status():
+    # z = u^3 + v^2 is hyperbolic for u < 0, parabolic at u = 0, elliptic beyond
+    s = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: u ** 3 + v * v])
+    with pytest.raises(FlowError, match="^(parabolic|elliptic):"):
+        integrate_surface_asymptotic(s, (-0.5, 0.0), 0.5)
