@@ -71,12 +71,17 @@ def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
     arrays, a lockstep batch solved point by point; slopes then holds two
     arrays, the first inf where the equation is linear.
     """
-    if np.ndim(e):
-        columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
-        columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
-        points = [branch_slopes(*point, tol=tol) for point in zip(*columns)]
-        roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
-        return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
+    if not np.ndim(e):
+        return _branch_slope(e, f, g, prev_p, tol)
+    columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
+    columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
+    points = [_branch_slope(*point, tol) for point in zip(*columns)]
+    roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
+    return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
+
+
+def _branch_slope(e, f, g, prev_p, tol):
+    """branch_slopes at one point."""
     scale = max(abs(e), abs(f), abs(g))
     if scale == 0:
         raise FlowError("e = f = g = 0: every direction is asymptotic")
@@ -189,8 +194,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     step, since overshooting may cause it, and ends the run once the step is
     down to 4 min_step.  A NaN error estimate rejects and shrinks the step,
     so such a run ends in a "singular" step-size underflow.  on_accept(x, y)
-    is called at every accepted step, right after the rhs call at (x, y)
-    (the FSAL stage).
+    is called at every accepted step.
     Returns (x, y, stats) at x1, or at the last accepted point after a stop;
     stats holds "steps", "rejected", "min_step", "status" ("reached" or the
     stop's) and "reason".
@@ -263,41 +267,29 @@ def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None):
     rk45's plus "max_residual" of the slope equation.
     """
     track = {"p": branch}
-    latest = {}  # the latest stage
     samples = []  # (x, state, p, residual) at the start and every accepted step
 
     def evaluate(x, state):
         e, f, g, *tail = equation(x, state)
         slopes, p = branch_slopes(e, f, g, prev_p=track["p"])
-        latest.update(
-            efgp=(e, f, g, p),
-            derivative=np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1),
-            collided=len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))),
-        )
+        return e, f, g, tail, slopes, p
 
     def on_accept(x, state):
-        # the last stage evaluated was at (x, state): keep its slope
-        e, f, g, p = latest["efgp"]
+        e, f, g, _, _, p = evaluate(x, state)
         track["p"] = p
         samples.append((x, state, p, abs(g * p * p + 2 * f * p + e)))
-
-    fresh = [True]  # rk45 begins with rhs(x0, state0), which the start evaluation answers
 
     def rhs(x, state):
         if (np.abs(state) > radius).any():
             raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
-        if fresh:
-            fresh.clear()
-        else:
-            try:
-                evaluate(x, state)
-            except (FlowError, tubular.ReductionSingular) as exc:
-                raise _Stop(_STATUS.get(type(exc), "singular"), str(exc))
-        if latest["collided"]:
+        try:
+            _, _, _, tail, slopes, p = evaluate(x, state)
+        except (FlowError, tubular.ReductionSingular) as exc:
+            raise _Stop(_STATUS.get(type(exc), "singular"), str(exc))
+        if len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))):
             raise _Stop("parabolic", "root branches collided")
-        return latest["derivative"]
+        return np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1)
 
-    evaluate(x0, state0)
     on_accept(x0, state0)
     _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept)
     xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
@@ -333,8 +325,8 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_st
     cache may be a ChartSpectralCache built for the same field and chart; it
     replaces the per-step jet pipeline with validated interpolants.  A start
     with no real branch raises EllipticStop or VerticalDirection; a stop of
-    any trajectory stops the batch and raises FlowError, its message
-    beginning with the status.
+    any trajectory (leaving the tube radius is a "tube-exit") stops the
+    batch and raises FlowError, its message beginning with the status.
     """
     efgab = cache.efgab if cache is not None else tubular.binary_equation_data(field, chart)
     _, states, _, stats = _track(

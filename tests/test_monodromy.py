@@ -5,6 +5,7 @@ import pytest
 
 from asymptotica import monodromy as mono
 from asymptotica import tubular
+from asymptotica.flow import FlowError
 from asymptotica.curves import Curve
 from asymptotica.monodromy import (
     ParabolicOnCurve,
@@ -149,6 +150,13 @@ def test_fd_step_sweep_consistent():
     field, chart = circle_setup()
     jacs = [fd_poincare_derivative(field, chart, 2 * math.pi, h=h) for h in (1e-4, 1e-5)]
     assert np.max(np.abs(jacs[0] - jacs[1])) <= 1e-5
+
+
+def test_fd_step_near_the_radius_stops_at_tube_exit():
+    # a probe started half the tube radius off the curve leaves the tube
+    field, chart = circle_setup()
+    with pytest.raises(FlowError, match="^tube-exit:"):
+        fd_poincare_derivative(field, chart, 2 * math.pi, h=0.5 * chart.radius)
 
 
 def test_fd_rejects_bad_step(t1_field, t1_chart):
