@@ -38,7 +38,6 @@ from .flow import (
     ChartSpectralCache,
     EllipticStop,
     FlowError,
-    ParabolicStop,
     Path,
     VerticalDirection,
     branch_slopes,
@@ -73,7 +72,6 @@ __all__ = [
     "FlowError",
     "MonodromyResult",
     "ParabolicOnCurve",
-    "ParabolicStop",
     "ParamSurface",
     "Path",
     "PointClass",

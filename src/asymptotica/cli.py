@@ -115,17 +115,41 @@ def positive_int(text):
     return value
 
 
-def positive_float(text):
-    """argparse type for tolerances and steps that must be finite and positive."""
+def finite_float(text):
+    """argparse type for a finite number."""
     value = float(text)
-    if not 0 < value < math.inf:
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
 
+def positive_float(text):
+    """argparse type for tolerances and steps that must be finite and positive."""
+    value = finite_float(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
+
+
+def finite_point(text):
+    """argparse type for a finite x,y,z triple."""
+    point = tuple(finite_float(v) for v in text.split(","))
+    if len(point) != 3:
+        raise ValueError(text)
+    return point
+
+
+def open_output(path, option):
+    """Open a file named on the command line for writing; failure is a usage error."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"{option}: {exc}") from exc
+
+
 def emit(args, document, csv_rows=None, csv_header=None):
     """Write the result document (JSON) or rows (CSV) to --output or stdout."""
-    out = sys.stdout if args.output is None else open(args.output, "w")
+    out = sys.stdout if args.output is None else open_output(args.output, "--output")
     try:
         if getattr(args, "format", "json") == "csv" and csv_rows is not None:
             if csv_header:
@@ -151,7 +175,7 @@ def write_svg(path_obj, filename, width=640, height=480, margin=20):
         f"{margin + (x - x0) * sx:.2f},{height - margin - (y - y0) * sy:.2f}"
         for x, y in zip(xs, ys)
     )
-    with open(filename, "w") as fh:
+    with open_output(filename, "--svg") as fh:
         fh.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
             f'  <polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>\n'
@@ -212,15 +236,7 @@ def cmd_poincare(args):
 
 def cmd_integrate(args):
     field, chart = resolve_field(args.field)
-    try:
-        x0, y0, z0 = (float(v) for v in args.start.split(","))
-    except ValueError:
-        raise UsageError(f"--start {args.start!r}: expected x,y,z")
-    if not all(math.isfinite(v) for v in (x0, y0, z0, args.to)):
-        raise UsageError("--start and --to must be finite")
-    path = flow.integrate_asymptotic(
-        field, chart, (x0, y0, z0), args.to, rtol=args.rtol, atol=args.atol
-    )
+    path = flow.integrate_asymptotic(field, chart, args.start, args.to, rtol=args.rtol, atol=args.atol)
     if args.svg:
         write_svg(path, args.svg)
     rows = list(zip(path.xs, path.ys, path.zs, path.ps))
@@ -259,7 +275,7 @@ def cmd_integrability(args):
     if not hasattr(field, "components"):
         raise UsageError("integrability needs an ambient field (three expressions)")
     if args.point:
-        pts = [tuple(float(v) for v in args.point.split(","))]
+        pts = [args.point]
     else:
         x0, x1 = chart.curve.interval
         pts = [tuple(chart.point(x, 0.0, 0.0)) for x in np.linspace(x0, x1, args.samples, endpoint=False)]
@@ -316,29 +332,29 @@ def verify_checks(seed=0, perturb=False):
     """The acceptance checks as (name, callable) pairs."""
     checks = []
 
-    def t1_eigenvalues():
+    @functools.lru_cache(maxsize=None)
+    def t1(checkpoints=None):
+        """The t1 field, its chart and its monodromy, computed once per run."""
         field = _t1_field()
         chart = tubular.TubularChart(field.curve)
-        result = monodromy.monodromy(field, chart, field.curve.period)
+        return field, chart, monodromy.monodromy(field, chart, field.curve.period, checkpoints=checkpoints)
+
+    def t1_eigenvalues():
+        _, _, result = t1()
         got = sorted(abs(ev) for ev in result.eigenvalues)
         want = sorted((math.exp(2 * math.pi), math.exp(-25 * math.pi / 8)))
         rel = max(abs(a - b) / b for a, b in zip(got, want))
         return rel <= 1e-4 and result.hyperbolic, f"max relative eigenvalue error {rel:.2e}"
 
     def t1_integrals():
-        field = _t1_field()
-        chart = tubular.TubularChart(field.curve)
-        result = monodromy.monodromy(field, chart, field.curve.period)
+        _, _, result = t1()
         d2 = abs(result.integrals["diag_second"] + 25 * math.pi / 8)
         d1 = abs(result.integrals["diag_first"] - 2 * math.pi)
         return d1 <= 1e-8 and d2 <= 1e-8, f"|int - target| = {d1:.2e}, {d2:.2e}"
 
     def fd_oracle():
-        field = _t1_field()
-        chart = tubular.TubularChart(field.curve)
-        period = field.curve.period
-        result = monodromy.monodromy(field, chart, period)
-        fd = monodromy.fd_poincare_derivative(field, chart, period, h=1e-5)
+        field, chart, result = t1()
+        fd = monodromy.fd_poincare_derivative(field, chart, field.curve.period, h=1e-5)
         if perturb:
             fd = fd * 1.001
         diff = np.abs(fd - result.Q)
@@ -472,8 +488,7 @@ def verify_checks(seed=0, perturb=False):
                 if abs(d - fd) > 1e-6 * scale:
                     return False, f"jet/fd mismatch for {src!r} at {x0} (seed {s})"
             # flow residual along the core curve of the worked example
-            field = _t1_field()
-            chart = tubular.TubularChart(field.curve)
+            field, chart, result = t1(checkpoints=16)
             x0 = rng.uniform(0.0, 1.0)
             path = flow.integrate_asymptotic(field, chart, (x0, 0.0, 0.0), x0 + field.curve.period)
             if not path.reached or max(abs(path.ys).max(), abs(path.zs).max()) > 1e-9:
@@ -481,7 +496,6 @@ def verify_checks(seed=0, perturb=False):
             if path.stats["max_residual"] > 1e-9:
                 return False, f"slope residual {path.stats['max_residual']:.2e} (seed {s})"
             # Liouville identity at 16 checkpoints
-            result = monodromy.monodromy(field, chart, field.curve.period, checkpoints=16)
             if result.det_residual > 1e-6:
                 return False, f"Liouville residual {result.det_residual:.2e} (seed {s})"
             for x, Q in result.stats["checkpoints"]:
@@ -549,15 +563,15 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None, help="random seed (default: $ASYMPTOTICA_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json"):
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+    def common(p, default_format="json", formats=("json", "csv")):
+        p.add_argument("--format", choices=formats, default=default_format)
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("classify", help="classify a grid of tube points")
     p.add_argument("--field", default="t1")
     p.add_argument("--samples", type=positive_int, default=64)
     p.add_argument("--rings", type=positive_int, default=3, help="offsets per transverse direction")
-    p.add_argument("--offset", type=float, default=0.01, help="largest transverse offset")
+    p.add_argument("--offset", type=finite_float, default=0.01, help="largest transverse offset")
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_classify)
 
@@ -572,8 +586,8 @@ def build_parser():
 
     p = sub.add_parser("integrate", help="follow one asymptotic branch")
     p.add_argument("--field", default="t1")
-    p.add_argument("--start", default="0,0,0", help="x,y,z chart start point")
-    p.add_argument("--to", type=float, required=True, help="target x")
+    p.add_argument("--start", type=finite_point, default="0,0,0", help="x,y,z chart start point")
+    p.add_argument("--to", type=finite_float, required=True, help="target x")
     p.add_argument("--rtol", type=positive_float, default=1e-10)
     p.add_argument("--atol", type=positive_float, default=1e-12)
     p.add_argument("--svg", default=None, help="write an SVG polyline of the (x, y) projection")
@@ -588,7 +602,7 @@ def build_parser():
 
     p = sub.add_parser("integrability", help="integrability defect of an ambient field")
     p.add_argument("--field", default="circle-example")
-    p.add_argument("--point", default=None, help="ambient x,y,z (default: sample along the curve)")
+    p.add_argument("--point", type=finite_point, default=None, help="ambient x,y,z (default: sample along the curve)")
     p.add_argument("--samples", type=positive_int, default=32)
     common(p, default_format="csv")
     p.set_defaults(fn=cmd_integrability)
@@ -607,13 +621,8 @@ def build_parser():
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     p.add_argument("--only", default=None, help="run only checks whose name contains this string")
     p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
-    common(p, default_format="table")
+    common(p, default_format="table", formats=("table", "json"))
     p.set_defaults(fn=cmd_verify_paper)
-    # verify-paper defaults to a human-readable table; json still available
-    for action in p._actions:
-        if action.dest == "format":
-            action.choices = ("table", "json")
-            action.default = "table"
     return parser
 
 

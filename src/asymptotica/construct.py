@@ -24,9 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets, tubular
-from .curves import Curve, finite_type_symbol
+from .curves import Curve, adapted_frame, finite_type_symbol
 from .exprlang import compile_function
-from .jets import Jet, value_of
+from .jets import value_of
 from .rational_series import PowerSeriesQ, SeriesError
 from .spectral import TrigSeries, refine
 
@@ -45,10 +45,9 @@ class InflectionOfProjection(ConstructError):
     """gamma1' gamma2'' - gamma2' gamma1'' = 0: the k1 formula denominator vanishes."""
 
 
-def k0_l0(curve, t):
-    """The forced frame coefficients making the curve an asymptotic line."""
-    d1 = [curve.component(i, t, 1) for i in range(3)]
-    d2 = [curve.component(i, t, 2) for i in range(3)]
+def k0_l0(d1, d2):
+    """The forced frame coefficients making the curve an asymptotic line,
+    from the derivative vectors d1 = gamma', d2 = gamma'' (ring-generic)."""
     k0 = d1[0] * d2[1] - d1[1] * d2[0]
     l0 = (d1[2] * d2[0] - d1[0] * d2[2]) * d1[0] + (d1[2] * d2[1] - d1[1] * d2[2]) * d1[1]
     return k0, l0
@@ -78,7 +77,7 @@ def k1_function(curve, l1=None, H=1):
     H_fn = _as_fn(H)
 
     def k1(t):
-        num, den = _k1_num_den(curve, t, l1_fn, H_fn)
+        num, den = _k1_num_den(*curve.jet(t, 3)[1:], l1_fn(t), H_fn(t))
         dv = value_of(den)
         if np.any(np.abs(np.asarray(dv, dtype=float)) < 1e-13):
             raise InflectionOfProjection(f"k1 denominator vanishes at x = {value_of(t)}")
@@ -87,20 +86,15 @@ def k1_function(curve, l1=None, H=1):
     return k1
 
 
-def _k1_num_den(curve, t, l1_fn, H_fn):
-    d1 = [curve.component(i, t, 1) for i in range(3)]
-    d2 = [curve.component(i, t, 2) for i in range(3)]
-    d3 = [curve.component(i, t, 3) for i in range(3)]
+def _k1_num_den(d1, d2, d3, l1, H):
+    """Numerator and denominator of k1 from the first three derivative
+    vectors of the curve and the values of l1 and H (ring-generic)."""
     q = d1[0] * d1[0] + d1[1] * d1[1]
     s = q + d1[2] * d1[2]
-    w = d1[0] * d2[1] - d1[1] * d2[0]
-    tor = (
-        (d2[1] * d3[2] - d2[2] * d3[1]) * d1[0]
-        + (d2[2] * d3[0] - d2[0] * d3[2]) * d1[1]
-        + (d2[0] * d3[1] - d2[1] * d3[0]) * d1[2]
-    )
+    w, _ = k0_l0(d1, d2)
+    tor = jets.dot(jets.cross(d2, d3), d1)
     lin = (d1[0] * d2[0] + d1[1] * d2[1]) * d1[2] - q * d2[2]
-    num = q * q * tor + lin * l1_fn(t) + 2 * w * H_fn(t)
+    num = q * q * tor + lin * l1 + 2 * w * H
     den = s * w
     return num, den
 
@@ -153,9 +147,9 @@ class TubularField:
         return tuple(out)
 
     def chart_components(self, chart, xj, yj, zj):
-        curve = self.curve
-        g, X, Y, Z = curve.frame_vectors(xj)
-        k0, l0 = k0_l0(curve, xj)
+        _, d1, d2 = self.curve.jet(xj, 2)
+        X, Y, Z = adapted_frame(d1)
+        k0, l0 = k0_l0(d1, d2)
         PX, PY, PZ = self.xi_frame_polynomials(xj, yj, zj)
         return tuple(
             l0 * Y[i] + k0 * Z[i] + PX * X[i] + PY * Y[i] + PZ * Z[i] for i in range(3)
@@ -182,17 +176,6 @@ def build_lac(curve, H=1, l1=None, extra=None, name=None):
 # -- exact realization for polynomial local models ---------------------------
 
 
-def _component_series(curve, i, order):
-    u = Jet.variable(Fraction(0), 0, 1, order)
-    v = curve.component(i, u)
-    if not isinstance(v, Jet):
-        return PowerSeriesQ.constant(v, order)
-    coeffs = [v.coef.get((k,), 0) for k in range(order + 1)]
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        raise ConstructError("exact realization needs rational polynomial components")
-    return PowerSeriesQ(coeffs, order)
-
-
 def realize_t5(curve, order=None):
     """Realize a finite-type polynomial local model as a parabolic-free
     asymptotic line; returns (field, certificate).
@@ -206,7 +189,11 @@ def realize_t5(curve, order=None):
     m, n = symbol.m, symbol.n
     if order is None:
         order = m + n + 8
-    g = [_component_series(curve, i, order) for i in range(3)]
+    derivs = curve.jet(Fraction(0), order)
+    if not all(isinstance(v, (int, Fraction)) for row in derivs for v in row):
+        raise ConstructError("exact realization needs rational polynomial components")
+    taylor = [[Fraction(v, math.factorial(k)) for v in row] for k, row in enumerate(derivs)]
+    g = [PowerSeriesQ([row[i] for row in taylor], order) for i in range(3)]
     if g[0].coeffs[1] == 0:
         raise ConstructError("local model must be regular in x (gamma1' (0) != 0)")
     d1 = [gi.derivative() for gi in g]
@@ -214,13 +201,10 @@ def realize_t5(curve, order=None):
     d3 = [di.derivative() for di in d2]
     a_m = g[1].coeffs[m]
 
-    q = d1[0] * d1[0] + d1[1] * d1[1]
-    s = q + d1[2] * d1[2]
-    k0 = d1[0] * d2[1] - d1[1] * d2[0]
-    l0 = (d1[2] * d2[0] - d1[0] * d2[2]) * d1[0] + (d1[2] * d2[1] - d1[1] * d2[2]) * d1[1]
-
-    b_curve = l0 * q
-    c_curve = k0 * q * s
+    X, Y, Z = adapted_frame(d1)
+    k0, l0 = k0_l0(d1, d2)
+    xi0 = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
+    a_curve, b_curve, c_curve = (jets.dot(xi0, v) for v in (X, Y, Z))
     try:
         b_factored = b_curve.factor_x(m - 2)
         c_factored = c_curve.factor_x(m - 2)
@@ -231,36 +215,18 @@ def realize_t5(curve, order=None):
     expected_C = a_m * m * (m - 1)
 
     # k1 with H = 1, l1 = 0; numerator and denominator share the x^(m-2) factor
-    tor = (
-        (d2[1] * d3[2] - d2[2] * d3[1]) * d1[0]
-        + (d2[2] * d3[0] - d2[0] * d3[2]) * d1[1]
-        + (d2[0] * d3[1] - d2[1] * d3[0]) * d1[2]
-    )
-    num = q * q * tor + 2 * k0
-    den = s * k0
+    num, den = _k1_num_den(d1, d2, d3, 0, 1)
     try:
         k1_series = num.factor_x(m - 2) / den.factor_x(m - 2)
     except SeriesError as exc:
         raise ConstructError(f"k1 series is not regular at 0: {exc}") from exc
 
-    # on-curve reduced coefficients, exactly
-    X = d1
-    Y = (d1[1], -d1[0], PowerSeriesQ.constant(0, order))
-    Z = jets.cross(X, Y)
-    xi0 = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
-    xi0p = [c.derivative() for c in xi0]
-    xiy = [k1_series * X[i] for i in range(3)]
-
-    a_curve = jets.dot(xi0, X)
-    L1 = jets.dot(xi0p, X)
-    L2 = jets.dot(xi0p, Y) + jets.dot(xiy, X)
-    L3 = jets.dot(xiy, Y)
-    L4 = jets.dot(xi0p, Z) + 0  # xi_z = 0 for this construction
-    L5 = jets.dot(xiy, Z)
-    B = -(b_factored / c_factored)
-    e_curve = L1  # A = -a/c = 0 since a vanishes on the curve
-    f_curve = L2 / 2 + B * L4 / 2
-    g_curve = L3 + B * L5
+    # on-curve reduced coefficients, exactly: the chart partials are X, Y, Z
+    # and the field partials xi0', k1 X and 0 (no l coefficients, so L6 = 0);
+    # a vanishes on the curve, so A = -a/c = 0 while B uses the factored b, c
+    d_xi = ([v.derivative() for v in xi0], [k1_series * v for v in X], (0, 0, 0))
+    L = tubular.quadratic_coefficients(d_xi, (X, Y, Z))
+    e_curve, f_curve, g_curve = tubular.reduced_coefficients(0, -(b_factored / c_factored), L)
 
     margin = 3  # orders consumed by derivatives in the pipeline
     valid = order - margin
@@ -458,29 +424,13 @@ def _t1_l1(curve):
     """
 
     def l1(t):
-        d1 = [curve.component(i, t, 1) for i in range(3)]
-        d2 = [curve.component(i, t, 2) for i in range(3)]
-        X = d1
-        Y = (d1[1], -d1[0], 0)
-        dY = (d2[1], -d2[0], 0)
-        Z = (
-            X[1] * Y[2] - X[2] * Y[1],
-            X[2] * Y[0] - X[0] * Y[2],
-            X[0] * Y[1] - X[1] * Y[0],
-        )
-        dX = d2
-        dZ = (
-            dX[1] * Y[2] - dX[2] * Y[1] + X[1] * dY[2] - X[2] * dY[1],
-            dX[2] * Y[0] - dX[0] * Y[2] + X[2] * dY[0] - X[0] * dY[2],
-            dX[0] * Y[1] - dX[1] * Y[0] + X[0] * dY[1] - X[1] * dY[0],
-        )
-        k0, l0 = k0_l0(curve, t)
-        XX = X[0] * X[0] + X[1] * X[1] + X[2] * X[2]
-        ZZ = Z[0] * Z[0] + Z[1] * Z[1] + Z[2] * Z[2]
-        YdZ = Y[0] * dZ[0] + Y[1] * dZ[1] + Y[2] * dZ[2]
-        ZdZ = Z[0] * dZ[0] + Z[1] * dZ[1] + Z[2] * dZ[2]
+        _, d1, d2 = curve.jet(t, 2)
+        X, Y, Z = adapted_frame(d1)
+        dX, dY, _ = adapted_frame(d2)
+        dZ = [a + b for a, b in zip(jets.cross(dX, Y), jets.cross(X, dY))]
+        k0, l0 = k0_l0(d1, d2)
         target = _t1_az_target(t)
-        return (-(target * k0 * ZZ) - l0 * YdZ - k0 * ZdZ) / XX
+        return (-(target * k0 * jets.dot(Z, Z)) - l0 * jets.dot(Y, dZ) - k0 * jets.dot(Z, dZ)) / jets.dot(X, X)
 
     return l1
 

@@ -121,63 +121,63 @@ class Curve:
 
     # -- evaluation --------------------------------------------------------
 
+    def jet(self, t, k):
+        """Derivative vectors gamma, gamma', ..., gamma^(k) at t.
+
+        t may be a float, a Fraction, a numpy array or a Jet.  Each component
+        is evaluated once, on a univariate Taylor seed of order k (plus the
+        order of t when t is a jet), and every derivative is read off that one
+        expansion; for a jet t the derivatives are composed back with t.
+        """
+        q = t.order if isinstance(t, jets.Jet) else 0
+        # a plain t is its own seed of order 0, so plain evaluation needs no jets
+        plain = k == 0 and not isinstance(t, jets.Jet)
+        u = t if plain else jets.Jet.variable(jets.value_of(t), 0, 1, q + k)
+        out = [[None] * 3 for _ in range(k + 1)]
+        for i, fn in enumerate(self._fns):
+            v = fn(u)
+            if isinstance(v, jets.Jet):
+                c = [v.coef.get((n,), 0) for n in range(q + k + 1)]
+            else:
+                c = [v] + [0 * v] * (q + k)
+            for j in range(k + 1):
+                # Taylor coefficients of gamma_i^(j) at the value of t
+                s = [c[n + j] * math.perm(n + j, j) for n in range(q + 1)]
+                out[j][i] = t._compose_scaled(s) if isinstance(t, jets.Jet) else s[0]
+        return out
+
     def component(self, i, t, k=0):
-        """gamma_i^(k) evaluated at t; t may be a float, Fraction, or Jet."""
-        fn = self._fns[i]
-        if isinstance(t, jets.Jet):
-            if k == 0:
-                return jets.taylor_eval(fn, t)
-            return jets.taylor_eval(lambda u: _univariate_derivative(fn, u, k), t, extra_order=k)
-        if k == 0:
-            return fn(t)
-        u = jets.Jet.variable(t, 0, 1, k)
-        v = fn(u)
-        if not isinstance(v, jets.Jet):
-            return 0 * v
-        return v.deriv(k)
+        """gamma_i^(k) at t; t may be a float, Fraction, or Jet."""
+        return self.jet(t, k)[k][i]
 
     def point(self, t):
-        return np.array([float(self.component(i, t)) for i in range(3)])
-
-    def jet(self, x, k):
-        """Derivative vectors gamma^(0) .. gamma^(k) at x."""
-        out = []
-        for order in range(k + 1):
-            out.append([self.component(i, x, order) for i in range(3)])
-        return out
+        return np.array([float(v) for v in self.jet(t, 0)[0]])
 
     def frame_vectors(self, t):
         """(gamma, X, Y, Z) at t as tuples of ring elements (jets stay jets)."""
-        g = tuple(self.component(i, t, 0) for i in range(3))
-        d = tuple(self.component(i, t, 1) for i in range(3))
-        X = d
-        Y = (d[1], -d[0], 0)
-        Z = jets.cross(X, Y)
-        return g, X, Y, Z
+        g, d1 = self.jet(t, 1)
+        return (tuple(g), *adapted_frame(d1))
 
     def frame(self, x):
         """The adapted frame and its derivatives at a single parameter value."""
-        d1 = [self.component(i, x, 1) for i in range(3)]
-        d2 = [self.component(i, x, 2) for i in range(3)]
+        _, d1, d2 = self.jet(x, 2)
         if abs(d1[0]) < 1e-12 and abs(d1[1]) < 1e-12:
             raise DegenerateFrame(f"horizontal tangent projection vanishes at x = {x}")
-        X = np.array([float(v) for v in d1])
-        dX = np.array([float(v) for v in d2])
-        Y = np.array([X[1], -X[0], 0.0])
-        dY = np.array([dX[1], -dX[0], 0.0])
-        Z = np.cross(X, Y)
-        dZ = np.cross(dX, Y) + np.cross(X, dY)
-        return Frame(x=float(x), X=X, Y=Y, Z=Z, dX=dX, dY=dY, dZ=dZ)
+        X, Y, Z = adapted_frame([float(v) for v in d1])
+        dX, dY, _ = adapted_frame([float(v) for v in d2])
+        dZ = [a + b for a, b in zip(jets.cross(dX, Y), jets.cross(X, dY))]
+        vectors = (np.array(v, dtype=float) for v in (X, Y, Z, dX, dY, dZ))
+        return Frame(float(x), *vectors)
 
 
-def _univariate_derivative(fn, u, k):
-    """k-th derivative of fn as a univariate jet; u must have k orders to spare."""
-    v = fn(u)
-    if not isinstance(v, jets.Jet):
-        return jets.Jet.constant(0 * v, 1, u.order - k)
-    for _ in range(k):
-        v = v.partial(0)
-    return v
+def adapted_frame(d1):
+    """The frame (X, Y, Z) = (gamma', (gamma2', -gamma1', 0), X ^ Y) from d1 = gamma'.
+
+    Ring-generic and unnormalized.  The frame is linear in d1 for X and Y, so
+    adapted_frame(gamma'') gives their derivatives.
+    """
+    Y = (d1[1], -d1[0], 0)
+    return tuple(d1), Y, jets.cross(d1, Y)
 
 
 # -- finite type symbol ------------------------------------------------------
@@ -191,43 +191,33 @@ def finite_type_symbol(curve, x, max_order=9):
     derivatives are rational, otherwise by SVD with a 1e-9 threshold after
     row normalization.
     """
-    rows = []
     try:
         xq = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**12)
         exact = abs(float(xq) - float(x)) == 0.0
     except (TypeError, ValueError):
         exact = False
-    m = None
-    for k in range(1, max_order + 1):
-        t = xq if exact else x
-        row = [curve.component(i, t, k) for i in range(3)]
-        if exact and not all(isinstance(v, (int, Fraction)) for v in row):
-            # component functions are not rational at this point; redo numerically
-            return finite_type_symbol_numeric(curve, x, max_order)
-        rows.append(row)
-        r = _rank_exact(rows) if exact else _rank_numeric(rows)
-        if k == 1 and r == 0:
-            raise CurveError(f"curve is singular at x = {x}")
-        if m is None and r >= 2:
-            m = k
-        if r == 3:
-            return TypeSymbol(m=m, n=k)
-    raise NotFiniteType(f"derivatives up to order {max_order} do not span R^3 at x = {x}")
+    rows = curve.jet(xq if exact else x, max_order)[1:]
+    # component functions that are not rational at this point give float rows
+    exact = exact and all(isinstance(v, (int, Fraction)) for row in rows for v in row)
+    return _symbol(rows, _rank_exact if exact else _rank_numeric, x)
 
 
 def finite_type_symbol_numeric(curve, x, max_order=9):
-    rows = []
+    """The symbol with the SVD rank test at float(x), even for rational curves."""
+    return _symbol(curve.jet(float(x), max_order)[1:], _rank_numeric, x)
+
+
+def _symbol(rows, rank, x):
     m = None
-    for k in range(1, max_order + 1):
-        rows.append([float(curve.component(i, float(x), k)) for i in range(3)])
-        r = _rank_numeric(rows)
+    for k in range(1, len(rows) + 1):
+        r = rank(rows[:k])
         if k == 1 and r == 0:
             raise CurveError(f"curve is singular at x = {x}")
         if m is None and r >= 2:
             m = k
         if r == 3:
             return TypeSymbol(m=m, n=k)
-    raise NotFiniteType(f"derivatives up to order {max_order} do not span R^3 at x = {x}")
+    raise NotFiniteType(f"derivatives up to order {len(rows)} do not span R^3 at x = {x}")
 
 
 def _rank_exact(rows):

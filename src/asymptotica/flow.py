@@ -37,10 +37,6 @@ class VerticalDirection(FlowError):
     """Only the dx = 0 direction solves the equation; x cannot be the parameter."""
 
 
-class ParabolicStop(FlowError):
-    """The two root branches collided within resolution."""
-
-
 @dataclass
 class Path:
     xs: np.ndarray

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -297,21 +297,3 @@ def _as_float(v):
         return v
     return float(v)
 
-
-def taylor_eval(f: Callable, x, extra_order: int = 0):
-    """Evaluate ``f`` at a jet ``x`` through univariate Taylor composition.
-
-    ``f`` is called once with a univariate jet seeded at the scalar value of
-    ``x`` and expanded to ``x.order + extra_order``; the resulting Taylor
-    coefficients are then recombined with the nilpotent part of ``x``.  When
-    ``x`` is a plain number, ``f(x)`` is returned directly.
-    """
-    if not isinstance(x, Jet):
-        return f(x)
-    q = x.order
-    t = Jet.variable(x.value, 0, 1, q + extra_order)
-    fx = f(t)
-    if not isinstance(fx, Jet):
-        return fx
-    coeffs = [fx.coef.get((k,), 0) for k in range(q + 1)]
-    return x._compose_scaled(coeffs)

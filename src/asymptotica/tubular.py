@@ -115,15 +115,8 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
     d_xi = [_partial_vec(xi, i) for i in range(3)]
     xi_t = [_truncate(cmp, order) for cmp in xi]
 
-    a = jets.dot(xi_t, d_alpha[0])
-    b = jets.dot(xi_t, d_alpha[1])
-    c = jets.dot(xi_t, d_alpha[2])
-    L1 = jets.dot(d_xi[0], d_alpha[0])
-    L2 = jets.dot(d_xi[0], d_alpha[1]) + jets.dot(d_xi[1], d_alpha[0])
-    L3 = jets.dot(d_xi[1], d_alpha[1])
-    L4 = jets.dot(d_xi[0], d_alpha[2]) + jets.dot(d_xi[2], d_alpha[0])
-    L5 = jets.dot(d_xi[1], d_alpha[2]) + jets.dot(d_xi[2], d_alpha[1])
-    L6 = jets.dot(d_xi[2], d_alpha[2])
+    a, b, c = (jets.dot(xi_t, d) for d in d_alpha)
+    L = quadratic_coefficients(d_xi, d_alpha)
 
     cv = value_of(c)
     if np.any(np.abs(cv) < c_tol):
@@ -131,23 +124,34 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
 
     A = -(a / c)
     B = -(b / c)
+    e, f, g = reduced_coefficients(A, B, L)
+    return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=L, e=e, f=f, g=g, A=A, B=B)
+
+
+def quadratic_coefficients(d_xi, d_alpha):
+    """L1..L6 from the partials (xi_x, xi_y, xi_z) of the field and
+    (alpha_x, alpha_y, alpha_z) of the chart (ring-generic 3-vectors)."""
+    (xx, xy, xz), (ax, ay, az) = d_xi, d_alpha
+    return (
+        jets.dot(xx, ax),
+        jets.dot(xx, ay) + jets.dot(xy, ax),
+        jets.dot(xy, ay),
+        jets.dot(xx, az) + jets.dot(xz, ax),
+        jets.dot(xy, az) + jets.dot(xz, ay),
+        jets.dot(xz, az),
+    )
+
+
+def reduced_coefficients(A, B, L):
+    """(e, f, g) of the quadratic L1..L6 after substituting dz = A dx + B dy."""
+    L1, L2, L3, L4, L5, L6 = L
     e = L1 + A * L4 + A * A * L6
     # substituting dz = A dx + B dy into L6 dz^2 puts 2AB L6 on the dx dy
     # coefficient, so the mixed reduced coefficient carries the full AB L6
     # (gauge invariance of the root slopes pins this down)
     f = L2 / 2 + (A * L5 + B * L4) / 2 + A * B * L6
     g = L3 + B * L5 + B * B * L6
-    return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=(L1, L2, L3, L4, L5, L6), e=e, f=f, g=g, A=A, B=B)
-
-
-def linear_coeffs(field, chart, x, y, z):
-    d = chart_data(field, chart, x, y, z, order=0)
-    return d.value("a"), d.value("b"), d.value("c")
-
-
-def quadratic_coeffs(field, chart, x, y, z):
-    d = chart_data(field, chart, x, y, z, order=0)
-    return tuple(value_of(Li) for Li in d.L)
+    return e, f, g
 
 
 def reduce(field, chart, x, y, z):

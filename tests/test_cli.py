@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from asymptotica import cli
 
@@ -106,12 +110,56 @@ def test_integrate_bad_start_is_usage_error(capsys):
         (["classify", "--rings", "0"], 2),
         (["classify", "--rings", "-1"], 2),
         (["arnold-surface", "--samples", "0"], 2),
+        (["integrability", "--point", "1,2"], 2),
+        (["integrability", "--point", "a,b,c"], 2),
+        (["integrability", "--point", "0,inf,0"], 2),
+        (["integrate", "--field", "circle-example", "--start", "0,nan,0", "--to", "1"], 2),
+        (["classify", "--field", "circle-example", "--samples", "2", "--output", "/nonexistent/x.csv"], 2),
+        (["classify", "--field", "circle-example", "--offset", "nan", "--format", "json"], 2),
+        (["integrate", "--field", "circle-example", "--to", "0.1", "--svg", "/nonexistent/x.svg"], 2),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
+
+
+# cheap subcommands only, each with a base argv and the options it takes; no
+# base or fragment names the t1 field, whose construction would dominate
+FUZZ_COMMANDS = {
+    "classify": (["--field", "circle-example", "--samples", "2"], ("--field", "--samples", "--rings", "--offset")),
+    "curvature": (["--field", "circle-example", "--samples", "2"], ("--field", "--samples")),
+    "integrability": (["--samples", "2"], ("--field", "--samples", "--point")),
+    "integrate": (["--field", "circle-example", "--to", "0.1"], ("--start", "--to", "--rtol", "--atol", "--svg")),
+    "starlike": ([], ("--curve",)),
+    "arnold-surface": (["--samples", "2"], ("--orders", "--samples")),
+}
+FUZZ_VALUES = (
+    "", "nan", "inf", "-inf", "-1", "0", "2", "0.05", "1e309", "x", "1,2", "a,b,c", "0,0,0",
+    "1,2,3", "0,1e-3,0", "x,x^2,0*x", "circle", "circle-example", "arnold:2,3", "9,8",
+    "json", "csv", "table", "{", json.dumps({"xi": 5}), json.dumps({"xi": ["z - y", "1", "1 + y*y"]}),
+    "/nonexistent/x", ".", "--", "-h",
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=False))
+def test_fuzzed_argv_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
+    monkeypatch.chdir(tmp_path)  # --output and --svg fragments write here
+    command = rnd.choice(sorted(FUZZ_COMMANDS))
+    base, options = FUZZ_COMMANDS[command]
+    argv = [command] + base
+    for _ in range(rnd.randint(0, 3)):
+        if rnd.random() < 0.8:
+            argv.append(rnd.choice(options + ("--format", "--output")))
+        argv.append(rnd.choice(FUZZ_VALUES))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_unknown_field_is_usage_error(capsys):

@@ -22,18 +22,18 @@ from asymptotica.curves import Curve
 def test_k0_is_minus_one_on_t1_curve():
     c = t1_curve()
     for x in np.linspace(0, 2 * math.pi, 32):
-        k0, _ = k0_l0(c, float(x))
+        k0, _ = k0_l0(*c.jet(float(x), 2)[1:])
         assert k0 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_l0_vanishes_at_zero_on_t1_curve():
-    _, l0 = k0_l0(t1_curve(), 0.0)
+    _, l0 = k0_l0(*t1_curve().jet(0.0, 2)[1:])
     assert l0 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_k0_l0_cubic_local_model():
     c = Curve.from_series([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
-    k0, l0 = k0_l0(c, Fraction(0))
+    k0, l0 = k0_l0(*c.jet(Fraction(0), 2)[1:])
     assert k0 == 2
     assert l0 == 0
 
@@ -66,7 +66,7 @@ def test_bare_field_restricts_to_forced_frame_combination():
     field = build_field(c)
     for x in (0.0, 0.9, 3.3):
         _, X, Y, Z = c.frame_vectors(x)
-        k0, l0 = k0_l0(c, x)
+        k0, l0 = k0_l0(*c.jet(x, 2)[1:])
         xi = field.chart_components(tubular.TubularChart(c), x, 0.0, 0.0)
         expect = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
         assert [float(v) for v in xi] == pytest.approx(expect, abs=1e-12)

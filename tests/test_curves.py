@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from asymptotica import curves
+from asymptotica.jets import Jet
 from asymptotica.curves import (
     Curve,
     CurveError,
@@ -33,6 +34,19 @@ def test_jet_of_trig_cubic_at_zero():
     assert j[0] == pytest.approx([0.0, 1.0, 0.0])
     assert j[1] == pytest.approx([1.0, 0.0, 0.0])
     assert j[2] == pytest.approx([0.0, -1.0, 0.0])
+
+
+def test_jet_at_a_jet_argument():
+    # every derivative order comes from one expansion, composed with the jet t
+    c = trig_cubic_curve()
+    g, d1 = c.jet(Jet.variable(0.3, 0, 1, 2), 1)
+    assert g[0].deriv(1) == pytest.approx(math.cos(0.3))
+    assert g[0].deriv(2) == pytest.approx(-math.sin(0.3))
+    assert d1[0].deriv(1) == pytest.approx(-math.sin(0.3))
+    assert d1[2].value == pytest.approx(3 * math.sin(0.3) ** 2 * math.cos(0.3))
+    exact = Curve.from_series([[0, 1], [0, 0, 1], [0, 0, 0, 1]]).jet(Fraction(1, 2), 3)
+    assert exact[3] == [0, 0, 6]
+    assert exact[1] == [1, 1, Fraction(3, 4)]
 
 
 def test_frame_of_trig_cubic_at_zero():

@@ -97,13 +97,6 @@ def test_seed_mixed_scalars():
     assert w.deriv(0, 0, 1) == 1.0
 
 
-def test_taylor_eval_univariate():
-    f = jets.sin
-    j = jets.taylor_eval(f, Jet.variable(0.3, 0, 1, 2))
-    assert j.deriv(1) == pytest.approx(math.cos(0.3))
-    assert j.deriv(2) == pytest.approx(-math.sin(0.3))
-
-
 def test_random_products_match_closed_form(seeds):
     # jet of p(x) = (c0 + c1 x)^3 at random points against the polynomial
     for seed in seeds:

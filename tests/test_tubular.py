@@ -38,6 +38,29 @@ def test_chart_partials_are_frame_vectors():
         assert np.allclose(dz, fr.Z, atol=1e-9)
 
 
+def _curve_evaluations(monkeypatch, field, chart):
+    calls = []
+
+    def counted(fn):
+        def wrapper(t):
+            calls.append(t)
+            return fn(t)
+
+        return wrapper
+
+    monkeypatch.setattr(chart.curve, "_fns", tuple(counted(fn) for fn in chart.curve._fns))
+    chart_data(field, chart, 0.7, 0.01, -0.02, order=1)
+    return len(calls)
+
+
+def test_chart_data_evaluates_each_curve_jet_once(monkeypatch, t1_field, t1_chart):
+    # one Taylor evaluation per component for each derivative stack a chart
+    # point needs: the chart itself, then for t1 the frame with k0, l0 and
+    # the coefficients k1 (which reads l1) and l1
+    assert _curve_evaluations(monkeypatch, circle_example_field(), circle_chart()) <= 6
+    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 15
+
+
 def test_inside_uses_radius():
     chart = circle_chart()
     assert chart.inside(0.05, -0.05)
