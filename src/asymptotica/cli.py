@@ -139,12 +139,26 @@ def finite_point(text):
     return point
 
 
-def open_output(path, option):
+def open_output(path, option, mode="w"):
     """Open a file named on the command line for writing; failure is a usage error."""
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise UsageError(f"{option}: {exc}") from exc
+
+
+def check_outputs(args):
+    """Raise UsageError unless every --output and --svg target can be opened
+    for writing, so an unwritable path fails before any computation.  The
+    probe appends nothing and removes a file it had to create."""
+    for option in ("output", "svg"):
+        path = getattr(args, option, None)
+        if path is None:
+            continue
+        existed = os.path.lexists(path)
+        open_output(path, f"--{option}", mode="a").close()
+        if not existed:
+            os.remove(path)
 
 
 def emit(args, document, csv_rows=None, csv_header=None):
@@ -633,6 +647,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        check_outputs(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -420,17 +420,24 @@ def _t1_l1(curve):
 
     On the curve A = -a/c has a vanishing on it, which makes
     A_z = -(l1 |X|^2 + l0 <Y, Z'> + k0 <Z, Z'>) / (k0 |Z|^2), affine in l1;
-    solve that relation for l1 pointwise.
+    solve that relation for l1 pointwise.  The field evaluates l1 both as a
+    coefficient and inside k1 on the same argument object, so the last
+    result is reused for it.
     """
+    last = []  # [argument, value] of the last call
 
     def l1(t):
+        if last and last[0] is t:
+            return last[1]
         _, d1, d2 = curve.jet(t, 2)
         X, Y, Z = adapted_frame(d1)
         dX, dY, _ = adapted_frame(d2)
         dZ = [a + b for a, b in zip(jets.cross(dX, Y), jets.cross(X, dY))]
         k0, l0 = k0_l0(d1, d2)
         target = _t1_az_target(t)
-        return (-(target * k0 * jets.dot(Z, Z)) - l0 * jets.dot(Y, dZ) - k0 * jets.dot(Z, dZ)) / jets.dot(X, X)
+        value = (-(target * k0 * jets.dot(Z, Z)) - l0 * jets.dot(Y, dZ) - k0 * jets.dot(Z, dZ)) / jets.dot(X, X)
+        last[:] = t, value
+        return value
 
     return l1
 

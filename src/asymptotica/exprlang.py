@@ -11,8 +11,9 @@ Grammar notes:
     ``-x^2`` is ``-(x^2)``.
   * ``^`` accepts integer exponents only (optionally negated or in
     parentheses); anything else is rejected at parse time.
-  * numeric literals are exact rationals and are converted to the target
-    ring at evaluation.
+  * numeric literals are exact rationals; at evaluation they stay exact when
+    no variable is bound or any bound value is exact (an int, a Fraction or
+    a jet over one), and otherwise become ints (integer literals) or floats.
 """
 
 from __future__ import annotations
@@ -335,15 +336,21 @@ def evaluate(expr: Expr, bindings: Dict[str, object]):
 
 
 def _convert_literal(value: Fraction, bindings):
-    """Keep literals exact when any binding is exact, else use floats."""
-    for v in bindings.values():
-        if isinstance(v, Fraction):
-            return value
-        if isinstance(v, jets.Jet) and isinstance(v.value, Fraction):
-            return value
+    """Keep literals exact when there are no bindings or any binding is exact
+    (an int, a Fraction or a jet over one); otherwise integer literals become
+    ints and the others floats, so float and array arithmetic never meets a
+    Fraction (which would turn numpy arrays into object arrays)."""
+    if not bindings or any(_is_exact(v) for v in bindings.values()):
+        return value
     if value.denominator == 1:
-        return value  # exact integers are safe in every ring
+        return int(value)
     return float(value)
+
+
+def _is_exact(v):
+    if isinstance(v, jets.Jet):
+        v = v.value
+    return isinstance(v, (int, Fraction))
 
 
 def free_variables(expr: Expr) -> Tuple[str, ...]:

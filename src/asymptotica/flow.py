@@ -63,14 +63,39 @@ def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
 
     Returns (slopes, selected): the real roots, one in the linear case
     |g| <= tol * max(|e|, |f|, |g|), and the root nearest prev_p (without
-    prev_p, the root of least modulus).  e, f, g (and prev_p) may be 1-D
-    arrays, a lockstep batch solved point by point; slopes then holds two
-    arrays, the first inf where the equation is linear.
+    prev_p, the root of least modulus; a tie selects the first root).  e, f,
+    g (and prev_p) may be 1-D arrays, a lockstep batch; slopes then holds
+    two arrays, the first inf where the equation is linear, and every entry
+    equals the single-point result bit for bit.  A batch of regular points
+    (two distinct real roots) is solved with array arithmetic; one with a
+    linear, parabolic, non-real or non-finite point is solved point by
+    point, so it raises what its first failing point raises.
     """
     if not np.ndim(e):
         return _branch_slope(e, f, g, prev_p, tol)
-    columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
-    columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
+    e, f, g = (np.asarray(c, dtype=float) for c in (e, f, g))
+    abs_g = np.abs(g)
+    scale = np.maximum(np.maximum(np.abs(e), np.abs(f)), abs_g)
+    disc = f * f - g * e
+    if not ((abs_g > tol * scale) & (disc > 0)).all():
+        return _branch_slopes_pointwise(e, f, g, prev_p, tol)
+    r = np.sqrt(disc)
+    # the single-point q: -(f + r) where f >= 0, else -(f - r); f + 0.0 maps
+    # -0.0 to +0.0, so copysign gives r exactly where f >= 0
+    q = -(f + np.copysign(r, f + 0.0))
+    p1 = q / g
+    p2 = e / q  # q != 0 since r > 0
+    if prev_p is None:
+        second = np.abs(p2) < np.abs(p1)
+    else:
+        second = np.abs(p2 - prev_p) < np.abs(p1 - prev_p)
+    return (p1, p2), np.where(second, p2, p1)
+
+
+def _branch_slopes_pointwise(e, f, g, prev_p, tol):
+    """branch_slopes on arrays, one point at a time."""
+    columns = [c.tolist() for c in np.broadcast_arrays(e, f, g)]
+    columns.append([None] * len(columns[0]) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
     points = [_branch_slope(*point, tol) for point in zip(*columns)]
     roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
     return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
@@ -127,6 +152,7 @@ class ChartSpectralCache:
         self.monomials = [
             (i, j) for total in range(degree + 1) for i in range(total + 1) for j in (total - i,)
         ]
+        self._exponents = np.array(self.monomials).T  # exponents of y and of z
         self.series = TrigSeries.fit(
             lambda xs: self._taylor_table(field, chart, xs), self.period, nodes, tol, max_nodes
         )
@@ -145,16 +171,17 @@ class ChartSpectralCache:
         )
 
     def efgab(self, x, y, z):
-        """Values of (e, f, g, A, B); x, y, z arrays of equal length."""
+        """Values of (e, f, g, A, B) at n points; y, z arrays of length n and
+        x either such an array or one float shared by every point (a lockstep
+        batch), which evaluates the x-interpolants once."""
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        coeffs = self.series(x)  # (npts, nquant * nmono)
-        mono = np.stack([y ** i * z ** j for i, j in self.monomials], axis=1)
-        nm = len(self.monomials)
-        return tuple(
-            np.sum(coeffs[:, q * nm : (q + 1) * nm] * mono, axis=1)
-            for q in range(len(self._QUANTITIES))
-        )
+        coeffs = self.series(x)  # (nquant * nmono,) or (n, nquant * nmono)
+        coeffs = coeffs.reshape(coeffs.shape[:-1] + (len(self._QUANTITIES), len(self.monomials)))
+        i, j = self._exponents
+        mono = y[:, None] ** i * z[:, None] ** j  # (n, nmono)
+        values = np.matmul(coeffs, mono[:, :, None])[:, :, 0]  # (n, nquant)
+        return tuple(values.T)
 
 
 # Dormand-Prince 4(5) tableau
@@ -324,9 +351,13 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_st
     any trajectory (leaving the tube radius is a "tube-exit") stops the
     batch and raises FlowError, its message beginning with the status.
     """
-    efgab = cache.efgab if cache is not None else tubular.binary_equation_data(field, chart)
+    if cache is None:
+        direct = tubular.binary_equation_data(field, chart)
+        efgab = lambda x, y, z: direct(np.full(len(y), x), y, z)
+    else:
+        efgab = cache.efgab  # takes the shared abscissa as one float
     _, states, _, stats = _track(
-        lambda x, yz: efgab(np.full(len(yz), x), yz[:, 0], yz[:, 1]), x0, x1, np.asarray(starts, dtype=float),
+        lambda x, yz: efgab(x, yz[:, 0], yz[:, 1]), x0, x1, np.asarray(starts, dtype=float),
         None, chart.radius, rtol, atol, max_step,
     )
     require_reached(stats)

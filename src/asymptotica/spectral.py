@@ -28,12 +28,15 @@ def refine(attempt, period, nodes, max_nodes):
     n midpoints between them (where interpolation error is largest) and
     returns (result, residual, bound); refine returns the first result whose
     residual is at most bound, and raises FitError once the next doubling
-    would exceed max_nodes.
+    would exceed max_nodes.  The probes are computed as the odd nodes of the
+    2n grid, so after a doubling the nodes are exactly the previous nodes
+    (even positions) interleaved with the previous probes (odd positions),
+    bit for bit; an attempt may reuse its samples there.
     """
     n = int(nodes)
     while True:
         xs = np.arange(n) * (period / n)
-        result, residual, bound = attempt(xs, xs + period / (2 * n))
+        result, residual, bound = attempt(xs, np.arange(1, 2 * n, 2) * (period / (2 * n)))
         if residual <= bound:
             return result
         if 2 * n > max_nodes:
@@ -61,15 +64,25 @@ class TrigSeries:
 
         fn maps a numpy array of n sample points to n values, shape (n,) or
         (n, m).  Each of the m rows passes when its largest midpoint error is
-        at most tol * max(1, max |row|).  The result records its node count
-        in .nodes and the worst scaled residual in .residual.
+        at most tol * max(1, max |row|).  After a doubling the node samples
+        are the previous node and midpoint samples interleaved, so fn is
+        called only on the new midpoints: a fit that stops at 2n nodes calls
+        fn on 4n points.  The result records its node count in .nodes and
+        the worst scaled residual in .residual.
         """
+        samples = []  # [node values, midpoint values] of the previous attempt
 
         def attempt(xs, probe):
-            vals = np.asarray(fn(xs), dtype=float)
+            if samples:
+                vals = np.empty((len(xs),) + samples[0].shape[1:])
+                vals[0::2], vals[1::2] = samples
+            else:
+                vals = np.asarray(fn(xs), dtype=float)
+            probe_vals = np.asarray(fn(probe), dtype=float)
+            samples[:] = vals, probe_vals
             series = cls.from_samples(vals, period)
             scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-            err = np.max(np.abs(series(probe) - np.asarray(fn(probe), dtype=float)), axis=0)
+            err = np.max(np.abs(series(probe) - probe_vals), axis=0)
             series.residual = float(np.max(err / scale))
             return series, series.residual, tol
 
@@ -90,9 +103,14 @@ class TrigSeries:
         series.nodes = n
         return series
 
-    def _eval_scalar(self, x):
+    def _table(self, x):
+        """The cos and sin tables of the harmonics at x, shape s + (K,)."""
         t = self.omega * np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return np.cos(t) @ self.cos_coeffs + np.sin(t) @ self.sin_coeffs
+        return np.cos(t), np.sin(t)
+
+    def _apply(self, table):
+        cos_t, sin_t = table
+        return cos_t @ self.cos_coeffs + sin_t @ self.sin_coeffs
 
     def derivative(self):
         k = (self._k * self.omega).reshape((-1,) + (1,) * (self.cos_coeffs.ndim - 1))
@@ -103,11 +121,13 @@ class TrigSeries:
         return self.cos_coeffs[0].copy()
 
     def __call__(self, x):
-        if isinstance(x, jets.Jet):
-            series = self
-            derivs = []
-            for _ in range(x.order + 1):
-                derivs.append(series._eval_scalar(x.value))
-                series = series.derivative()
-            return x.compose_univariate(derivs)
-        return self._eval_scalar(x)
+        if not isinstance(x, jets.Jet):
+            return self._apply(self._table(x))
+        # every derivative shares the harmonics of the same point: one table
+        table = self._table(x.value)
+        series = self
+        derivs = [series._apply(table)]
+        for _ in range(x.order):
+            series = series.derivative()
+            derivs.append(series._apply(table))
+        return x.compose_univariate(derivs)

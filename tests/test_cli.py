@@ -43,6 +43,34 @@ def test_classify_output_file(capsys, tmp_path):
     assert target.read_text().startswith("x,y,z,class")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--output", "/nonexistent/x.csv"],
+        ["integrate", "--to", "0.5", "--svg", "/nonexistent/x.svg"],
+        ["poincare", "--output", "."],
+    ],
+)
+def test_unwritable_target_fails_before_the_t1_build(capsys, monkeypatch, argv):
+    def no_build():
+        raise AssertionError("the t1 field was built before the output check")
+
+    monkeypatch.setattr(cli, "_t1_field", no_build)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
+def test_output_check_leaves_no_file_behind(capsys, tmp_path):
+    target = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "classify", "--field", "circle-example", "--rings", "0", "--output", str(target))
+    assert code == 2  # argparse rejects --rings 0 before the check
+    code, _, _ = run(capsys, "classify", "--field", "{bad", "--output", str(target))
+    assert code == 2  # the check passed, then the field failed to parse
+    assert not target.exists()
+
+
 def test_poincare_circle_example(capsys):
     code, out, _ = run(capsys, "poincare", "--field", "circle-example")
     assert code == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asymptotica import exprlang, jets
-from asymptotica.exprlang import DomainError, ParseError, UnboundVariable, evaluate, parse, to_source
+from asymptotica.exprlang import DomainError, ParseError, UnboundVariable, compile_function, evaluate, parse, to_source
 
 
 def test_parse_power_of_function():
@@ -133,3 +133,11 @@ def test_jet_derivative_matches_finite_difference(seeds):
             # the quotient loses |f| * eps / h to cancellation
             scale = max(1.0, abs(d), abs(vp) * 1e-10 / h)
             assert abs(d - fd) <= 1e-6 * scale
+
+
+def test_integer_literals_stay_off_the_exact_path_for_floats():
+    assert compile_function("2*x", "x")(np.arange(3.0)).dtype == np.float64
+    assert type(evaluate(parse("2*x"), {"x": 1.5})) is float
+    # exact bindings (and none at all) keep every literal exact
+    assert evaluate(parse("x/3"), {"x": 1}) == Fraction(1, 3)
+    assert evaluate(parse("x/3"), {"x": jets.Jet.variable(Fraction(1), 0, 1, 1)}).value == Fraction(1, 3)

@@ -109,3 +109,34 @@ def test_vector_derivative_and_mean_are_row_wise():
 def test_variational_cache_out_of_nodes_raises_fit_error(t1_field, t1_chart):
     with pytest.raises(FitError):
         VariationalCache(t1_field, t1_chart, 2 * math.pi, nodes=8, max_nodes=8)
+
+
+def test_jet_evaluation_is_bitwise_the_derivative_stack():
+    v = TrigSeries.fit(lambda x: np.stack([np.exp(np.sin(x)), np.cos(3 * x) / (2 + np.sin(x))], axis=1), 2 * math.pi)
+    x = jets.Jet.variable(np.linspace(0.1, 6.0, 512), 0, 1, 4)
+    stack, series = [], v
+    for _ in range(x.order + 1):
+        stack.append(series(x.value))
+        series = series.derivative()
+    want = x.compose_univariate(stack)
+    got = v(x)
+    assert got.coef.keys() == want.coef.keys()
+    for key, coef in want.coef.items():
+        assert np.array_equal(got.coef[key], coef)
+
+
+def test_fit_reuses_node_and_midpoint_samples():
+    points = []
+
+    def fn(x):
+        points.append(len(x))
+        return np.exp(np.sin(x))
+
+    n = 16
+    s = TrigSeries.fit(fn, 2 * math.pi, nodes=n, tol=1e-9)
+    assert s.nodes == 2 * n  # one doubling
+    assert sum(points) == 4 * n  # n nodes, n midpoints, 2n new midpoints
+    xs = np.arange(2 * n) * (2 * math.pi / (2 * n))
+    direct = TrigSeries.from_samples(np.exp(np.sin(xs)), 2 * math.pi)
+    assert np.array_equal(s.cos_coeffs, direct.cos_coeffs)
+    assert np.array_equal(s.sin_coeffs, direct.sin_coeffs)

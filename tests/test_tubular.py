@@ -56,9 +56,9 @@ def _curve_evaluations(monkeypatch, field, chart):
 def test_chart_data_evaluates_each_curve_jet_once(monkeypatch, t1_field, t1_chart):
     # one Taylor evaluation per component for each derivative stack a chart
     # point needs: the chart itself, then for t1 the frame with k0, l0 and
-    # the coefficients k1 (which reads l1) and l1
+    # the coefficients k1 and l1 (k1 reads l1's value, computed once)
     assert _curve_evaluations(monkeypatch, circle_example_field(), circle_chart()) <= 6
-    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 15
+    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 12
 
 
 def test_inside_uses_radius():
