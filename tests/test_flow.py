@@ -204,22 +204,6 @@ def test_rk45_nan_rhs_ends_in_a_singular_stop():
     assert x <= 0.5 and y[0] == pytest.approx(math.exp(x), rel=1e-8)
 
 
-def test_branch_slopes_on_arrays_match_scalars():
-    # quadratic, linear (g = 0) and near-linear points in one batch
-    e = np.array([-1.0, 4.0, 4.0, -2.0])
-    f = np.array([0.0, 1.0, 1.0, 0.5])
-    g = np.array([1.0, 0.0, 1e-14, 3.0])
-    prev = np.array([0.9, 0.0, -2.5, -1.0])
-    (far, near), sel = branch_slopes(e, f, g, prev_p=prev)
-    for i in range(4):
-        slopes, want = branch_slopes(e[i], f[i], g[i], prev_p=prev[i])
-        assert sel[i] == want
-        assert near[i] == slopes[-1]
-        assert far[i] == (slopes[0] if len(slopes) == 2 else math.inf)
-    with pytest.raises(EllipticStop):
-        branch_slopes(e, f, np.array([1.0, 0.0, 1e-14, -3.0]))
-
-
 def _assert_batch_is_pointwise(e, f, g, prev=None):
     (first, second), sel = branch_slopes(e, f, g, prev_p=prev)
     for i in range(len(e)):
@@ -227,6 +211,17 @@ def _assert_batch_is_pointwise(e, f, g, prev=None):
         assert sel[i] == want
         assert second[i] == slopes[-1]
         assert first[i] == (slopes[0] if len(slopes) == 2 else math.inf)
+
+
+def test_branch_slopes_on_arrays_match_scalars():
+    # quadratic, linear (g = 0) and near-linear points in one batch
+    e = np.array([-1.0, 4.0, 4.0, -2.0])
+    f = np.array([0.0, 1.0, 1.0, 0.5])
+    g = np.array([1.0, 0.0, 1e-14, 3.0])
+    prev = np.array([0.9, 0.0, -2.5, -1.0])
+    _assert_batch_is_pointwise(e, f, g, prev)
+    with pytest.raises(EllipticStop):
+        branch_slopes(e, f, np.array([1.0, 0.0, 1e-14, -3.0]))
 
 
 def test_vectorised_branch_slopes_are_bitwise_pointwise(monkeypatch):
@@ -244,12 +239,11 @@ def test_vectorised_branch_slopes_are_bitwise_pointwise(monkeypatch):
 
 
 def test_vectorised_branch_slopes_break_ties_like_points(monkeypatch):
-    # p^2 = 1 has roots +-1 at equal modulus and equal distance from 0
+    # p^2 = 1 and p^2 = 4: two roots of equal modulus and equal distance from 0
     monkeypatch.setattr(flow, "_branch_slopes_pointwise", None)
     e, f, g = np.array([-1.0, -4.0]), np.array([0.0, -0.0]), np.array([1.0, 1.0])
     _assert_batch_is_pointwise(e, f, g)
     _assert_batch_is_pointwise(e, f, g, np.zeros(2))
-    assert branch_slopes(e, f, g)[1].tolist() == [branch_slopes(-1.0, 0.0, 1.0)[1], branch_slopes(-4.0, -0.0, 1.0)[1]]
 
 
 @pytest.mark.parametrize(
