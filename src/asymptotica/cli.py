@@ -155,10 +155,10 @@ def check_outputs(args):
         path = getattr(args, option, None)
         if path is None:
             continue
-        existed = os.path.lexists(path)
+        existed = os.path.exists(path)
         open_output(path, f"--{option}", mode="a").close()
         if not existed:
-            os.remove(path)
+            os.remove(os.path.realpath(path))  # a dangling symlink keeps its link
 
 
 def emit(args, document, csv_rows=None, csv_header=None):

@@ -420,15 +420,18 @@ def _t1_l1(curve):
 
     On the curve A = -a/c has a vanishing on it, which makes
     A_z = -(l1 |X|^2 + l0 <Y, Z'> + k0 <Z, Z'>) / (k0 |Z|^2), affine in l1;
-    solve that relation for l1 pointwise.  The field evaluates l1 both as a
-    coefficient and inside k1 on the same argument object, so the last
-    result is reused for it.
+    solve that relation for l1 pointwise.  A chart point evaluates l1 twice
+    on the same argument object, as a coefficient and inside k1, so the
+    second call takes the first call's result and drops it.  This assumes
+    no caller mutates an array argument in place between the two calls.
     """
-    last = []  # [argument, value] of the last call
+    last = []  # [argument, value] of a call not yet reused
 
     def l1(t):
         if last and last[0] is t:
-            return last[1]
+            value = last[1]
+            last.clear()
+            return value
         _, d1, d2 = curve.jet(t, 2)
         X, Y, Z = adapted_frame(d1)
         dX, dY, _ = adapted_frame(d2)

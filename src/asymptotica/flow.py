@@ -63,39 +63,14 @@ def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
 
     Returns (slopes, selected): the real roots, one in the linear case
     |g| <= tol * max(|e|, |f|, |g|), and the root nearest prev_p (without
-    prev_p, the root of least modulus; a tie selects the first root).  e, f,
-    g (and prev_p) may be 1-D arrays, a lockstep batch; slopes then holds
-    two arrays, the first inf where the equation is linear, and every entry
-    equals the single-point result bit for bit.  A batch of regular points
-    (two distinct real roots) is solved with array arithmetic; one with a
-    linear, parabolic, non-real or non-finite point is solved point by
-    point, so it raises what its first failing point raises.
+    prev_p, the root of least modulus).  e, f, g (and prev_p) may be 1-D
+    arrays, a lockstep batch solved point by point; slopes then holds two
+    arrays, the first inf where the equation is linear.
     """
     if not np.ndim(e):
         return _branch_slope(e, f, g, prev_p, tol)
-    e, f, g = (np.asarray(c, dtype=float) for c in (e, f, g))
-    abs_g = np.abs(g)
-    scale = np.maximum(np.maximum(np.abs(e), np.abs(f)), abs_g)
-    disc = f * f - g * e
-    if not ((abs_g > tol * scale) & (disc > 0)).all():
-        return _branch_slopes_pointwise(e, f, g, prev_p, tol)
-    r = np.sqrt(disc)
-    # the single-point q: -(f + r) where f >= 0, else -(f - r); f + 0.0 maps
-    # -0.0 to +0.0, so copysign gives r exactly where f >= 0
-    q = -(f + np.copysign(r, f + 0.0))
-    p1 = q / g
-    p2 = e / q  # q != 0 since r > 0
-    if prev_p is None:
-        second = np.abs(p2) < np.abs(p1)
-    else:
-        second = np.abs(p2 - prev_p) < np.abs(p1 - prev_p)
-    return (p1, p2), np.where(second, p2, p1)
-
-
-def _branch_slopes_pointwise(e, f, g, prev_p, tol):
-    """branch_slopes on arrays, one point at a time."""
-    columns = [c.tolist() for c in np.broadcast_arrays(e, f, g)]
-    columns.append([None] * len(columns[0]) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
+    columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
+    columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
     points = [_branch_slope(*point, tol) for point in zip(*columns)]
     roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
     return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])

@@ -67,6 +67,11 @@ def test_output_check_leaves_no_file_behind(capsys, tmp_path):
     code, _, _ = run(capsys, "classify", "--field", "{bad", "--output", str(target))
     assert code == 2  # the check passed, then the field failed to parse
     assert not target.exists()
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)  # dangling: the probe creates its target
+    code, _, _ = run(capsys, "classify", "--field", "{bad", "--output", str(link))
+    assert code == 2
+    assert link.is_symlink() and not target.exists()
 
 
 def test_poincare_circle_example(capsys):

@@ -204,53 +204,27 @@ def test_rk45_nan_rhs_ends_in_a_singular_stop():
     assert x <= 0.5 and y[0] == pytest.approx(math.exp(x), rel=1e-8)
 
 
-def _assert_batch_is_pointwise(e, f, g, prev=None):
-    (first, second), sel = branch_slopes(e, f, g, prev_p=prev)
-    for i in range(len(e)):
-        slopes, want = branch_slopes(float(e[i]), float(f[i]), float(g[i]), None if prev is None else float(prev[i]))
-        assert sel[i] == want
-        assert second[i] == slopes[-1]
-        assert first[i] == (slopes[0] if len(slopes) == 2 else math.inf)
-
-
 def test_branch_slopes_on_arrays_match_scalars():
     # quadratic, linear (g = 0) and near-linear points in one batch
     e = np.array([-1.0, 4.0, 4.0, -2.0])
     f = np.array([0.0, 1.0, 1.0, 0.5])
     g = np.array([1.0, 0.0, 1e-14, 3.0])
     prev = np.array([0.9, 0.0, -2.5, -1.0])
-    _assert_batch_is_pointwise(e, f, g, prev)
+    (far, near), sel = branch_slopes(e, f, g, prev_p=prev)
+    for i in range(4):
+        slopes, want = branch_slopes(e[i], f[i], g[i], prev_p=prev[i])
+        assert sel[i] == want
+        assert near[i] == slopes[-1]
+        assert far[i] == (slopes[0] if len(slopes) == 2 else math.inf)
     with pytest.raises(EllipticStop):
         branch_slopes(e, f, np.array([1.0, 0.0, 1e-14, -3.0]))
-
-
-def test_vectorised_branch_slopes_are_bitwise_pointwise(monkeypatch):
-    # regular batches must take the array path, not the point-by-point one
-    monkeypatch.setattr(flow, "_branch_slopes_pointwise", None)
-    rng = np.random.default_rng(1000)
-    e, f, g, prev = rng.normal(size=(4, 1000)) * rng.choice([1e-6, 1.0, 1e6], size=1000)
-    f = np.abs(f) + np.abs(e * g) ** 0.5  # a positive discriminant everywhere
-    f[::2] *= -1
-    f[1::7], f[3::7] = 0.0, -0.0  # both signs of zero, with g e < 0
-    for i in (1, 3):
-        e[i::7] = -np.abs(e[i::7]) * np.sign(g[i::7])
-    _assert_batch_is_pointwise(e, f, g, prev)
-    _assert_batch_is_pointwise(e, f, g)
-
-
-def test_vectorised_branch_slopes_break_ties_like_points(monkeypatch):
-    # p^2 = 1 and p^2 = 4: two roots of equal modulus and equal distance from 0
-    monkeypatch.setattr(flow, "_branch_slopes_pointwise", None)
-    e, f, g = np.array([-1.0, -4.0]), np.array([0.0, -0.0]), np.array([1.0, 1.0])
-    _assert_batch_is_pointwise(e, f, g)
-    _assert_batch_is_pointwise(e, f, g, np.zeros(2))
 
 
 @pytest.mark.parametrize(
     "bad, stop",
     [((0.0, 0.0, 0.0), FlowError), ((1.0, 0.0, 0.0), VerticalDirection), ((1.0, 0.0, 1.0), EllipticStop)],
 )
-def test_vectorised_branch_slopes_raise_the_point_stop(bad, stop):
+def test_branch_slopes_on_arrays_raise_the_point_stop(bad, stop):
     with pytest.raises(stop) as point:
         branch_slopes(*bad)
     good = (-1.0, 0.5, 2.0)
