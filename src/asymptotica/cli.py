@@ -491,7 +491,7 @@ def verify_checks(seed=0, perturb=False):
                 from . import jets
 
                 j = exprlang.evaluate(tree, {"x": jets.Jet.variable(x0, 0, 1, 1)})
-                d = j.coef.get((1,), 0) if isinstance(j, jets.Jet) else 0.0
+                d = j.coefficient((1,)) if isinstance(j, jets.Jet) else 0.0
                 h = 1e-5
                 vp = exprlang.evaluate(tree, {"x": x0 + h})
                 vm = exprlang.evaluate(tree, {"x": x0 - h})

@@ -356,7 +356,7 @@ def _t1_flatten(curve, chart, base_coefficients, nodes=256, residual_tol=1e-9, m
             r = p if which == "slope" else vert
             return np.stack(
                 [
-                    np.asarray(r.coef.get((0, i, j), 0), dtype=float)
+                    np.asarray(r.coefficient((0, i, j)), dtype=float)
                     + np.zeros_like(np.asarray(pts, dtype=float))
                     for i, j in degrees
                 ]
@@ -387,7 +387,7 @@ def _t1_flatten(curve, chart, base_coefficients, nodes=256, residual_tol=1e-9, m
         # with the node count and localized residual peaks cannot hide
         p, _, full = _slope_and_vertical_jets(field, chart, probe, 3)
         res = max(
-            float(np.max(np.abs(np.asarray(r.coef.get((0, i, j), 0), dtype=float))))
+            float(np.max(np.abs(np.asarray(r.coefficient((0, i, j)), dtype=float))))
             for r in (p, full)
             for i, j in quad + _CUBIC_MONOMS
         )

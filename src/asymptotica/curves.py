@@ -137,7 +137,7 @@ class Curve:
         for i, fn in enumerate(self._fns):
             v = fn(u)
             if isinstance(v, jets.Jet):
-                c = [v.coef.get((n,), 0) for n in range(q + k + 1)]
+                c = [v.coefficient((n,)) for n in range(q + k + 1)]
             else:
                 c = [v] + [0 * v] * (q + k)
             for j in range(k + 1):

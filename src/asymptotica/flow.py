@@ -138,7 +138,7 @@ class ChartSpectralCache:
         d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=self.degree)
         return np.stack(
             [
-                np.broadcast_to(np.asarray(getattr(d, name).coef.get((0, i, j), 0), dtype=float), xs.shape)
+                np.broadcast_to(np.asarray(getattr(d, name).coefficient((0, i, j)), dtype=float), xs.shape)
                 for name in self._QUANTITIES
                 for i, j in self.monomials
             ],

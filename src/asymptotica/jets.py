@@ -1,63 +1,107 @@
 """Truncated multivariate Taylor arithmetic (forward-mode jets).
 
-A ``Jet`` stores the Taylor coefficients of a function at a point, indexed
-by multi-exponent and truncated at a fixed total degree.  Arithmetic on
-jets therefore propagates derivatives of every order up to the truncation:
-order 1 is ordinary forward-mode AD, order 2 carries Hessians, and so on.
+A ``Jet`` stores the Taylor coefficients of a function at a point, one per
+monomial, truncated at a fixed total degree.  Arithmetic on jets therefore
+propagates derivatives of every order up to the truncation: order 1 is
+ordinary forward-mode AD, order 2 carries Hessians, and so on.
 
-Coefficients may be floats or ``fractions.Fraction``; arithmetic stays
-exact as long as the inputs are exact and no transcendental function is
-applied.
+Products are table driven (Griewank & Walther, *Evaluating Derivatives*,
+ch. 13): a pair table built once per ``(nvars, order)`` numbers the product
+of two monomials, so a product makes one lookup per pair of coefficients.
+
+Coefficients may be floats, numpy arrays (one array per monomial) or
+``fractions.Fraction``; arithmetic stays exact as long as the inputs are
+exact and no transcendental function is applied.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-Scalar = Union[int, float, Fraction, "Jet"]
-
 _FACTORIALS = [math.factorial(k) for k in range(32)]
+# Fraction last: its ABC instance check is the slow one
+_SCALARS = (float, int, np.ndarray, Fraction)
+
+
+@functools.cache
+class _Monomials:
+    """Monomial tables of the jets in ``nvars`` variables truncated at ``order``.
+
+    Monomials are numbered by degree, then by exponent tuple, largest first:
+    a monomial has one number at every order, and those of degree <= d come
+    first.  ``rows[i][j]`` numbers monomial i times monomial j, for the
+    prefix of j that keeps the product within the order.
+    """
+
+    def __init__(self, nvars, order):
+        self.nvars, self.order = nvars, order
+        monomials = (e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order)
+        self.exponents = sorted(monomials, key=lambda e: (sum(e), [-x for x in e]))
+        self.index = {e: i for i, e in enumerate(self.exponents)}
+        self.rows = [
+            [self.index[tuple(map(sum, zip(a, b)))] for b in self.exponents if sum(a) + sum(b) <= order]
+            for a in self.exponents
+        ]
+        # lowered[v][i]: (number of monomial i over x_v, exponent of x_v), None where x_v is absent
+        self.lowered = [
+            [(self.index[e[:v] + (e[v] - 1,) + e[v + 1 :]], e[v]) if e[v] else None for e in self.exponents]
+            for v in range(nvars)
+        ]
+
+
+_new = object.__new__
+
+
+def _jet(table, coef):
+    """A jet of the shape of ``table`` owning ``coef`` (monomial number -> coefficient)."""
+    j = _new(Jet)
+    j._table, j._coef = table, coef
+    return j
 
 
 class Jet:
     """Taylor polynomial in ``nvars`` variables, truncated at total degree ``order``.
 
-    ``coef`` maps exponent tuples to coefficients; absent entries are zero.
-    The entry at the all-zero exponent is the value at the expansion point.
+    ``Jet(nvars, order, {exponents: c})`` takes the raw Taylor coefficient
+    of each monomial, ``coefficient(exponents)`` reads one back, and
+    ``value`` is the constant coefficient (the value at the expansion
+    point).  Absent monomials are zero.  Jets are never mutated, so results
+    may share storage with operands (``x ** 1`` is ``x``).
     """
 
-    __slots__ = ("nvars", "order", "coef")
+    __slots__ = ("_table", "_coef")
 
     def __init__(self, nvars, order, coef=None):
-        self.nvars = nvars
-        self.order = order
-        self.coef = coef if coef is not None else {}
+        self._table = _Monomials(nvars, order)
+        self._coef = {self._table.index[tuple(e)]: c for e, c in (coef or {}).items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, nvars, order):
-        zero = (0,) * nvars
-        return cls(nvars, order, {zero: value})
+        return _jet(_Monomials(nvars, order), {0: value})
 
     @classmethod
     def variable(cls, value, index, nvars, order):
         """The seed ``value + h_index`` for differentiation in direction ``index``."""
-        j = cls.constant(value, nvars, order)
-        if order >= 1:
-            unit = tuple(1 if i == index else 0 for i in range(nvars))
-            j.coef[unit] = _one_like(value)
-        return j
+        # the degree-one monomials follow the constant, in variable order
+        return _jet(_Monomials(nvars, order), {0: value, 1 + index: 1} if order >= 1 else {0: value})
 
     # -- accessors ---------------------------------------------------------
 
-    @property
-    def value(self):
-        return self.coef.get((0,) * self.nvars, 0)
+    nvars = property(lambda self: self._table.nvars)
+    order = property(lambda self: self._table.order)
+    value = property(lambda self: self._coef.get(0, 0))
+
+    def coefficient(self, exponents):
+        """The raw Taylor coefficient of the monomial with these exponents (0 when absent)."""
+        i = self._table.index.get(tuple(exponents))
+        return 0 if i is None else self._coef.get(i, 0)
 
     def deriv(self, *exponents):
         """Partial derivative d^|e| / dx^e at the expansion point (not the raw coefficient)."""
@@ -66,98 +110,99 @@ class Jet:
         scale = 1
         for e in exponents:
             scale *= _FACTORIALS[e]
-        return self.coef.get(tuple(exponents), 0) * scale
+        return self.coefficient(exponents) * scale
 
     def partial(self, index):
         """The jet of the partial derivative in direction ``index`` (order drops by one)."""
-        out = {}
-        for exps, c in self.coef.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            lowered = exps[:index] + (e - 1,) + exps[index + 1 :]
-            out[lowered] = out.get(lowered, 0) + c * e
-        return Jet(self.nvars, self.order - 1, out)
+        lowered = self._table.lowered[index]
+        out = {lowered[i][0]: c * lowered[i][1] for i, c in self._coef.items() if lowered[i] is not None}
+        return _jet(_Monomials(self.nvars, self.order - 1), out)
 
     def truncated(self, order):
         if order >= self.order:
             return self
-        out = {e: c for e, c in self.coef.items() if sum(e) <= order}
-        return Jet(self.nvars, order, out)
+        table = _Monomials(self.nvars, order)
+        n = len(table.exponents)  # the monomials of the lower order come first
+        return _jet(table, {i: c for i, c in self._coef.items() if i < n})
 
     def nilpotent(self):
         """This jet minus its value (the part that vanishes at the expansion point)."""
-        out = dict(self.coef)
-        out.pop((0,) * self.nvars, None)
-        return Jet(self.nvars, self.order, out)
+        return _jet(self._table, {i: c for i, c in self._coef.items() if i})
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.nvars != self.nvars or other.order != self.order:
+        """The coefficients of ``other`` as a jet of this shape, or NotImplemented."""
+        if type(other) is Jet:
+            if other._table is not self._table:
                 raise ValueError("jet shape mismatch")
-            return other
-        if isinstance(other, (int, float, Fraction, np.ndarray)):
-            return Jet.constant(other, self.nvars, self.order)
+            return other._coef
+        if isinstance(other, _SCALARS):
+            return {0: other}
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.coef)
-        for e, c in o.coef.items():
-            out[e] = out.get(e, 0) + c
-        return Jet(self.nvars, self.order, out)
+        out = dict(self._coef)
+        for i, c in o.items():
+            out[i] = out.get(i, 0) + c
+        return _jet(self._table, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, self.order, {e: -c for e, c in self.coef.items()})
+        return _jet(self._table, {i: -c for i, c in self._coef.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.coef)
-        for e, c in o.coef.items():
-            out[e] = out.get(e, 0) - c
-        return Jet(self.nvars, self.order, out)
+        out = dict(self._coef)
+        for i, c in o.items():
+            out[i] = out.get(i, 0) - c
+        return _jet(self._table, out)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction, np.ndarray)):
-            return Jet(self.nvars, self.order, {e: c * other for e, c in self.coef.items()})
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is not Jet:
+            if isinstance(other, _SCALARS):
+                return _jet(self._table, {i: c * other for i, c in self._coef.items()})
             return NotImplemented
-        order = self.order
+        table = self._table
+        if other._table is not table:
+            raise ValueError("jet shape mismatch")
+        rows, b = table.rows, other._coef
+        b0, pairs = b.get(0), b.items()
         out = {}
-        for ea, ca in self.coef.items():
-            da = sum(ea)
-            for eb, cb in o.coef.items():
-                if da + sum(eb) > order:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return Jet(self.nvars, order, out)
+        for i, ca in self._coef.items():
+            row = rows[i]
+            n = len(row)
+            if n == 1:  # a top-degree monomial pairs only with the constant
+                if b0 is not None:
+                    out[i] = out.get(i, 0) + ca * b0
+                continue
+            for j, cb in pairs:
+                if j < n:
+                    k = row[j]
+                    out[k] = out.get(k, 0) + ca * cb
+        j = _new(Jet)  # _jet inlined: this is the hottest constructor
+        j._table, j._coef = table, out
+        return j
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return Jet(self.nvars, self.order, {e: _div(c, other) for e, c in self.coef.items()})
-        if isinstance(other, np.ndarray):
-            return Jet(self.nvars, self.order, {e: c / other for e, c in self.coef.items()})
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o._reciprocal()
+        if type(other) is Jet:
+            return self * other._reciprocal()
+        if isinstance(other, (int, float, Fraction)) and other == 0:
+            raise ZeroDivisionError("division by zero")
+        if isinstance(other, _SCALARS):
+            return _jet(self._table, {i: _div(c, other) for i, c in self._coef.items()})
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -167,7 +212,7 @@ class Jet:
         if isinstance(a0, (int, float, Fraction)) and a0 == 0:
             raise ZeroDivisionError("division by a jet with zero value")
         derivs = []
-        p = _div(_one_like(a0), a0)
+        p = _div(1, a0)
         for k in range(self.order + 1):
             derivs.append(p)  # (1/u)^(k)/k! at a0 up to sign handled below
             p = _div(-p, a0)
@@ -179,24 +224,23 @@ class Jet:
             raise TypeError("jet exponent must be an integer")
         if n < 0:
             return (self ** (-n))._reciprocal()
-        result = Jet.constant(1, self.nvars, self.order)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        # square and multiply from the low bit, with no unit factor and no unused last square
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            base = base * base if n else base
+        return Jet.constant(1, self.nvars, self.order) if result is None else result
 
     def _compose_scaled(self, scaled_derivs):
         """Sum scaled_derivs[k] * (self - value)^k, with scaled_derivs[k] = f^(k)(a0)/k!."""
-        n = self.nilpotent()
-        result = Jet.constant(scaled_derivs[0], self.nvars, self.order)
-        power = Jet.constant(1, self.nvars, self.order)
-        for k in range(1, min(len(scaled_derivs), self.order + 1)):
-            power = power * n
-            if not power.coef:
+        n = power = self.nilpotent()
+        result = _jet(self._table, {0: scaled_derivs[0]})
+        for k in range(1, min(len(scaled_derivs), self._table.order + 1)):
+            if k > 1:
+                power = power * n
+            if not power._coef:
                 break
             result = result + power * scaled_derivs[k]
         return result
@@ -207,13 +251,8 @@ class Jet:
         return self._compose_scaled(scaled)
 
     def __repr__(self):
-        items = ", ".join(f"{e}: {c}" for e, c in sorted(self.coef.items()))
-        return f"Jet({self.nvars} vars, order {self.order}, {{{items}}})"
-
-
-def _one_like(v):
-    # plain integer 1 is exact and promotes correctly in every coefficient ring
-    return 1
+        terms = sorted((self._table.exponents[i], c) for i, c in self._coef.items())
+        return f"Jet({self.nvars} vars, order {self.order}, {{{', '.join(f'{e}: {c}' for e, c in terms)}}})"
 
 
 def _div(a, b):

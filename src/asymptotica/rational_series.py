@@ -43,7 +43,7 @@ class PowerSeriesQ:
         """Convert a univariate jet (Taylor coefficients at 0) to a series."""
         if jet.nvars != 1:
             raise SeriesError("only univariate jets convert to power series")
-        return cls([jet.coef.get((k,), 0) for k in range(jet.order + 1)])
+        return cls([jet.coefficient((k,)) for k in range(jet.order + 1)])
 
     def to_jet(self):
         return Jet(1, self.order, {(k,): c for k, c in enumerate(self.coeffs) if c != 0})

@@ -76,14 +76,14 @@ def test_jet_square_carries_derivative():
     x = jets.Jet.variable(3.0, 0, 1, 1)
     v = evaluate(parse("x^2"), {"x": x})
     assert v.value == pytest.approx(9.0)
-    assert v.coef[(1,)] == pytest.approx(6.0)
+    assert v.coefficient((1,)) == pytest.approx(6.0)
 
 
 def test_sin_cubed_taylor_coefficients():
     # sin^3 x = x^3 - x^5/2 + ..., so the order-3 jet at 0 is (0, 0, 0, 1)
     x = jets.Jet.variable(0.0, 0, 1, 3)
     v = evaluate(parse("sin(x)^3"), {"x": x})
-    coeffs = [v.coef.get((k,), 0) for k in range(4)]
+    coeffs = [v.coefficient((k,)) for k in range(4)]
     assert coeffs == pytest.approx([0.0, 0.0, 0.0, 1.0])
 
 
@@ -125,7 +125,7 @@ def test_jet_derivative_matches_finite_difference(seeds):
             tree = parse(_random_source(rng))
             x0 = float(rng.uniform(0.2, 1.2))
             j = evaluate(tree, {"x": jets.Jet.variable(x0, 0, 1, 1)})
-            d = j.coef.get((1,), 0) if isinstance(j, jets.Jet) else 0.0
+            d = j.coefficient((1,)) if isinstance(j, jets.Jet) else 0.0
             h = 1e-5
             vp = evaluate(tree, {"x": x0 + h})
             vm = evaluate(tree, {"x": x0 - h})
