@@ -12,8 +12,14 @@ y, z, y^2/2, yz, z^2/2 on each frame direction.  The module provides:
   * an exact-series realization for polynomial local models (x, a_m x^m + ...,
     b_n x^n + ...), including the exact factoring of x^(m-2) that makes the
     chart reduction regular through x = 0;
-  * the closed worked example on (sin x, cos x, sin^3 x) whose monodromy is
-    triangular with explicitly integrable diagonal.
+  * the closed worked example t1 on (sin x, cos x, sin^3 x), whose monodromy
+    is triangular with explicitly integrable diagonal.  One staged affine
+    solve builds it in six stages, each a pointwise linear solve at uniform
+    nodes: (l1, k1) so that A_z meets its target and f = 1 on the curve,
+    then (l2, k2) so that e_z = 0 and e_y + 2f = 0, then four stages of
+    quadratic and cubic coefficients that make the flow linear to third
+    order.  The node samples are interpolated trigonometrically, and one
+    off-node residual check covers all six stages.
 """
 
 from __future__ import annotations
@@ -258,7 +264,7 @@ def realize_t5(curve, order=None):
 # -- the closed worked example -----------------------------------------------
 
 
-_TILDE_KEYS = ("kt1", "jt1", "lt1", "kt2", "jt2", "lt2", "kt3", "jt3", "lt3")
+_QUADRATIC_MONOMS = ((2, 0), (1, 1), (0, 2))
 _CUBIC_MONOMS = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
@@ -276,124 +282,14 @@ class _PolynomialRemainder:
         return acc
 
 
-def _slope_and_vertical_jets(field, chart, xs, order):
-    """Jets of the flow data along the curve: the slope branch p through 0
-    (division-stable root of g p^2 + 2 f p + e = 0), the decoupled vertical
-    part A + (B - B(x,0,0)) p, and the full vertical rate A + B p."""
-    d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=order)
+def _slope_and_vertical_jets(d):
+    """Jets of the flow data along the curve, from chart data d at y = z = 0:
+    the slope branch p through 0 (division-stable root of g p^2 + 2 f p + e
+    = 0), the decoupled vertical part A + (B - B(x,0,0)) p, and the full
+    vertical rate A + B p."""
     e, f, g, A, B = d.e, d.f, d.g, d.A, d.B
     p = -e / (f + jets.sqrt(f * f - g * e))
     return p, A + (B - B.value) * p, A + B * p
-
-
-def _t1_flatten(curve, chart, base_coefficients, nodes=256, residual_tol=1e-9, max_nodes=1024):
-    """Choose the free quadratic and cubic coefficients so the flow is linear
-    to third order around the curve.
-
-    The tilded quadratic coefficients and the cubic remainder terms are free:
-    they enter no on-curve value and no first partial of the reduced
-    equation.  The quadratic and cubic Taylor coefficients of the flow
-    right-hand side (dy/dx = p, dz/dx = A + B p) are affine in them, and the
-    dependence is triangular in four stages:
-
-      1. the quadratic part of A + (B - B0) p pins the first-direction
-         quadratic coefficients (no derivative coupling),
-      2. the quadratic part of p then pins the second-direction quadratic
-         coefficients,
-      3-4. the same two steps at cubic order pin the first- and
-         second-direction cubic remainder terms.
-
-    Each stage is a well-conditioned pointwise linear solve at uniform nodes,
-    interpolated trigonometrically; the assembled field is verified against
-    off-node residuals of the full flow expansion, measured relative to the
-    pre-flattening coefficient magnitude (the verification itself runs
-    through the same large cancellations as the solve, so its noise floor
-    scales with that magnitude).  Killing these coefficients makes the
-    return map agree with its linearization to fourth order in the start
-    point, which is what lets the finite-difference Jacobian cross-check
-    converge at practical step sizes.
-    """
-    period = curve.period
-    quad = ((2, 0), (1, 1), (0, 2))
-    stages = (
-        ("vertical", quad, [("coeff", k) for k in ("kt1", "jt1", "lt1")]),
-        ("slope", quad, [("coeff", k) for k in ("kt2", "jt2", "lt2")]),
-        ("vertical", _CUBIC_MONOMS, [("rem", "A", mon) for mon in _CUBIC_MONOMS]),
-        ("slope", _CUBIC_MONOMS, [("rem", "B", mon) for mon in _CUBIC_MONOMS]),
-    )
-
-    def attempt(xs, probe):
-        store = {}  # slot -> node samples of the solved coefficient function
-
-        def assemble(bump=None):
-            c = dict(base_coefficients)
-            terms = {"A": [], "B": []}
-            for slot, samples in store.items():
-                series = TrigSeries.from_samples(samples, period)
-                if slot[0] == "coeff":
-                    c[slot[1]] = series
-                else:
-                    terms[slot[1]].append((slot[2], series))
-            if bump is not None:
-                # unit perturbation of one slot on top of the current state,
-                # used to measure sensitivities
-                if bump[0] == "coeff":
-                    prev = c.get(bump[1])
-                    if prev is None:
-                        c[bump[1]] = 1.0
-                    elif callable(prev):
-                        c[bump[1]] = lambda x, _f=prev: _f(x) + 1.0
-                    else:
-                        c[bump[1]] = prev + 1.0
-                else:
-                    terms[bump[1]].append((bump[2], lambda x: 1.0))
-            remainders = {k: _PolynomialRemainder(v) for k, v in terms.items() if v}
-            return TubularField(curve, coefficients=c, remainders=remainders or None)
-
-        def rows(field, which, degrees, pts):
-            order = max(i + j for i, j in degrees)
-            p, vert, _ = _slope_and_vertical_jets(field, chart, pts, order)
-            r = p if which == "slope" else vert
-            return np.stack(
-                [
-                    np.asarray(r.coefficient((0, i, j)), dtype=float)
-                    + np.zeros_like(np.asarray(pts, dtype=float))
-                    for i, j in degrees
-                ]
-            )
-
-        # each stage is affine in its unknowns, but the large intermediate
-        # cancellations leave roundoff in a single solve; a second sweep with
-        # the same sensitivities removes it (classical iterative refinement)
-        sens_lu = {}
-        initial_scale = 1.0
-        for sweep in range(2):
-            for which, degrees, slots in stages:
-                F0 = rows(assemble(), which, degrees, xs)
-                if sweep == 0:
-                    initial_scale = max(initial_scale, float(np.max(np.abs(F0))))
-                    sens = np.stack(
-                        [rows(assemble(slot), which, degrees, xs) - F0 for slot in slots],
-                        axis=1,
-                    )  # (nconds, nunk, nnodes)
-                    sens_lu[which, degrees] = sens.transpose(2, 0, 1)
-                sol = np.linalg.solve(sens_lu[which, degrees], -F0.T[:, :, None])[:, :, 0]
-                for k, slot in enumerate(slots):
-                    store[slot] = store.get(slot, 0.0) + sol[:, k]
-
-        field = assemble()
-        # verify the full quadratic + cubic expansion of (dy/dx, dz/dx) at
-        # the midpoints of the build grid, so the probe resolution grows
-        # with the node count and localized residual peaks cannot hide
-        p, _, full = _slope_and_vertical_jets(field, chart, probe, 3)
-        res = max(
-            float(np.max(np.abs(np.asarray(r.coefficient((0, i, j)), dtype=float))))
-            for r in (p, full)
-            for i, j in quad + _CUBIC_MONOMS
-        )
-        return field, res, residual_tol * initial_scale
-
-    return refine(attempt, period, nodes, max_nodes)
 
 
 def t1_curve():
@@ -415,99 +311,140 @@ def _t1_az_target(t):
     )
 
 
-def _t1_l1(curve):
-    """l1(x) chosen so that A_z(x,0,0) equals the target trig polynomial.
+def _t1_target_rows(d):
+    """A_z(x,0,0) on its target and f(x,0,0) = 1 (affine in l1, k1)."""
+    return d.partial("A", "z") - _t1_az_target(d.x), d.value("f") - 1
 
-    On the curve A = -a/c has a vanishing on it, which makes
-    A_z = -(l1 |X|^2 + l0 <Y, Z'> + k0 <Z, Z'>) / (k0 |Z|^2), affine in l1;
-    solve that relation for l1 pointwise.  A chart point evaluates l1 twice
-    on the same argument object, as a coefficient and inside k1, so the
-    second call takes the first call's result and drops it.  This assumes
-    no caller mutates an array argument in place between the two calls.
-    """
-    last = []  # [argument, value] of a call not yet reused
 
-    def l1(t):
-        if last and last[0] is t:
-            value = last[1]
-            last.clear()
-            return value
-        _, d1, d2 = curve.jet(t, 2)
-        X, Y, Z = adapted_frame(d1)
-        dX, dY, _ = adapted_frame(d2)
-        dZ = [a + b for a, b in zip(jets.cross(dX, Y), jets.cross(X, dY))]
-        k0, l0 = k0_l0(d1, d2)
-        target = _t1_az_target(t)
-        value = (-(target * k0 * jets.dot(Z, Z)) - l0 * jets.dot(Y, dZ) - k0 * jets.dot(Z, dZ)) / jets.dot(X, X)
-        last[:] = t, value
-        return value
+def _t1_triangular_rows(d):
+    """e_z(x,0,0) = 0 and e_y(x,0,0) + 2 f(x,0,0) = 0 (affine in l2, k2)."""
+    return d.partial("e", "z"), d.partial("e", "y") + 2 * d.value("f")
 
-    return l1
+
+def _flow_rows(which, monomials):
+    """Rows reading the Taylor coefficients at these (y, z) monomials of the
+    slope p or of the decoupled vertical part A + (B - B0) p."""
+
+    def rows(d):
+        p, vertical, _ = _slope_and_vertical_jets(d)
+        r = p if which == "slope" else vertical
+        return [r.coefficient((0, i, j)) for i, j in monomials]
+
+    return rows
+
+
+# stages of the t1 solve, in order: (jet order, rows of chart data, unknowns);
+# an unknown is ("coeff", name) or ("rem", row, (i, j)) for a remainder term
+_T1_ON_CURVE_STAGES = (
+    (1, _t1_target_rows, (("coeff", "l1"), ("coeff", "k1"))),
+    (1, _t1_triangular_rows, (("coeff", "l2"), ("coeff", "k2"))),
+)
+_T1_FLOW_STAGES = (
+    (2, _flow_rows("vertical", _QUADRATIC_MONOMS), tuple(("coeff", k) for k in ("kt1", "jt1", "lt1"))),
+    (2, _flow_rows("slope", _QUADRATIC_MONOMS), tuple(("coeff", k) for k in ("kt2", "jt2", "lt2"))),
+    (3, _flow_rows("vertical", _CUBIC_MONOMS), tuple(("rem", "A", mon) for mon in _CUBIC_MONOMS)),
+    (3, _flow_rows("slope", _CUBIC_MONOMS), tuple(("rem", "B", mon) for mon in _CUBIC_MONOMS)),
+)
+
+
+def _t1_solve(curve, chart, nodes, residual_tol, max_nodes):
+    """Solve the t1 stages pointwise at uniform nodes; see build_t1."""
+    period = curve.period
+    stages = _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES
+
+    def assemble(store):
+        coefficients, terms = {}, {"A": [], "B": []}
+        for slot, samples in store.items():
+            series = TrigSeries.from_samples(samples, period)
+            if slot[0] == "coeff":
+                coefficients[slot[1]] = series
+            else:
+                terms[slot[1]].append((slot[2], series))
+        remainders = {k: _PolynomialRemainder(v) for k, v in terms.items() if v}
+        return TubularField(curve, coefficients=coefficients, remainders=remainders or None)
+
+    def rows(order, fn, store, pts):
+        d = tubular.chart_data(assemble(store), chart, pts, 0.0, 0.0, order=order)
+        return np.stack([np.asarray(r, dtype=float) + np.zeros_like(pts) for r in fn(d)])
+
+    def attempt(xs, probe):
+        store = {}  # unknown -> node samples of its coefficient function
+        sens = {}  # stage -> (nodes, conditions, unknowns) sensitivities
+        one = np.ones_like(xs)
+        initial_scale = 1.0
+        # every stage is affine in its unknowns, but the large intermediate
+        # cancellations leave roundoff in a single solve; a second sweep with
+        # the same sensitivities removes it (classical iterative refinement)
+        for sweep in range(2):
+            for s, (order, fn, slots) in enumerate(stages):
+                F0 = rows(order, fn, store, xs)
+                if sweep == 0:
+                    if s >= len(_T1_ON_CURVE_STAGES):
+                        initial_scale = max(initial_scale, float(np.max(np.abs(F0))))
+                    # a unit bump of each unknown on top of the current state
+                    bumped = [rows(order, fn, {**store, slot: store.get(slot, 0) + one}, xs) for slot in slots]
+                    sens[s] = (np.stack(bumped, axis=1) - F0[:, None]).transpose(2, 0, 1)
+                    if not np.all(np.abs(np.linalg.det(sens[s])) >= 1e-10):
+                        raise ConstructError(f"t1 stage {s + 1} is degenerate: singular sensitivities at a node")
+                sol = np.linalg.solve(sens[s], -F0.T[:, :, None])[:, :, 0]
+                for k, slot in enumerate(slots):
+                    store[slot] = store.get(slot, 0) + sol[:, k]
+
+        field = assemble(store)
+        # one check of every stage at the midpoints of the build grid, so the
+        # probe resolution grows with the node count and localized residual
+        # peaks cannot hide: the on-curve rows against residual_tol, the full
+        # quadratic + cubic expansion of (dy/dx, dz/dx) against residual_tol
+        # times the largest first residual of the flow stages
+        d = tubular.chart_data(field, chart, probe, 0.0, 0.0, order=3)
+        on_curve = max(float(np.max(np.abs(r))) for _, fn, _ in _T1_ON_CURVE_STAGES for r in fn(d))
+        p, _, full = _slope_and_vertical_jets(d)
+        flow = max(
+            float(np.max(np.abs(r.coefficient((0, i, j)))))
+            for r in (p, full)
+            for i, j in _QUADRATIC_MONOMS + _CUBIC_MONOMS
+        )
+        # the residual in units of its bound
+        return field, max(on_curve / residual_tol, flow / (residual_tol * initial_scale)), 1.0
+
+    return refine(attempt, period, nodes, max_nodes)
 
 
 def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
     """The worked-example field on (sin x, cos x, sin^3 x).
 
-    k1 comes from the H = 1 parabolic-free choice; l1 from the closed-form
-    affine solve above; l2 and k2 are then chosen so that e_z(x,0,0) = 0 and
-    e_y(x,0,0) + 2 f(x,0,0) = 0, which makes the variational matrix lower
-    triangular with constant first diagonal entry 1.  Both are affine in the
-    pointwise values of (l2, k2), so they are solved by a 2x2 linear system
-    at each interpolation node and stored as trigonometric interpolants; the
-    final field is verified against off-node residuals.
+    Six stages choose its coefficient functions, each affine in its own
+    unknowns once the earlier stages are fixed:
+
+      1. (l1, k1): A_z(x,0,0) equals the target trig polynomial and
+         f(x,0,0) = 1, so the curve is parabolic-free with K = -1 on it;
+      2. (l2, k2): e_z(x,0,0) = 0 and e_y(x,0,0) + 2 f(x,0,0) = 0, which
+         makes the variational matrix lower triangular with constant first
+         diagonal entry 1;
+      3-6. the free quadratic and cubic coefficients, which enter no
+         on-curve value and no first partial of the reduced equation: the
+         quadratic part of A + (B - B0) p pins (kt1, jt1, lt1), the
+         quadratic part of the slope p then pins (kt2, jt2, lt2), and the
+         same two steps at cubic order pin the y^i z^j remainder terms of
+         the first and second rows.  This makes the flow linear to third
+         order around the curve, so the return map agrees with its
+         linearization to fourth order in the start point, which is what
+         lets the finite-difference Jacobian cross-check converge at
+         practical step sizes.
+
+    Each stage is a pointwise linear solve at uniform nodes, with the
+    sensitivities measured by unit bumps and a second sweep of iterative
+    refinement; a singular sensitivity matrix (|det| < 1e-10) at any node
+    raises ConstructError.  The node samples are interpolated
+    trigonometrically, and one residual check at the midpoints covers all
+    six stages: the on-curve rows of stages 1-2 to residual_tol absolute,
+    and the quadratic and cubic Taylor coefficients of (dy/dx, dz/dx)
+    relative to the largest first residual of stages 3-6 (the check runs
+    through the same large cancellations as the solve, so its noise floor
+    scales with that magnitude).  The node count doubles until the check
+    passes.
     """
     curve = t1_curve()
-    period = curve.period
-    l1 = _t1_l1(curve)
-    k1 = k1_function(curve, l1=l1, H=1)
-    chart = tubular.TubularChart(curve)
-
-    def attempt(xs, probe):
-        def targets(l2_const, k2_const):
-            field = TubularField(
-                curve,
-                coefficients={"k1": k1, "l1": l1, "l2": l2_const, "k2": k2_const},
-            )
-            d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=1)
-            ez = d.partial("e", "z")
-            ey2f = d.partial("e", "y") + 2 * d.value("f")
-            return np.asarray(ez), np.asarray(ey2f)
-
-        F00 = targets(0.0, 0.0)
-        F10 = targets(1.0, 0.0)
-        F01 = targets(0.0, 1.0)
-        # rows: (e_z, e_y + 2f); columns: sensitivities to (l2, k2)
-        m11 = F10[0] - F00[0]
-        m12 = F01[0] - F00[0]
-        m21 = F10[1] - F00[1]
-        m22 = F01[1] - F00[1]
-        det = m11 * m22 - m12 * m21
-        if np.any(np.abs(det) < 1e-10):
-            raise ConstructError("affine solve for (l2, k2) is degenerate")
-        l2_vals = (-F00[0] * m22 + F00[1] * m12) / det
-        k2_vals = (F00[0] * m21 - F00[1] * m11) / det
-
-        base = {
-            "k1": k1,
-            "l1": l1,
-            "l2": TrigSeries.from_samples(l2_vals, period),
-            "k2": TrigSeries.from_samples(k2_vals, period),
-            "k3": 0,
-        }
-        field = TubularField(curve, coefficients=base, name="t1")
-        # off-node residuals check both the affine model and the interpolation
-        d = tubular.chart_data(field, chart, probe, 0.0, 0.0, order=1)
-        res = max(
-            float(np.max(np.abs(d.partial("e", "z")))),
-            float(np.max(np.abs(d.partial("e", "y") + 2 * d.value("f")))),
-        )
-        return base, res, residual_tol
-
-    base = refine(attempt, period, nodes, max_nodes)
-
-    # choose the free quadratic/cubic coefficients so the flow around the
-    # curve is linear to third order (the finite-difference cross-check of
-    # the monodromy depends on this; on-curve data are unaffected)
-    field = _t1_flatten(curve, chart, base)
+    field = _t1_solve(curve, tubular.TubularChart(curve), nodes, residual_tol, max_nodes)
     field.name = "t1"
     return field

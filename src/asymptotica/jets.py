@@ -75,6 +75,9 @@ class Jet:
     """
 
     __slots__ = ("_table", "_coef")
+    # numpy defers to the reflected operators: ndarray + jet is a jet with
+    # array coefficients, not an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, nvars, order, coef=None):
         self._table = _Monomials(nvars, order)
@@ -285,7 +288,8 @@ def cross(u, v):
     )
 
 
-# -- analytic functions over float | Fraction | Jet --------------------------
+# -- analytic functions over float | Fraction | ndarray | Jet -----------------
+# (numpy for arrays, math for scalars, so scalar results stay those of math)
 
 
 def sin(x):
@@ -294,7 +298,7 @@ def sin(x):
         s, c = np.sin(a0), np.cos(a0)
         cycle = [s, c, -s, -c]
         return x.compose_univariate([cycle[k % 4] for k in range(x.order + 1)])
-    return math.sin(x)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
@@ -303,14 +307,14 @@ def cos(x):
         s, c = np.sin(a0), np.cos(a0)
         cycle = [c, -s, -c, s]
         return x.compose_univariate([cycle[k % 4] for k in range(x.order + 1)])
-    return math.cos(x)
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Jet):
         e0 = np.exp(_as_float(x.value))
         return x.compose_univariate([e0] * (x.order + 1))
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def sqrt(x):
@@ -326,6 +330,10 @@ def sqrt(x):
             coeff *= 0.5 - (k - 1)
             derivs.append(coeff * a0 ** (0.5 - k))
         return x.compose_univariate(derivs)
+    if isinstance(x, np.ndarray):
+        if np.any(x < 0):
+            raise ValueError("sqrt of a negative value")
+        return np.sqrt(x)
     if x < 0:
         raise ValueError("sqrt of a negative value")
     return math.sqrt(x)

@@ -174,11 +174,18 @@ def test_realize_t5_rejects_irrational_components():
         realize_t5(curve)
 
 
+def _off_build_grid(count):
+    """count points at midpoints of build_t1's 256-node grid, where its
+    interpolated coefficients are least accurate."""
+    return (np.arange(count) * (256 // count) + 0.5) * (2 * math.pi / 256)
+
+
 def test_t1_on_curve_flatness(t1_field, t1_chart):
-    xs = np.linspace(0, 2 * math.pi, 128, endpoint=False)
+    xs = _off_build_grid(128)
     d = tubular.chart_data(t1_field, t1_chart, xs, 0.0, 0.0, order=1)
     assert np.max(np.abs(d.partial("e", "z"))) <= 1e-8
     assert np.max(np.abs(d.partial("e", "y") + 2 * np.asarray(d.value("f")))) <= 1e-8
+    assert np.max(np.abs(np.asarray(d.value("f")) - 1)) <= 1e-9
 
 
 def test_t1_vertical_rate_at_zero(t1_field, t1_chart):
@@ -187,11 +194,24 @@ def test_t1_vertical_rate_at_zero(t1_field, t1_chart):
 
 
 def test_t1_vertical_rate_matches_target_polynomial(t1_field, t1_chart):
-    for x in np.linspace(0, 2 * math.pi, 64, endpoint=False):
+    for x in _off_build_grid(64):
         d = tubular.chart_data(t1_field, t1_chart, float(x), 0.0, 0.0, order=1)
         assert d.partial("A", "z") == pytest.approx(
             float(construct._t1_az_target(float(x))), abs=1e-9
         )
+
+
+def test_t1_degenerate_stage_raises_construct_error(monkeypatch):
+    # stage-2 rows that ignore their unknowns (l2, k2) leave a singular
+    # sensitivity matrix at every node, which must not surface as LinAlgError
+    target, (order, _, unknowns) = construct._T1_ON_CURVE_STAGES
+
+    def ignores_unknowns(d):
+        return 0 * d.x + 1.0, 0 * d.x
+
+    monkeypatch.setattr(construct, "_T1_ON_CURVE_STAGES", (target, (order, ignores_unknowns, unknowns)))
+    with pytest.raises(ConstructError, match="degenerate"):
+        construct.build_t1()
 
 
 def test_t1_curve_is_the_trig_cubic(t1_field):

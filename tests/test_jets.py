@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymptotica import jets
+from asymptotica.exprlang import DomainError, compile_function
 from asymptotica.jets import Jet
 
 
@@ -94,6 +95,30 @@ def test_array_valued_jets():
     s = jets.sin(x) * x
     assert np.allclose(jets.value_of(s), np.sin(xs) * xs)
     assert np.allclose(s.coefficient((1,)), np.sin(xs) + xs * np.cos(xs))
+
+
+def test_elementary_functions_on_plain_arrays():
+    xs = np.linspace(0.1, 2.0, 9)
+    for fn, ref in ((jets.sin, math.sin), (jets.cos, math.cos), (jets.exp, math.exp), (jets.sqrt, math.sqrt)):
+        out = fn(xs)
+        # numpy for arrays: the values of an array jet through the same function
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, fn(Jet.variable(xs, 0, 1, 2)).value)
+        assert np.allclose(out, [ref(x) for x in xs], rtol=1e-15, atol=0)
+        # math for floats, bit for bit
+        assert type(fn(0.7)) is float and fn(0.7) == ref(0.7)
+    with pytest.raises(ValueError):
+        jets.sqrt(np.array([1.0, -1e-300]))
+    with pytest.raises(DomainError):
+        compile_function("sqrt(x)", "x")(np.array([4.0, -1.0]))
+
+
+def test_numpy_arrays_defer_to_jets():
+    xs = np.linspace(0.1, 1.0, 5)
+    j = jets.sin(Jet.variable(0.3 * xs, 0, 1, 2))
+    for left, right in ((xs + j, j + xs), (xs * j, j * xs)):
+        assert type(left) is Jet
+        assert all(np.array_equal(left.coefficient((k,)), right.coefficient((k,))) for k in range(3))
 
 
 def test_seed_mixed_scalars():

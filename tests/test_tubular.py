@@ -55,10 +55,10 @@ def _curve_evaluations(monkeypatch, field, chart):
 
 def test_chart_data_evaluates_each_curve_jet_once(monkeypatch, t1_field, t1_chart):
     # one Taylor evaluation per component for each derivative stack a chart
-    # point needs: the chart itself, then for t1 the frame with k0, l0 and
-    # the coefficients k1 and l1 (k1 reads l1's value, computed once)
+    # point needs: the chart itself, then the field's frame with k0, l0;
+    # t1's coefficients are trigonometric interpolants that read no curve
     assert _curve_evaluations(monkeypatch, circle_example_field(), circle_chart()) <= 6
-    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 12
+    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 6
 
 
 def test_inside_uses_radius():
