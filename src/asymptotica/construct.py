@@ -18,8 +18,9 @@ y, z, y^2/2, yz, z^2/2 on each frame direction.  The module provides:
     nodes: (l1, k1) so that A_z meets its target and f = 1 on the curve,
     then (l2, k2) so that e_z = 0 and e_y + 2f = 0, then four stages of
     quadratic and cubic coefficients that make the flow linear to third
-    order.  The node samples are interpolated trigonometrically, and one
-    off-node residual check covers all six stages.
+    order.  The node samples of all 18 coefficient slots are interpolated
+    trigonometrically as one vector series, and one off-node residual
+    check covers all six stages.
 """
 
 from __future__ import annotations
@@ -105,18 +106,54 @@ def _k1_num_den(d1, d2, d3, l1, H):
     return num, den
 
 
+# the chart monomial y^i z^j that each named coefficient multiplies on its row
+_NAMED_MONOMIALS = {"k": (1, 0), "l": (0, 1), "kt": (2, 0), "jt": (1, 1), "lt": (0, 2)}
+_SLOTS = {f"{prefix}{row}": (row, i, j) for prefix, (i, j) in _NAMED_MONOMIALS.items() for row in (1, 2, 3)}
+# the displayed weights w of y^i z^j / w; every other slot has w = 1.  The z^2
+# coefficient on the Z row is displayed with weight 1/3 rather than 1/2; it
+# is a free higher-order coefficient either way, and the displayed weight is
+# kept (see docs).
+_WEIGHTS = {(1, 2, 0): 2, (2, 2, 0): 2, (3, 2, 0): 2, (1, 0, 2): 2, (2, 0, 2): 2, (3, 0, 2): 3}
+
+
+def _is_slot(slot):
+    return isinstance(slot, tuple) and len(slot) == 3 and slot[0] in (1, 2, 3) and min(slot[1:]) >= 0 < sum(slot[1:])
+
+
 class TubularField:
-    """A plane field given by coefficient functions in the tubular chart."""
+    """A plane field given by coefficient functions in the tubular chart.
+
+    xi = l0 Y + k0 Z + PX X + PY Y + PZ Z in the adapted frame of the curve.
+    Each factor P is a sum of coefficient functions of x times chart
+    monomials y^i z^j / w, plus an optional remainder expression of
+    (x, y, z).  A coefficient slot (row, i, j) names one such term, row 1,
+    2, 3 for X, Y, Z.  The named coefficients (COEFFICIENT_NAMES) are the
+    slots of degree one and two, with w = 2 on y^2 and z^2 (3 on the Z
+    row's z^2) and w = 1 otherwise.
+
+    coefficients maps a name to its function of x (an expression string, a
+    number or a callable), or a tuple of slots to one callable whose value
+    at x is the sequence of their coefficients (the columns of a vector
+    TrigSeries, evaluated once per point).  The field is evaluated in the
+    chart of its own curve.
+    """
 
     def __init__(self, curve, coefficients=None, remainders=None, name=None):
         self.curve = curve
         self.coefficients = {}
+        self._groups = []  # (slots, callable of x returning their coefficients)
         for key, spec in (coefficients or {}).items():
-            if key not in COEFFICIENT_NAMES:
+            if key in _SLOTS:
+                fn = _as_fn(spec)
+                if fn is None:
+                    continue
+                self._groups.append(((_SLOTS[key],), lambda t, fn=fn: (fn(t),)))
+            elif isinstance(key, tuple) and key and all(map(_is_slot, key)) and callable(spec):
+                fn = spec
+                self._groups.append((key, spec))
+            else:
                 raise ConstructError(f"unknown coefficient {key!r}")
-            fn = _as_fn(spec)
-            if fn is not None:
-                self.coefficients[key] = fn
+            self.coefficients[key] = fn
         self.remainders = {}
         for key, spec in (remainders or {}).items():
             if key not in REMAINDER_NAMES:
@@ -130,39 +167,41 @@ class TubularField:
 
     def xi_frame_polynomials(self, xj, yj, zj):
         """The three scalar factors multiplying X, Y, Z beyond l0 Y + k0 Z."""
+        monomials = {}  # y^i z^j / w of this point, built once each
+        terms = ([], [], [])
+        for slots, fn in self._groups:
+            for slot, c in zip(slots, fn(xj)):
+                row, i, j = slot
+                w = _WEIGHTS.get(slot, 1)
+                m = monomials.get((i, j, w))
+                if m is None:
+                    m = yj ** i * zj ** j if i and j else yj ** i if i else zj ** j
+                    m = monomials[(i, j, w)] = m / w if w != 1 else m
+                terms[row - 1].append(m * c)
         out = []
-        for row, rem_name in ((1, "A"), (2, "B"), (3, "C")):
-            acc = 0
-            for key, monom in (
-                (f"k{row}", yj),
-                (f"l{row}", zj),
-                (f"kt{row}", yj * yj / 2 if f"kt{row}" in self.coefficients else None),
-                (f"jt{row}", yj * zj if f"jt{row}" in self.coefficients else None),
-                # the z^2 coefficient on the Z row is displayed with weight 1/3
-                # rather than 1/2; it is a free higher-order coefficient either
-                # way, and the displayed weight is kept (see docs).
-                (f"lt{row}", (zj * zj / 3 if row == 3 else zj * zj / 2) if f"lt{row}" in self.coefficients else None),
-            ):
-                fn = self.coefficients.get(key)
-                if fn is not None:
-                    acc = acc + monom * fn(xj)
+        for row, rem_name in enumerate(REMAINDER_NAMES):
             rem = self.remainders.get(rem_name)
             if rem is not None:
-                acc = acc + rem(xj, yj, zj)
-            out.append(acc)
+                terms[row].append(rem(xj, yj, zj))
+            out.append(sum(terms[row][1:], terms[row][0]) if terms[row] else 0)
         return tuple(out)
 
-    def chart_components(self, chart, xj, yj, zj):
-        _, d1, d2 = self.curve.jet(xj, 2)
-        X, Y, Z = adapted_frame(d1)
+    def chart_components(self, point):
+        """Components of xi at a tubular.ChartPoint of the field's curve."""
+        _, d1, d2 = point.derivs
+        X, Y, Z = point.frame
         k0, l0 = k0_l0(d1, d2)
-        PX, PY, PZ = self.xi_frame_polynomials(xj, yj, zj)
-        return tuple(
-            l0 * Y[i] + k0 * Z[i] + PX * X[i] + PY * Y[i] + PZ * Z[i] for i in range(3)
+        PX, PY, PZ = self.xi_frame_polynomials(point.x, point.y, point.z)
+        cy, cz = l0 + PY, k0 + PZ
+        # Y = (gamma2', -gamma1', 0) has no third component
+        return (
+            PX * X[0] + cy * Y[0] + cz * Z[0],
+            PX * X[1] + cy * Y[1] + cz * Z[1],
+            PX * X[2] + cz * Z[2],
         )
 
     def __repr__(self):
-        keys = sorted(self.coefficients)
+        keys = sorted(map(str, self.coefficients))
         return f"TubularField({self.name or 'anonymous'}, coefficients={keys})"
 
 
@@ -268,20 +307,6 @@ _QUADRATIC_MONOMS = ((2, 0), (1, 1), (0, 2))
 _CUBIC_MONOMS = ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
-class _PolynomialRemainder:
-    """Sum of coefficient-function * y^i z^j monomials for one frame row."""
-
-    def __init__(self, terms):
-        # terms: list of ((i, j), coefficient function of x)
-        self.terms = terms
-
-    def __call__(self, x, y, z):
-        acc = 0
-        for (i, j), fn in self.terms:
-            acc = acc + fn(x) * y ** i * z ** j
-        return acc
-
-
 def _slope_and_vertical_jets(d):
     """Jets of the flow data along the curve, from chart data d at y = z = 0:
     the slope branch p through 0 (division-stable root of g p^2 + 2 f p + e
@@ -334,16 +359,16 @@ def _flow_rows(which, monomials):
 
 
 # stages of the t1 solve, in order: (jet order, rows of chart data, unknowns);
-# an unknown is ("coeff", name) or ("rem", row, (i, j)) for a remainder term
+# an unknown is a coefficient slot (row, i, j) of TubularField
 _T1_ON_CURVE_STAGES = (
-    (1, _t1_target_rows, (("coeff", "l1"), ("coeff", "k1"))),
-    (1, _t1_triangular_rows, (("coeff", "l2"), ("coeff", "k2"))),
+    (1, _t1_target_rows, (_SLOTS["l1"], _SLOTS["k1"])),
+    (1, _t1_triangular_rows, (_SLOTS["l2"], _SLOTS["k2"])),
 )
 _T1_FLOW_STAGES = (
-    (2, _flow_rows("vertical", _QUADRATIC_MONOMS), tuple(("coeff", k) for k in ("kt1", "jt1", "lt1"))),
-    (2, _flow_rows("slope", _QUADRATIC_MONOMS), tuple(("coeff", k) for k in ("kt2", "jt2", "lt2"))),
-    (3, _flow_rows("vertical", _CUBIC_MONOMS), tuple(("rem", "A", mon) for mon in _CUBIC_MONOMS)),
-    (3, _flow_rows("slope", _CUBIC_MONOMS), tuple(("rem", "B", mon) for mon in _CUBIC_MONOMS)),
+    (2, _flow_rows("vertical", _QUADRATIC_MONOMS), tuple(_SLOTS[k] for k in ("kt1", "jt1", "lt1"))),
+    (2, _flow_rows("slope", _QUADRATIC_MONOMS), tuple(_SLOTS[k] for k in ("kt2", "jt2", "lt2"))),
+    (3, _flow_rows("vertical", _CUBIC_MONOMS), tuple((1, i, j) for i, j in _CUBIC_MONOMS)),
+    (3, _flow_rows("slope", _CUBIC_MONOMS), tuple((2, i, j) for i, j in _CUBIC_MONOMS)),
 )
 
 
@@ -351,24 +376,22 @@ def _t1_solve(curve, chart, nodes, residual_tol, max_nodes):
     """Solve the t1 stages pointwise at uniform nodes; see build_t1."""
     period = curve.period
     stages = _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES
+    unknowns = [slot for _, _, slots in stages for slot in slots]
 
     def assemble(store):
-        coefficients, terms = {}, {"A": [], "B": []}
-        for slot, samples in store.items():
-            series = TrigSeries.from_samples(samples, period)
-            if slot[0] == "coeff":
-                coefficients[slot[1]] = series
-            else:
-                terms[slot[1]].append((slot[2], series))
-        remainders = {k: _PolynomialRemainder(v) for k, v in terms.items() if v}
-        return TubularField(curve, coefficients=coefficients, remainders=remainders or None)
+        # every solved slot is a column of one vector series on the node grid
+        slots = tuple(slot for slot in unknowns if slot in store)
+        if not slots:
+            return TubularField(curve)
+        series = TrigSeries.from_samples(np.stack([store[slot] for slot in slots], axis=1), period)
+        return TubularField(curve, coefficients={slots: series.columns})
 
     def rows(order, fn, store, pts):
         d = tubular.chart_data(assemble(store), chart, pts, 0.0, 0.0, order=order)
         return np.stack([np.asarray(r, dtype=float) + np.zeros_like(pts) for r in fn(d)])
 
     def attempt(xs, probe):
-        store = {}  # unknown -> node samples of its coefficient function
+        store = {}  # slot -> node samples of its coefficient function
         sens = {}  # stage -> (nodes, conditions, unknowns) sensitivities
         one = np.ones_like(xs)
         initial_scale = 1.0
@@ -425,7 +448,7 @@ def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
          on-curve value and no first partial of the reduced equation: the
          quadratic part of A + (B - B0) p pins (kt1, jt1, lt1), the
          quadratic part of the slope p then pins (kt2, jt2, lt2), and the
-         same two steps at cubic order pin the y^i z^j remainder terms of
+         same two steps at cubic order pin the y^i z^j coefficient slots of
          the first and second rows.  This makes the flow linear to third
          order around the curve, so the return map agrees with its
          linearization to fourth order in the start point, which is what
@@ -436,13 +459,13 @@ def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
     sensitivities measured by unit bumps and a second sweep of iterative
     refinement; a singular sensitivity matrix (|det| < 1e-10) at any node
     raises ConstructError.  The node samples are interpolated
-    trigonometrically, and one residual check at the midpoints covers all
-    six stages: the on-curve rows of stages 1-2 to residual_tol absolute,
-    and the quadratic and cubic Taylor coefficients of (dy/dx, dz/dx)
-    relative to the largest first residual of stages 3-6 (the check runs
-    through the same large cancellations as the solve, so its noise floor
-    scales with that magnitude).  The node count doubles until the check
-    passes.
+    trigonometrically as one vector series, and one residual check at the
+    midpoints covers all six stages: the on-curve rows of stages 1-2 to
+    residual_tol absolute, and the quadratic and cubic Taylor coefficients
+    of (dy/dx, dz/dx) relative to the largest first residual of stages 3-6
+    (the check runs through the same large cancellations as the solve, so
+    its noise floor scales with that magnitude).  The node count doubles
+    until the check passes.
     """
     curve = t1_curve()
     field = _t1_solve(curve, tubular.TubularChart(curve), nodes, residual_tol, max_nodes)

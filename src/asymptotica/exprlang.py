@@ -1,10 +1,11 @@
 """A small expression language for user-supplied scalar functions.
 
 Curve components and coefficient functions are written as strings such as
-``"sin(x)^3"`` or ``"2 + sin(x)"``.  Parsing produces an immutable AST;
-evaluation is generic over the scalar ring, so the same expression yields
-plain values over floats, exact values over rationals, and derivatives of
-any order over jets.
+``"sin(x)^3"`` or ``"2 + sin(x)"``.  Parsing produces an immutable AST, and
+compile_expr turns a tree into nested closures once, so repeated evaluation
+never walks the tree again.  Evaluation is generic over the scalar ring, so
+the same expression yields plain values over floats, exact values over
+rationals, and derivatives of any order over jets.
 
 Grammar notes:
   * ``^`` is right-associative and binds tighter than unary minus, so
@@ -14,10 +15,16 @@ Grammar notes:
   * numeric literals are exact rationals; at evaluation they stay exact when
     no variable is bound or any bound value is exact (an int, a Fraction or
     a jet over one), and otherwise become ints (integer literals) or floats.
+    A compiled expression holds its literals converted both ways and makes
+    this choice once per call.
+  * a variable that is not bound is an UnboundVariable error when the
+    expression is compiled, before any evaluation.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -296,55 +303,83 @@ def to_source(expr: Expr) -> str:
 _FUNC_IMPL = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
 
 
+def compile_expr(expr: Expr, variables: Tuple[str, ...]):
+    """expr as a callable of the values of variables, in that order.
+
+    The tree is walked once, here, into nested closures: one set whose
+    literals are exact and one whose literals are ints or floats (see the
+    literal rule in the module docstring).  Each call picks the set once,
+    from its arguments.  A variable of expr that is not among variables
+    raises UnboundVariable here, not at the call.
+    """
+    for name in free_variables(expr):
+        if name not in variables:
+            raise UnboundVariable(f"unbound variable {name!r}")
+    index = {name: i for i, name in enumerate(variables)}
+    exact, inexact = _closure(expr, index, True), _closure(expr, index, False)
+
+    def fn(*args):
+        # literals stay exact with no arguments or any exact one (an int, a
+        # Fraction or a jet over one); otherwise float and array arithmetic
+        # never meets a Fraction (which would make numpy object arrays)
+        if not args or any(_is_exact(v) for v in args):
+            return exact(args)
+        return inexact(args)
+
+    return fn
+
+
+def _closure(node, index, exact):
+    """node as a function of the argument tuple, literals exact or not."""
+    if isinstance(node, Num):
+        v = node.value
+        value = v if exact else int(v) if v.denominator == 1 else float(v)
+        return lambda args: value
+    if isinstance(node, Var):
+        return operator.itemgetter(index[node.name])
+    if isinstance(node, Pi):
+        return lambda args: math.pi
+    if isinstance(node, Neg):
+        arg = _closure(node.arg, index, exact)
+        return lambda args: -arg(args)
+    if isinstance(node, Pow):
+        base, n = _closure(node.base, index, exact), node.exponent
+        return lambda args: base(args) ** n
+    if isinstance(node, Call):
+        arg, impl = _closure(node.arg, index, exact), _FUNC_IMPL[node.func]
+
+        def call(args):
+            a = arg(args)
+            try:
+                return impl(a)
+            except ValueError as exc:
+                raise DomainError(str(exc)) from None
+
+        return call
+    if isinstance(node, BinOp):
+        left, right = _closure(node.left, index, exact), _closure(node.right, index, exact)
+        if node.op == "+":
+            return lambda args: left(args) + right(args)
+        if node.op == "-":
+            return lambda args: left(args) - right(args)
+        if node.op == "*":
+            return lambda args: left(args) * right(args)
+
+        def divide(args):
+            a, b = left(args), right(args)
+            try:
+                return a / b
+            except ZeroDivisionError:
+                raise DomainError("division by zero") from None
+
+        return divide
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def evaluate(expr: Expr, bindings: Dict[str, object]):
-    """Evaluate over whatever scalar ring the bindings live in."""
-    if isinstance(expr, Num):
-        return _convert_literal(expr.value, bindings)
-    if isinstance(expr, Var):
-        try:
-            return bindings[expr.name]
-        except KeyError:
-            raise UnboundVariable(f"unbound variable {expr.name!r}") from None
-    if isinstance(expr, Pi):
-        import math
-
-        return math.pi
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, bindings)
-    if isinstance(expr, Pow):
-        return evaluate(expr.base, bindings) ** expr.exponent
-    if isinstance(expr, Call):
-        arg = evaluate(expr.arg, bindings)
-        try:
-            return _FUNC_IMPL[expr.func](arg)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
-    if isinstance(expr, BinOp):
-        left = evaluate(expr.left, bindings)
-        right = evaluate(expr.right, bindings)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        try:
-            return left / right
-        except ZeroDivisionError:
-            raise DomainError("division by zero") from None
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def _convert_literal(value: Fraction, bindings):
-    """Keep literals exact when there are no bindings or any binding is exact
-    (an int, a Fraction or a jet over one); otherwise integer literals become
-    ints and the others floats, so float and array arithmetic never meets a
-    Fraction (which would turn numpy arrays into object arrays)."""
-    if not bindings or any(_is_exact(v) for v in bindings.values()):
-        return value
-    if value.denominator == 1:
-        return int(value)
-    return float(value)
+    """Evaluate over whatever scalar ring the bindings live in (compiles expr
+    for this one call; compile_expr once for repeated evaluation)."""
+    return compile_expr(expr, tuple(bindings))(*bindings.values())
 
 
 def _is_exact(v):
@@ -374,15 +409,9 @@ def free_variables(expr: Expr) -> Tuple[str, ...]:
 
 
 def compile_function(source: str, *variables: str):
-    """Parse once, returning a plain callable over the named variables."""
+    """Parse and compile once, returning a plain callable over the named variables."""
     expr = parse(source)
-    extra = set(free_variables(expr)) - set(variables)
-    if extra:
-        raise ExprError(f"expression uses unexpected variable(s): {sorted(extra)}")
-
-    def fn(*args):
-        return evaluate(expr, dict(zip(variables, args)))
-
+    fn = compile_expr(expr, variables)
     fn.expr = expr
     fn.source = source
     return fn

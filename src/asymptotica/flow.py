@@ -161,7 +161,7 @@ class ChartSpectralCache:
 
 # Dormand-Prince 4(5) tableau
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(map(np.array, (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -169,9 +169,9 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+)))
+_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
+_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
 
 
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
@@ -207,17 +207,23 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
         f0 = rhs(x, y)
+        # the stage slopes of one step, and the weights shaped to broadcast
+        # over their stage axis: a stage sum is one reduction over that axis,
+        # accumulated in stage order like a running sum
+        ks = np.empty((7,) + y.shape)
+        axes = (slice(None),) + (None,) * y.ndim
+        a_rows, b5, b4 = [a[axes] for a in _DP_A], _DP_B5[axes], _DP_B4[axes]
         while direction * (x1 - x) > 1e-15 * max(1.0, abs(x1)):
             h = min(h, abs(x1 - x))
             if h < min_step:
                 raise _Stop("singular", f"step size underflow at x = {x}")
             try:
-                ks = [f0]
+                ks[0] = f0
                 for i in range(1, 7):
-                    yi = y + direction * h * sum(a * k for a, k in zip(_DP_A[i], ks))
-                    ks.append(rhs(x + direction * h * _DP_C[i], yi))
-                y5 = y + direction * h * sum(b * k for b, k in zip(_DP_B5, ks))
-                y4 = y + direction * h * sum(b * k for b, k in zip(_DP_B4, ks))
+                    yi = y + direction * h * (a_rows[i] * ks[:i]).sum(axis=0)
+                    ks[i] = rhs(x + direction * h * _DP_C[i], yi)
+                y5 = y + direction * h * (b5 * ks).sum(axis=0)
+                y4 = y + direction * h * (b4 * ks).sum(axis=0)
             except _Stop:
                 if h <= 4 * min_step:
                     raise
@@ -229,7 +235,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
             if err <= 1.0:
                 x = x + direction * h
                 y = y5
-                f0 = ks[6]  # FSAL
+                f0 = ks[6].copy()  # FSAL; ks is overwritten by the next step
                 stats["steps"] += 1
                 stats["min_step"] = min(stats["min_step"], h)
                 if on_accept is not None:

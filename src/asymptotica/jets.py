@@ -132,6 +132,15 @@ class Jet:
         """This jet minus its value (the part that vanishes at the expansion point)."""
         return _jet(self._table, {i: c for i, c in self._coef.items() if i})
 
+    def unstack(self):
+        """The jets of the entries along the last axis of vector coefficients.
+
+        A jet whose coefficients have shape s + (m,) gives m jets whose
+        coefficients have shape s (Python floats when s is empty).
+        """
+        cols = [(i, c.tolist() if c.ndim == 1 else list(np.moveaxis(c, -1, 0))) for i, c in self._coef.items()]
+        return [_jet(self._table, {i: col[k] for i, col in cols}) for k in range(len(cols[0][1]))]
+
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):

@@ -23,12 +23,12 @@ class AmbientField:
             raise FieldError("an ambient field needs exactly three components")
         self.sources = tuple(str(s) for s in sources)
         self.exprs = tuple(parse(s) for s in self.sources)
+        self._fns = tuple(exprlang.compile_expr(e, ("x", "y", "z")) for e in self.exprs)
         self.name = name
 
     def components(self, x, y, z):
         """Evaluate the three components over whatever ring the inputs live in."""
-        bindings = {"x": x, "y": y, "z": z}
-        return tuple(exprlang.evaluate(e, bindings) for e in self.exprs)
+        return tuple(fn(x, y, z) for fn in self._fns)
 
     def evaluate(self, p):
         v = np.array([float(c) for c in self.components(*p)], dtype=float)
@@ -47,10 +47,9 @@ class AmbientField:
                 J[i, 2] = c.deriv(0, 0, 1)
         return J
 
-    def chart_components(self, chart, xj, yj, zj):
-        """Components of xi at the chart point alpha(x, y, z) (used by tubular)."""
-        ax, ay, az = chart.alpha(xj, yj, zj)
-        return self.components(ax, ay, az)
+    def chart_components(self, point):
+        """Components of xi at a tubular.ChartPoint, from its alpha (used by tubular)."""
+        return self.components(*point.alpha)
 
     def __repr__(self):
         return f"AmbientField({list(self.sources)!r})"
@@ -93,12 +92,13 @@ def gauge_scale(field, phi_source, probe_region=None, probes=10):
     ((lo, hi) per axis; defaults to [-1, 1]^3).
     """
     phi = parse(str(phi_source))
+    phi_fn = exprlang.compile_expr(phi, ("x", "y", "z"))
     region = probe_region if probe_region is not None else ((-1, 1), (-1, 1), (-1, 1))
     axes = [np.linspace(lo, hi, probes) for lo, hi in region]
     for x in axes[0]:
         for y in axes[1]:
             for z in axes[2]:
-                v = exprlang.evaluate(phi, {"x": float(x), "y": float(y), "z": float(z)})
+                v = phi_fn(float(x), float(y), float(z))
                 if v == 0:
                     raise FieldError(f"gauge function vanishes at ({x}, {y}, {z})")
     scaled = [to_source(BinOp("*", phi, e)) for e in field.exprs]

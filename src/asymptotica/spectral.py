@@ -6,8 +6,9 @@ samples of shape (N, m) give m series that share nodes and are evaluated
 together.  For trigonometric polynomials of degree < N/2 the interpolant is
 exact; for other analytic periodic functions the node count is doubled until
 an off-node residual check passes (refine), so the error is spectrally small.
-Scalar series evaluate on floats, numpy arrays, and jets (through univariate
-Taylor recomposition).
+Series evaluate on floats, numpy arrays, and jets (through univariate
+Taylor recomposition); columns splits the value of a vector series into its
+m series.
 """
 
 from __future__ import annotations
@@ -131,3 +132,16 @@ class TrigSeries:
             series = series.derivative()
             derivs.append(series._apply(table))
         return x.compose_univariate(derivs)
+
+    def columns(self, x):
+        """The m series of a vector series at x, as a list of m values.
+
+        One evaluation serves every series: one harmonic table, one
+        derivative stack and, at a jet x, one composition, whose vector
+        coefficients are then split.  At a float x the values are floats, at
+        an array x arrays of its shape, at a jet x jets.
+        """
+        v = self(x)
+        if isinstance(v, jets.Jet):
+            return v.unstack()
+        return v.tolist() if v.ndim == 1 else list(np.moveaxis(v, -1, 0))

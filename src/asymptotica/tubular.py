@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .curves import adapted_frame
 from .jets import value_of
 
 
@@ -37,6 +38,24 @@ class PointClass(enum.Enum):
         return self.value
 
 
+@dataclass(frozen=True)
+class ChartPoint:
+    """One expansion of the core curve at a chart point (x, y, z).
+
+    derivs are the derivative vectors (gamma, gamma', gamma'') at x, frame
+    the adapted frame (X, Y, Z) built from gamma', and alpha the ambient
+    point gamma + y Y + z Z.  Fields read their components from it, so a
+    chart point expands the curve once.
+    """
+
+    x: object
+    y: object
+    z: object
+    derivs: list
+    frame: tuple
+    alpha: tuple
+
+
 class TubularChart:
     """alpha(x, y, z) = gamma(x) + y Y(x) + z Z(x) around the core curve."""
 
@@ -44,9 +63,16 @@ class TubularChart:
         self.curve = curve
         self.radius = float(radius)
 
+    def expand(self, x, y, z):
+        """The ChartPoint at (x, y, z), from one curve expansion to second order."""
+        derivs = self.curve.jet(x, 2)
+        frame = adapted_frame(derivs[1])
+        _, Y, Z = frame
+        alpha = tuple(derivs[0][i] + y * Y[i] + z * Z[i] for i in range(3))
+        return ChartPoint(x, y, z, derivs, frame, alpha)
+
     def alpha(self, x, y, z):
-        g, X, Y, Z = self.curve.frame_vectors(x)
-        return tuple(g[i] + y * Y[i] + z * Z[i] for i in range(3))
+        return self.expand(x, y, z).alpha
 
     def point(self, x, y, z):
         return np.array([float(value_of(c)) for c in self.alpha(x, y, z)])
@@ -108,10 +134,9 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
     arrays (broadcast evaluation at many points at once).
     """
     q = order + 1
-    xj, yj, zj = jets.seed((x, y, z), q)
-    xi = field.chart_components(chart, xj, yj, zj)
-    alpha = chart.alpha(xj, yj, zj)
-    d_alpha = [_partial_vec(alpha, i) for i in range(3)]
+    point = chart.expand(*jets.seed((x, y, z), q))
+    xi = field.chart_components(point)
+    d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]
     xi_t = [_truncate(cmp, order) for cmp in xi]
 
@@ -154,18 +179,14 @@ def reduced_coefficients(A, B, L):
     return e, f, g
 
 
-def reduce(field, chart, x, y, z):
-    d = chart_data(field, chart, x, y, z, order=0)
-    return d.value("e"), d.value("f"), d.value("g")
-
-
 def gaussian_curvature(field, chart, x, y, z):
     return chart_data(field, chart, x, y, z, order=0).K
 
 
 def classify(field, chart, point, tol=1e-8):
     """Sign classification of eg - f^2, scale-free, with a Parabolic band."""
-    e, f, g = reduce(field, chart, *point)
+    d = chart_data(field, chart, *point)
+    e, f, g = d.value("e"), d.value("f"), d.value("g")
     scale = max(abs(e), abs(f), abs(g), 1.0)
     if max(abs(e), abs(f), abs(g)) <= tol * scale:
         return PointClass.FULLY_DEGENERATE

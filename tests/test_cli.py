@@ -148,6 +148,10 @@ def test_integrate_bad_start_is_usage_error(capsys):
         (["classify", "--field", "circle-example", "--samples", "2", "--output", "/nonexistent/x.csv"], 2),
         (["classify", "--field", "circle-example", "--offset", "nan", "--format", "json"], 2),
         (["integrate", "--field", "circle-example", "--to", "0.1", "--svg", "/nonexistent/x.svg"], 2),
+        # an unbound variable is found when the field compiles, a zero
+        # division when it is evaluated
+        (["classify", "--field", json.dumps({"xi": ["u", "1", "0"]}), "--samples", "2"], 2),
+        (["classify", "--field", json.dumps({"xi": ["1/(x-x)", "1", "0"]}), "--samples", "2"], 3),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):

@@ -67,7 +67,7 @@ def test_bare_field_restricts_to_forced_frame_combination():
     for x in (0.0, 0.9, 3.3):
         _, X, Y, Z = c.frame_vectors(x)
         k0, l0 = k0_l0(*c.jet(x, 2)[1:])
-        xi = field.chart_components(tubular.TubularChart(c), x, 0.0, 0.0)
+        xi = field.chart_components(tubular.TubularChart(c).expand(x, 0.0, 0.0))
         expect = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
         assert [float(v) for v in xi] == pytest.approx(expect, abs=1e-12)
 
@@ -86,7 +86,7 @@ def test_asymptotic_line_conditions(seeds):
     field = build_field(c, coefficients=coeffs)
     chart = tubular.TubularChart(c)
     for x in np.linspace(0, 2 * math.pi, 256, endpoint=False):
-        xi = [float(v) for v in field.chart_components(chart, float(x), 0.0, 0.0)]
+        xi = [float(v) for v in field.chart_components(chart.expand(float(x), 0.0, 0.0))]
         d1 = [c.component(i, float(x), 1) for i in range(3)]
         d2 = [c.component(i, float(x), 2) for i in range(3)]
         assert abs(sum(a * b for a, b in zip(xi, d1))) <= 1e-10
@@ -99,7 +99,8 @@ def test_lac_field_on_curve_identities():
     field = build_lac(c, H="2 + sin(x)", l1="cos(x)")
     for x in np.linspace(0, 2 * math.pi, 64, endpoint=False):
         H = 2.0 + math.sin(float(x))
-        e, f, g = tubular.reduce(field, chart, float(x), 0.0, 0.0)
+        d = tubular.chart_data(field, chart, float(x), 0.0, 0.0)
+        e, f, g = d.value("e"), d.value("f"), d.value("g")
         assert abs(e) <= 1e-9
         assert f == pytest.approx(H, abs=1e-9)
         K = e * g - f * f
@@ -116,7 +117,8 @@ def test_perturbed_k1_breaks_f_identity():
     chart = tubular.TubularChart(c)
     devs = []
     for x in np.linspace(0.1, 6.0, 16):
-        e, f, _ = tubular.reduce(field, chart, float(x), 0.0, 0.0)
+        d = tubular.chart_data(field, chart, float(x), 0.0, 0.0)
+        e, f = d.value("e"), d.value("f")
         assert abs(e) <= 1e-10
         devs.append(abs(f - 1.0))
     assert max(devs) > 0.4

@@ -131,7 +131,8 @@ def test_elliptic_start_raises():
     curve = Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True)
     chart = tubular.TubularChart(curve)
     field = AmbientField(("y", "-x", "1 + 0*x"))
-    e, f, g = tubular.reduce(field, chart, 0.3, 0.01, 0.01)
+    d = tubular.chart_data(field, chart, 0.3, 0.01, 0.01)
+    e, f, g = d.value("e"), d.value("f"), d.value("g")
     if e * g - f * f > 0:
         with pytest.raises(EllipticStop):
             integrate_asymptotic(field, chart, (0.3, 0.01, 0.01), 1.0)

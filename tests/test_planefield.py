@@ -125,11 +125,13 @@ def test_gauge_minus_one_keeps_asymptotic_slopes():
     while checked < 50:
         x = float(rng.uniform(0, 2 * math.pi))
         y, z = rng.uniform(-0.05, 0.05, 2)
-        e, f, g = tubular.reduce(field, chart, x, y, z)
+        d = tubular.chart_data(field, chart, x, y, z)
+        e, f, g = d.value("e"), d.value("f"), d.value("g")
         s1, _ = flow.branch_slopes(e, f, g)
         if len(s1) != 2:
             continue
-        e2, f2, g2 = tubular.reduce(flipped, chart, x, y, z)
+        d2 = tubular.chart_data(flipped, chart, x, y, z)
+        e2, f2, g2 = d2.value("e"), d2.value("f"), d2.value("g")
         s2, _ = flow.branch_slopes(e2, f2, g2)
         assert sorted(s2) == pytest.approx(sorted(s1), abs=1e-9)
         checked += 1

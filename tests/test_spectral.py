@@ -139,3 +139,19 @@ def test_fit_reuses_node_and_midpoint_samples():
     direct = TrigSeries.from_samples(np.exp(np.sin(xs)), 2 * math.pi)
     assert np.array_equal(s.cos_coeffs, direct.cos_coeffs)
     assert np.array_equal(s.sin_coeffs, direct.sin_coeffs)
+
+
+def test_columns_split_one_evaluation_into_its_series():
+    v = TrigSeries.fit(lambda x: np.stack([np.exp(np.sin(x)), np.cos(3 * x)], axis=1), 2 * math.pi)
+    assert v.columns(0.7) == v(0.7).tolist()
+    assert all(type(c) is float for c in v.columns(0.7))
+    xs = np.linspace(0.1, 6.0, 7)
+    assert all(np.array_equal(c, v(xs)[:, k]) for k, c in enumerate(v.columns(xs)))
+    for value in (0.7, xs):
+        x = jets.seed((value, 0.01, -0.02), 2)[0]
+        whole = v(x)
+        for k, column in enumerate(v.columns(x)):
+            scalar = TrigSeries(v.cos_coeffs[:, k], v.sin_coeffs[:, k], v.period)(x)
+            for e in ((0, 0, 0), (1, 0, 0), (2, 0, 0)):
+                assert np.array_equal(column.coefficient(e), np.asarray(whole.coefficient(e))[..., k])
+                assert np.allclose(column.coefficient(e), scalar.coefficient(e), rtol=1e-14, atol=1e-14)

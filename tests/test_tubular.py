@@ -6,6 +6,7 @@ import pytest
 from asymptotica import tubular
 from asymptotica.curves import Curve
 from asymptotica.planefield import AmbientField, circle_example_field
+from asymptotica.spectral import TrigSeries
 from asymptotica.tubular import (
     PointClass,
     ReductionSingular,
@@ -54,11 +55,23 @@ def _curve_evaluations(monkeypatch, field, chart):
 
 
 def test_chart_data_evaluates_each_curve_jet_once(monkeypatch, t1_field, t1_chart):
-    # one Taylor evaluation per component for each derivative stack a chart
-    # point needs: the chart itself, then the field's frame with k0, l0;
+    # one Taylor evaluation per component: the chart expands the curve once,
+    # and the field reads alpha, the frame and k0, l0 from that expansion;
     # t1's coefficients are trigonometric interpolants that read no curve
-    assert _curve_evaluations(monkeypatch, circle_example_field(), circle_chart()) <= 6
-    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 6
+    assert _curve_evaluations(monkeypatch, circle_example_field(), circle_chart()) <= 3
+    assert _curve_evaluations(monkeypatch, t1_field, t1_chart) <= 3
+
+
+def test_t1_chart_point_builds_one_trig_table(monkeypatch, t1_field, t1_chart):
+    # every t1 coefficient is a column of one vector series: one harmonic
+    # table per chart_data call, for one point and for many
+    calls = []
+    table = TrigSeries._table
+    monkeypatch.setattr(TrigSeries, "_table", lambda self, x: calls.append(x) or table(self, x))
+    chart_data(t1_field, t1_chart, 0.7, 0.01, -0.02)
+    assert len(calls) == 1
+    chart_data(t1_field, t1_chart, np.linspace(0.0, 6.0, 5), 0.01, -0.02, order=1)
+    assert len(calls) == 2
 
 
 def test_inside_uses_radius():
@@ -98,7 +111,7 @@ def test_reduction_singular_when_field_orthogonal_to_z():
     chart = circle_chart()
     field = AmbientField(("1 + 0*x", "0*x", "0*x"))
     with pytest.raises(ReductionSingular):
-        tubular.reduce(field, chart, 0.0, 0.0, 0.0)
+        chart_data(field, chart, 0.0, 0.0, 0.0)
 
 
 def test_constant_field_fully_degenerate():
@@ -123,7 +136,8 @@ def test_point_class_str():
 
 def test_t1_on_curve_values(t1_field, t1_chart):
     for x in np.linspace(0, 2 * math.pi, 16, endpoint=False):
-        e, f, g = tubular.reduce(t1_field, t1_chart, float(x), 0.0, 0.0)
+        d = chart_data(t1_field, t1_chart, float(x), 0.0, 0.0)
+        e, f, g = d.value("e"), d.value("f"), d.value("g")
         assert abs(e) <= 1e-9
         assert f == pytest.approx(1.0, abs=1e-9)
         K = gaussian_curvature(t1_field, t1_chart, float(x), 0.0, 0.0)
