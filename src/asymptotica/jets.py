@@ -12,6 +12,14 @@ of two monomials, so a product makes one lookup per pair of coefficients.
 Coefficients may be floats, numpy arrays (one array per monomial) or
 ``fractions.Fraction``; arithmetic stays exact as long as the inputs are
 exact and no transcendental function is applied.
+
+A seed's unit derivative takes the ring of its value: ``1`` for an int or a
+``Fraction``, ``1.0`` for a float, a numpy scalar or an array.  ``seed``
+picks one ring per call: exact when every value is an int or a
+``Fraction``, float otherwise (its ints and Fractions become floats).  So a
+float point never carries an exact unit, and a later ``jet / 2`` stays a
+float product instead of making ``Fraction`` coefficients (which turn
+array coefficients into object arrays).
 """
 
 from __future__ import annotations
@@ -91,9 +99,13 @@ class Jet:
 
     @classmethod
     def variable(cls, value, index, nvars, order):
-        """The seed ``value + h_index`` for differentiation in direction ``index``."""
+        """The seed ``value + h_index`` for differentiation in direction ``index``.
+
+        The unit is 1 for an int or Fraction value and 1.0 for any other.
+        """
+        unit = 1 if _exact(value) else 1.0
         # the degree-one monomials follow the constant, in variable order
-        return _jet(_Monomials(nvars, order), {0: value, 1 + index: 1} if order >= 1 else {0: value})
+        return _jet(_Monomials(nvars, order), {0: value, 1 + index: unit} if order >= 1 else {0: value})
 
     # -- accessors ---------------------------------------------------------
 
@@ -267,6 +279,12 @@ class Jet:
         return f"Jet({self.nvars} vars, order {self.order}, {{{', '.join(f'{e}: {c}' for e, c in terms)}}})"
 
 
+def _exact(v):
+    """Whether v is an int or a Fraction (floats and arrays answer first:
+    Fraction's ABC instance check is the slow one)."""
+    return not isinstance(v, (float, np.ndarray)) and isinstance(v, (int, Fraction))
+
+
 def _div(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
@@ -274,8 +292,14 @@ def _div(a, b):
 
 
 def seed(values, order):
-    """Jets for a tuple of independent variables at the given point."""
+    """Jets for a tuple of independent variables at the given point.
+
+    Exact when every value is an int or a Fraction; otherwise those become
+    floats, so every seed of the call has the unit 1.0.
+    """
     n = len(values)
+    if not all(map(_exact, values)):
+        values = [float(v) if _exact(v) else v for v in values]
     return tuple(Jet.variable(v, i, n, order) for i, v in enumerate(values))
 
 

@@ -152,6 +152,10 @@ def test_integrate_bad_start_is_usage_error(capsys):
         # division when it is evaluated
         (["classify", "--field", json.dumps({"xi": ["u", "1", "0"]}), "--samples", "2"], 2),
         (["classify", "--field", json.dumps({"xi": ["1/(x-x)", "1", "0"]}), "--samples", "2"], 3),
+        # a step inside the tube that still leaves it, and tolerances no FD
+        # Jacobian meets
+        (["poincare", "--field", "circle-example", "--fd-check", "--h", "0.05"], 3),
+        (["poincare", "--field", "circle-example", "--fd-check", "--fd-rtol", "1e-300", "--fd-atol", "1e-300"], 1),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -160,16 +164,30 @@ def test_malformed_input_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
 
 
-# cheap subcommands only, each with a base argv and the options it takes; no
-# base or fragment names the t1 field, whose construction would dominate
+# cheap subcommands only, each with its base argvs and the options it takes;
+# no base or fragment names the t1 field, whose construction would dominate;
+# the circle example again, as a closed JSON field document
+CIRCLE_DOCUMENT = json.dumps({
+    "xi": [
+        "x^2*y*z + y^3*z - x^2*y - y^3 + x*z - 2*y*z + y",
+        "x^3 - x^3*z - x*y^2*z + x*y^2 + 2*x*z + y*z - x",
+        "-x^2 - y^2",
+    ],
+    "curve": "circle",
+})
 FUZZ_COMMANDS = {
-    "classify": (["--field", "circle-example", "--samples", "2"], ("--field", "--samples", "--rings", "--offset")),
-    "curvature": (["--field", "circle-example", "--samples", "2"], ("--field", "--samples")),
-    "integrability": (["--samples", "2"], ("--field", "--samples", "--point")),
-    "integrate": (["--field", "circle-example", "--to", "0.1"], ("--start", "--to", "--rtol", "--atol", "--svg")),
-    "starlike": ([], ("--curve",)),
-    "arnold-surface": (["--samples", "2"], ("--orders", "--samples")),
+    "classify": ((["--field", "circle-example", "--samples", "2"],), ("--field", "--samples", "--rings", "--offset")),
+    "curvature": ((["--field", "circle-example", "--samples", "2"],), ("--field", "--samples")),
+    "integrability": ((["--samples", "2"],), ("--field", "--samples", "--point")),
+    "integrate": ((["--field", "circle-example", "--to", "0.1"],), ("--start", "--to", "--rtol", "--atol", "--svg")),
+    "starlike": (([],), ("--curve",)),
+    "arnold-surface": ((["--samples", "2"],), ("--orders", "--samples")),
+    "poincare": (
+        (["--field", "circle-example"], ["--field", CIRCLE_DOCUMENT]),
+        ("--fd-check", "--h", "--fd-rtol", "--fd-atol"),
+    ),
 }
+FUZZ_FLAGS = ("--fd-check",)  # options that take no value
 FUZZ_VALUES = (
     "", "nan", "inf", "-inf", "-1", "0", "2", "0.05", "1e309", "x", "1,2", "a,b,c", "0,0,0",
     "1,2,3", "0,1e-3,0", "x,x^2,0*x", "circle", "circle-example", "arnold:2,3", "9,8",
@@ -178,23 +196,43 @@ FUZZ_VALUES = (
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rnd=st.randoms(use_true_random=False))
-def test_fuzzed_argv_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
-    monkeypatch.chdir(tmp_path)  # --output and --svg fragments write here
-    command = rnd.choice(sorted(FUZZ_COMMANDS))
-    base, options = FUZZ_COMMANDS[command]
-    argv = [command] + base
+def _fuzz_one(rnd, commands, values=FUZZ_VALUES):
+    """Run one random argv of one of these commands; assert the exit code contract."""
+    command = rnd.choice(commands)
+    bases, options = FUZZ_COMMANDS[command]
+    argv = [command] + rnd.choice(bases)
     for _ in range(rnd.randint(0, 3)):
         if rnd.random() < 0.8:
             argv.append(rnd.choice(options + ("--format", "--output")))
-        argv.append(rnd.choice(FUZZ_VALUES))
+            if argv[-1] in FUZZ_FLAGS:
+                continue
+        argv.append(rnd.choice(values))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=False))
+def test_fuzzed_argv_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
+    monkeypatch.chdir(tmp_path)  # --output and --svg fragments write here
+    _fuzz_one(rnd, sorted(FUZZ_COMMANDS))
+
+
+# the mixed fuzz draws few poincare runs, and most of them stop at parsing;
+# mostly numeric values reach the return map, its FD check and their stops
+POINCARE_VALUES = ("", "nan", "inf", "-1", "0", "2", "0.05", "0.5", "1e-5", "1e-9", "1e-300", "1e309", "json", "x")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=False))
+def test_fuzzed_poincare_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
+    monkeypatch.chdir(tmp_path)
+    _fuzz_one(rnd, ["poincare"], POINCARE_VALUES)
 
 
 def test_unknown_field_is_usage_error(capsys):

@@ -130,6 +130,7 @@ def test_perturbed_k1_breaks_f_identity():
         ([[0, 1], [0, 0, 1], [0, 0, 0, 1]], 2),
         ([[0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 0, 1]], 6),
         ([[0, 1], [0, 0, 1], [0, 0, 0, 0, 1]], 2),
+        ([[0, 1], [0, 0, Fraction(3, 2), Fraction(-1, 5)], [0, 0, 0, Fraction(2, 7)]], 3),
     ],
 )
 def test_realize_t5_certificates(coeff_lists, expected_C000):
@@ -138,6 +139,9 @@ def test_realize_t5_certificates(coeff_lists, expected_C000):
     assert cert["C000"] == expected_C000
     assert cert["C000_exact"]
     assert isinstance(cert["C000"], (int, Fraction))
+    # a Fraction point seeds int units, so every series stays rational
+    for key in ("b_factored", "c_factored", "k1_series", "K_series"):
+        assert all(type(c) in (int, Fraction) for c in cert[key].coeffs), key
     assert cert["a_on_curve_zero"]
     assert cert["e_on_curve_zero"]
     assert cert["f_on_curve_one"]

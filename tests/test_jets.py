@@ -130,6 +130,36 @@ def test_seed_mixed_scalars():
     assert w.deriv(0, 0, 1) == 1.0
 
 
+@pytest.mark.parametrize(
+    "value, unit",
+    [(2.0, float), (np.float64(2.0), float), (np.linspace(0.0, 1.0, 3), float), (2, int), (Fraction(2, 3), int)],
+)
+def test_variable_unit_takes_the_ring_of_its_value(value, unit):
+    x = Jet.variable(value, 0, 1, 2)
+    assert type(x.coefficient((1,))) is unit
+    # halving a float seed makes a float, never a Fraction (or an object array)
+    assert type((x / 2).coefficient((1,))) is (float if unit is float else Fraction)
+
+
+@pytest.mark.parametrize(
+    "values, exact",
+    [
+        ((1.0, 2.0, 3.0), False),
+        ((np.float64(1.0), 2, Fraction(1, 3)), False),
+        ((np.linspace(0.0, 1.0, 4), 0, 0), False),
+        ((1, 2, 3), True),
+        ((Fraction(1, 2), 0, Fraction(-3, 4)), True),
+    ],
+)
+def test_seed_picks_one_ring_per_call(values, exact):
+    for i, (s, v) in enumerate(zip(jets.seed(values, 1), values)):
+        assert type(s.coefficient(tuple(int(k == i) for k in range(3)))) is (int if exact else float)
+        if exact or isinstance(v, np.ndarray):
+            assert s.value is v
+        else:  # ints and Fractions of a float call become floats
+            assert isinstance(s.value, float) and s.value == float(v)
+
+
 def test_random_products_match_closed_form(seeds):
     # jet of p(x) = (c0 + c1 x)^3 at random points against the polynomial
     for seed in seeds:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import tubular
+from asymptotica import cli, tubular
 from asymptotica.curves import Curve
+from asymptotica.jets import Jet
 from asymptotica.planefield import AmbientField, circle_example_field
 from asymptotica.spectral import TrigSeries
 from asymptotica.tubular import (
@@ -72,6 +73,31 @@ def test_t1_chart_point_builds_one_trig_table(monkeypatch, t1_field, t1_chart):
     assert len(calls) == 1
     chart_data(t1_field, t1_chart, np.linspace(0.0, 6.0, 5), 0.01, -0.02, order=1)
     assert len(calls) == 2
+
+
+def _non_float_coefficients(d):
+    out = []
+    for v in (d.a, d.b, d.c, *d.L, d.e, d.f, d.g, d.A, d.B):
+        for c in v._coef.values() if isinstance(v, Jet) else (v,):
+            if not (isinstance(c, float) or (type(c) is np.ndarray and c.dtype == np.float64)):
+                out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example"])
+def test_float_chart_passes_make_only_float_coefficients(name, t1_field, t1_chart):
+    # a float point seeds float units, so no coefficient becomes a Fraction
+    # and no array coefficient an object array, also when y, z are the ints 0
+    field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
+    xs = np.linspace(0.0, 2 * math.pi, 32, endpoint=False)
+    for point, orders in (
+        ((xs, 0.01 * np.sin(xs), -0.02 * np.cos(xs)), range(4)),
+        ((xs, 0, 0), range(4)),
+        ((0.7, 0.01, -0.02), range(2)),
+        ((0.7, 0, 0), range(2)),
+    ):
+        for order in orders:
+            assert not _non_float_coefficients(chart_data(field, chart, *point, order=order)), (point, order)
 
 
 def test_inside_uses_radius():
