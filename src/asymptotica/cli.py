@@ -20,11 +20,10 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import construct, curves, exprlang, flow, monodromy, planefield, spectral, surfaces, tubular
+from . import construct, curves, exprlang, flow, monodromy, planefield, spectral, surfaces, tubular, verify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -330,228 +329,10 @@ def cmd_arnold_surface(args):
     return EXIT_OK
 
 
-# -- the verification suite --------------------------------------------------
-
-
-def _check(name, fn):
-    t0 = time.time()
-    try:
-        passed, detail = fn()
-    except Exception as exc:  # a crash is a failed check, not a crash of the suite
-        passed, detail = False, f"error: {exc!r}"
-    return {"name": name, "passed": bool(passed), "detail": detail, "seconds": round(time.time() - t0, 3)}
-
-
-def verify_checks(seed=0, perturb=False):
-    """The acceptance checks as (name, callable) pairs."""
-    checks = []
-
-    @functools.lru_cache(maxsize=None)
-    def t1(checkpoints=None):
-        """The t1 field, its chart and its monodromy, computed once per run."""
-        field = _t1_field()
-        chart = tubular.TubularChart(field.curve)
-        return field, chart, monodromy.monodromy(field, chart, field.curve.period, checkpoints=checkpoints)
-
-    def t1_eigenvalues():
-        _, _, result = t1()
-        got = sorted(abs(ev) for ev in result.eigenvalues)
-        want = sorted((math.exp(2 * math.pi), math.exp(-25 * math.pi / 8)))
-        rel = max(abs(a - b) / b for a, b in zip(got, want))
-        return rel <= 1e-4 and result.hyperbolic, f"max relative eigenvalue error {rel:.2e}"
-
-    def t1_integrals():
-        _, _, result = t1()
-        d2 = abs(result.integrals["diag_second"] + 25 * math.pi / 8)
-        d1 = abs(result.integrals["diag_first"] - 2 * math.pi)
-        return d1 <= 1e-8 and d2 <= 1e-8, f"|int - target| = {d1:.2e}, {d2:.2e}"
-
-    def fd_oracle():
-        field, chart, result = t1()
-        fd = monodromy.fd_poincare_derivative(field, chart, field.curve.period, h=1e-5)
-        if perturb:
-            fd = fd * 1.001
-        diff = np.abs(fd - result.Q)
-        tol = np.maximum(1e-4 * np.abs(result.Q), 1e-8)
-        return bool(np.all(diff <= tol)), f"max deviation {float(np.max(diff)):.2e}"
-
-    def lac():
-        curve = construct.t1_curve()
-        chart = tubular.TubularChart(curve)
-        xs = np.linspace(0.0, curve.period, 128, endpoint=False)
-        worst = 0.0
-        for H in (1, "2 + sin(x)"):
-            field = construct.build_lac(curve, H=H)
-            d = tubular.chart_data(field, chart, xs, 0.0, 0.0)
-            e = np.asarray(d.value("e"))
-            f = np.asarray(d.value("f"))
-            g = np.asarray(d.value("g"))
-            Hv = np.ones_like(xs) if H == 1 else 2.0 + np.sin(xs)
-            devs = (
-                np.max(np.abs(e)),
-                np.max(np.abs(f - Hv)),
-                np.max(np.abs(e * g - f * f + Hv * Hv)) / 10,
-            )
-            worst = max(worst, float(max(devs)))
-            if np.max(np.abs(e)) > 1e-9 or np.max(np.abs(f - Hv)) > 1e-9:
-                return False, f"on-curve identity failed for H = {H}"
-            if np.max(np.abs(e * g - f * f + Hv * Hv)) > 1e-8:
-                return False, f"K + H^2 identity failed for H = {H}"
-        return True, f"worst scaled deviation {worst:.2e}"
-
-    def t5():
-        worst = 0.0
-        for comps in (("x", "x^2", "x^3"), ("x", "x^3", "x^5"), ("x", "x^2", "x^4")):
-            curve = curves.Curve.from_expressions(comps, (-0.5, 0.5), name=",".join(comps))
-            field, cert = construct.realize_t5(curve)
-            if not (cert["C000_exact"] and cert["e_on_curve_zero"] and cert["f_on_curve_one"]):
-                return False, f"certificate failed for {comps}"
-            chart = tubular.TubularChart(curve)
-            xs = np.linspace(-0.3, 0.3, 64)
-            d = tubular.chart_data(field, chart, xs, 0.0, 0.0)
-            K = np.asarray(d.value("e")) * np.asarray(d.value("g")) - np.asarray(d.value("f")) ** 2
-            dev = float(np.max(np.abs(K + 1)))
-            if dev > 1e-8:
-                return False, f"K(x,0,0) != -1 for {comps} (deviation {dev:.2e})"
-            worst = max(worst, dev)
-        return True, f"worst |K + 1| = {worst:.2e}"
-
-    def appendix():
-        for m in (2, 3, 4, 5):
-            _, rep = surfaces.arnold_surface(m, m + 1)
-            if abs(rep["f00"] - (m + 1) / (m - 1)) > 1e-9:
-                return False, f"f(0,0) off target for (m,n)=({m},{m+1})"
-            if rep["max_abs_e"] > 1e-9:
-                return False, f"e(u,0) != 0 for (m,n)=({m},{m+1})"
-        _, rep = surfaces.arnold_surface(2, 4)
-        if abs(rep["f00"]) > 1e-9:
-            return False, "f(0,0) != 0 for (m,n)=(2,4)"
-        return True, "f(0,0) and e(u,0) match for m in 2..5 and (2,4)"
-
-    def circle():
-        xi = planefield.circle_example_field()
-        ts = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-        kmax = max(
-            abs(planefield.normal_curvature(xi, (math.cos(t), math.sin(t), 0.0), (-math.sin(t), math.cos(t), 0.0)))
-            for t in ts
-        )
-        if kmax > 1e-10:
-            return False, f"normal curvature along the circle up to {kmax:.2e}"
-        defect = planefield.integrability_defect(xi, (1.0, 0.0, 0.0))
-        if abs(defect + 2.0) > 1e-9:
-            return False, f"integrability defect {defect} != -2"
-        chart = tubular.TubularChart(_circle_curve())
-        for t in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-            if tubular.classify(xi, chart, (float(t), 0.0, 0.0)) is not tubular.PointClass.HYPERBOLIC:
-                return False, f"classify not Hyperbolic at x = {t}"
-        ok, _ = curves.is_starlike_projection(_circle_curve())
-        if not ok:
-            return False, "circle projection not starlike"
-        return True, f"normal curvature <= {kmax:.2e}, defect -2, Hyperbolic, starlike"
-
-    def gauge():
-        rng = np.random.default_rng(seed)
-        xi = planefield.AmbientField(("z - y", "1 + 0*x", "1 + y*y"))
-        chart = tubular.TubularChart(_circle_curve())
-        direct = tubular.binary_equation_data(xi, chart)
-        phis = ("2 + sin(x)*cos(y) + z^2", "1 + x^2/20", "3 - cos(z)", "exp(y)", "2 + sin(x*y)")
-        worst = 0.0
-        for phi in phis:
-            scaled = tubular.binary_equation_data(planefield.gauge_scale(xi, phi), chart)
-            hits = 0
-            while hits < 100:
-                x = rng.uniform(0.0, 2 * math.pi)
-                y = rng.uniform(-chart.radius, chart.radius)
-                z = rng.uniform(-chart.radius, chart.radius)
-                e1, f1, g1, _, _ = direct(x, y, z)
-                e2, f2, g2, _, _ = scaled(x, y, z)
-                s1 = flow.branch_slopes(e1, f1, g1)[0]
-                s2 = flow.branch_slopes(e2, f2, g2)[0]
-                if len(s1) != 2 or len(s2) != 2:
-                    continue
-                hits += 1
-                worst = max(worst, max(abs(a - b) for a, b in zip(sorted(s1), sorted(s2))))
-        return worst <= 1e-9, f"worst slope deviation {worst:.2e}"
-
-    def properties():
-        for s in (seed, seed + 1, seed + 2):
-            rng = np.random.default_rng(s)
-            # expression round-trip
-            for _ in range(25):
-                src = _random_expression(rng)
-                tree = exprlang.parse(src)
-                again = exprlang.parse(exprlang.to_source(tree))
-                if again != tree:
-                    return False, f"round-trip failed for {src!r} (seed {s})"
-            # jet derivative vs central finite difference
-            for _ in range(25):
-                src = _random_expression(rng)
-                x0 = rng.uniform(0.2, 1.2)
-                tree = exprlang.parse(src)
-                from . import jets
-
-                j = exprlang.evaluate(tree, {"x": jets.Jet.variable(x0, 0, 1, 1)})
-                d = j.coefficient((1,)) if isinstance(j, jets.Jet) else 0.0
-                h = 1e-5
-                vp = exprlang.evaluate(tree, {"x": x0 + h})
-                vm = exprlang.evaluate(tree, {"x": x0 - h})
-                fd = (vp - vm) / (2 * h)
-                # the difference quotient loses |f| * eps / h to cancellation,
-                # so the comparison scale includes the value magnitude
-                scale = max(1.0, abs(d), abs(vp) * 1e-10 / h)
-                if abs(d - fd) > 1e-6 * scale:
-                    return False, f"jet/fd mismatch for {src!r} at {x0} (seed {s})"
-            # flow residual along the core curve of the worked example
-            field, chart, result = t1(checkpoints=16)
-            x0 = rng.uniform(0.0, 1.0)
-            path = flow.integrate_asymptotic(field, chart, (x0, 0.0, 0.0), x0 + field.curve.period)
-            if not path.reached or max(abs(path.ys).max(), abs(path.zs).max()) > 1e-9:
-                return False, f"core-curve integration drifted (seed {s})"
-            if path.stats["max_residual"] > 1e-9:
-                return False, f"slope residual {path.stats['max_residual']:.2e} (seed {s})"
-            # Liouville identity at 16 checkpoints
-            if result.det_residual > 1e-6:
-                return False, f"Liouville residual {result.det_residual:.2e} (seed {s})"
-            for x, Q in result.stats["checkpoints"]:
-                det = float(np.linalg.det(Q))
-                if det <= 0:
-                    return False, f"det Q({x}) = {det} not positive (seed {s})"
-        return True, "round-trip, jet/fd, flow residual, Liouville at 16 checkpoints"
-
-    checks.append(("t1-eigenvalues", t1_eigenvalues))
-    checks.append(("t1-integrals", t1_integrals))
-    checks.append(("fd-oracle", fd_oracle))
-    checks.append(("lac", lac))
-    checks.append(("t5", t5))
-    checks.append(("appendix", appendix))
-    checks.append(("circle", circle))
-    checks.append(("gauge", gauge))
-    checks.append(("properties", properties))
-    return checks
-
-
-def _random_expression(rng):
-    atoms = ["x", "x", "pi", str(int(rng.integers(1, 9)))]
-    funcs = ["sin", "cos", "exp"]
-    expr = rng.choice(atoms)
-    for _ in range(int(rng.integers(1, 4))):
-        op = rng.choice(["+", "-", "*", "/"])
-        term = rng.choice(atoms)
-        if rng.random() < 0.5:
-            term = f"{rng.choice(funcs)}({term})"
-        if rng.random() < 0.3:
-            term = f"{term}^{int(rng.integers(2, 4))}"
-        expr = f"{expr} {op} ({term} + 2)" if op == "/" else f"{expr} {op} {term}"
-    return expr
-
-
 def cmd_verify_paper(args):
     seed = args.seed if args.seed is not None else default_seed()
-    results = []
-    for name, fn in verify_checks(seed=seed, perturb=args.perturb):
-        if args.only and args.only not in name:
-            continue
-        results.append(_check(name, fn))
+    checks = verify.checks(seed=seed, perturb=args.perturb)
+    results = [verify.run(name, fn) for name, fn in checks if not args.only or args.only in name]
     if not results:
         raise UsageError(f"--only {args.only!r} matched no checks")
     all_passed = all(r["passed"] for r in results)
@@ -561,7 +342,10 @@ def cmd_verify_paper(args):
         width = max(len(r["name"]) for r in results)
         for r in results:
             status = "PASS" if r["passed"] else "FAIL"
-            print(f"{r['name']:<{width}}  {status}  {r['seconds']:>6.2f}s  {r['detail']}")
+            print(f"{r['name']:<{width}}  {status}  {r['seconds']:>6.2f}s  {r.get('error', '')}".rstrip())
+            column = max((len(m["label"]) for m in r["measurements"]), default=0)
+            for m in r["measurements"]:
+                print(f"    {m['label']:<{column}}  {m['measured']:.3g} {'<=' if m['passed'] else '>'} {m['bound']:g}")
         print(("all checks passed" if all_passed else "some checks FAILED"), file=sys.stderr)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

@@ -162,9 +162,6 @@ class TubularField:
             self.remainders[key] = fn
         self.name = name
 
-    def coefficient(self, name):
-        return self.coefficients.get(name)
-
     def xi_frame_polynomials(self, xj, yj, zj):
         """The three scalar factors multiplying X, Y, Z beyond l0 Y + k0 Z."""
         monomials = {}  # y^i z^j / w of this point, built once each

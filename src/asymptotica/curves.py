@@ -24,27 +24,12 @@ class CurveError(Exception):
     pass
 
 
-class DegenerateFrame(CurveError):
-    """Both horizontal components of the tangent vanish; the frame is undefined."""
-
-
 class NotFiniteType(CurveError):
     """Derivatives up to the requested order never span all of R^3."""
 
 
 class NotSimple(CurveError):
     """The plane projection self-intersects; the starlike test needs a simple curve."""
-
-
-@dataclass(frozen=True)
-class Frame:
-    x: float
-    X: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
-    dX: np.ndarray
-    dY: np.ndarray
-    dZ: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,23 +143,11 @@ class Curve:
         g, d1 = self.jet(t, 1)
         return (tuple(g), *adapted_frame(d1))
 
-    def frame(self, x):
-        """The adapted frame and its derivatives at a single parameter value."""
-        _, d1, d2 = self.jet(x, 2)
-        if abs(d1[0]) < 1e-12 and abs(d1[1]) < 1e-12:
-            raise DegenerateFrame(f"horizontal tangent projection vanishes at x = {x}")
-        X, Y, Z = adapted_frame([float(v) for v in d1])
-        dX, dY, _ = adapted_frame([float(v) for v in d2])
-        dZ = [a + b for a, b in zip(jets.cross(dX, Y), jets.cross(X, dY))]
-        vectors = (np.array(v, dtype=float) for v in (X, Y, Z, dX, dY, dZ))
-        return Frame(float(x), *vectors)
-
 
 def adapted_frame(d1):
     """The frame (X, Y, Z) = (gamma', (gamma2', -gamma1', 0), X ^ Y) from d1 = gamma'.
 
-    Ring-generic and unnormalized.  The frame is linear in d1 for X and Y, so
-    adapted_frame(gamma'') gives their derivatives.
+    Ring-generic and unnormalized; a jet d1 carries the frame's derivatives.
     """
     Y = (d1[1], -d1[0], 0)
     return tuple(d1), Y, jets.cross(d1, Y)

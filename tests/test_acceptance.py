@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from asymptotica import cli, construct, curves, flow, planefield, surfaces, tubular
+from asymptotica import cli, construct, curves, flow, planefield, surfaces, tubular, verify
 from asymptotica import monodromy as mono
 
 
@@ -171,13 +171,29 @@ def test_gauge_invariance_of_root_slopes(seeds):
 # 9. property suites under three seeds and full-suite runtime ------------------
 
 
-def test_property_suites_three_seeds(seeds, capsys):
+# bounds frozen here; the rows' own bound and passed keys are never read
+PROPERTY_BOUNDS = {
+    "gauge": {"worst slope deviation": 1e-9},
+    "properties": {
+        "round-trip failures": 0,
+        "max jet/FD error / scale": 1e-6,
+        "core-curve drift": 1e-9,
+        "slope residual": 1e-9,
+        "Liouville residual": 1e-6,
+        "checkpoints with det Q <= 0": 0,
+    },
+}
+
+
+def test_property_suites_three_seeds(seeds):
     for s in seeds:
-        for name, fn in cli.verify_checks(seed=s):
-            if name not in ("gauge", "properties"):
+        for name, fn in verify.checks(seed=s):
+            if name not in PROPERTY_BOUNDS:
                 continue
-            passed, detail = fn()
-            assert passed, f"{name} failed for seed {s}: {detail}"
+            measured = {label: value for label, value, _ in fn()}
+            assert measured.keys() == PROPERTY_BOUNDS[name].keys()
+            for label, bound in PROPERTY_BOUNDS[name].items():
+                assert measured[label] <= bound, f"{name}: {label} = {measured[label]} > {bound} at seed {s}"
 
 
 def test_full_verification_suite_runtime(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli
+from asymptotica import cli, verify
 
 
 def run(capsys, *argv):
@@ -156,6 +156,8 @@ def test_integrate_bad_start_is_usage_error(capsys):
         # Jacobian meets
         (["poincare", "--field", "circle-example", "--fd-check", "--h", "0.05"], 3),
         (["poincare", "--field", "circle-example", "--fd-check", "--fd-rtol", "1e-300", "--fd-atol", "1e-300"], 1),
+        # a vertical core curve: its frame vanishes, so c = 0 and dz cannot be solved for
+        (["classify", "--field", json.dumps({"xi": ["1", "0", "0"], "curve": "0,0,x"}), "--samples", "2"], 3),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -301,10 +303,16 @@ def test_integrability_point(capsys):
     assert doc["defects"][0][3] == pytest.approx(-2.0, abs=1e-9)
 
 
+def _passed_by_rows(check):
+    rows = check["measurements"]
+    return bool(rows) and all(row["measured"] <= row["bound"] for row in rows)
+
+
 def test_verify_paper_single_check(capsys):
     code, out, _ = run(capsys, "verify-paper", "--only", "appendix")
     assert code == 0
     assert "appendix" in out and "PASS" in out
+    assert "|f(0,0)| at (m,n) = (2,4)" in out and "<= 1e-09" in out
 
 
 def test_verify_paper_json_format(capsys):
@@ -313,6 +321,44 @@ def test_verify_paper_json_format(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["checks"][0]["name"] == "circle"
+    assert {row["label"] for row in doc["checks"][0]["measurements"]} >= {"max |normal curvature|"}
+    assert all(check["passed"] == _passed_by_rows(check) for check in doc["checks"])
+
+
+def test_verify_paper_perturb_is_a_negative_control(capsys):
+    # --perturb scales the FD Jacobian by 1.001, ten times the 1e-4 relative bound
+    for extra, expected in (((), 0), (("--perturb",), 1)):
+        code, out, _ = run(capsys, "verify-paper", "--only", "fd-oracle", "--format", "json", *extra)
+        assert code == expected
+        (check,) = json.loads(out)["checks"]
+        (row,) = check["measurements"]
+        assert (row["measured"] > row["bound"]) == bool(extra)
+        assert check["passed"] == _passed_by_rows(check)
+    assert row["measured"] == pytest.approx(10.0, rel=0.01) and row["bound"] == 1
+
+
+def test_verify_paper_row_contract(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("no rows")
+
+    suite = [
+        ("crash", crash),
+        ("nan", lambda: [("nan row", float("nan"), 1.0)]),
+        ("edge", lambda: [("at its bound", 1e-9, 1e-9), ("no failures", 0, 0)]),
+    ]
+    monkeypatch.setattr(verify, "checks", lambda seed=0, perturb=False: suite)
+    code, out, err = run(capsys, "verify-paper", "--format", "json")
+    assert code == 1 and "Traceback" not in err
+    doc = json.loads(out)
+    checks = {check["name"]: check for check in doc["checks"]}
+    assert checks["crash"]["passed"] is False and "no rows" in checks["crash"]["error"]
+    assert checks["nan"]["passed"] is False
+    assert checks["edge"]["passed"] is True
+    assert doc["passed"] is False
+    assert all(check["passed"] == _passed_by_rows(check) for check in doc["checks"] if "error" not in check)
+    code, out, err = run(capsys, "verify-paper")
+    assert code == 1 and "Traceback" not in err
+    assert "crash  FAIL" in out and "nan row  nan > 1" in out and "at its bound  1e-09 <= 1e-09" in out
 
 
 def test_verify_paper_unmatched_filter(capsys):

@@ -6,10 +6,10 @@ import pytest
 
 from asymptotica import curves
 from asymptotica.jets import Jet
+from asymptotica.tubular import TubularChart
 from asymptotica.curves import (
     Curve,
     CurveError,
-    DegenerateFrame,
     NotFiniteType,
     NotSimple,
     finite_type_symbol,
@@ -50,27 +50,24 @@ def test_jet_at_a_jet_argument():
 
 
 def test_frame_of_trig_cubic_at_zero():
-    fr = trig_cubic_curve().frame(0.0)
-    assert fr.X == pytest.approx([1.0, 0.0, 0.0])
-    assert fr.Y == pytest.approx([0.0, -1.0, 0.0])
-    assert fr.Z == pytest.approx([0.0, 0.0, -1.0])
+    _, X, Y, Z = trig_cubic_curve().frame_vectors(0.0)
+    assert X == pytest.approx([1.0, 0.0, 0.0])
+    assert Y == pytest.approx([0.0, -1.0, 0.0])
+    assert Z == pytest.approx([0.0, 0.0, -1.0])
 
 
 def test_frame_derivatives_match_finite_differences():
+    # the frame at a jet seed carries its derivative as the order-1 coefficient
     c = trig_cubic_curve()
     h = 1e-6
     for x0 in (0.3, 1.1, 4.0):
-        fr = c.frame(x0)
-        fp, fm = c.frame(x0 + h), c.frame(x0 - h)
-        for name in ("X", "Y", "Z"):
-            fd = (getattr(fp, name) - getattr(fm, name)) / (2 * h)
-            assert np.allclose(getattr(fr, "d" + name), fd, atol=1e-6)
-
-
-def test_vertical_tangent_degenerate_frame():
-    line = Curve.from_expressions(("0*x", "0*x", "x"), (-1, 1))
-    with pytest.raises(DegenerateFrame):
-        line.frame(0.0)
+        _, *frame = c.frame_vectors(Jet.variable(x0, 0, 1, 1))
+        _, *plus = c.frame_vectors(x0 + h)
+        _, *minus = c.frame_vectors(x0 - h)
+        for vector, vp, vm in zip(frame, plus, minus):
+            derivative = [v.coefficient((1,)) if isinstance(v, Jet) else 0.0 for v in vector]
+            fd = (np.array(vp, dtype=float) - np.array(vm, dtype=float)) / (2 * h)
+            assert np.allclose(derivative, fd, atol=1e-6)
 
 
 def test_closed_flag_checked():
@@ -229,9 +226,10 @@ def test_component_derivatives_match_jets(seeds):
 
 
 def test_frame_vectors_consistent_with_frame():
+    # the chart's one curve expansion builds the same point and frame
     c = trig_cubic_curve()
     g, X, Y, Z = c.frame_vectors(0.9)
-    fr = c.frame(0.9)
-    assert np.allclose([float(v) for v in X], fr.X)
-    assert np.allclose([float(v) for v in Y], fr.Y)
-    assert np.allclose([float(v) for v in Z], fr.Z)
+    point = TubularChart(c).expand(0.9, 0.0, 0.0)
+    assert np.allclose(np.array(g, dtype=float), np.array(point.alpha, dtype=float))
+    for got, want in zip((X, Y, Z), point.frame):
+        assert np.allclose(np.array(got, dtype=float), np.array(want, dtype=float))
