@@ -161,7 +161,7 @@ def check_outputs(args):
 
 
 def emit(args, document, csv_rows=None, csv_header=None):
-    """Write the result document (JSON) or rows (CSV) to --output or stdout."""
+    """Write the result document (strict JSON: a non-finite float is null) or rows (CSV) to --output or stdout."""
     out = sys.stdout if args.output is None else open_output(args.output, "--output")
     try:
         if getattr(args, "format", "json") == "csv" and csv_rows is not None:
@@ -170,7 +170,8 @@ def emit(args, document, csv_rows=None, csv_header=None):
             for row in csv_rows:
                 out.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
         else:
-            json.dump(document, out, indent=2)
+            document = json.loads(json.dumps(document), parse_constant=lambda token: None)
+            json.dump(document, out, indent=2, allow_nan=False)
             out.write("\n")
     finally:
         if out is not sys.stdout:

@@ -2,13 +2,14 @@
 
 The line field is implicit: at each point the slope p = dy/dx solves
 g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
-branch by continuity (nearest root to the previously accepted slope), with an
-adaptive Dormand-Prince 4(5) pair, for a single chart path, a lockstep batch
-of chart paths and a path on a parametrized surface.  A start point with no
-real branch raises EllipticStop or VerticalDirection.  A later stop ends the
-path with its status instead of jumping branches: "parabolic" (root
-collision), "elliptic" (no real root), "vertical" (only dx = 0), "tube-exit"
-or "singular" (a singular reduction or step-size underflow).
+branch by continuity (nearest root to the previously accepted slope), with
+rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
+single chart path, a lockstep batch of chart paths and a path on a
+parametrized surface.  A start point with no real branch raises
+EllipticStop or VerticalDirection.  A later stop ends the path with its
+status instead of jumping branches: "parabolic" (root collision),
+"elliptic" (no real root), "vertical" (only dx = 0), "tube-exit" or
+"singular" (a singular reduction or step-size underflow).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
 with a message that begins with it.
@@ -159,19 +160,48 @@ class ChartSpectralCache:
         return tuple(values.T)
 
 
-# Dormand-Prince 4(5) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(map(np.array, (
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10); rows of _ERR: 5th- and 3rd-order error weights
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+)
+_A = tuple(map(np.array, (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
 )))
-_DP_B5 = np.array((35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0))
-_DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+_B = np.array((
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+))
+_ERR = np.array((
+    (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
+     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+     0.3341791187130174790297318841, 0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1),
+    _B - np.array((0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                   0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1)),
+))
 
 
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
@@ -186,67 +216,70 @@ class _Stop(Exception):
 
 
 def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14, on_accept=None):
-    """Adaptive embedded Runge-Kutta; y may be any numpy array shape.
-
+    """Adaptive Runge-Kutta of order 8 (DOP853); y may be any numpy array shape.
+    Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
+    combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
+    stays because bench/tracer.py patches flow.rk45; a rename waits on a
+    benchmark change.  x1 is the end point or a sequence of stations ending
+    there; a step lands exactly on each, keeping step size and first stage.
     rhs(x, y) -> dy/dx; it may raise _Stop.  A stop inside a step halves the
     step, since overshooting may cause it, and ends the run once the step is
     down to 4 min_step.  A NaN error estimate rejects and shrinks the step,
     so such a run ends in a "singular" step-size underflow.  on_accept(x, y)
-    is called at every accepted step.
-    Returns (x, y, stats) at x1, or at the last accepted point after a stop;
-    stats holds "steps", "rejected", "min_step", "status" ("reached" or the
-    stop's) and "reason".
+    is called at every accepted step.  max_step defaults to 1/8 of the run.
+    Returns (x, y, stats) at the last station, or at the last accepted point
+    after a stop; stats holds "steps", "rejected", "min_step", "status"
+    ("reached" or the stop's) and "reason".
     """
     y = np.array(y0, dtype=float)
     x = float(x0)
-    direction = 1.0 if x1 >= x0 else -1.0
-    span = abs(x1 - x0)
+    stations = np.atleast_1d(np.asarray(x1, dtype=float)).tolist()
+    direction = 1.0 if stations[-1] >= x else -1.0
+    span = abs(stations[-1] - x)
     if max_step is None:
-        max_step = span / 16 if span > 0 else 1.0
-    h = min(max_step, span / 100) if span > 0 else max_step
+        max_step = span / 8 if span > 0 else 1.0
+    h = min(max_step, span / 16) if span > 0 else max_step
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
         f0 = rhs(x, y)
-        # the stage slopes of one step, and the weights shaped to broadcast
-        # over their stage axis: a stage sum is one reduction over that axis,
-        # accumulated in stage order like a running sum
-        ks = np.empty((7,) + y.shape)
-        axes = (slice(None),) + (None,) * y.ndim
-        a_rows, b5, b4 = [a[axes] for a in _DP_A], _DP_B5[axes], _DP_B4[axes]
-        while direction * (x1 - x) > 1e-15 * max(1.0, abs(x1)):
-            h = min(h, abs(x1 - x))
-            if h < min_step:
-                raise _Stop("singular", f"step size underflow at x = {x}")
-            try:
-                ks[0] = f0
-                for i in range(1, 7):
-                    yi = y + direction * h * (a_rows[i] * ks[:i]).sum(axis=0)
-                    ks[i] = rhs(x + direction * h * _DP_C[i], yi)
-                y5 = y + direction * h * (b5 * ks).sum(axis=0)
-                y4 = y + direction * h * (b4 * ks).sum(axis=0)
-            except _Stop:
-                if h <= 4 * min_step:
-                    raise
-                h /= 2
-                stats["rejected"] += 1
-                continue
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = float(np.sqrt(np.mean((np.asarray(y5 - y4) / scale) ** 2)))
-            if err <= 1.0:
-                x = x + direction * h
-                y = y5
-                f0 = ks[6].copy()  # FSAL; ks is overwritten by the next step
-                stats["steps"] += 1
-                stats["min_step"] = min(stats["min_step"], h)
-                if on_accept is not None:
-                    on_accept(x, y)
-            else:
-                stats["rejected"] += 1
-            if err > 0:
-                factor = 0.9 * err ** -0.2
-            else:  # a NaN estimate (no comparison holds) shrinks the step
-                factor = 5.0 if err == 0 else 0.2
-            h = min(max_step, h * min(5.0, max(0.2, factor)))
+        # the stage slopes of one step, one flattened row per stage
+        ks = np.empty((12, y.size))
+        for station in stations:
+            tiny = 1e-15 * max(1.0, abs(station))
+            while (remaining := direction * (station - x)) > tiny:
+                step = remaining if h >= remaining - tiny else h
+                if step < min_step:
+                    raise _Stop("singular", f"step size underflow at x = {x}")
+                dh = direction * step
+                try:
+                    ks[0] = f0.reshape(-1)
+                    for i in range(1, 12):
+                        ks[i] = rhs(x + dh * _C[i], y + dh * (_A[i] @ ks[:i]).reshape(y.shape)).reshape(-1)
+                    y1 = y + dh * (_B @ ks).reshape(y.shape)
+                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
+                    err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
+                    # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
+                    err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
+                    if err <= 1.0:
+                        f0 = rhs(x + dh, y1)  # first same as last
+                except _Stop:
+                    if step <= 4 * min_step:
+                        raise
+                    h = step / 2
+                    stats["rejected"] += 1
+                    continue
+                if err <= 1.0:
+                    x = station if step == remaining else x + dh
+                    y = y1
+                    stats["steps"] += 1
+                    stats["min_step"] = min(stats["min_step"], step)
+                    if on_accept is not None:
+                        on_accept(x, y)
+                else:
+                    stats["rejected"] += 1
+                # a NaN estimate (no comparison holds) shrinks the step
+                factor = 0.9 * err ** -0.125 if err > 0 else (5.0 if err == 0 else 0.2)
+                h = min(max_step, step * min(5.0, max(0.2, factor)))
     except _Stop as stop:
         stats["status"], stats["reason"] = stop.status, stop.reason
     return x, y, stats

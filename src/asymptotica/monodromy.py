@@ -117,7 +117,7 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     cache may be a prebuilt VariationalCache (reused across calls), True/None
     to build one, or False to evaluate M directly at every integrator stage.
     checkpoints, when given, collects (x, Q(x)) pairs at that many uniform
-    stations for identity tests.
+    stations for identity tests, on which the one integration lands steps.
     """
     period = float(period)
     if cache is False:
@@ -127,22 +127,20 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
         vc = cache if isinstance(cache, VariationalCache) else VariationalCache(field, chart, period)
         mfn = vc.matrix
 
-    if checkpoints:
-        stations = list(np.linspace(0.0, period, checkpoints + 1)[1:])
-    else:
-        stations = [period]
+    stations = np.linspace(0.0, period, checkpoints + 1)[1:].tolist() if checkpoints else period
+    collected = []
 
     def rhs(x, qflat):
         return (mfn(x) @ qflat.reshape(2, 2)).reshape(4)
 
-    collected = []
-    q = np.eye(2).reshape(4)
-    x_prev = 0.0
-    for x_next in stations:
-        _, q, stats = flow.rk45(rhs, x_prev, x_next, q, rtol=rtol, atol=atol)
-        flow.require_reached(stats)
-        x_prev = x_next
-        collected.append((float(x_next), q.reshape(2, 2).copy()))
+    def on_accept(x, q):
+        if x in stations:  # a step that lands on a station ends exactly there
+            collected.append((x, q.reshape(2, 2).copy()))
+
+    _, q, stats = flow.rk45(
+        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=rtol, atol=atol, on_accept=on_accept if checkpoints else None
+    )
+    flow.require_reached(stats)
     Q = q.reshape(2, 2)
 
     ev = eigenvalues_2x2(Q)
@@ -181,7 +179,7 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
             }
         )
 
-    result = MonodromyResult(
+    return MonodromyResult(
         Q=Q,
         eigenvalues=ev,
         hyperbolic=hyperbolic,
@@ -191,11 +189,8 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
         triangular=triangular,
         integrals=integrals,
         det_residual=det_residual,
-        stats=stats,
+        stats=dict(stats, checkpoints=collected) if checkpoints else stats,
     )
-    if checkpoints:
-        result.stats = dict(stats, checkpoints=collected)
-    return result
 
 
 def check_fd_step(h, chart):

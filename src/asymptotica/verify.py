@@ -34,11 +34,11 @@ def checks(seed=0, perturb=False):
     from .cli import _circle_curve, _t1_field  # cli imports this module; t1 stays cached in cli
 
     @functools.lru_cache(maxsize=None)
-    def t1(checkpoints=None):
-        """The t1 field, its chart and its monodromy, computed once per run."""
+    def t1():
+        """The t1 field, its chart and its monodromy with 16 checkpoints, computed once per run."""
         field = _t1_field()
         chart = tubular.TubularChart(field.curve)
-        return field, chart, monodromy.monodromy(field, chart, field.curve.period, checkpoints=checkpoints)
+        return field, chart, monodromy.monodromy(field, chart, field.curve.period, checkpoints=16)
 
     def t1_eigenvalues():
         result = t1()[2]
@@ -146,7 +146,7 @@ def checks(seed=0, perturb=False):
                 # so the comparison scale includes the value magnitude
                 scale = max(1.0, abs(d), abs(vp) * 1e-5)
                 jet_fd = max(jet_fd, abs(d - (vp - vm) / 2e-5) / scale)
-            field, chart, result = t1(checkpoints=16)
+            field, chart, result = t1()
             x0 = rng.uniform(0.0, 1.0)
             path = flow.integrate_asymptotic(field, chart, (x0, 0.0, 0.0), x0 + field.curve.period)
             drift = max(drift, max(abs(path.ys).max(), abs(path.zs).max()) if path.reached else math.inf)

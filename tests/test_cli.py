@@ -190,6 +190,28 @@ FUZZ_COMMANDS = {
     ),
 }
 FUZZ_FLAGS = ("--fd-check",)  # options that take no value
+# values each option accepts; an option draws one of these with high
+# probability and junk otherwise, so most argvs get past parsing into the
+# numerical paths and their stops (exit codes 1 and 3)
+FUZZ_VALID = {
+    "--field": ("circle-example", CIRCLE_DOCUMENT),
+    "--samples": ("2", "3"),
+    "--rings": ("1", "3"),
+    "--offset": ("0", "0.01", "0.3"),
+    "--point": ("1,0,0", "0.5,-0.5,0.2"),
+    "--start": ("0,0,0", "0,1e-3,0", "0.5,8e-4,2e-4", "0,0.095,0"),  # the last leaves the tube backward
+    "--to": ("0.1", "0.5", "-0.3"),
+    "--rtol": ("1e-8", "1e-10", "0.5"),
+    "--atol": ("1e-12", "1e-6"),
+    "--svg": ("path.svg",),
+    "--curve": ("circle", "x,x^2,0*x", "cos(x),sin(x),x"),
+    "--orders": ("2,3", "arnold:3,5", "2,4", "3,3"),
+    "--h": ("1e-5", "1e-4", "0.05"),
+    "--fd-rtol": ("1e-4", "1e-12"),
+    "--fd-atol": ("1e-8", "1e-300"),
+    "--format": ("json", "csv"),
+    "--output": ("out.txt",),
+}
 FUZZ_VALUES = (
     "", "nan", "inf", "-inf", "-1", "0", "2", "0.05", "1e309", "x", "1,2", "a,b,c", "0,0,0",
     "1,2,3", "0,1e-3,0", "x,x^2,0*x", "circle", "circle-example", "arnold:2,3", "9,8",
@@ -198,17 +220,17 @@ FUZZ_VALUES = (
 )
 
 
-def _fuzz_one(rnd, commands, values=FUZZ_VALUES):
+def _fuzz_one(rnd, commands, junk=FUZZ_VALUES):
     """Run one random argv of one of these commands; assert the exit code contract."""
     command = rnd.choice(commands)
     bases, options = FUZZ_COMMANDS[command]
     argv = [command] + rnd.choice(bases)
-    for _ in range(rnd.randint(0, 3)):
-        if rnd.random() < 0.8:
-            argv.append(rnd.choice(options + ("--format", "--output")))
-            if argv[-1] in FUZZ_FLAGS:
-                continue
-        argv.append(rnd.choice(values))
+    for option in rnd.sample(options + ("--format", "--output"), rnd.randint(1, 3)):
+        argv.append(option)
+        if option not in FUZZ_FLAGS:
+            argv.append(rnd.choice(FUZZ_VALID[option] if rnd.random() < 0.9 else junk))
+    if rnd.random() < 0.05:  # a stray positional argument
+        argv.append(rnd.choice(junk))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -218,20 +240,20 @@ def _fuzz_one(rnd, commands, values=FUZZ_VALUES):
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rnd=st.randoms(use_true_random=False))
+@given(rnd=st.randoms(use_true_random=True))
 def test_fuzzed_argv_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
     monkeypatch.chdir(tmp_path)  # --output and --svg fragments write here
     _fuzz_one(rnd, sorted(FUZZ_COMMANDS))
 
 
-# the mixed fuzz draws few poincare runs, and most of them stop at parsing;
-# mostly numeric values reach the return map, its FD check and their stops
+# the mixed fuzz draws few poincare runs; this one adds more, and its junk
+# is mostly numeric, so a junk value too reaches the FD check and its stops
 POINCARE_VALUES = ("", "nan", "inf", "-1", "0", "2", "0.05", "0.5", "1e-5", "1e-9", "1e-300", "1e309", "json", "x")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rnd=st.randoms(use_true_random=False))
+@given(rnd=st.randoms(use_true_random=True))
 def test_fuzzed_poincare_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd):
     monkeypatch.chdir(tmp_path)
     _fuzz_one(rnd, ["poincare"], POINCARE_VALUES)
@@ -304,8 +326,9 @@ def test_integrability_point(capsys):
 
 
 def _passed_by_rows(check):
+    # strict JSON writes a non-finite measured value as null, a failing row
     rows = check["measurements"]
-    return bool(rows) and all(row["measured"] <= row["bound"] for row in rows)
+    return bool(rows) and all(row["measured"] is not None and row["measured"] <= row["bound"] for row in rows)
 
 
 def test_verify_paper_single_check(capsys):
@@ -337,6 +360,10 @@ def test_verify_paper_perturb_is_a_negative_control(capsys):
     assert row["measured"] == pytest.approx(10.0, rel=0.01) and row["bound"] == 1
 
 
+def _no_bare_token(token):
+    raise AssertionError(f"bare {token} token: the document is not strict JSON")
+
+
 def test_verify_paper_row_contract(monkeypatch, capsys):
     def crash():
         raise RuntimeError("no rows")
@@ -349,10 +376,10 @@ def test_verify_paper_row_contract(monkeypatch, capsys):
     monkeypatch.setattr(verify, "checks", lambda seed=0, perturb=False: suite)
     code, out, err = run(capsys, "verify-paper", "--format", "json")
     assert code == 1 and "Traceback" not in err
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_no_bare_token)
     checks = {check["name"]: check for check in doc["checks"]}
     assert checks["crash"]["passed"] is False and "no rows" in checks["crash"]["error"]
-    assert checks["nan"]["passed"] is False
+    assert checks["nan"]["passed"] is False and checks["nan"]["measurements"][0]["measured"] is None
     assert checks["edge"]["passed"] is True
     assert doc["passed"] is False
     assert all(check["passed"] == _passed_by_rows(check) for check in doc["checks"] if "error" not in check)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import flow, tubular
+from asymptotica import flow, monodromy, tubular
+from asymptotica.curves import Curve
 from asymptotica.flow import (
     ChartSpectralCache,
     EllipticStop,
@@ -14,6 +15,7 @@ from asymptotica.flow import (
     integrate_batch,
     rk45,
 )
+from asymptotica.planefield import circle_example_field
 
 
 def test_branch_slopes_symmetric_case():
@@ -234,3 +236,116 @@ def test_branch_slopes_on_arrays_raise_the_point_stop(bad, stop):
         branch_slopes(e, f, g)
     assert type(batch.value) is type(point.value)
     assert str(batch.value) == str(point.value)
+
+
+# -- the DOP853 tableau of rk45 --------------------------------------------------
+
+
+def test_tableau_is_consistent():
+    # an absolute 1e-15 is below one rounding unit of the larger weights
+    # (33.3 in row 9), so each sum is compared on the scale of its terms
+    for i in range(1, 12):
+        row = flow._A[i]
+        assert abs(math.fsum(row) - flow._C[i]) <= 1e-15 * max(1.0, math.fsum(abs(row)))
+    assert math.fsum(flow._B) == pytest.approx(1.0, abs=1e-15)
+    for weights in flow._ERR:  # the fifth- and third-order error weights
+        assert abs(math.fsum(weights)) <= 1e-15 * math.fsum(abs(weights))
+
+
+def test_rk45_observed_order_is_eight():
+    # y' = y cos x has y = exp(sin x), back to 1 after one period; huge
+    # tolerances accept every step, so max_step fixes the step size
+    errors = []
+    for n in (16, 32):
+        _, y, stats = rk45(
+            lambda x, y: y * math.cos(x), 0.0, 2 * math.pi, np.array([1.0]), rtol=1e10, atol=1e10,
+            max_step=2 * math.pi / n,
+        )
+        assert (stats["steps"], stats["rejected"]) == (n, 0)
+        errors.append(abs(y[0] - 1.0))
+    assert errors[0] >= 2**7 * errors[1] > 0
+
+
+def test_rk45_lands_on_every_station():
+    seen = []
+    stations = [0.25, 0.5, 1.0]
+    x, y, stats = rk45(lambda x, y: y, 0.0, stations, np.array([1.0]), on_accept=lambda x, y: seen.append(x))
+    assert set(stations) <= set(seen) and x == 1.0
+    assert y[0] == pytest.approx(math.e, rel=1e-9)
+    _, plain, _ = rk45(lambda x, y: y, 0.0, 1.0, np.array([1.0]))
+    assert y[0] == pytest.approx(plain[0], rel=1e-10)
+
+
+@pytest.fixture
+def rhs_calls(monkeypatch):
+    """Counts the right-hand side evaluations of every rk45 run."""
+    calls = []
+    real = flow.rk45
+
+    def counting(rhs, *args, **kwargs):
+        def counted(x, y):
+            calls.append(x)
+            return rhs(x, y)
+
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "rk45", counting)
+    return calls
+
+
+@pytest.fixture
+def chart_points(monkeypatch):
+    """Counts the chart points an integrate_asymptotic run evaluates."""
+    points = []
+    real = tubular.binary_equation_data
+
+    def counting(field, chart):
+        equation = real(field, chart)
+
+        def counted(x, y, z):
+            points.append(x)
+            return equation(x, y, z)
+
+        return counted
+
+    monkeypatch.setattr(tubular, "binary_equation_data", counting)
+    return points
+
+
+def _field_and_chart(name, t1_field, t1_chart):
+    if name == "t1":
+        return t1_field, t1_chart
+    curve = Curve.from_expressions(("cos(x)", "sin(x)", "0"), (0, 2 * math.pi), closed=True)
+    return circle_example_field(), tubular.TubularChart(curve)
+
+
+def test_cached_t1_monodromy_stage_count(t1_field, t1_chart, rhs_calls):
+    cache = monodromy.VariationalCache(t1_field, t1_chart, 2 * math.pi)
+    monodromy.monodromy(t1_field, t1_chart, 2 * math.pi, cache=cache)
+    assert 0 < len(rhs_calls) <= 3000  # Dormand-Prince 5(4): 5,113
+
+
+@pytest.mark.parametrize(
+    "name, start, most",
+    [("t1", (0.0, 0.0, 0.0), 128), ("circle-example", (0.5, 8e-4, 2e-4), 300)],  # Dormand-Prince 5(4): 128 and 709
+)
+def test_one_period_chart_point_count(t1_field, t1_chart, chart_points, name, start, most):
+    field, chart = _field_and_chart(name, t1_field, t1_chart)
+    path = integrate_asymptotic(field, chart, start, start[0] + 2 * math.pi)
+    assert path.reached
+    assert len(chart_points) <= most
+
+
+# Q of the Dormand-Prince 5(4) integrator that DOP853 replaced
+DP5_Q = {
+    "t1": [[535.4916555249698, 5.6473595006527194e-12], [1734.7032347546265, 5.449090741395999e-05]],
+    "circle-example": [[0.9999999999925084, 2.7878047093032876e-13], [-5.604995634289622e-13, 0.9999999999930687]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DP5_Q))
+def test_q_matches_the_previous_integrator(t1_field, t1_chart, name):
+    field, chart = _field_and_chart(name, t1_field, t1_chart)
+    Q = monodromy.monodromy(field, chart, 2 * math.pi).Q
+    want = np.array(DP5_Q[name])
+    assert np.all(np.abs(Q - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))

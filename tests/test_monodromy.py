@@ -111,6 +111,13 @@ def test_t1_monodromy_liouville(t1_monodromy):
         assert np.linalg.det(Q) > 0
 
 
+def test_checkpoints_do_not_change_q(t1_field, t1_chart, t1_monodromy):
+    # the checkpointed run lands its steps on the stations inside one integration
+    plain = mono.monodromy(t1_field, t1_chart, 2.0 * math.pi)
+    assert [x for x, _ in t1_monodromy.stats["checkpoints"]] == list(np.linspace(0.0, 2 * math.pi, 17)[1:])
+    assert np.all(np.abs(t1_monodromy.Q - plain.Q) <= 1e-10 * np.maximum(1.0, np.abs(plain.Q)))
+
+
 def test_t1_upper_right_entry_stays_zero(t1_monodromy):
     assert abs(t1_monodromy.Q[0, 1]) <= 1e-8
 
