@@ -15,6 +15,7 @@ to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -29,6 +30,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+GRID_PASS_POINTS = 4096  # points per vector chart_data pass of a classify or curvature grid
 
 
 class UsageError(Exception):
@@ -200,22 +203,30 @@ def write_svg(path_obj, filename, width=640, height=480, margin=20):
 # -- subcommands -------------------------------------------------------------
 
 
+def _grid_pass(field, chart, grid, read):
+    """read(d) of the order-0 chart data d of each vector pass over the flat
+    arrays grid = (xs, ys, zs), at most GRID_PASS_POINTS points a pass,
+    concatenated in grid order."""
+    out = []
+    for s in range(0, grid[0].size, GRID_PASS_POINTS):
+        # a non-finite value stops the command through read (exit 3), not with a warning
+        with np.errstate(all="ignore"):
+            d = tubular.chart_data(field, chart, *(v[s : s + GRID_PASS_POINTS] for v in grid))
+        out += read(d)
+    return out
+
+
 def cmd_classify(args):
     field, chart = resolve_field(args.field)
     x0, x1 = chart.curve.interval
     xs = np.linspace(x0, x1, args.samples, endpoint=not chart.curve.closed)
     offsets = np.linspace(-args.offset, args.offset, args.rings) if args.rings > 1 else [0.0]
-    rows = []
-    counts = {}
-    for x in xs:
-        for y in offsets:
-            for z in offsets:
-                cls = str(tubular.classify(field, chart, (float(x), float(y), float(z))))
-                counts[cls] = counts.get(cls, 0) + 1
-                rows.append((float(x), float(y), float(z), cls))
+    grid = [v.ravel() for v in np.meshgrid(xs, offsets, offsets, indexing="ij")]
+    classes = _grid_pass(field, chart, grid, tubular._classes)
+    rows = [(*p, str(c)) for p, c in zip(zip(*(v.tolist() for v in grid)), classes)]
     emit(
         args,
-        {"field": args.field, "counts": counts, "points": [list(r) for r in rows]},
+        {"field": args.field, "counts": collections.Counter(r[3] for r in rows), "points": [list(r) for r in rows]},
         csv_rows=rows,
         csv_header=("x", "y", "z", "class"),
     )
@@ -274,7 +285,9 @@ def cmd_curvature(args):
     field, chart = resolve_field(args.field)
     x0, x1 = chart.curve.interval
     xs = np.linspace(x0, x1, args.samples, endpoint=not chart.curve.closed)
-    rows = [(float(x), float(tubular.gaussian_curvature(field, chart, float(x), 0.0, 0.0))) for x in xs]
+    zeros = np.zeros_like(xs)
+    K = _grid_pass(field, chart, (xs, zeros, zeros), lambda d: [e * g - f**2 for *_, e, f, g in tubular._efg_rows(d)])
+    rows = list(zip(xs.tolist(), K))
     emit(
         args,
         {"field": args.field, "K": [list(r) for r in rows]},

@@ -183,6 +183,8 @@ class TubularField:
             out.append(sum(terms[row][1:], terms[row][0]) if terms[row] else 0)
         return tuple(out)
 
+    curve_order = 2  # chart_components reads gamma' and gamma'' (for k0, l0)
+
     def chart_components(self, point):
         """Components of xi at a tubular.ChartPoint of the field's curve."""
         _, d1, d2 = point.derivs

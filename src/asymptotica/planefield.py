@@ -47,6 +47,8 @@ class AmbientField:
                 J[i, 2] = c.deriv(0, 0, 1)
         return J
 
+    curve_order = 1  # chart_components reads only alpha, built from gamma and gamma'
+
     def chart_components(self, point):
         """Components of xi at a tubular.ChartPoint, from its alpha (used by tubular)."""
         return self.components(*point.alpha)

@@ -15,12 +15,14 @@ to the entries built from these partials.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
 from .curves import adapted_frame
+from .exprlang import DomainError
 from .jets import value_of
 
 
@@ -42,10 +44,10 @@ class PointClass(enum.Enum):
 class ChartPoint:
     """One expansion of the core curve at a chart point (x, y, z).
 
-    derivs are the derivative vectors (gamma, gamma', gamma'') at x, frame
-    the adapted frame (X, Y, Z) built from gamma', and alpha the ambient
-    point gamma + y Y + z Z.  Fields read their components from it, so a
-    chart point expands the curve once.
+    derivs are the derivative vectors (gamma, gamma', ...) at x, as far as
+    the expansion went, frame the adapted frame (X, Y, Z) built from
+    gamma', and alpha the ambient point gamma + y Y + z Z.  Fields read
+    their components from it, so a chart point expands the curve once.
     """
 
     x: object
@@ -63,16 +65,17 @@ class TubularChart:
         self.curve = curve
         self.radius = float(radius)
 
-    def expand(self, x, y, z):
-        """The ChartPoint at (x, y, z), from one curve expansion to second order."""
-        derivs = self.curve.jet(x, 2)
+    def expand(self, x, y, z, order=2):
+        """The ChartPoint at (x, y, z), from one curve expansion to this
+        order (at least 1: the frame is built from gamma')."""
+        derivs = self.curve.jet(x, order)
         frame = adapted_frame(derivs[1])
         _, Y, Z = frame
         alpha = tuple(derivs[0][i] + y * Y[i] + z * Z[i] for i in range(3))
         return ChartPoint(x, y, z, derivs, frame, alpha)
 
     def alpha(self, x, y, z):
-        return self.expand(x, y, z).alpha
+        return self.expand(x, y, z, 1).alpha
 
     def point(self, x, y, z):
         return np.array([float(value_of(c)) for c in self.alpha(x, y, z)])
@@ -85,8 +88,9 @@ class TubularChart:
 class ChartData:
     """Reduced binary-equation data at one chart point (or an array of them).
 
-    The jet fields keep derivative information up to the order requested from
-    chart_data; scalar convenience accessors read the plain values.
+    At order 0 every field is a plain value (a float, an array or a
+    Fraction); at a higher order the jet fields keep derivative information
+    up to that order, and the scalar convenience accessors read their values.
     """
 
     x: object
@@ -118,12 +122,18 @@ class ChartData:
         return self.value("e") * self.value("g") - self.value("f") ** 2
 
 
+def _plain(j):
+    """An order-0 jet as its plain value (the reduction then runs on floats,
+    arrays or Fractions); a higher-order jet as it is."""
+    return j.value if j.order == 0 else j
+
+
 def _partial_vec(vec, i):
-    return [comp.partial(i) if isinstance(comp, jets.Jet) else 0 for comp in vec]
+    return [_plain(comp.partial(i)) if isinstance(comp, jets.Jet) else 0 for comp in vec]
 
 
 def _truncate(v, order):
-    return v.truncated(order) if isinstance(v, jets.Jet) else v
+    return _plain(v.truncated(order)) if isinstance(v, jets.Jet) else v
 
 
 def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
@@ -131,10 +141,12 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
 
     order is the jet order retained on the outputs: 0 for plain values,
     1 when first partials in (x, y, z) are wanted.  x, y, z may be numpy
-    arrays (broadcast evaluation at many points at once).
+    arrays (broadcast evaluation at many points at once).  The curve is
+    expanded to field.curve_order, the highest derivative of gamma that
+    field.chart_components reads.
     """
     q = order + 1
-    point = chart.expand(*jets.seed((x, y, z), q))
+    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order)
     xi = field.chart_components(point)
     d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]
@@ -143,12 +155,17 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
     a, b, c = (jets.dot(xi_t, d) for d in d_alpha)
     L = quadratic_coefficients(d_xi, d_alpha)
 
-    cv = value_of(c)
-    if np.any(np.abs(cv) < c_tol):
-        raise ReductionSingular(f"c = {cv} at (x, y, z) = ({x}, {y}, {z})")
+    small = np.abs(value_of(c)) < c_tol
+    if np.any(small):  # name the first such point
+        *columns, small = np.broadcast_arrays(value_of(c), x, y, z, small)
+        cv, px, py, pz = (v.flat[np.argmax(small)] for v in columns)
+        raise ReductionSingular(f"c = {cv} at (x, y, z) = ({px}, {py}, {pz})")
 
-    A = -(a / c)
-    B = -(b / c)
+    # one reciprocal in c's ring for both ratios: -(a * r) is bit for bit
+    # the jet quotient a / c, which a plain a / c is not
+    r = c._reciprocal() if isinstance(c, jets.Jet) else jets._div(1, c)
+    A = -(a * r)
+    B = -(b * r)
     e, f, g = reduced_coefficients(A, B, L)
     return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=L, e=e, f=f, g=g, A=A, B=B)
 
@@ -174,7 +191,8 @@ def reduced_coefficients(A, B, L):
     # substituting dz = A dx + B dy into L6 dz^2 puts 2AB L6 on the dx dy
     # coefficient, so the mixed reduced coefficient carries the full AB L6
     # (gauge invariance of the root slopes pins this down)
-    f = L2 / 2 + (A * L5 + B * L4) / 2 + A * B * L6
+    # halved in the ring of the terms: an int becomes a Fraction, as in a jet
+    f = jets._div(L2, 2) + jets._div(A * L5 + B * L4, 2) + A * B * L6
     g = L3 + B * L5 + B * B * L6
     return e, f, g
 
@@ -185,17 +203,33 @@ def gaussian_curvature(field, chart, x, y, z):
 
 def classify(field, chart, point, tol=1e-8):
     """Sign classification of eg - f^2, scale-free, with a Parabolic band."""
-    d = chart_data(field, chart, *point)
-    e, f, g = d.value("e"), d.value("f"), d.value("g")
-    scale = max(abs(e), abs(f), abs(g), 1.0)
-    if max(abs(e), abs(f), abs(g)) <= tol * scale:
-        return PointClass.FULLY_DEGENERATE
-    K = (e * g - f * f) / scale**2
-    if K < -tol:
-        return PointClass.HYPERBOLIC
-    if K > tol:
-        return PointClass.ELLIPTIC
-    return PointClass.PARABOLIC
+    return _classes(chart_data(field, chart, *point), tol)[0]
+
+
+def _efg_rows(d):
+    """(x, y, z, e, f, g) of each point of order-0 chart data d, as Python
+    numbers in flat order; DomainError names the first point where e, f or g
+    is not finite (an array pass divides by zero without raising)."""
+    columns = np.broadcast_arrays(*(np.asarray(v) for v in (d.x, d.y, d.z, d.e, d.f, d.g)))
+    rows = list(zip(*(c.ravel().tolist() for c in columns)))
+    for x, y, z, *efg in rows:
+        if not all(map(math.isfinite, efg)):
+            raise DomainError(f"non-finite e, f, g = {', '.join(map(str, efg))} at (x, y, z) = ({x}, {y}, {z})")
+    return rows
+
+
+def _classes(d, tol=1e-8):
+    """The PointClass of each point of order-0 chart data d, in flat order:
+    the threshold rule of classify, for one point or a vector pass."""
+    out = []
+    for *_, e, f, g in _efg_rows(d):
+        scale = max(abs(e), abs(f), abs(g), 1.0)
+        if max(abs(e), abs(f), abs(g)) <= tol * scale:
+            out.append(PointClass.FULLY_DEGENERATE)
+            continue
+        K = (e * g - f * f) / scale**2
+        out.append(PointClass.HYPERBOLIC if K < -tol else PointClass.ELLIPTIC if K > tol else PointClass.PARABOLIC)
+    return out
 
 
 def binary_equation_data(field, chart):

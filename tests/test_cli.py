@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, verify
+from asymptotica import cli, tubular, verify
 
 
 def run(capsys, *argv):
@@ -122,6 +122,12 @@ def test_integrate_bad_start_is_usage_error(capsys):
     assert "error" in err
 
 
+# a vertical core curve: its frame vanishes, so c = 0 and dz cannot be solved for
+VERTICAL_CURVE_FIELD = json.dumps({"xi": ["1", "0", "0"], "curve": "0,0,x"})
+# an overflow: e, f, g are not finite, which no sign test may call Parabolic
+OVERFLOW_FIELD = json.dumps({"xi": ["1", "exp(800*y+800)", "0"]})
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -156,8 +162,9 @@ def test_integrate_bad_start_is_usage_error(capsys):
         # Jacobian meets
         (["poincare", "--field", "circle-example", "--fd-check", "--h", "0.05"], 3),
         (["poincare", "--field", "circle-example", "--fd-check", "--fd-rtol", "1e-300", "--fd-atol", "1e-300"], 1),
-        # a vertical core curve: its frame vanishes, so c = 0 and dz cannot be solved for
-        (["classify", "--field", json.dumps({"xi": ["1", "0", "0"], "curve": "0,0,x"}), "--samples", "2"], 3),
+        (["classify", "--field", VERTICAL_CURVE_FIELD, "--samples", "2"], 3),
+        (["classify", "--field", OVERFLOW_FIELD, "--samples", "2"], 3),
+        (["curvature", "--field", OVERFLOW_FIELD, "--samples", "2"], 3),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -304,6 +311,49 @@ def test_arnold_surface_bad_orders(capsys):
     assert code == 2
     code, _, _ = run(capsys, "arnold-surface", "--orders", "x,y")
     assert code == 2
+
+
+def test_singular_grid_names_one_point(capsys):
+    # a vector pass reports the first point where c vanishes, in one line
+    code, out, err = run(capsys, "classify", "--field", VERTICAL_CURVE_FIELD, "--samples", "2")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["numerical failure: c = 0.0 at (x, y, z) = (0.0, -0.01, -0.01)"]
+
+
+def test_non_finite_grid_names_one_point(capsys):
+    code, _, err = run(capsys, "classify", "--field", OVERFLOW_FIELD, "--samples", "2")
+    assert code == 3
+    assert err.splitlines() == ["numerical failure: non-finite e, f, g = nan, nan, nan at (x, y, z) = (0.0, -0.01, -0.01)"]
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example"])
+def test_classify_grid_matches_pointwise_classify(capsys, monkeypatch, name):
+    # the grid's vector passes give every point the class of tubular.classify;
+    # passes of 7 points split the grid unevenly and leave the document unchanged
+    field, chart = cli.resolve_field(name)
+    for offset in ("0.003", "0.01", "0.02"):
+        argv = ("classify", "--field", name, "--samples", "6", "--offset", offset, "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 54
+        for x, y, z, cls in points:
+            assert cls == str(tubular.classify(field, chart, (x, y, z))), (x, y, z)
+        monkeypatch.setattr(cli, "GRID_PASS_POINTS", 7)
+        assert run(capsys, *argv)[1] == out
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example"])
+def test_curvature_matches_pointwise_gaussian_curvature(capsys, name):
+    field, chart = cli.resolve_field(name)
+    code, out, _ = run(capsys, "curvature", "--field", name, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["K"]
+    assert len(rows) == 128
+    for x, K in rows:
+        want = tubular.gaussian_curvature(field, chart, x, 0.0, 0.0)
+        assert abs(K - want) <= 1e-13 * max(1.0, abs(want)), x
 
 
 def test_curvature_csv(capsys):

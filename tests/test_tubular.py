@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,3 +205,74 @@ def test_gauge_scaling_preserves_reduced_ratios():
     d2 = chart_data(scaled, chart, 0.7, 0.02, -0.01)
     assert d2.value("A") == pytest.approx(d1.value("A"), rel=1e-12)
     assert d2.value("B") == pytest.approx(d1.value("B"), rel=1e-12)
+
+
+def _products(monkeypatch, field, chart, point):
+    """The operand pairs of every jet product one scalar order-0 chart_data pass makes."""
+    pairs = []
+    mul = Jet.__mul__
+
+    def counted(a, b):
+        pairs.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    chart_data(field, chart, *point)
+    monkeypatch.undo()
+    return pairs
+
+
+@pytest.mark.parametrize("name, most", [("t1", 90), ("circle-example", 60)])
+def test_scalar_chart_point_product_count(monkeypatch, name, most, t1_field, t1_chart):
+    # the reduction runs on plain values once partials and truncations keep
+    # only a constant term, and an ambient field expands the curve to first
+    # order only (the parent made 132 and 107 products, 48 of them between
+    # two one-coefficient jets)
+    field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
+    pairs = _products(monkeypatch, field, chart, (0.7, 0.01, -0.02))
+    assert len(pairs) <= most
+    assert not [p for p in pairs if all(type(j) is Jet and j.order == 0 for j in p)]
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example"])
+def test_order_zero_values_are_order_one_constant_terms(name, t1_field, t1_chart):
+    # plain values and -(a * (1/c)) reproduce the jet pipeline's constant
+    # terms bit for bit
+    field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
+    rng = np.random.default_rng(7)
+    for x, y, z in zip(rng.uniform(0, 2 * math.pi, 50), rng.uniform(-0.01, 0.01, 50), rng.uniform(-0.01, 0.01, 50)):
+        plain = chart_data(field, chart, float(x), float(y), float(z))
+        jet = chart_data(field, chart, float(x), float(y), float(z), order=1)
+        for q in "efgAB":
+            assert type(getattr(plain, q)) is not Jet
+            assert float(plain.value(q)).hex() == float(jet.value(q)).hex(), (x, y, z, q)
+
+
+def test_ambient_field_expands_the_curve_to_first_order():
+    field, chart = circle_example_field(), circle_chart()
+    seeds = tubular.jets.seed((0.7, 0.01, -0.02), 1)
+    point = chart.expand(*seeds, field.curve_order)
+    full = chart.expand(*seeds)
+    assert len(point.derivs) == 2 and len(full.derivs) == 3
+    for got, want in zip(point.alpha, full.alpha):
+        assert got._coef == want._coef
+
+
+def test_array_reduction_singular_names_the_first_point():
+    chart = circle_chart()
+    field = AmbientField(("1 + 0*x", "0*x", "0*x"))
+    with pytest.raises(ReductionSingular) as info:
+        chart_data(field, chart, np.linspace(0.0, 1.0, 50), 0.0, 0.0)
+    assert str(info.value) == "c = 0.0 at (x, y, z) = (0.0, 0.0, 0.0)"
+
+
+def test_exact_chart_point_stays_exact():
+    # plain values keep the ring of the seeds: a Fraction point on a
+    # polynomial curve reduces to Fractions, the constant terms of the jets
+    chart = TubularChart(Curve.from_expressions(("x", "x^2", "x^3"), (-1, 1)))
+    field = AmbientField(("z - y", "1 + 0*x", "1 + y*y"))
+    point = (Fraction(1, 3), Fraction(1, 50), Fraction(-1, 70))
+    plain, jet = chart_data(field, chart, *point), chart_data(field, chart, *point, order=1)
+    for q in "efgAB":
+        assert type(getattr(plain, q)) is Fraction and plain.value(q) == jet.value(q)
