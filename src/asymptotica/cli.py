@@ -261,7 +261,8 @@ def cmd_poincare(args):
 
 def cmd_integrate(args):
     field, chart = resolve_field(args.field)
-    path = flow.integrate_asymptotic(field, chart, args.start, args.to, rtol=args.rtol, atol=args.atol)
+    with np.errstate(all="ignore"):  # non-finite chart data stops the path "singular", not with a warning
+        path = flow.integrate_asymptotic(field, chart, args.start, args.to, rtol=args.rtol, atol=args.atol)
     if args.svg:
         write_svg(path, args.svg)
     rows = list(zip(path.xs, path.ys, path.zs, path.ps))

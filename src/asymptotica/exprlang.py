@@ -19,6 +19,8 @@ Grammar notes:
     this choice once per call.
   * a variable that is not bound is an UnboundVariable error when the
     expression is compiled, before any evaluation.
+  * a value outside a function's domain or the float range (a negative
+    sqrt, a division by zero, an overflowing exp or ^) is a DomainError.
 """
 
 from __future__ import annotations
@@ -303,6 +305,20 @@ def to_source(expr: Expr) -> str:
 _FUNC_IMPL = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
 
 
+def _domain_checked(fn):
+    """fn, a closure of the argument tuple, raising DomainError for a value outside its domain or the float range."""
+
+    def checked(args):
+        try:
+            return fn(args)
+        except ZeroDivisionError:  # also 0 ** -n
+            raise DomainError("division by zero") from None
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(str(exc)) from None
+
+    return checked
+
+
 def compile_expr(expr: Expr, variables: Tuple[str, ...]):
     """expr as a callable of the values of variables, in that order.
 
@@ -344,18 +360,10 @@ def _closure(node, index, exact):
         return lambda args: -arg(args)
     if isinstance(node, Pow):
         base, n = _closure(node.base, index, exact), node.exponent
-        return lambda args: base(args) ** n
+        return _domain_checked(lambda args: base(args) ** n)
     if isinstance(node, Call):
         arg, impl = _closure(node.arg, index, exact), _FUNC_IMPL[node.func]
-
-        def call(args):
-            a = arg(args)
-            try:
-                return impl(a)
-            except ValueError as exc:
-                raise DomainError(str(exc)) from None
-
-        return call
+        return _domain_checked(lambda args: impl(arg(args)))
     if isinstance(node, BinOp):
         left, right = _closure(node.left, index, exact), _closure(node.right, index, exact)
         if node.op == "+":
@@ -364,15 +372,7 @@ def _closure(node, index, exact):
             return lambda args: left(args) - right(args)
         if node.op == "*":
             return lambda args: left(args) * right(args)
-
-        def divide(args):
-            a, b = left(args), right(args)
-            try:
-                return a / b
-            except ZeroDivisionError:
-                raise DomainError("division by zero") from None
-
-        return divide
+        return _domain_checked(lambda args: left(args) / right(args))
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -5,11 +5,13 @@ g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
 branch by continuity (nearest root to the previously accepted slope), with
 rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
 single chart path, a lockstep batch of chart paths and a path on a
-parametrized surface.  A start point with no real branch raises
-EllipticStop or VerticalDirection.  A later stop ends the path with its
+parametrized surface.  An x-only part of the right-hand side that is a
+fitted series (monodromy's M, a cached batch) is read from one evaluation
+per step at all stage abscissae.  A start point with no real branch raises
+EllipticStop or VerticalDirection.  Any other stop ends the path with its
 status instead of jumping branches: "parabolic" (root collision),
 "elliptic" (no real root), "vertical" (only dx = 0), "tube-exit" or
-"singular" (a singular reduction or step-size underflow).
+"singular" (a singular reduction, non-finite data or step-size underflow).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
 with a message that begins with it.
@@ -79,6 +81,8 @@ def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
 
 def _branch_slope(e, f, g, prev_p, tol):
     """branch_slopes at one point."""
+    if not (math.isfinite(e) and math.isfinite(f) and math.isfinite(g)):
+        raise FlowError(f"non-finite chart data e, f, g = {e}, {f}, {g}")
     scale = max(abs(e), abs(f), abs(g))
     if scale == 0:
         raise FlowError("e = f = g = 0: every direction is asymptotic")
@@ -146,13 +150,14 @@ class ChartSpectralCache:
             axis=1,
         )
 
-    def efgab(self, x, y, z):
+    def efgab(self, x, y, z, coeffs=None):
         """Values of (e, f, g, A, B) at n points; y, z arrays of length n and
         x either such an array or one float shared by every point (a lockstep
-        batch), which evaluates the x-interpolants once."""
+        batch), which evaluates the x-interpolants once.  coeffs, when given,
+        is self.series(x) already evaluated (a row of rk45's stage table)."""
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        coeffs = self.series(x)  # (nquant * nmono,) or (n, nquant * nmono)
+        coeffs = self.series(x) if coeffs is None else coeffs  # (nquant * nmono,) or (n, nquant * nmono)
         coeffs = coeffs.reshape(coeffs.shape[:-1] + (len(self._QUANTITIES), len(self.monomials)))
         i, j = self._exponents
         mono = y[:, None] ** i * z[:, None] ** j  # (n, nmono)
@@ -166,6 +171,7 @@ _C = (
     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
+_STAGES = np.array(_C)
 _A = tuple(map(np.array, (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -215,18 +221,23 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14, on_accept=None):
+def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14, on_accept=None, coefficients=None):
     """Adaptive Runge-Kutta of order 8 (DOP853); y may be any numpy array shape.
     Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
     combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
     stays because bench/tracer.py patches flow.rk45; a rename waits on a
     benchmark change.  x1 is the end point or a sequence of stations ending
     there; a step lands exactly on each, keeping step size and first stage.
-    rhs(x, y) -> dy/dx; it may raise _Stop.  A stop inside a step halves the
-    step, since overshooting may cause it, and ends the run once the step is
-    down to 4 min_step.  A NaN error estimate rejects and shrinks the step,
-    so such a run ends in a "singular" step-size underflow.  on_accept(x, y)
-    is called at every accepted step.  max_step defaults to 1/8 of the run.
+    rhs(x, y) -> dy/dx; it may raise _Stop.  coefficients, when given, is a
+    vectorised function of x alone, evaluated once per step attempt at its
+    12 stage abscissae: stage i calls rhs(x_i, y_i, row_i), and the
+    first-same-as-last stage and on_accept reuse row 11 (at x + h, which is
+    a station it lands on up to rounding); the start takes one row at x0.
+    A stop inside a step halves the step, since overshooting may cause it,
+    and ends the run once the step is down to 4 min_step.  A NaN error
+    estimate rejects and shrinks the step, so such a run ends in a
+    "singular" step-size underflow.  on_accept(x, y[, row 11]) is called at
+    every accepted step.  max_step defaults to 1/8 of the run.
     Returns (x, y, stats) at the last station, or at the last accepted point
     after a stop; stats holds "steps", "rejected", "min_step", "status"
     ("reached" or the stop's) and "reason".
@@ -241,9 +252,10 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     h = min(max_step, span / 16) if span > 0 else max_step
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
-        f0 = rhs(x, y)
+        f0 = rhs(x, y) if coefficients is None else rhs(x, y, coefficients(x))
         # the stage slopes of one step, one flattened row per stage
         ks = np.empty((12, y.size))
+        rows = [()] * 12  # the extra rhs argument of each stage
         for station in stations:
             tiny = 1e-15 * max(1.0, abs(station))
             while (remaining := direction * (station - x)) > tiny:
@@ -252,16 +264,18 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
                     raise _Stop("singular", f"step size underflow at x = {x}")
                 dh = direction * step
                 try:
+                    if coefficients is not None:
+                        rows = [(row,) for row in coefficients(x + dh * _STAGES)]
                     ks[0] = f0.reshape(-1)
                     for i in range(1, 12):
-                        ks[i] = rhs(x + dh * _C[i], y + dh * (_A[i] @ ks[:i]).reshape(y.shape)).reshape(-1)
+                        ks[i] = rhs(x + dh * _C[i], y + dh * (_A[i] @ ks[:i]).reshape(y.shape), *rows[i]).reshape(-1)
                     y1 = y + dh * (_B @ ks).reshape(y.shape)
                     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
                     err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
                     # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
                     err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
                     if err <= 1.0:
-                        f0 = rhs(x + dh, y1)  # first same as last
+                        f0 = rhs(x + dh, y1, *rows[11])  # first same as last; _C[11] == 1
                 except _Stop:
                     if step <= 4 * min_step:
                         raise
@@ -274,7 +288,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
                     stats["steps"] += 1
                     stats["min_step"] = min(stats["min_step"], step)
                     if on_accept is not None:
-                        on_accept(x, y)
+                        on_accept(x, y, *rows[11])
                 else:
                     stats["rejected"] += 1
                 # a NaN estimate (no comparison holds) shrinks the step
@@ -291,44 +305,52 @@ def require_reached(stats):
         raise FlowError(f"{stats['status']}: {stats['reason']}")
 
 
-def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None):
+def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None, coefficients=None):
     """Follow one root branch of g p^2 + 2 f p + e = 0 from x0 toward x1.
 
     state0 has shape (k,) for one path or (n, k) for a lockstep batch; its
     first column moves with the tracked slope p.  equation(x, state) returns
     (e, f, g) or (e, f, g, A, B), A and B moving the second column with
-    A + B p.  branch is an optional slope hint at the start.  A start with no
-    real root raises EllipticStop or VerticalDirection; a later stop ends
-    the run (a stage outside |state| <= radius is a "tube-exit").  Returns
-    (xs, states, ps, stats) at the start and every accepted step; stats are
-    rk45's plus "max_residual" of the slope equation.
+    A + B p; coefficients goes to rk45, and equation takes a stage's row as
+    a third argument.  branch is an optional slope hint at the start.  A
+    start with no real root raises EllipticStop or VerticalDirection; any
+    other stop ends the run (a stage outside |state| <= radius is a
+    "tube-exit").  Returns (xs, states, ps, stats) at the start and every
+    accepted step; stats are rk45's plus "max_residual" of the slope equation.
     """
     track = {"p": branch}
     samples = []  # (x, state, p, residual) at the start and every accepted step
 
-    def evaluate(x, state):
-        e, f, g, *tail = equation(x, state)
+    def evaluate(x, state, *row):
+        e, f, g, *tail = equation(x, state, *row)
         slopes, p = branch_slopes(e, f, g, prev_p=track["p"])
         return e, f, g, tail, slopes, p
 
-    def on_accept(x, state):
-        e, f, g, _, _, p = evaluate(x, state)
+    def on_accept(x, state, *row):
+        e, f, g, _, _, p = evaluate(x, state, *row)
         track["p"] = p
         samples.append((x, state, p, abs(g * p * p + 2 * f * p + e)))
 
-    def rhs(x, state):
+    def rhs(x, state, *row):
         if (np.abs(state) > radius).any():
             raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
         try:
-            _, _, _, tail, slopes, p = evaluate(x, state)
+            _, _, _, tail, slopes, p = evaluate(x, state, *row)
         except (FlowError, tubular.ReductionSingular) as exc:
-            raise _Stop(_STATUS.get(type(exc), "singular"), str(exc))
+            raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc} at x = {x}" if type(exc) is FlowError else str(exc))
         if len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))):
             raise _Stop("parabolic", "root branches collided")
         return np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1)
 
-    on_accept(x0, state0)
-    _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept)
+    try:
+        on_accept(x0, state0)
+    except (FlowError, tubular.ReductionSingular) as exc:
+        if type(exc) in _STATUS:  # no real branch at the start
+            raise
+        samples.append((x0, state0, math.nan, math.nan))  # rk45's first stage stops the run "singular"
+    _, _, stats = rk45(
+        rhs, x0, x1, state0, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept, coefficients=coefficients
+    )
     xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
     stats["max_residual"] = float(np.max(residuals))
     return xs, states, ps, stats
@@ -369,10 +391,10 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_st
         direct = tubular.binary_equation_data(field, chart)
         efgab = lambda x, y, z: direct(np.full(len(y), x), y, z)
     else:
-        efgab = cache.efgab  # takes the shared abscissa as one float
+        efgab = cache.efgab  # takes the shared abscissa as one float, or its stage-table row
     _, states, _, stats = _track(
-        lambda x, yz: efgab(x, yz[:, 0], yz[:, 1]), x0, x1, np.asarray(starts, dtype=float),
-        None, chart.radius, rtol, atol, max_step,
+        lambda x, yz, *row: efgab(x, yz[:, 0], yz[:, 1], *row), x0, x1, np.asarray(starts, dtype=float),
+        None, chart.radius, rtol, atol, max_step, coefficients=None if cache is None else cache.series,
     )
     require_reached(stats)
     return states[-1]

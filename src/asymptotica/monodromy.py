@@ -130,15 +130,16 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     stations = np.linspace(0.0, period, checkpoints + 1)[1:].tolist() if checkpoints else period
     collected = []
 
-    def rhs(x, qflat):
-        return (mfn(x) @ qflat.reshape(2, 2)).reshape(4)
+    def rhs(x, qflat, m=None):  # the cached path gets M(x) from rk45's stage table
+        return ((mfn(x) if m is None else m) @ qflat.reshape(2, 2)).reshape(4)
 
-    def on_accept(x, q):
+    def on_accept(x, q, *_):  # the cached path also passes M's row
         if x in stations:  # a step that lands on a station ends exactly there
             collected.append((x, q.reshape(2, 2).copy()))
 
     _, q, stats = flow.rk45(
-        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=rtol, atol=atol, on_accept=on_accept if checkpoints else None
+        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=rtol, atol=atol, on_accept=on_accept if checkpoints else None,
+        coefficients=None if vc is None else vc.matrix,
     )
     flow.require_reached(stats)
     Q = q.reshape(2, 2)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -165,6 +166,10 @@ OVERFLOW_FIELD = json.dumps({"xi": ["1", "exp(800*y+800)", "0"]})
         (["classify", "--field", VERTICAL_CURVE_FIELD, "--samples", "2"], 3),
         (["classify", "--field", OVERFLOW_FIELD, "--samples", "2"], 3),
         (["curvature", "--field", OVERFLOW_FIELD, "--samples", "2"], 3),
+        # a float overflow, or 0 to a negative power, is a domain error
+        (["integrability", "--field", json.dumps({"xi": ["exp(800*x+800)", "1", "0"]}), "--point", "1,0,0"], 3),
+        (["integrability", "--field", json.dumps({"xi": ["x^400", "1", "0"]}), "--point", "1e10,0,0"], 3),
+        (["integrability", "--field", json.dumps({"xi": ["x^(-1)", "1", "0"]}), "--point", "0,0,0"], 3),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -318,6 +323,19 @@ def test_singular_grid_names_one_point(capsys):
     code, out, err = run(capsys, "classify", "--field", VERTICAL_CURVE_FIELD, "--samples", "2")
     assert code == 3 and out == ""
     assert err.splitlines() == ["numerical failure: c = 0.0 at (x, y, z) = (0.0, -0.01, -0.01)"]
+
+
+def test_non_finite_chart_data_stops_the_path_singular(capsys):
+    # the start's e, f, g are NaN: a "singular" stop that says so, with no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "integrate", "--field", OVERFLOW_FIELD, "--to", "0.1", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)
+    assert (doc["status"], doc["samples"]) == ("singular", 1)
+    assert doc["reason"] == "non-finite chart data e, f, g = nan, nan, nan at x = 0.0"
+    assert err.splitlines() == [f"integration stopped: singular ({doc['reason']})"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_non_finite_grid_names_one_point(capsys):

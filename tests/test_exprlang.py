@@ -188,12 +188,18 @@ def _oracle(expr, bindings):
     if isinstance(expr, Neg):
         return -_oracle(expr.arg, bindings)
     if isinstance(expr, Pow):
-        return _oracle(expr.base, bindings) ** expr.exponent
+        base = _oracle(expr.base, bindings)
+        try:
+            return base ** expr.exponent
+        except ZeroDivisionError:  # 0 ** -n
+            raise DomainError("division by zero") from None
+        except OverflowError as exc:
+            raise DomainError(str(exc)) from None
     if isinstance(expr, Call):
         arg = _oracle(expr.arg, bindings)
         try:
             return {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}[expr.func](arg)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DomainError(str(exc)) from None
     left, right = _oracle(expr.left, bindings), _oracle(expr.right, bindings)
     if expr.op == "+":
@@ -310,6 +316,10 @@ def test_compiled_expressions_match_the_tree_walker(ring, data):
         ("1/(x-x)", {"x": 1.0}, DomainError),
         ("1/(x-x)", {"x": Fraction(1, 3)}, DomainError),
         ("x + y", {"x": 1.0}, UnboundVariable),
+        ("x^(-1)", {"x": 0.0}, DomainError),
+        ("x^(-2)", {"x": Fraction(0)}, DomainError),
+        ("x^400", {"x": 1e10}, DomainError),
+        ("exp(x)", {"x": 800.0}, DomainError),
     ],
 )
 def test_compiled_expressions_raise_what_the_tree_walker_raises(source, bindings, error):

@@ -16,6 +16,7 @@ from asymptotica.flow import (
     rk45,
 )
 from asymptotica.planefield import circle_example_field
+from asymptotica.spectral import TrigSeries
 
 
 def test_branch_slopes_symmetric_case():
@@ -45,6 +46,15 @@ def test_branch_slopes_vertical():
 def test_branch_slopes_all_zero():
     with pytest.raises(FlowError):
         branch_slopes(0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("efg", [(math.nan, 1.0, 1.0), (1.0, math.inf, 0.0), (-1.0, 0.0, -math.inf)])
+def test_branch_slopes_non_finite_is_no_branch_stop(efg):
+    # not elliptic, vertical or a slope: the chart data themselves are broken
+    with pytest.raises(FlowError) as info:
+        branch_slopes(*efg)
+    assert type(info.value) is FlowError
+    assert str(info.value) == "non-finite chart data e, f, g = {}, {}, {}".format(*efg)
 
 
 def test_branch_continuity_prefers_previous_slope():
@@ -225,7 +235,12 @@ def test_branch_slopes_on_arrays_match_scalars():
 
 @pytest.mark.parametrize(
     "bad, stop",
-    [((0.0, 0.0, 0.0), FlowError), ((1.0, 0.0, 0.0), VerticalDirection), ((1.0, 0.0, 1.0), EllipticStop)],
+    [
+        ((0.0, 0.0, 0.0), FlowError),
+        ((1.0, 0.0, 0.0), VerticalDirection),
+        ((1.0, 0.0, 1.0), EllipticStop),
+        ((1.0, math.nan, 1.0), FlowError),
+    ],
 )
 def test_branch_slopes_on_arrays_raise_the_point_stop(bad, stop):
     with pytest.raises(stop) as point:
@@ -283,9 +298,9 @@ def rhs_calls(monkeypatch):
     real = flow.rk45
 
     def counting(rhs, *args, **kwargs):
-        def counted(x, y):
+        def counted(x, y, *row):
             calls.append(x)
-            return rhs(x, y)
+            return rhs(x, y, *row)
 
         return real(counted, *args, **kwargs)
 
@@ -323,6 +338,74 @@ def test_cached_t1_monodromy_stage_count(t1_field, t1_chart, rhs_calls):
     cache = monodromy.VariationalCache(t1_field, t1_chart, 2 * math.pi)
     monodromy.monodromy(t1_field, t1_chart, 2 * math.pi, cache=cache)
     assert 0 < len(rhs_calls) <= 3000  # Dormand-Prince 5(4): 5,113
+
+
+# -- the stage table: one coefficient evaluation per step attempt -------------
+
+
+def test_stage_table_matches_evaluating_the_coefficients_per_stage():
+    # y' = a(x) y, a fitted series of two rows; the table only changes where a is evaluated
+    a = TrigSeries.fit(
+        lambda xs: np.stack([np.cos(xs) + 0.3 * np.sin(2 * xs), 0.5 * np.cos(3 * xs)], axis=1), 2 * math.pi
+    )
+    table_calls = []
+
+    def coefficients(xs):
+        table_calls.append(np.shape(xs))
+        return a(xs)
+
+    y0 = np.array([1.0, -2.0])
+    _, per_stage, want = rk45(lambda x, y: a(x) * y, 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13)
+    _, tabled, got = rk45(
+        lambda x, y, row: row * y, 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13, coefficients=coefficients
+    )
+    assert (got["steps"], got["rejected"]) == (want["steps"], want["rejected"])
+    assert np.all(np.abs(tabled - per_stage) <= 1e-14 * np.abs(per_stage))
+    # the start row, then one table of the 12 stage abscissae per attempt
+    assert table_calls == [()] + [(12,)] * (got["steps"] + got["rejected"])
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Counts TrigSeries evaluations; the stats of every rk45 run are appended too."""
+    calls, runs = [], []
+    real_call, real_rk45 = TrigSeries.__call__, flow.rk45
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return real_call(self, x)
+
+    def recorded(*args, **kwargs):
+        result = real_rk45(*args, **kwargs)
+        runs.append(result[2])
+        return result
+
+    monkeypatch.setattr(TrigSeries, "__call__", counted)
+    monkeypatch.setattr(flow, "rk45", recorded)
+    return calls, runs
+
+
+def test_cached_monodromy_evaluates_one_series_per_attempt(t1_field, t1_chart, series_calls):
+    cache = monodromy.VariationalCache(t1_field, t1_chart, 2 * math.pi)
+    calls, runs = series_calls
+    del calls[:]
+    monodromy.monodromy(t1_field, t1_chart, 2 * math.pi, cache=cache)
+    (stats,) = runs
+    # the start row and the 64-point triangular sample are the two extra calls;
+    # one call per stage made 2,382
+    assert len(calls) <= stats["steps"] + stats["rejected"] + 2
+
+
+def test_cached_fd_batch_evaluates_one_series_per_attempt(t1_field, t1_chart, series_calls):
+    cache = ChartSpectralCache(t1_field, t1_chart, 2 * math.pi)
+    calls, runs = series_calls
+    del calls[:]
+    monodromy.fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, cache=cache)
+    (stats,) = runs
+    # the tracked slope of an accepted step reads the last stage's row, so the
+    # extra calls are the start row and the start's slope; one call per stage
+    # made 2,270, and a series evaluation per accepted step would add steps
+    assert len(calls) <= stats["steps"] + stats["rejected"] + 2
 
 
 @pytest.mark.parametrize(
