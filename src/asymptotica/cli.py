@@ -243,11 +243,13 @@ def cmd_poincare(args):
         except ValueError as exc:
             raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
-    result = monodromy.monodromy(field, chart, period)
+    # the fits' vector passes stop on non-finite data (exit 3), not with a warning
+    with np.errstate(all="ignore"):
+        result = monodromy.monodromy(field, chart, period)
+        fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h) if args.fd_check else None
     doc = result.to_dict()
     code = EXIT_OK
     if args.fd_check:
-        fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h)
         diff = np.abs(fd - result.Q)
         tol = np.maximum(args.fd_rtol * np.abs(result.Q), args.fd_atol)
         doc["fd_jacobian"] = fd.tolist()

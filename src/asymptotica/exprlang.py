@@ -305,15 +305,18 @@ def to_source(expr: Expr) -> str:
 _FUNC_IMPL = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
 
 
-def _domain_checked(fn):
-    """fn, a closure of the argument tuple, raising DomainError for a value outside its domain or the float range."""
+def _domain_checked(fn, node):
+    """fn, the closure of node over the argument tuple, raising DomainError
+    for a value outside its domain or the float range."""
 
     def checked(args):
         try:
             return fn(args)
         except ZeroDivisionError:  # also 0 ** -n
             raise DomainError("division by zero") from None
-        except (ValueError, OverflowError) as exc:
+        except OverflowError:
+            raise DomainError(f"{to_source(node)} overflows the float range") from None
+        except ValueError as exc:
             raise DomainError(str(exc)) from None
 
     return checked
@@ -360,10 +363,10 @@ def _closure(node, index, exact):
         return lambda args: -arg(args)
     if isinstance(node, Pow):
         base, n = _closure(node.base, index, exact), node.exponent
-        return _domain_checked(lambda args: base(args) ** n)
+        return _domain_checked(lambda args: base(args) ** n, node)
     if isinstance(node, Call):
         arg, impl = _closure(node.arg, index, exact), _FUNC_IMPL[node.func]
-        return _domain_checked(lambda args: impl(arg(args)))
+        return _domain_checked(lambda args: impl(arg(args)), node)
     if isinstance(node, BinOp):
         left, right = _closure(node.left, index, exact), _closure(node.right, index, exact)
         if node.op == "+":
@@ -372,7 +375,7 @@ def _closure(node, index, exact):
             return lambda args: left(args) - right(args)
         if node.op == "*":
             return lambda args: left(args) * right(args)
-        return _domain_checked(lambda args: left(args) / right(args))
+        return _domain_checked(lambda args: left(args) / right(args), node)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -5,13 +5,15 @@ g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
 branch by continuity (nearest root to the previously accepted slope), with
 rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
 single chart path, a lockstep batch of chart paths and a path on a
-parametrized surface.  An x-only part of the right-hand side that is a
-fitted series (monodromy's M, a cached batch) is read from one evaluation
-per step at all stage abscissae.  A start point with no real branch raises
-EllipticStop or VerticalDirection.  Any other stop ends the path with its
-status instead of jumping branches: "parabolic" (root collision),
-"elliptic" (no real root), "vertical" (only dx = 0), "tube-exit" or
-"singular" (a singular reduction, non-finite data or step-size underflow).
+parametrized surface.  An x-only part of the right-hand side is read from
+one evaluation per step attempt at the 11 abscissae of stages 1 to 11: a
+fitted series (monodromy's M, a cached batch), or on a single chart path
+the curve expansion and frame of the direct pipeline.  A start point with
+no real branch raises EllipticStop or VerticalDirection.  Any other stop
+ends the path with its status instead of jumping branches: "parabolic"
+(root collision), "elliptic" (no real root), "vertical" (only dx = 0),
+"tube-exit" or "singular" (a singular reduction, non-finite data or
+step-size underflow).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
 with a message that begins with it.
@@ -171,7 +173,7 @@ _C = (
     0.281649658092772603273242802490, 0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
 )
-_STAGES = np.array(_C)
+_STAGES = np.array(_C[1:])  # the abscissae of the stages that read a row; stage 0 is the last step's slope
 _A = tuple(map(np.array, (
     (),
     (5.26001519587677318785587544488e-2,),
@@ -229,14 +231,16 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     benchmark change.  x1 is the end point or a sequence of stations ending
     there; a step lands exactly on each, keeping step size and first stage.
     rhs(x, y) -> dy/dx; it may raise _Stop.  coefficients, when given, is a
-    vectorised function of x alone, evaluated once per step attempt at its
-    12 stage abscissae: stage i calls rhs(x_i, y_i, row_i), and the
-    first-same-as-last stage and on_accept reuse row 11 (at x + h, which is
-    a station it lands on up to rounding); the start takes one row at x0.
+    vectorised function of x alone (a fitted series, or the curve rows of a
+    tubular chart), evaluated once per step attempt at the 11 abscissae of
+    stages 1 to 11 (stage 0 is the last step's final slope): stage i calls
+    rhs(x_i, y_i, row_(i-1)), the first-same-as-last stage reuses the last
+    row, and so does on_accept unless a landing on a station rounds x away
+    from x + h; the start takes one row at x0.
     A stop inside a step halves the step, since overshooting may cause it,
     and ends the run once the step is down to 4 min_step.  A NaN error
     estimate rejects and shrinks the step, so such a run ends in a
-    "singular" step-size underflow.  on_accept(x, y[, row 11]) is called at
+    "singular" step-size underflow.  on_accept(x, y[, last row]) is called at
     every accepted step.  max_step defaults to 1/8 of the run.
     Returns (x, y, stats) at the last station, or at the last accepted point
     after a stop; stats holds "steps", "rejected", "min_step", "status"
@@ -255,7 +259,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
         f0 = rhs(x, y) if coefficients is None else rhs(x, y, coefficients(x))
         # the stage slopes of one step, one flattened row per stage
         ks = np.empty((12, y.size))
-        rows = [()] * 12  # the extra rhs argument of each stage
+        rows = [()] * 11  # the extra rhs argument of stages 1 to 11
         for station in stations:
             tiny = 1e-15 * max(1.0, abs(station))
             while (remaining := direction * (station - x)) > tiny:
@@ -268,14 +272,15 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
                         rows = [(row,) for row in coefficients(x + dh * _STAGES)]
                     ks[0] = f0.reshape(-1)
                     for i in range(1, 12):
-                        ks[i] = rhs(x + dh * _C[i], y + dh * (_A[i] @ ks[:i]).reshape(y.shape), *rows[i]).reshape(-1)
+                        yi = y + dh * (_A[i] @ ks[:i]).reshape(y.shape)
+                        ks[i] = rhs(x + dh * _C[i], yi, *rows[i - 1]).reshape(-1)
                     y1 = y + dh * (_B @ ks).reshape(y.shape)
                     scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
                     err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
                     # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
                     err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
                     if err <= 1.0:
-                        f0 = rhs(x + dh, y1, *rows[11])  # first same as last; _C[11] == 1
+                        f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
                 except _Stop:
                     if step <= 4 * min_step:
                         raise
@@ -283,12 +288,14 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
                     stats["rejected"] += 1
                     continue
                 if err <= 1.0:
-                    x = station if step == remaining else x + dh
+                    end = x + dh
+                    x = station if step == remaining else end
                     y = y1
                     stats["steps"] += 1
                     stats["min_step"] = min(stats["min_step"], step)
                     if on_accept is not None:
-                        on_accept(x, y, *rows[11])
+                        # the last row is at x + dh, which may miss the station by a rounding
+                        on_accept(x, y, *(rows[-1] if x == end else ()))
                 else:
                     stats["rejected"] += 1
                 # a NaN estimate (no comparison holds) shrinks the step
@@ -368,8 +375,9 @@ def integrate_asymptotic(field, chart, start, x1, branch=None, rtol=1e-10, atol=
     x0, y0, z0 = (float(v) for v in start)
     efgab = tubular.binary_equation_data(field, chart)
     xs, states, ps, stats = _track(
-        lambda x, yz: efgab(x, float(yz[0]), float(yz[1])), x0, x1, np.array([y0, z0]), branch,
+        lambda x, yz, *row: efgab(x, float(yz[0]), float(yz[1]), *row), x0, x1, np.array([y0, z0]), branch,
         chart.radius if radius is None else radius, rtol, atol, max_step,
+        coefficients=lambda xs: chart.curve_rows(xs, field.curve_order),
     )
     status, reason = stats.pop("status"), stats.pop("reason")
     return Path(xs=xs, ys=states[:, 0], zs=states[:, 1], ps=ps, status=status, reason=reason, stats=stats)

@@ -144,14 +144,21 @@ class Jet:
         """This jet minus its value (the part that vanishes at the expansion point)."""
         return _jet(self._table, {i: c for i, c in self._coef.items() if i})
 
-    def unstack(self):
+    def unstack(self, m=None):
         """The jets of the entries along the last axis of vector coefficients.
 
         A jet whose coefficients have shape s + (m,) gives m jets whose
-        coefficients have shape s (Python floats when s is empty).
+        coefficients have shape s (Python floats when s is empty).  A scalar
+        coefficient is shared by every entry; m is needed only when no
+        coefficient is an array.
         """
-        cols = [(i, c.tolist() if c.ndim == 1 else list(np.moveaxis(c, -1, 0))) for i, c in self._coef.items()]
-        return [_jet(self._table, {i: col[k] for i, col in cols}) for k in range(len(cols[0][1]))]
+        cols = {
+            i: c.tolist() if c.ndim == 1 else list(np.moveaxis(c, -1, 0))
+            for i, c in self._coef.items()
+            if isinstance(c, np.ndarray)
+        }
+        m = len(next(iter(cols.values()))) if cols else m
+        return [_jet(self._table, {i: cols[i][k] if i in cols else c for i, c in self._coef.items()}) for k in range(m)]
 
     # -- ring operations ---------------------------------------------------
 

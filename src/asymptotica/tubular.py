@@ -65,14 +65,45 @@ class TubularChart:
         self.curve = curve
         self.radius = float(radius)
 
-    def expand(self, x, y, z, order=2):
+    def expand(self, x, y, z, order=2, row=None):
         """The ChartPoint at (x, y, z), from one curve expansion to this
-        order (at least 1: the frame is built from gamma')."""
-        derivs = self.curve.jet(x, order)
-        frame = adapted_frame(derivs[1])
+        order (at least 1: the frame is built from gamma'), or from row,
+        the (derivs, frame) that curve_rows gave at x's value."""
+        derivs, frame = self._curve_part(x, order) if row is None else row
         _, Y, Z = frame
         alpha = tuple(derivs[0][i] + y * Y[i] + z * Z[i] for i in range(3))
         return ChartPoint(x, y, z, derivs, frame, alpha)
+
+    def _curve_part(self, x, order):
+        derivs = self.curve.jet(x, order)
+        return derivs, adapted_frame(derivs[1])
+
+    def curve_rows(self, x, order=2):
+        """The (derivs, frame) of expand at each abscissa of x, for the
+        first-order seeds of an order-0 chart_data pass.
+
+        One vectorised curve expansion serves every abscissa, and its jets
+        are split into per-abscissa jets with float coefficients, bit for
+        bit what expand computes at each point.  A float x gives one row, an
+        array a list.  Where the pass raises or gives a non-finite value, the
+        rows are None, so that expand meets the failure at its own point.
+        """
+        n = None if not np.ndim(x) else len(x)
+        try:
+            with np.errstate(all="ignore"):
+                derivs, frame = self._curve_part(jets.Jet.variable(x, 0, 3, 1), order)
+            parts = (v for vec in (*derivs, *frame) for v in vec if isinstance(v, jets.Jet))
+            finite = all(np.isfinite(c).all() for v in parts for c in v._coef.values())
+        except (ArithmeticError, ValueError, TypeError, DomainError):  # TypeError: isfinite of an object array
+            finite = False
+        if not finite:  # each point expands the curve itself and meets the failure there
+            return None if n is None else [None] * n
+        if n is None:
+            return derivs, frame
+        # a vector of jets as n vectors of per-abscissa jets
+        split = lambda vec: list(zip(*(v.unstack(n) if isinstance(v, jets.Jet) else [v] * n for v in vec)))
+        derivs, frame = [split(d) for d in derivs], [split(axis) for axis in frame]
+        return [([d[k] for d in derivs], tuple(axis[k] for axis in frame)) for k in range(n)]
 
     def alpha(self, x, y, z):
         return self.expand(x, y, z, 1).alpha
@@ -136,17 +167,19 @@ def _truncate(v, order):
     return _plain(v.truncated(order)) if isinstance(v, jets.Jet) else v
 
 
-def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13):
+def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13, row=None):
     """Evaluate the full coefficient pipeline at a chart point.
 
     order is the jet order retained on the outputs: 0 for plain values,
     1 when first partials in (x, y, z) are wanted.  x, y, z may be numpy
     arrays (broadcast evaluation at many points at once).  The curve is
     expanded to field.curve_order, the highest derivative of gamma that
-    field.chart_components reads.
+    field.chart_components reads, unless row is given (at order 0 only):
+    then the curve part is that row of chart.curve_rows(..., field.curve_order)
+    at x.
     """
     q = order + 1
-    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order)
+    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order, row)
     xi = field.chart_components(point)
     d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]
@@ -233,13 +266,14 @@ def _classes(d, tol=1e-8):
 
 
 def binary_equation_data(field, chart):
-    """A callable (x, y, z) -> (e, f, g, A, B) of plain values, array-capable.
+    """A callable (x, y, z[, row]) -> (e, f, g, A, B) of plain values,
+    array-capable; row is chart.curve_rows(x, field.curve_order) at a float x.
 
     This is the interface the flow integrator consumes.
     """
 
-    def efgab(x, y, z):
-        d = chart_data(field, chart, x, y, z, order=0)
+    def efgab(x, y, z, row=None):
+        d = chart_data(field, chart, x, y, z, order=0, row=row)
         return (d.value("e"), d.value("f"), d.value("g"), d.value("A"), d.value("B"))
 
     return efgab

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, tubular, verify
+from asymptotica import cli, planefield, tubular, verify
 
 
 def run(capsys, *argv):
@@ -336,6 +336,50 @@ def test_non_finite_chart_data_stops_the_path_singular(capsys):
     assert doc["reason"] == "non-finite chart data e, f, g = nan, nan, nan at x = 0.0"
     assert err.splitlines() == [f"integration stopped: singular ({doc['reason']})"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("fd", [[], ["--fd-check"]])
+def test_non_finite_fit_data_stop_in_one_line(capsys, fd):
+    # the cache fits' vector passes meet the overflow: one line, no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "poincare", "--field", OVERFLOW_FIELD, *fd)
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "source, point, message",
+    [
+        ("exp(800*x+800)", "1,0,0", "exp(800 * x + 800) overflows the float range"),
+        ("x^400", "1e10,0,0", "x^400 overflows the float range"),
+    ],
+)
+def test_overflow_names_the_operation(capsys, source, point, message):
+    code, _, err = run(capsys, "integrability", "--field", json.dumps({"xi": [source, "1", "0"]}), "--point", point)
+    assert code == 3
+    assert err.splitlines() == [f"numerical failure: {message}"]
+
+
+# the circle example's field on curves whose third component fails past x = 1
+# (a negative sqrt raises) or past x = 0.887 (0 * inf is NaN); the curve rows
+# of a step attempt that meets the failure are dropped, so every stage expands
+# the curve itself as an integration without rows does
+FAILING_CURVES = {
+    "cos(x),sin(x),0*sqrt(1-x)": "numerical failure: sqrt of a negative value",
+    "cos(x),sin(x),0*exp(800*x)": "integration stopped: singular (non-finite chart data e, f, g = nan, nan, ",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(FAILING_CURVES))
+def test_failing_curve_stops_in_one_line(capsys, curve):
+    field = json.dumps({"xi": list(planefield.circle_example_field().sources), "curve": curve})
+    code, out, err = run(capsys, "integrate", "--field", field, "--to", "2", "--format", "json")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith(FAILING_CURVES[curve])
+    # a stop prints the partial path, a domain error no document
+    assert out == "" if err.startswith("numerical failure") else json.loads(out)["status"] == "singular"
 
 
 def test_non_finite_grid_names_one_point(capsys):

@@ -193,13 +193,15 @@ def _oracle(expr, bindings):
             return base ** expr.exponent
         except ZeroDivisionError:  # 0 ** -n
             raise DomainError("division by zero") from None
-        except OverflowError as exc:
-            raise DomainError(str(exc)) from None
+        except OverflowError:
+            raise DomainError(f"{to_source(expr)} overflows the float range") from None
     if isinstance(expr, Call):
         arg = _oracle(expr.arg, bindings)
         try:
             return {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}[expr.func](arg)
-        except (ValueError, OverflowError) as exc:
+        except OverflowError:
+            raise DomainError(f"{to_source(expr)} overflows the float range") from None
+        except ValueError as exc:
             raise DomainError(str(exc)) from None
     left, right = _oracle(expr.left, bindings), _oracle(expr.right, bindings)
     if expr.op == "+":

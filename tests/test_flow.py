@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import flow, monodromy, tubular
+from asymptotica import exprlang, flow, jets, monodromy, tubular
 from asymptotica.curves import Curve
 from asymptotica.flow import (
     ChartSpectralCache,
@@ -317,9 +317,9 @@ def chart_points(monkeypatch):
     def counting(field, chart):
         equation = real(field, chart)
 
-        def counted(x, y, z):
+        def counted(x, y, z, *row):
             points.append(x)
-            return equation(x, y, z)
+            return equation(x, y, z, *row)
 
         return counted
 
@@ -361,8 +361,25 @@ def test_stage_table_matches_evaluating_the_coefficients_per_stage():
     )
     assert (got["steps"], got["rejected"]) == (want["steps"], want["rejected"])
     assert np.all(np.abs(tabled - per_stage) <= 1e-14 * np.abs(per_stage))
-    # the start row, then one table of the 12 stage abscissae per attempt
-    assert table_calls == [()] + [(12,)] * (got["steps"] + got["rejected"])
+    # the start row, then one table of the 11 abscissae of stages 1 to 11 per attempt
+    assert table_calls == [()] + [(11,)] * (got["steps"] + got["rejected"])
+
+
+def test_every_row_lies_at_the_abscissa_that_reads_it():
+    # with the abscissa itself as the row, each stage and each accepted step
+    # can check its row; a landing whose x + h rounds away from the station
+    # (here the first) passes on_accept no row
+    seen = []
+
+    def rhs(x, y, row):
+        assert row == x
+        return np.cos(x) * y
+
+    stations = [0.16720508430044376, 0.3810124269313443, 0.5125805437872851, 1.1819580885022483]
+    rk45(rhs, -0.04199605819447161, stations, np.array([1.0]), rtol=1e-6, coefficients=lambda xs: xs,
+         on_accept=lambda x, y, *row: seen.append((x, row)))
+    assert all(row == (x,) for x, row in seen if row)
+    assert (stations[0], ()) in seen and any(row for _, row in seen)
 
 
 @pytest.fixture
@@ -432,3 +449,59 @@ def test_q_matches_the_previous_integrator(t1_field, t1_chart, name):
     Q = monodromy.monodromy(field, chart, 2 * math.pi).Q
     want = np.array(DP5_Q[name])
     assert np.all(np.abs(Q - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+# -- the curve rows of a single chart path: one curve expansion per attempt ---
+
+
+@pytest.mark.parametrize("name, start", [("t1", (0.3, 0.0, 0.0)), ("circle-example", (0.5, 8e-4, 2e-4))])
+def test_single_path_expands_the_curve_once_per_attempt(monkeypatch, t1_field, t1_chart, name, start):
+    field, chart = _field_and_chart(name, t1_field, t1_chart)
+    shapes = []
+    real = Curve.jet
+
+    def counted(self, t, k):
+        shapes.append(np.shape(jets.value_of(t)))
+        return real(self, t, k)
+
+    monkeypatch.setattr(Curve, "jet", counted)
+    path = integrate_asymptotic(field, chart, start, start[0] + 2 * math.pi)
+    assert path.reached
+    attempts = path.stats["steps"] + path.stats["rejected"]
+    # the two scalar expansions are rk45's start row and the tracker's start slope
+    assert sorted(shapes) == [()] * 2 + [(11,)] * attempts
+
+
+def _no_rows(self, x, *args, **kwargs):
+    return None if not np.ndim(x) else [None] * len(x)
+
+
+@pytest.mark.parametrize("third", ["0*sqrt(1-x)", "0*exp(800*x)"])
+def test_failing_curve_rows_stop_as_each_stage_expanding_itself(monkeypatch, third):
+    # a negative sqrt raises in the vector pass past x = 1, 0 * inf is NaN
+    # past x = 0.887: those attempts get no rows, and the run ends as one in
+    # which every stage expands the curve itself
+    curve = Curve.from_expressions(("cos(x)", "sin(x)", third), (0, 2 * math.pi))
+    field, chart = circle_example_field(), tubular.TubularChart(curve)
+    dropped = []
+    real = tubular.TubularChart.curve_rows
+
+    def recorded(self, x, *args, **kwargs):
+        rows = real(self, x, *args, **kwargs)
+        dropped.append(rows is None or None in rows)
+        return rows
+
+    def outcome():
+        try:
+            with np.errstate(all="ignore"):
+                path = integrate_asymptotic(field, chart, (0.0, 0.0, 0.0), 2.0)
+        except exprlang.DomainError as exc:
+            return "raised", str(exc)
+        return path.status, path.reason, repr([path.xs.tolist(), path.ys.tolist(), path.zs.tolist(), path.ps.tolist()])
+
+    monkeypatch.setattr(tubular.TubularChart, "curve_rows", recorded)
+    tabled = outcome()
+    assert dropped[-1] and not dropped[0]
+    monkeypatch.setattr(tubular.TubularChart, "curve_rows", _no_rows)
+    assert outcome() == tabled
+    assert tabled[0] == ("raised" if "sqrt" in third else "singular")

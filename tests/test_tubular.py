@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from asymptotica import cli, tubular
+from asymptotica.flow import integrate_asymptotic
 from asymptotica.curves import Curve
 from asymptotica.jets import Jet
 from asymptotica.planefield import AmbientField, circle_example_field
@@ -276,3 +277,37 @@ def test_exact_chart_point_stays_exact():
     plain, jet = chart_data(field, chart, *point), chart_data(field, chart, *point, order=1)
     for q in "efgAB":
         assert type(getattr(plain, q)) is Fraction and plain.value(q) == jet.value(q)
+
+
+def _bits(v):
+    """A jet's coefficients in monomial order (a plain value's one), floats as hex, ints as they are."""
+    coef = v._coef if isinstance(v, Jet) else {0: v}
+    return [(i, c if isinstance(c, int) else float(c).hex()) for i, c in coef.items()]
+
+
+@pytest.mark.parametrize("name, start", [("t1", (0.3, 0.0, 0.0)), ("circle-example", (0.5, 8e-4, 2e-4))])
+def test_curve_rows_are_the_per_point_expansion_bit_for_bit(monkeypatch, t1_field, t1_chart, name, start):
+    # at the start and at the stage abscissae of the first and last steps of one period
+    field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
+    tables = []
+    real = TubularChart.curve_rows
+
+    def recorded(self, x, *args, **kwargs):
+        tables.append(x)
+        return real(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(TubularChart, "curve_rows", recorded)
+    integrate_asymptotic(field, chart, start, start[0] + 2 * math.pi)
+    monkeypatch.undo()
+    assert np.ndim(tables[0]) == 0 and len(tables) > 8
+    for xs in tables[:5] + tables[-3:]:
+        rows = chart.curve_rows(xs, field.curve_order)
+        for x, (derivs, frame) in zip(np.atleast_1d(xs).tolist(), [rows] if np.ndim(xs) == 0 else rows):
+            seeds = tubular.jets.seed((x, 0.001, -0.002), 1)
+            point = chart.expand(*seeds, field.curve_order)
+            assert len(derivs) == len(point.derivs) == field.curve_order + 1
+            for got, want in zip((*derivs, *frame), (*point.derivs, *point.frame)):
+                assert [_bits(v) for v in got] == [_bits(v) for v in want], x
+            # and the reduced data of the whole pipeline
+            plain, tabled = (chart_data(field, chart, x, 0.001, -0.002, row=r) for r in (None, (derivs, frame)))
+            assert [_bits(plain.value(q)) for q in "efgAB"] == [_bits(tabled.value(q)) for q in "efgAB"], x
