@@ -27,7 +27,6 @@ from .tubular import (
 from .construct import (
     ConstructError,
     TubularField,
-    build_field,
     build_lac,
     build_t1,
     k1_function,
@@ -55,7 +54,6 @@ from .surfaces import (
     ParamSurface,
     arnold_k1,
     arnold_surface,
-    binary_equation,
     f_on_curve,
     integrate_surface_asymptotic,
     second_fundamental,
@@ -81,10 +79,8 @@ __all__ = [
     "VerticalDirection",
     "arnold_k1",
     "arnold_surface",
-    "binary_equation",
     "binary_equation_data",
     "branch_slopes",
-    "build_field",
     "build_lac",
     "build_t1",
     "chart_data",

@@ -95,7 +95,10 @@ def resolve_field(name):
         field = planefield.AmbientField(doc["xi"])
     except (exprlang.ExprError, planefield.FieldError) as exc:
         raise UsageError(f"field expression error: {exc}") from exc
-    curve = resolve_curve(doc.get("curve", "circle"))
+    curve = doc.get("curve", "circle")
+    if not isinstance(curve, str):
+        raise UsageError('field document "curve" must be a string: t1, circle, or three comma-separated expressions')
+    curve = resolve_curve(curve)
     return field, tubular.TubularChart(curve)
 
 
@@ -338,7 +341,7 @@ def cmd_arnold_surface(args):
         "n": report["n"],
         "rotating": bool(report["rotating"]),
         "f00": float(report["f00"]),
-        "f00_expected": (float(report["f00_expected"]) if report["f00_expected"] is not None else None),
+        "f00_expected": float(report["f00_expected"]),
         "max_abs_e_on_curve": float(report["max_abs_e"]),
         "max_rel_f_mismatch": float(report["max_rel_f_mismatch"]),
     }

@@ -41,7 +41,7 @@ COEFFICIENT_NAMES = (
     "k1", "k2", "k3", "l1", "l2", "l3",
     "kt1", "kt2", "kt3", "jt1", "jt2", "jt3", "lt1", "lt2", "lt3",
 )
-REMAINDER_NAMES = ("A", "B", "C")
+T1_NODES, T1_RESIDUAL_TOL, T1_MAX_NODES = 256, 1e-9, 1024  # build_t1's node grid and residual bound
 
 
 class ConstructError(Exception):
@@ -125,9 +125,8 @@ class TubularField:
 
     xi = l0 Y + k0 Z + PX X + PY Y + PZ Z in the adapted frame of the curve.
     Each factor P is a sum of coefficient functions of x times chart
-    monomials y^i z^j / w, plus an optional remainder expression of
-    (x, y, z).  A coefficient slot (row, i, j) names one such term, row 1,
-    2, 3 for X, Y, Z.  The named coefficients (COEFFICIENT_NAMES) are the
+    monomials y^i z^j / w.  A coefficient slot (row, i, j) names one such
+    term, row 1, 2, 3 for X, Y, Z.  The named coefficients (COEFFICIENT_NAMES) are the
     slots of degree one and two, with w = 2 on y^2 and z^2 (3 on the Z
     row's z^2) and w = 1 otherwise.
 
@@ -138,7 +137,7 @@ class TubularField:
     chart of its own curve.
     """
 
-    def __init__(self, curve, coefficients=None, remainders=None, name=None):
+    def __init__(self, curve, coefficients=None, name=None):
         self.curve = curve
         self.coefficients = {}
         self._groups = []  # (slots, callable of x returning their coefficients)
@@ -154,12 +153,6 @@ class TubularField:
             else:
                 raise ConstructError(f"unknown coefficient {key!r}")
             self.coefficients[key] = fn
-        self.remainders = {}
-        for key, spec in (remainders or {}).items():
-            if key not in REMAINDER_NAMES:
-                raise ConstructError(f"unknown remainder {key!r}")
-            fn = compile_function(str(spec), "x", "y", "z") if not callable(spec) else spec
-            self.remainders[key] = fn
         self.name = name
 
     def xi_frame_polynomials(self, xj, yj, zj):
@@ -175,13 +168,7 @@ class TubularField:
                     m = yj ** i * zj ** j if i and j else yj ** i if i else zj ** j
                     m = monomials[(i, j, w)] = m / w if w != 1 else m
                 terms[row - 1].append(m * c)
-        out = []
-        for row, rem_name in enumerate(REMAINDER_NAMES):
-            rem = self.remainders.get(rem_name)
-            if rem is not None:
-                terms[row].append(rem(xj, yj, zj))
-            out.append(sum(terms[row][1:], terms[row][0]) if terms[row] else 0)
-        return tuple(out)
+        return tuple(sum(t[1:], t[0]) if t else 0 for t in terms)
 
     curve_order = 2  # chart_components reads gamma' and gamma'' (for k0, l0)
 
@@ -204,23 +191,17 @@ class TubularField:
         return f"TubularField({self.name or 'anonymous'}, coefficients={keys})"
 
 
-def build_field(curve, coefficients=None, remainders=None, name=None):
-    return TubularField(curve, coefficients=coefficients, remainders=remainders, name=name)
-
-
-def build_lac(curve, H=1, l1=None, extra=None, name=None):
+def build_lac(curve, H=1, l1=None):
     """Field with k1 chosen so the curve is parabolic-free and f(x,0,0) = H."""
-    coeffs = dict(extra or {})
-    if l1 is not None:
-        coeffs["l1"] = l1
+    coeffs = {} if l1 is None else {"l1": l1}
     coeffs["k1"] = k1_function(curve, l1=l1, H=H)
-    return TubularField(curve, coefficients=coeffs, name=name)
+    return TubularField(curve, coefficients=coeffs)
 
 
 # -- exact realization for polynomial local models ---------------------------
 
 
-def realize_t5(curve, order=None):
+def realize_t5(curve):
     """Realize a finite-type polynomial local model as a parabolic-free
     asymptotic line; returns (field, certificate).
 
@@ -231,8 +212,7 @@ def realize_t5(curve, order=None):
     """
     symbol = finite_type_symbol(curve, Fraction(0))
     m, n = symbol.m, symbol.n
-    if order is None:
-        order = m + n + 8
+    order = m + n + 8  # the series order; valid_order is 3 less
     derivs = curve.jet(Fraction(0), order)
     if not all(isinstance(v, (int, Fraction)) for row in derivs for v in row):
         raise ConstructError("exact realization needs rational polynomial components")
@@ -371,7 +351,7 @@ _T1_FLOW_STAGES = (
 )
 
 
-def _t1_solve(curve, chart, nodes, residual_tol, max_nodes):
+def _t1_solve(curve, chart):
     """Solve the t1 stages pointwise at uniform nodes; see build_t1."""
     period = curve.period
     stages = _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES
@@ -415,8 +395,8 @@ def _t1_solve(curve, chart, nodes, residual_tol, max_nodes):
         field = assemble(store)
         # one check of every stage at the midpoints of the build grid, so the
         # probe resolution grows with the node count and localized residual
-        # peaks cannot hide: the on-curve rows against residual_tol, the full
-        # quadratic + cubic expansion of (dy/dx, dz/dx) against residual_tol
+        # peaks cannot hide: the on-curve rows against T1_RESIDUAL_TOL, the full
+        # quadratic + cubic expansion of (dy/dx, dz/dx) against T1_RESIDUAL_TOL
         # times the largest first residual of the flow stages
         d = tubular.chart_data(field, chart, probe, 0.0, 0.0, order=3)
         on_curve = max(float(np.max(np.abs(r))) for _, fn, _ in _T1_ON_CURVE_STAGES for r in fn(d))
@@ -427,12 +407,12 @@ def _t1_solve(curve, chart, nodes, residual_tol, max_nodes):
             for i, j in _QUADRATIC_MONOMS + _CUBIC_MONOMS
         )
         # the residual in units of its bound
-        return field, max(on_curve / residual_tol, flow / (residual_tol * initial_scale)), 1.0
+        return field, max(on_curve / T1_RESIDUAL_TOL, flow / (T1_RESIDUAL_TOL * initial_scale)), 1.0
 
-    return refine(attempt, period, nodes, max_nodes)
+    return refine(attempt, period, T1_NODES, T1_MAX_NODES)
 
 
-def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
+def build_t1():
     """The worked-example field on (sin x, cos x, sin^3 x).
 
     Six stages choose its coefficient functions, each affine in its own
@@ -460,13 +440,14 @@ def build_t1(nodes=256, residual_tol=1e-9, max_nodes=1024):
     raises ConstructError.  The node samples are interpolated
     trigonometrically as one vector series, and one residual check at the
     midpoints covers all six stages: the on-curve rows of stages 1-2 to
-    residual_tol absolute, and the quadratic and cubic Taylor coefficients
+    T1_RESIDUAL_TOL absolute, and the quadratic and cubic Taylor coefficients
     of (dy/dx, dz/dx) relative to the largest first residual of stages 3-6
     (the check runs through the same large cancellations as the solve, so
     its noise floor scales with that magnitude).  The node count doubles
-    until the check passes.
+    from T1_NODES until the check passes, and FitError ends it past
+    T1_MAX_NODES.
     """
     curve = t1_curve()
-    field = _t1_solve(curve, tubular.TubularChart(curve), nodes, residual_tol, max_nodes)
+    field = _t1_solve(curve, tubular.TubularChart(curve))
     field.name = "t1"
     return field

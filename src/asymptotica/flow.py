@@ -6,14 +6,14 @@ branch by continuity (nearest root to the previously accepted slope), with
 rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
 single chart path, a lockstep batch of chart paths and a path on a
 parametrized surface.  An x-only part of the right-hand side is read from
-one evaluation per step attempt at the 11 abscissae of stages 1 to 11: a
-fitted series (monodromy's M, a cached batch), or on a single chart path
-the curve expansion and frame of the direct pipeline.  A start point with
-no real branch raises EllipticStop or VerticalDirection.  Any other stop
-ends the path with its status instead of jumping branches: "parabolic"
+one evaluation per step attempt at the 11 abscissae of stages 1 to 11:
+monodromy's M (fitted or direct), a cached batch's series, or on a single
+chart path the curve expansion and frame of the direct pipeline.  A start
+point with no real branch raises EllipticStop or VerticalDirection.  Any
+other stop ends the path with its status instead of jumping branches: "parabolic"
 (root collision), "elliptic" (no real root), "vertical" (only dx = 0),
-"tube-exit" or "singular" (a singular reduction, non-finite data or
-step-size underflow).
+"tube-exit" or "singular" (a singular reduction, non-finite data, an
+expression evaluated outside its domain or step-size underflow).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
 with a message that begins with it.
@@ -27,7 +27,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import tubular
+from .exprlang import DomainError
 from .spectral import TrigSeries
+
+SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
+CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
+MIN_STEP = 1e-14  # rk45's smallest step
 
 
 class FlowError(Exception):
@@ -63,33 +68,33 @@ class Path:
         return np.array([chart.point(x, y, z) for x, y, z in zip(self.xs, self.ys, self.zs)])
 
 
-def branch_slopes(e, f, g, prev_p=None, tol=1e-12):
+def branch_slopes(e, f, g, prev_p=None):
     """Real slope roots of g p^2 + 2 f p + e = 0 and the branch selection.
 
     Returns (slopes, selected): the real roots, one in the linear case
-    |g| <= tol * max(|e|, |f|, |g|), and the root nearest prev_p (without
+    |g| <= SLOPE_TOL * max(|e|, |f|, |g|), and the root nearest prev_p (without
     prev_p, the root of least modulus).  e, f, g (and prev_p) may be 1-D
     arrays, a lockstep batch solved point by point; slopes then holds two
     arrays, the first inf where the equation is linear.
     """
     if not np.ndim(e):
-        return _branch_slope(e, f, g, prev_p, tol)
+        return _branch_slope(e, f, g, prev_p)
     columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
     columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
-    points = [_branch_slope(*point, tol) for point in zip(*columns)]
+    points = [_branch_slope(*point) for point in zip(*columns)]
     roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
     return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
 
 
-def _branch_slope(e, f, g, prev_p, tol):
+def _branch_slope(e, f, g, prev_p):
     """branch_slopes at one point."""
     if not (math.isfinite(e) and math.isfinite(f) and math.isfinite(g)):
         raise FlowError(f"non-finite chart data e, f, g = {e}, {f}, {g}")
     scale = max(abs(e), abs(f), abs(g))
     if scale == 0:
         raise FlowError("e = f = g = 0: every direction is asymptotic")
-    if abs(g) <= tol * scale:
-        if abs(f) <= tol * scale:
+    if abs(g) <= SLOPE_TOL * scale:
+        if abs(f) <= SLOPE_TOL * scale:
             raise VerticalDirection("f = g = 0: only dx = 0 solves the equation")
         slopes = (-e / (2 * f),)
         return slopes, slopes[0]
@@ -128,7 +133,7 @@ class ChartSpectralCache:
 
     _QUANTITIES = ("e", "f", "g", "A", "B")
 
-    def __init__(self, field, chart, period, degree=3, nodes=256, tol=1e-9, max_nodes=1024):
+    def __init__(self, field, chart, period, degree=3):
         self.period = float(period)
         self.degree = int(degree)
         self.monomials = [
@@ -136,7 +141,7 @@ class ChartSpectralCache:
         ]
         self._exponents = np.array(self.monomials).T  # exponents of y and of z
         self.series = TrigSeries.fit(
-            lambda xs: self._taylor_table(field, chart, xs), self.period, nodes, tol, max_nodes
+            lambda xs: self._taylor_table(field, chart, xs), self.period, CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES
         )
         self.nodes = self.series.nodes
 
@@ -223,7 +228,7 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14, on_accept=None, coefficients=None):
+def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None, coefficients=None):
     """Adaptive Runge-Kutta of order 8 (DOP853); y may be any numpy array shape.
     Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
     combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
@@ -238,7 +243,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
     row, and so does on_accept unless a landing on a station rounds x away
     from x + h; the start takes one row at x0.
     A stop inside a step halves the step, since overshooting may cause it,
-    and ends the run once the step is down to 4 min_step.  A NaN error
+    and ends the run once the step is down to 4 MIN_STEP.  A NaN error
     estimate rejects and shrinks the step, so such a run ends in a
     "singular" step-size underflow.  on_accept(x, y[, last row]) is called at
     every accepted step.  max_step defaults to 1/8 of the run.
@@ -264,7 +269,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
             tiny = 1e-15 * max(1.0, abs(station))
             while (remaining := direction * (station - x)) > tiny:
                 step = remaining if h >= remaining - tiny else h
-                if step < min_step:
+                if step < MIN_STEP:
                     raise _Stop("singular", f"step size underflow at x = {x}")
                 dh = direction * step
                 try:
@@ -282,7 +287,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, min_step=1e-14,
                     if err <= 1.0:
                         f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
                 except _Stop:
-                    if step <= 4 * min_step:
+                    if step <= 4 * MIN_STEP:
                         raise
                     h = step / 2
                     stats["rejected"] += 1
@@ -312,20 +317,22 @@ def require_reached(stats):
         raise FlowError(f"{stats['status']}: {stats['reason']}")
 
 
-def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None, coefficients=None):
+def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
     """Follow one root branch of g p^2 + 2 f p + e = 0 from x0 toward x1.
 
     state0 has shape (k,) for one path or (n, k) for a lockstep batch; its
     first column moves with the tracked slope p.  equation(x, state) returns
     (e, f, g) or (e, f, g, A, B), A and B moving the second column with
     A + B p; coefficients goes to rk45, and equation takes a stage's row as
-    a third argument.  branch is an optional slope hint at the start.  A
-    start with no real root raises EllipticStop or VerticalDirection; any
-    other stop ends the run (a stage outside |state| <= radius is a
-    "tube-exit").  Returns (xs, states, ps, stats) at the start and every
-    accepted step; stats are rk45's plus "max_residual" of the slope equation.
+    a third argument.  The start takes the root of least modulus, and each
+    accepted step the root nearest the last one.  A start with no real root
+    raises EllipticStop or VerticalDirection; any other stop ends the run (a
+    stage outside |state| <= radius is a "tube-exit", an expression
+    evaluated outside its domain is "singular").  Returns (xs, states, ps,
+    stats) at the start and every accepted step; stats are rk45's plus
+    "max_residual" of the slope equation.
     """
-    track = {"p": branch}
+    track = {"p": None}
     samples = []  # (x, state, p, residual) at the start and every accepted step
 
     def evaluate(x, state, *row):
@@ -343,31 +350,31 @@ def _track(equation, x0, x1, state0, branch, radius, rtol, atol, max_step=None, 
             raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
         try:
             _, _, _, tail, slopes, p = evaluate(x, state, *row)
-        except (FlowError, tubular.ReductionSingular) as exc:
-            raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc} at x = {x}" if type(exc) is FlowError else str(exc))
+        except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+            # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
+            at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
+            raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
         if len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))):
             raise _Stop("parabolic", "root branches collided")
         return np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1)
 
     try:
         on_accept(x0, state0)
-    except (FlowError, tubular.ReductionSingular) as exc:
+    except (FlowError, tubular.ReductionSingular, DomainError) as exc:
         if type(exc) in _STATUS:  # no real branch at the start
             raise
         samples.append((x0, state0, math.nan, math.nan))  # rk45's first stage stops the run "singular"
-    _, _, stats = rk45(
-        rhs, x0, x1, state0, rtol=rtol, atol=atol, max_step=max_step, on_accept=on_accept, coefficients=coefficients
-    )
+    _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, on_accept=on_accept, coefficients=coefficients)
     xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
     stats["max_residual"] = float(np.max(residuals))
     return xs, states, ps, stats
 
 
-def integrate_asymptotic(field, chart, start, x1, branch=None, rtol=1e-10, atol=1e-12, radius=None, max_step=None):
+def integrate_asymptotic(field, chart, start, x1, rtol=1e-10, atol=1e-12):
     """Follow one asymptotic branch from start=(x0, y0, z0) until x = x1.
 
-    branch is an optional slope hint selecting the initial root; afterwards
-    the branch is tracked by root continuity.  Raises EllipticStop or
+    The path starts on the root of least modulus and follows it by root
+    continuity inside the chart's tube.  Raises EllipticStop or
     VerticalDirection if no branch exists at the start point; a later stop
     is reported in Path.status with the partial path, and Path.stats keeps
     the integrator statistics up to the stop.
@@ -375,15 +382,14 @@ def integrate_asymptotic(field, chart, start, x1, branch=None, rtol=1e-10, atol=
     x0, y0, z0 = (float(v) for v in start)
     efgab = tubular.binary_equation_data(field, chart)
     xs, states, ps, stats = _track(
-        lambda x, yz, *row: efgab(x, float(yz[0]), float(yz[1]), *row), x0, x1, np.array([y0, z0]), branch,
-        chart.radius if radius is None else radius, rtol, atol, max_step,
-        coefficients=lambda xs: chart.curve_rows(xs, field.curve_order),
+        lambda x, yz, *row: efgab(x, float(yz[0]), float(yz[1]), *row), x0, x1, np.array([y0, z0]),
+        chart.radius, rtol, atol, coefficients=lambda xs: chart.curve_rows(xs, field.curve_order),
     )
     status, reason = stats.pop("status"), stats.pop("reason")
     return Path(xs=xs, ys=states[:, 0], zs=states[:, 1], ps=ps, status=status, reason=reason, stats=stats)
 
 
-def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_step=None, cache=None):
+def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=None):
     """Integrate many trajectories in lockstep (shared steps, vectorized RHS).
 
     starts is an array of shape (n, 2) holding (y, z) initial values at x0.
@@ -402,7 +408,7 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, max_st
         efgab = cache.efgab  # takes the shared abscissa as one float, or its stage-table row
     _, states, _, stats = _track(
         lambda x, yz, *row: efgab(x, yz[:, 0], yz[:, 1], *row), x0, x1, np.asarray(starts, dtype=float),
-        None, chart.radius, rtol, atol, max_step, coefficients=None if cache is None else cache.series,
+        chart.radius, rtol, atol, coefficients=None if cache is None else cache.series,
     )
     require_reached(stats)
     return states[-1]

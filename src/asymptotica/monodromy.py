@@ -25,6 +25,11 @@ from scipy.integrate import quad
 from . import flow, tubular
 from .spectral import TrigSeries
 
+HYPERBOLIC_TOL = 1e-6  # an eigenvalue modulus within this of 1 is on the unit circle
+RTOL, ATOL = 1e-11, 1e-13  # the Q integration
+FD_RTOL, FD_ATOL = 1e-11, 1e-14  # the finite-difference batch
+FIT_TOL = 1e-9  # VariationalCache's midpoint residual
+
 
 class ParabolicOnCurve(Exception):
     """f(x,0,0) = 0 somewhere on the curve; the variational matrix is undefined."""
@@ -57,10 +62,10 @@ class VariationalCache:
     cheap, and the mean of each entry gives its exact integral over a period.
     """
 
-    def __init__(self, field, chart, period, nodes=256, tol=1e-9, max_nodes=2048):
+    def __init__(self, field, chart, period, nodes=256, max_nodes=2048):
         self.period = float(period)
         self.series = TrigSeries.fit(
-            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, nodes, tol, max_nodes
+            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, nodes, FIT_TOL, max_nodes
         )
         self.nodes = self.series.nodes
         self.residual = self.series.residual
@@ -111,11 +116,13 @@ def eigenvalues_2x2(Q):
     return complex(tr / 2, r / 2), complex(tr / 2, -r / 2)
 
 
-def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13, checkpoints=None):
+def monodromy(field, chart, period, cache=None, checkpoints=None):
     """Solve Q' = M(x) Q over one period and classify hyperbolicity.
 
-    cache may be a prebuilt VariationalCache (reused across calls), True/None
-    to build one, or False to evaluate M directly at every integrator stage.
+    cache may be a prebuilt VariationalCache (reused across calls), None to
+    build one, or False for the direct oracle, which evaluates M through
+    the pipeline: one vector order-1 pass per step attempt, at the stage
+    abscissae of rk45's stage table, as the cached path reads its fit there.
     checkpoints, when given, collects (x, Q(x)) pairs at that many uniform
     stations for identity tests, on which the one integration lands steps.
     """
@@ -130,23 +137,23 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
     stations = np.linspace(0.0, period, checkpoints + 1)[1:].tolist() if checkpoints else period
     collected = []
 
-    def rhs(x, qflat, m=None):  # the cached path gets M(x) from rk45's stage table
-        return ((mfn(x) if m is None else m) @ qflat.reshape(2, 2)).reshape(4)
+    def rhs(x, qflat, m):  # M(x) is the row of rk45's stage table
+        return (m @ qflat.reshape(2, 2)).reshape(4)
 
-    def on_accept(x, q, *_):  # the cached path also passes M's row
+    def on_accept(x, q, *_):  # M's row is passed too
         if x in stations:  # a step that lands on a station ends exactly there
             collected.append((x, q.reshape(2, 2).copy()))
 
     _, q, stats = flow.rk45(
-        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=rtol, atol=atol, on_accept=on_accept if checkpoints else None,
-        coefficients=None if vc is None else vc.matrix,
+        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=RTOL, atol=ATOL, on_accept=on_accept if checkpoints else None,
+        coefficients=mfn,
     )
     flow.require_reached(stats)
     Q = q.reshape(2, 2)
 
     ev = eigenvalues_2x2(Q)
     dist = min(abs(abs(e) - 1.0) for e in ev)
-    hyperbolic = dist > tol
+    hyperbolic = dist > HYPERBOLIC_TOL
 
     # the cached path integrates its validated interpolant exactly (period
     # times the mean); the direct path, the oracle for the cache, uses quad
@@ -186,7 +193,7 @@ def monodromy(field, chart, period, tol=1e-6, cache=None, rtol=1e-11, atol=1e-13
         hyperbolic=hyperbolic,
         classification="Hyperbolic" if hyperbolic else "NonHyperbolic",
         unit_circle_distance=dist,
-        tolerance=tol,
+        tolerance=HYPERBOLIC_TOL,
         triangular=triangular,
         integrals=integrals,
         det_residual=det_residual,
@@ -200,23 +207,21 @@ def check_fd_step(h, chart):
         raise ValueError(f"step h = {h} outside (1e-8, tube radius {chart.radius})")
 
 
-def fd_poincare_derivative(field, chart, period, h=1e-5, rtol=1e-11, atol=1e-14, cache=None):
+def fd_poincare_derivative(field, chart, period, h=1e-5, cache=None):
     """Central-difference Jacobian of the actual return map at the fixed point.
 
     This is the independent oracle for the variational route: it only uses
-    the flow integrator, never the variational matrix.  By default the
-    right-hand side is evaluated through a ChartSpectralCache (validated
-    against the direct pipeline), which keeps the evaluation smooth enough
-    for the central differences to resolve; pass cache=False to force the
-    direct per-step pipeline.
+    the flow integrator, never the variational matrix.  The right-hand side
+    is evaluated through a ChartSpectralCache (validated against the direct
+    pipeline), which keeps the evaluation smooth enough for the central
+    differences to resolve; cache may be one prebuilt for the same field,
+    chart and period, and None builds one.
     """
     check_fd_step(h, chart)
     if cache is None:
         cache = flow.ChartSpectralCache(field, chart, float(period))
-    elif cache is False:
-        cache = None
     starts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
-    ends = flow.integrate_batch(field, chart, starts, 0.0, float(period), rtol=rtol, atol=atol, cache=cache)
+    ends = flow.integrate_batch(field, chart, starts, 0.0, float(period), rtol=FD_RTOL, atol=FD_ATOL, cache=cache)
     col_y = (ends[0] - ends[1]) / (2 * h)
     col_z = (ends[2] - ends[3]) / (2 * h)
     return np.column_stack([col_y, col_z])

@@ -10,6 +10,9 @@ import numpy as np
 from . import exprlang, jets
 from .exprlang import BinOp, parse, to_source
 
+PLANE_TOL = 1e-9  # normal_curvature: |<xi, dr>| <= PLANE_TOL |xi| |dr| lies in the plane
+GAUGE_PROBES = np.linspace(-1, 1, 10)  # gauge_scale probes phi on this lattice per axis
+
 
 class FieldError(Exception):
     pass
@@ -57,7 +60,7 @@ class AmbientField:
         return f"AmbientField({list(self.sources)!r})"
 
 
-def normal_curvature(field, p, dr, project=False, plane_tol=1e-9):
+def normal_curvature(field, p, dr, project=False):
     """k_n = -<dxi(p) dr, dr> / <dr, dr> for a direction dr in the plane at p.
 
     With project=True, dr is first projected onto the plane orthogonal to
@@ -73,7 +76,7 @@ def normal_curvature(field, p, dr, project=False, plane_tol=1e-9):
         norm = np.linalg.norm(dr)
         if norm == 0:
             raise FieldError("direction is normal to the plane; projection vanishes")
-    elif abs(np.dot(xi, dr)) > plane_tol * np.linalg.norm(xi) * norm:
+    elif abs(np.dot(xi, dr)) > PLANE_TOL * np.linalg.norm(xi) * norm:
         raise FieldError("direction does not lie in the plane of the distribution")
     J = field.jacobian(p)
     return -float(np.dot(J @ dr, dr) / np.dot(dr, dr))
@@ -87,19 +90,16 @@ def integrability_defect(field, p):
     return float(np.dot(xi, curl))
 
 
-def gauge_scale(field, phi_source, probe_region=None, probes=10):
+def gauge_scale(field, phi_source):
     """The field phi * xi for a nonvanishing scalar phi(x, y, z).
 
-    Nonvanishing is checked by probing a lattice over probe_region
-    ((lo, hi) per axis; defaults to [-1, 1]^3).
+    Nonvanishing is checked by probing the GAUGE_PROBES lattice of [-1, 1]^3.
     """
     phi = parse(str(phi_source))
     phi_fn = exprlang.compile_expr(phi, ("x", "y", "z"))
-    region = probe_region if probe_region is not None else ((-1, 1), (-1, 1), (-1, 1))
-    axes = [np.linspace(lo, hi, probes) for lo, hi in region]
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
+    for x in GAUGE_PROBES:
+        for y in GAUGE_PROBES:
+            for z in GAUGE_PROBES:
                 v = phi_fn(float(x), float(y), float(z))
                 if v == 0:
                     raise FieldError(f"gauge function vanishes at ({x}, {y}, {z})")

@@ -23,6 +23,9 @@ import numpy as np
 
 from . import flow, jets
 
+RTOL, ATOL = 1e-10, 1e-12  # integrate_surface_asymptotic's tolerances
+U_MAX = 0.5  # arnold_surface samples |u| <= U_MAX
+
 
 class DegenerateNormal(Exception):
     """alpha_u ^ alpha_v vanished at the queried point."""
@@ -84,28 +87,19 @@ def second_fundamental_unnormalized(surface, u, v):
     return tuple(jets.dot(a, w) for a in second)
 
 
-def binary_equation(surface):
-    """Callable (u, v) -> (e, f, g) for asymptotic-line integration."""
-
-    def efg(u, v):
-        return second_fundamental(surface, u, v)
-
-    return efg
-
-
-def integrate_surface_asymptotic(surface, start, u1, branch=None, rtol=1e-10, atol=1e-12):
+def integrate_surface_asymptotic(surface, start, u1):
     """Follow one asymptotic branch dv/du from start=(u0, v0) until u = u1.
 
     The chart-coordinate tracker with (u, v) in place of (x, y) and no
-    transverse z component; returns (us, vs, ps).  A start with no real
-    branch raises EllipticStop or VerticalDirection; a later stop raises
-    FlowError, its message beginning with the status.
+    transverse z component, on the root of least modulus at the start;
+    returns (us, vs, ps).  A start with no real branch raises EllipticStop
+    or VerticalDirection; a later stop raises FlowError, its message
+    beginning with the status.
     """
     u0, v0 = (float(s) for s in start)
-    efg = binary_equation(surface)
     us, vs, ps, stats = flow._track(
-        lambda u, v: [float(c) for c in efg(u, float(v[0]))],
-        u0, u1, np.array([v0]), branch, math.inf, rtol, atol,
+        lambda u, v: [float(c) for c in second_fundamental(surface, u, float(v[0]))],
+        u0, u1, np.array([v0]), math.inf, RTOL, ATOL,
     )
     flow.require_reached(stats)
     return us, vs[:, 0], ps
@@ -144,11 +138,11 @@ def f_on_curve(m, n, u):
     return (n - m) * (n - 1) * n * (1 + m * m * u ** (2 * (m - 1))) ** 2 * u ** (n - m - 1) / ((m - 1) * m)
 
 
-def arnold_surface(m, n, samples=64, u_max=0.5):
+def arnold_surface(m, n, samples=64):
     """Surface beta(u, v) for the local model, plus an on-curve report.
 
     Returns (surface, report).  The report holds e(u, 0) and f(u, 0) samples
-    over |u| <= u_max, the closed-form comparison for f, and f(0, 0).
+    over |u| <= U_MAX, the closed-form comparison for f, and f(0, 0).
     """
     _check_orders(m, n)
 
@@ -174,7 +168,7 @@ def arnold_surface(m, n, samples=64, u_max=0.5):
 
     surface = ParamSurface([component(i) for i in range(3)], name=f"arnold:{m},{n}")
 
-    us = np.linspace(-u_max, u_max, samples)
+    us = np.linspace(-U_MAX, U_MAX, samples)
     e_s, _, _ = second_fundamental(surface, us, 0.0 * us)
     # the closed form is the triple-product (unnormalized) convention
     _, f_s, _ = second_fundamental_unnormalized(surface, us, 0.0 * us)

@@ -25,6 +25,10 @@ from .curves import adapted_frame
 from .exprlang import DomainError
 from .jets import value_of
 
+TUBE_RADIUS = 0.1  # the chart's tube: |y|, |z| <= TUBE_RADIUS
+C_TOL = 1e-13  # |c| below this is a singular reduction
+CLASS_TOL = 1e-8  # the Parabolic and FullyDegenerate bands of classify
+
 
 class ReductionSingular(Exception):
     """c = 0 at the requested point: dz cannot be solved for."""
@@ -61,9 +65,9 @@ class ChartPoint:
 class TubularChart:
     """alpha(x, y, z) = gamma(x) + y Y(x) + z Z(x) around the core curve."""
 
-    def __init__(self, curve, radius=0.1):
+    def __init__(self, curve):
         self.curve = curve
-        self.radius = float(radius)
+        self.radius = TUBE_RADIUS
 
     def expand(self, x, y, z, order=2, row=None):
         """The ChartPoint at (x, y, z), from one curve expansion to this
@@ -167,7 +171,7 @@ def _truncate(v, order):
     return _plain(v.truncated(order)) if isinstance(v, jets.Jet) else v
 
 
-def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13, row=None):
+def chart_data(field, chart, x, y, z, order=0, row=None):
     """Evaluate the full coefficient pipeline at a chart point.
 
     order is the jet order retained on the outputs: 0 for plain values,
@@ -188,7 +192,7 @@ def chart_data(field, chart, x, y, z, order=0, c_tol=1e-13, row=None):
     a, b, c = (jets.dot(xi_t, d) for d in d_alpha)
     L = quadratic_coefficients(d_xi, d_alpha)
 
-    small = np.abs(value_of(c)) < c_tol
+    small = np.abs(value_of(c)) < C_TOL
     if np.any(small):  # name the first such point
         *columns, small = np.broadcast_arrays(value_of(c), x, y, z, small)
         cv, px, py, pz = (v.flat[np.argmax(small)] for v in columns)
@@ -234,9 +238,9 @@ def gaussian_curvature(field, chart, x, y, z):
     return chart_data(field, chart, x, y, z, order=0).K
 
 
-def classify(field, chart, point, tol=1e-8):
+def classify(field, chart, point):
     """Sign classification of eg - f^2, scale-free, with a Parabolic band."""
-    return _classes(chart_data(field, chart, *point), tol)[0]
+    return _classes(chart_data(field, chart, *point))[0]
 
 
 def _efg_rows(d):
@@ -251,17 +255,19 @@ def _efg_rows(d):
     return rows
 
 
-def _classes(d, tol=1e-8):
+def _classes(d):
     """The PointClass of each point of order-0 chart data d, in flat order:
     the threshold rule of classify, for one point or a vector pass."""
     out = []
     for *_, e, f, g in _efg_rows(d):
         scale = max(abs(e), abs(f), abs(g), 1.0)
-        if max(abs(e), abs(f), abs(g)) <= tol * scale:
+        if max(abs(e), abs(f), abs(g)) <= CLASS_TOL * scale:
             out.append(PointClass.FULLY_DEGENERATE)
             continue
         K = (e * g - f * f) / scale**2
-        out.append(PointClass.HYPERBOLIC if K < -tol else PointClass.ELLIPTIC if K > tol else PointClass.PARABOLIC)
+        out.append(
+            PointClass.HYPERBOLIC if K < -CLASS_TOL else PointClass.ELLIPTIC if K > CLASS_TOL else PointClass.PARABOLIC
+        )
     return out
 
 

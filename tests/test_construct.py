@@ -9,7 +9,6 @@ from asymptotica.construct import (
     ConstructError,
     InflectionOfProjection,
     TubularField,
-    build_field,
     build_lac,
     k0_l0,
     k1_function,
@@ -63,7 +62,7 @@ def test_k1_inflection_raises():
 
 def test_bare_field_restricts_to_forced_frame_combination():
     c = t1_curve()
-    field = build_field(c)
+    field = TubularField(c)
     for x in (0.0, 0.9, 3.3):
         _, X, Y, Z = c.frame_vectors(x)
         k0, l0 = k0_l0(*c.jet(x, 2)[1:])
@@ -83,7 +82,7 @@ def test_asymptotic_line_conditions(seeds):
     c = t1_curve()
     rng = np.random.default_rng(seeds[0])
     coeffs = {k: float(rng.uniform(-2, 2)) for k in ("k1", "k2", "l1", "l2", "kt1", "lt3")}
-    field = build_field(c, coefficients=coeffs)
+    field = TubularField(c, coefficients=coeffs)
     chart = tubular.TubularChart(c)
     for x in np.linspace(0, 2 * math.pi, 256, endpoint=False):
         xi = [float(v) for v in field.chart_components(chart.expand(float(x), 0.0, 0.0))]
@@ -113,7 +112,7 @@ def test_perturbed_k1_breaks_f_identity():
     # choice; adding 1 to k1 shifts f by |gamma'|^2 / 2
     c = t1_curve()
     k1 = k1_function(c, H=1)
-    field = build_field(c, coefficients={"k1": lambda x: k1(x) + 1.0})
+    field = TubularField(c, coefficients={"k1": lambda x: k1(x) + 1.0})
     chart = tubular.TubularChart(c)
     devs = []
     for x in np.linspace(0.1, 6.0, 16):
