@@ -7,13 +7,14 @@ rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
 single chart path, a lockstep batch of chart paths and a path on a
 parametrized surface.  An x-only part of the right-hand side is read from
 one evaluation per step attempt at the 11 abscissae of stages 1 to 11:
-monodromy's M (fitted or direct), a cached batch's series, or on a single
-chart path the curve expansion and frame of the direct pipeline.  A start
-point with no real branch raises EllipticStop or VerticalDirection.  Any
-other stop ends the path with its status instead of jumping branches: "parabolic"
-(root collision), "elliptic" (no real root), "vertical" (only dx = 0),
-"tube-exit" or "singular" (a singular reduction, non-finite data, an
-expression evaluated outside its domain or step-size underflow).
+monodromy's M (fitted or direct) or a cached batch's series; a single
+chart path replays one recorded tubular.ChartProgram at every stage.  A
+start point with no real branch raises EllipticStop or VerticalDirection.
+Any other stop ends the path with its status instead of jumping branches:
+"parabolic" (root collision), "elliptic" (no real root), "vertical" (only
+dx = 0), "tube-exit" or "singular" (a singular reduction, non-finite data,
+an expression evaluated outside its domain, step-size underflow or a spent
+step budget).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
 with a message that begins with it.
@@ -33,6 +34,7 @@ from .spectral import TrigSeries
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
 CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
 MIN_STEP = 1e-14  # rk45's smallest step
+MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
 
 
 class FlowError(Exception):
@@ -236,8 +238,8 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None,
     benchmark change.  x1 is the end point or a sequence of stations ending
     there; a step lands exactly on each, keeping step size and first stage.
     rhs(x, y) -> dy/dx; it may raise _Stop.  coefficients, when given, is a
-    vectorised function of x alone (a fitted series, or the curve rows of a
-    tubular chart), evaluated once per step attempt at the 11 abscissae of
+    vectorised function of x alone (a fitted series or monodromy's M),
+    evaluated once per step attempt at the 11 abscissae of
     stages 1 to 11 (stage 0 is the last step's final slope): stage i calls
     rhs(x_i, y_i, row_(i-1)), the first-same-as-last stage reuses the last
     row, and so does on_accept unless a landing on a station rounds x away
@@ -245,8 +247,9 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None,
     A stop inside a step halves the step, since overshooting may cause it,
     and ends the run once the step is down to 4 MIN_STEP.  A NaN error
     estimate rejects and shrinks the step, so such a run ends in a
-    "singular" step-size underflow.  on_accept(x, y[, last row]) is called at
-    every accepted step.  max_step defaults to 1/8 of the run.
+    "singular" step-size underflow, as does a run that has made MAX_STEPS
+    step attempts.  on_accept(x, y[, last row]) is called at every accepted
+    step.  max_step defaults to 1/8 of the run.
     Returns (x, y, stats) at the last station, or at the last accepted point
     after a stop; stats holds "steps", "rejected", "min_step", "status"
     ("reached" or the stop's) and "reason".
@@ -271,6 +274,8 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None,
                 step = remaining if h >= remaining - tiny else h
                 if step < MIN_STEP:
                     raise _Stop("singular", f"step size underflow at x = {x}")
+                if stats["steps"] + stats["rejected"] >= MAX_STEPS:
+                    raise _Stop("singular", f"step budget of {MAX_STEPS} attempts spent at x = {x}")
                 dh = direction * step
                 try:
                     if coefficients is not None:
@@ -382,8 +387,7 @@ def integrate_asymptotic(field, chart, start, x1, rtol=1e-10, atol=1e-12):
     x0, y0, z0 = (float(v) for v in start)
     efgab = tubular.binary_equation_data(field, chart)
     xs, states, ps, stats = _track(
-        lambda x, yz, *row: efgab(x, float(yz[0]), float(yz[1]), *row), x0, x1, np.array([y0, z0]),
-        chart.radius, rtol, atol, coefficients=lambda xs: chart.curve_rows(xs, field.curve_order),
+        lambda x, yz: efgab(x, float(yz[0]), float(yz[1])), x0, x1, np.array([y0, z0]), chart.radius, rtol, atol
     )
     status, reason = stats.pop("status"), stats.pop("reason")
     return Path(xs=xs, ys=states[:, 0], zs=states[:, 1], ps=ps, status=status, reason=reason, stats=stats)

@@ -20,6 +20,9 @@ picks one ring per call: exact when every value is an int or a
 float point never carries an exact unit, and a later ``jet / 2`` stays a
 float product instead of making ``Fraction`` coefficients (which turn
 array coefficients into object arrays).
+
+A ``Tape`` records one evaluation on ``Recorded`` values as straight-line
+code that repeats its float operations (tubular.ChartProgram replays so).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -144,20 +149,19 @@ class Jet:
         """This jet minus its value (the part that vanishes at the expansion point)."""
         return _jet(self._table, {i: c for i, c in self._coef.items() if i})
 
-    def unstack(self, m=None):
+    def unstack(self):
         """The jets of the entries along the last axis of vector coefficients.
 
         A jet whose coefficients have shape s + (m,) gives m jets whose
         coefficients have shape s (Python floats when s is empty).  A scalar
-        coefficient is shared by every entry; m is needed only when no
-        coefficient is an array.
+        coefficient is shared by every entry.
         """
         cols = {
             i: c.tolist() if c.ndim == 1 else list(np.moveaxis(c, -1, 0))
             for i, c in self._coef.items()
             if isinstance(c, np.ndarray)
         }
-        m = len(next(iter(cols.values()))) if cols else m
+        m = len(next(iter(cols.values())))
         return [_jet(self._table, {i: cols[i][k] if i in cols else c for i, c in self._coef.items()}) for k in range(m)]
 
     # -- ring operations ---------------------------------------------------
@@ -329,30 +333,29 @@ def cross(u, v):
 
 
 # -- analytic functions over float | Fraction | ndarray | Jet -----------------
-# (numpy for arrays, math for scalars, so scalar results stay those of math)
+# (numpy for arrays, math for scalars, so scalar results stay those of math;
+# on a jet the numpy calls are opaque nodes of a recording)
 
 
 def sin(x):
-    if isinstance(x, Jet):
-        a0 = _as_float(x.value)
-        s, c = np.sin(a0), np.cos(a0)
-        cycle = [s, c, -s, -c]
-        return x.compose_univariate([cycle[k % 4] for k in range(x.order + 1)])
-    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+    return _sin_cos(x, 0) if isinstance(x, Jet) else np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Jet):
-        a0 = _as_float(x.value)
-        s, c = np.sin(a0), np.cos(a0)
-        cycle = [c, -s, -c, s]
-        return x.compose_univariate([cycle[k % 4] for k in range(x.order + 1)])
-    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+    return _sin_cos(x, 1) if isinstance(x, Jet) else np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def _sin_cos(x, shift):
+    """sin (shift 0) or cos (shift 1) of a jet: the derivatives cycle through s, c, -s, -c."""
+    a0 = _as_float(x.value)
+    s, c = opaque(np.sin, a0), opaque(np.cos, a0)
+    cycle = [s, c, -s, -c]
+    return x.compose_univariate([cycle[(k + shift) % 4] for k in range(x.order + 1)])
 
 
 def exp(x):
     if isinstance(x, Jet):
-        e0 = np.exp(_as_float(x.value))
+        e0 = opaque(np.exp, _as_float(x.value))
         return x.compose_univariate([e0] * (x.order + 1))
     return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
@@ -364,7 +367,7 @@ def sqrt(x):
             raise ValueError("sqrt of a negative value")
         if np.any(a0 == 0):
             raise ValueError("sqrt jet at zero is not differentiable")
-        derivs = [np.sqrt(a0)]
+        derivs = [opaque(np.sqrt, a0)]
         coeff = 1.0
         for k in range(1, x.order + 1):
             coeff *= 0.5 - (k - 1)
@@ -382,5 +385,133 @@ def sqrt(x):
 def _as_float(v):
     if isinstance(v, np.ndarray):
         return v
-    return float(v)
+    return opaque(float, v)
 
+
+# -- recording: one evaluation as straight-line code -----------------------------
+# (an operation tape, Griewank & Walther, ch. 6, replayed as compiled Python)
+
+
+class Untraceable(Exception):
+    """float() or a truth test of a Recorded value: it would fold into a constant."""
+
+
+class GuardTripped(Exception):
+    """A replayed comparison came out otherwise than when it was recorded."""
+
+
+class Recorded:
+    """A value that a Tape follows: it computes as the value v it carries and
+    records each operation.  It reports v's class, so isinstance tests answer
+    as for v, and numpy defers its operators to it."""
+
+    __slots__ = ("v", "tape", "name")
+    __array_ufunc__ = __hash__ = None
+    __class__ = property(lambda self: type(self.v))
+    ndim = property(lambda self: self.v.ndim)
+
+    def tolist(self):
+        return self.tape.unpack(self)
+
+    def _untraceable(self, *args):
+        raise Untraceable(f"a recorded value cannot be converted or tested: {self.v!r}")
+
+    __float__ = __bool__ = _untraceable
+    __neg__ = lambda self: self.tape.op(operator.neg, "-{}", self)
+    __abs__ = lambda self: self.tape.op(abs, "abs({})", self)
+
+
+def _operators(name, symbol):
+    fn, form = getattr(operator, name), f"{{}} {symbol} {{}}"
+    if name in ("lt", "le", "gt", "ge", "eq", "ne"):
+        return (lambda self, other: self.tape.guard(fn, form, self, other),)
+    # a jet operand takes the jet's reflected operator
+    forward = lambda self, other: NotImplemented if type(other) is Jet else self.tape.op(fn, form, self, other)
+    reverse = lambda self, other: NotImplemented if type(other) is Jet else self.tape.op(fn, form, other, self)
+    return forward, reverse
+
+
+for _name, _symbol in (
+    ("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**"),
+    ("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!="),
+):
+    for _prefix, _method in zip(("__", "__r"), _operators(_name, _symbol)):
+        setattr(Recorded, f"{_prefix}{_name}__", _method)
+
+
+def unwrap(v):
+    """The plain value of v, or of each entry of a tuple."""
+    if type(v) is Recorded:
+        return v.v
+    return tuple(map(unwrap, v)) if type(v) is tuple else v
+
+
+def opaque(fn, *args):
+    """fn(*args), recorded as one call when an argument is Recorded: a replay
+    makes the call again (the numpy calls of sin, cos, exp, sqrt, a series)."""
+    for a in args:
+        if type(a) is Recorded:
+            return a.tape.op(fn, f"{a.tape.ref(fn)}({', '.join(['{}'] * len(args))})", *args)
+    return fn(*args)
+
+
+# recorded values' names stay interned: fresh names for each compile, freed
+# with its program, churned the interned-string table (peak RSS +2 MB)
+_NAMES = []
+
+
+class Tape:
+    """The operations of one evaluation on Recorded inputs, in order, as
+    lines: ring operations with their operands as they were (0 + a*b stays
+    so), comparisons as guards, opaque calls as calls.  compile() makes them
+    a function of the inputs that raises GuardTripped where a guard fails."""
+
+    def __init__(self):
+        # names and constants only: no Recorded value is kept in a cycle
+        self.lines, self.constants, self.count = [], {}, 0
+
+    def new(self, value):
+        """A Recorded value carrying value: an input, or the result of a line."""
+        while len(_NAMES) <= self.count:
+            _NAMES.append(sys.intern(f"v{len(_NAMES)}"))
+        r = _new(Recorded)
+        r.v, r.tape, r.name = value, self, _NAMES[self.count]
+        self.count += 1
+        return r
+
+    def ref(self, obj):
+        """obj in the source: a name, a tuple, an int or finite float literal or a bound constant."""
+        if type(obj) is Recorded:
+            return obj.name
+        if type(obj) is tuple:
+            return f"({''.join(self.ref(v) + ', ' for v in obj)})"
+        if type(obj) is int or type(obj) is float and math.isfinite(obj):
+            return f"({obj!r})" if repr(obj).startswith("-") else repr(obj)
+        self.constants[name := f"c{len(self.constants)}"] = obj
+        return name
+
+    def op(self, fn, form, *args):
+        """fn(*args) as a Recorded value; its line is form filled with the operands."""
+        out = self.new(fn(*map(unwrap, args)))
+        self.lines.append(f"{out.name} = {form.format(*map(self.ref, args))}")
+        return out
+
+    def guard(self, fn, form, a, b):
+        outcome = fn(unwrap(a), unwrap(b))
+        self.lines.append(f"if {'not ' if outcome else ''}({form.format(self.ref(a), self.ref(b))}): raise Trip")
+        return outcome
+
+    def unpack(self, a):
+        """a.tolist() of a recorded vector, one Recorded value per entry."""
+        out = [self.new(v) for v in a.v.tolist()]
+        self.lines.append(f"[{', '.join(r.name for r in out)}] = {a.name}.tolist()")
+        return out
+
+    def compile(self, inputs, outputs):
+        """The lines as a function of the Recorded inputs returning outputs
+        (Recorded values, constants and tuples of them)."""
+        source = f"def program({', '.join(self.ref(r) for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in self.lines)
+        source += f"    return {self.ref(tuple(outputs))}\n"
+        namespace = {**self.constants, "Trip": GuardTripped}
+        exec(compile(source, "<recorded>", "exec"), namespace)
+        return namespace.pop("program")  # its globals do not refer back to it

@@ -58,6 +58,7 @@ class TrigSeries:
         self.period = float(period)
         self.omega = 2.0 * np.pi / self.period
         self._k = np.arange(len(self.cos_coeffs))
+        self._derivative = None
 
     @classmethod
     def fit(cls, fn, period, nodes=64, tol=1e-11, max_nodes=4096):
@@ -114,8 +115,11 @@ class TrigSeries:
         return cos_t @ self.cos_coeffs + sin_t @ self.sin_coeffs
 
     def derivative(self):
-        k = (self._k * self.omega).reshape((-1,) + (1,) * (self.cos_coeffs.ndim - 1))
-        return TrigSeries(self.sin_coeffs * k, -self.cos_coeffs * k, self.period)
+        """The derivative series, built on the first call and kept."""
+        if self._derivative is None:
+            k = (self._k * self.omega).reshape((-1,) + (1,) * (self.cos_coeffs.ndim - 1))
+            self._derivative = TrigSeries(self.sin_coeffs * k, -self.cos_coeffs * k, self.period)
+        return self._derivative
 
     def mean(self):
         """The mean over one period (per row); period * mean() is the exact integral."""
@@ -125,12 +129,12 @@ class TrigSeries:
         if not isinstance(x, jets.Jet):
             return self._apply(self._table(x))
         # every derivative shares the harmonics of the same point: one table
-        table = self._table(x.value)
+        table = jets.opaque(self._table, x.value)
         series = self
-        derivs = [series._apply(table)]
+        derivs = [jets.opaque(series._apply, table)]
         for _ in range(x.order):
             series = series.derivative()
-            derivs.append(series._apply(table))
+            derivs.append(jets.opaque(series._apply, table))
         return x.compose_univariate(derivs)
 
     def columns(self, x):

@@ -69,51 +69,17 @@ class TubularChart:
         self.curve = curve
         self.radius = TUBE_RADIUS
 
-    def expand(self, x, y, z, order=2, row=None):
+    def expand(self, x, y, z, order=2):
         """The ChartPoint at (x, y, z), from one curve expansion to this
-        order (at least 1: the frame is built from gamma'), or from row,
-        the (derivs, frame) that curve_rows gave at x's value."""
-        derivs, frame = self._curve_part(x, order) if row is None else row
+        order (at least 1: the frame is built from gamma')."""
+        derivs = self.curve.jet(x, order)
+        frame = adapted_frame(derivs[1])
         _, Y, Z = frame
         alpha = tuple(derivs[0][i] + y * Y[i] + z * Z[i] for i in range(3))
         return ChartPoint(x, y, z, derivs, frame, alpha)
 
-    def _curve_part(self, x, order):
-        derivs = self.curve.jet(x, order)
-        return derivs, adapted_frame(derivs[1])
-
-    def curve_rows(self, x, order=2):
-        """The (derivs, frame) of expand at each abscissa of x, for the
-        first-order seeds of an order-0 chart_data pass.
-
-        One vectorised curve expansion serves every abscissa, and its jets
-        are split into per-abscissa jets with float coefficients, bit for
-        bit what expand computes at each point.  A float x gives one row, an
-        array a list.  Where the pass raises or gives a non-finite value, the
-        rows are None, so that expand meets the failure at its own point.
-        """
-        n = None if not np.ndim(x) else len(x)
-        try:
-            with np.errstate(all="ignore"):
-                derivs, frame = self._curve_part(jets.Jet.variable(x, 0, 3, 1), order)
-            parts = (v for vec in (*derivs, *frame) for v in vec if isinstance(v, jets.Jet))
-            finite = all(np.isfinite(c).all() for v in parts for c in v._coef.values())
-        except (ArithmeticError, ValueError, TypeError, DomainError):  # TypeError: isfinite of an object array
-            finite = False
-        if not finite:  # each point expands the curve itself and meets the failure there
-            return None if n is None else [None] * n
-        if n is None:
-            return derivs, frame
-        # a vector of jets as n vectors of per-abscissa jets
-        split = lambda vec: list(zip(*(v.unstack(n) if isinstance(v, jets.Jet) else [v] * n for v in vec)))
-        derivs, frame = [split(d) for d in derivs], [split(axis) for axis in frame]
-        return [([d[k] for d in derivs], tuple(axis[k] for axis in frame)) for k in range(n)]
-
-    def alpha(self, x, y, z):
-        return self.expand(x, y, z, 1).alpha
-
     def point(self, x, y, z):
-        return np.array([float(value_of(c)) for c in self.alpha(x, y, z)])
+        return np.array([float(value_of(c)) for c in self.expand(x, y, z, 1).alpha])
 
     def inside(self, y, z):
         return abs(y) <= self.radius and abs(z) <= self.radius
@@ -171,19 +137,26 @@ def _truncate(v, order):
     return _plain(v.truncated(order)) if isinstance(v, jets.Jet) else v
 
 
-def chart_data(field, chart, x, y, z, order=0, row=None):
+def chart_data(field, chart, x, y, z, order=0, program=None):
     """Evaluate the full coefficient pipeline at a chart point.
 
     order is the jet order retained on the outputs: 0 for plain values,
     1 when first partials in (x, y, z) are wanted.  x, y, z may be numpy
     arrays (broadcast evaluation at many points at once).  The curve is
     expanded to field.curve_order, the highest derivative of gamma that
-    field.chart_components reads, unless row is given (at order 0 only):
-    then the curve part is that row of chart.curve_rows(..., field.curve_order)
-    at x.
+    field.chart_components reads.  program, the ChartProgram of one
+    equation of this field and chart, runs an order-0 point of three Python
+    floats: its first such point records the pipeline, later ones replay it.
     """
+    if program is not None and order == 0 and type(x) is type(y) is type(z) is float:
+        return program.run(field, chart, x, y, z)
+    return _reduce(field, chart, x, y, z, order)
+
+
+def _reduce(field, chart, x, y, z, order):
+    """chart_data through the jet pipeline."""
     q = order + 1
-    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order, row)
+    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order)
     xi = field.chart_components(point)
     d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]
@@ -192,7 +165,7 @@ def chart_data(field, chart, x, y, z, order=0, row=None):
     a, b, c = (jets.dot(xi_t, d) for d in d_alpha)
     L = quadratic_coefficients(d_xi, d_alpha)
 
-    small = np.abs(value_of(c)) < C_TOL
+    small = abs(value_of(c)) < C_TOL
     if np.any(small):  # name the first such point
         *columns, small = np.broadcast_arrays(value_of(c), x, y, z, small)
         cv, px, py, pz = (v.flat[np.argmax(small)] for v in columns)
@@ -205,6 +178,35 @@ def chart_data(field, chart, x, y, z, order=0, row=None):
     B = -(b * r)
     e, f, g = reduced_coefficients(A, B, L)
     return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=L, e=e, f=f, g=g, A=A, B=B)
+
+
+class ChartProgram:
+    """The order-0 pipeline of one equation, recorded at its first point as
+    straight-line code (jets.Tape) and replayed at later points; a point
+    whose replay trips a guard or raises, and every point of a field the
+    recording cannot follow, takes the jet pipeline (docs/conventions.md)."""
+
+    code = None  # the compiled recording; False for a field it cannot follow
+
+    def run(self, field, chart, x, y, z):
+        if self.code:
+            try:
+                return ChartData(x, y, z, *self.code(x, y, z))
+            except Exception:  # the jet pipeline meets the failure itself
+                pass
+        elif self.code is None:
+            tape = jets.Tape()
+            inputs = [tape.new(v) for v in (x, y, z)]
+            try:
+                d = _reduce(field, chart, *inputs, 0)
+                outputs = (d.a, d.b, d.c, d.L, d.e, d.f, d.g, d.A, d.B)
+                self.code = tape.compile(inputs, outputs)
+            except Exception:
+                d = _reduce(field, chart, x, y, z, 0)  # a failure of the point raises here
+                self.code = False  # the jet pipeline ran where the recording did not
+                return d
+            return ChartData(x, y, z, *jets.unwrap(outputs))
+        return _reduce(field, chart, x, y, z, 0)
 
 
 def quadratic_coefficients(d_xi, d_alpha):
@@ -272,14 +274,15 @@ def _classes(d):
 
 
 def binary_equation_data(field, chart):
-    """A callable (x, y, z[, row]) -> (e, f, g, A, B) of plain values,
-    array-capable; row is chart.curve_rows(x, field.curve_order) at a float x.
+    """A callable (x, y, z) -> (e, f, g, A, B) of plain values,
+    array-capable; its points of three Python floats run one ChartProgram.
 
     This is the interface the flow integrator consumes.
     """
+    program = ChartProgram()
 
-    def efgab(x, y, z, row=None):
-        d = chart_data(field, chart, x, y, z, order=0, row=row)
+    def efgab(x, y, z):
+        d = chart_data(field, chart, x, y, z, order=0, program=program)
         return (d.value("e"), d.value("f"), d.value("g"), d.value("A"), d.value("B"))
 
     return efgab

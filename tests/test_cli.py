@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, planefield, tubular, verify
+from asymptotica import cli, flow, planefield, tubular, verify
 
 
 def run(capsys, *argv):
@@ -448,6 +448,16 @@ def test_failing_curve_stops_in_one_line(capsys, curve):
     assert len(err.splitlines()) == 1 and err.startswith(FAILING_CURVES[curve])
     doc = json.loads(out)  # the partial path is written before the stop is reported
     assert doc["status"] == "singular" and doc["reason"] in err and len(doc["path"]) == doc["samples"] > 1
+
+
+def test_spent_step_budget_stops_integrate_in_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    code, out, err = run(capsys, "integrate", "--field", "t1", "--to", "6.28", "--format", "json")
+    assert code == 3
+    doc = json.loads(out)  # the partial path is written before the stop is reported
+    assert doc["status"] == "singular" and doc["reason"].startswith("step budget of 3 attempts spent at x = ")
+    assert err.splitlines() == [f"integration stopped: singular ({doc['reason']})"]
+    assert len(doc["path"]) == doc["samples"] > 1
 
 
 def test_non_finite_grid_names_one_point(capsys):

@@ -317,9 +317,9 @@ def chart_points(monkeypatch):
     def counting(field, chart):
         equation = real(field, chart)
 
-        def counted(x, y, z, *row):
+        def counted(x, y, z):
             points.append(x)
-            return equation(x, y, z, *row)
+            return equation(x, y, z)
 
         return counted
 
@@ -451,56 +451,60 @@ def test_q_matches_the_previous_integrator(t1_field, t1_chart, name):
     assert np.all(np.abs(Q - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
-# -- the curve rows of a single chart path: one curve expansion per attempt ---
+# -- the chart program of a single chart path: one recording per run ---------
 
 
 @pytest.mark.parametrize("name, start", [("t1", (0.3, 0.0, 0.0)), ("circle-example", (0.5, 8e-4, 2e-4))])
-def test_single_path_expands_the_curve_once_per_attempt(monkeypatch, t1_field, t1_chart, name, start):
+def test_single_path_records_once_and_multiplies_no_jet_after(monkeypatch, t1_field, t1_chart, name, start):
     field, chart = _field_and_chart(name, t1_field, t1_chart)
-    shapes = []
-    real = Curve.jet
+    events = []
+    real_mul, real_compile = jets.Jet.__mul__, jets.Tape.compile
 
-    def counted(self, t, k):
-        shapes.append(np.shape(jets.value_of(t)))
-        return real(self, t, k)
+    def counted_mul(self, other):
+        events.append("mul")
+        return real_mul(self, other)
 
-    monkeypatch.setattr(Curve, "jet", counted)
+    def counted_compile(self, *args):
+        events.append("compile")
+        return real_compile(self, *args)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counted_mul)
+    monkeypatch.setattr(jets.Jet, "__rmul__", counted_mul)
+    monkeypatch.setattr(jets.Tape, "compile", counted_compile)
     path = integrate_asymptotic(field, chart, start, start[0] + 2 * math.pi)
-    assert path.reached
-    attempts = path.stats["steps"] + path.stats["rejected"]
-    # the two scalar expansions are rk45's start row and the tracker's start slope
-    assert sorted(shapes) == [()] * 2 + [(11,)] * attempts
+    assert path.reached and path.stats["steps"] > 5
+    # the start point records the pipeline (its jet products); every later point replays it
+    assert events.count("compile") == 1
+    assert events.index("compile") == len(events) - 1 and events.count("mul") > 0
 
 
-def _no_rows(self, x, *args, **kwargs):
-    return None if not np.ndim(x) else [None] * len(x)
+def _jet_pipeline_only(self, field, chart, x, y, z):
+    return tubular._reduce(field, chart, x, y, z, 0)
 
 
 @pytest.mark.parametrize("third", ["0*sqrt(1-x)", "0*exp(800*x)"])
-def test_failing_curve_rows_stop_as_each_stage_expanding_itself(monkeypatch, third):
-    # a negative sqrt raises in the vector pass past x = 1, 0 * inf is NaN
-    # past x = 0.887: those attempts get no rows, and the run ends as one in
-    # which every stage expands the curve itself; both stop "singular" with
-    # the partial path
+def test_failing_curves_stop_as_the_jet_pipeline(monkeypatch, third):
+    # a negative sqrt raises past x = 1 (the replay's guard trips), 0 * inf
+    # is NaN past x = 0.887: both stop "singular" with the reason and the
+    # partial path of a run whose every point takes the jet pipeline
     curve = Curve.from_expressions(("cos(x)", "sin(x)", third), (0, 2 * math.pi))
     field, chart = circle_example_field(), tubular.TubularChart(curve)
-    dropped = []
-    real = tubular.TubularChart.curve_rows
-
-    def recorded(self, x, *args, **kwargs):
-        rows = real(self, x, *args, **kwargs)
-        dropped.append(rows is None or None in rows)
-        return rows
 
     def outcome():
         with np.errstate(all="ignore"):
             path = integrate_asymptotic(field, chart, (0.0, 0.0, 0.0), 2.0)
         return path.status, path.reason, repr([path.xs.tolist(), path.ys.tolist(), path.zs.tolist(), path.ps.tolist()])
 
-    monkeypatch.setattr(tubular.TubularChart, "curve_rows", recorded)
-    tabled = outcome()
-    assert dropped[-1] and not dropped[0]
-    monkeypatch.setattr(tubular.TubularChart, "curve_rows", _no_rows)
-    assert outcome() == tabled
-    assert tabled[0] == "singular"
-    assert tabled[1].startswith("sqrt of a negative value at x = " if "sqrt" in third else "non-finite chart data")
+    replayed = outcome()
+    monkeypatch.setattr(tubular.ChartProgram, "run", _jet_pipeline_only)
+    assert outcome() == replayed
+    assert replayed[0] == "singular"
+    assert replayed[1].startswith("sqrt of a negative value at x = " if "sqrt" in third else "non-finite chart data")
+
+
+def test_step_budget_stops_the_run_singular(monkeypatch):
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
+    _, _, stats = rk45(lambda x, y: -y, 0.0, 10.0, np.array([1.0]))
+    assert stats["status"] == "singular"
+    assert stats["reason"].startswith("step budget of 3 attempts spent at x = ")
+    assert stats["steps"] + stats["rejected"] == 3

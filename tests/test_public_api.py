@@ -72,7 +72,7 @@ PARAMETERS = {
     asymptotica.branch_slopes: ["e", "f", "g", "prev_p"],
     asymptotica.build_lac: ["curve", "H", "l1"],
     asymptotica.build_t1: [],
-    asymptotica.chart_data: ["field", "chart", "x", "y", "z", "order", "row"],
+    asymptotica.chart_data: ["field", "chart", "x", "y", "z", "order", "program"],
     asymptotica.classify: ["field", "chart", "point"],
     asymptotica.fd_poincare_derivative: ["field", "chart", "period", "h", "cache"],
     asymptotica.gauge_scale: ["field", "phi_source"],

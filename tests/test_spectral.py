@@ -124,6 +124,23 @@ def test_jet_evaluation_is_bitwise_the_derivative_stack():
         assert np.array_equal(got.coefficient((k,)), want.coefficient((k,)))
 
 
+def test_two_jet_evaluations_build_one_derivative(monkeypatch):
+    v = TrigSeries.fit(lambda x: np.stack([np.exp(np.sin(x)), np.cos(2 * x)], axis=1), 2 * math.pi)
+    built = []
+    real = TrigSeries.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(TrigSeries, "__init__", counted)
+    x = jets.Jet.variable(0.7, 0, 3, 1)  # a scalar chart point's x seed
+    first, second = v(x), v(x)
+    assert len(built) == 1  # the derivative series, kept by v for the second evaluation
+    assert first._coef.keys() == second._coef.keys()
+    assert all(first._coef[i].tobytes() == second._coef[i].tobytes() for i in first._coef)
+
+
 def test_fit_reuses_node_and_midpoint_samples():
     points = []
 

@@ -1,12 +1,16 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from asymptotica import cli, tubular
-from asymptotica.flow import integrate_asymptotic
+from asymptotica import cli, tubular, verify
+from asymptotica.construct import TubularField
 from asymptotica.curves import Curve
+from asymptotica.exprlang import DomainError
 from asymptotica.jets import Jet
 from asymptotica.planefield import AmbientField, circle_example_field
 from asymptotica.spectral import TrigSeries
@@ -279,35 +283,82 @@ def test_exact_chart_point_stays_exact():
         assert type(getattr(plain, q)) is Fraction and plain.value(q) == jet.value(q)
 
 
-def _bits(v):
-    """A jet's coefficients in monomial order (a plain value's one), floats as hex, ints as they are."""
-    coef = v._coef if isinstance(v, Jet) else {0: v}
-    return [(i, c if isinstance(c, int) else float(c).hex()) for i, c in coef.items()]
+# -- the chart program: a recorded order-0 pipeline, replayed --------------------
 
 
-@pytest.mark.parametrize("name, start", [("t1", (0.3, 0.0, 0.0)), ("circle-example", (0.5, 8e-4, 2e-4))])
-def test_curve_rows_are_the_per_point_expansion_bit_for_bit(monkeypatch, t1_field, t1_chart, name, start):
-    # at the start and at the stage abscissae of the first and last steps of one period
+def _outcome(run):
+    """run()'s reduced data as (type, float.hex) pairs, or the type and message of what it raised."""
+    try:
+        d = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(type(v).__name__, float(v).hex()) for v in (d.a, d.b, d.c, *d.L, d.e, d.f, d.g, d.A, d.B)]
+
+
+def _through_one_program(field, chart, points):
+    """The outcomes at points of one ChartProgram (the first records, the rest
+    replay) and of the jet pipeline, and the program."""
+    program = tubular.ChartProgram()
+    replayed = [_outcome(lambda: chart_data(field, chart, *p, program=program)) for p in points]
+    return replayed, [_outcome(lambda: tubular._reduce(field, chart, *p, 0)) for p in points], program
+
+
+def _points(seed, n, xs=(-7.0, 7.0)):
+    rng = np.random.default_rng(seed)
+    columns = rng.uniform(*xs, n), rng.uniform(-0.1, 0.1, n), rng.uniform(-0.1, 0.1, n)
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example"])
+def test_replay_is_the_jet_pipeline_bit_for_bit(t1_field, t1_chart, name):
     field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
-    tables = []
-    real = TubularChart.curve_rows
+    replayed, plain, program = _through_one_program(field, chart, _points(17, 1000))
+    assert callable(program.code)
+    assert replayed == plain
 
-    def recorded(self, x, *args, **kwargs):
-        tables.append(x)
-        return real(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(TubularChart, "curve_rows", recorded)
-    integrate_asymptotic(field, chart, start, start[0] + 2 * math.pi)
-    monkeypatch.undo()
-    assert np.ndim(tables[0]) == 0 and len(tables) > 8
-    for xs in tables[:5] + tables[-3:]:
-        rows = chart.curve_rows(xs, field.curve_order)
-        for x, (derivs, frame) in zip(np.atleast_1d(xs).tolist(), [rows] if np.ndim(xs) == 0 else rows):
-            seeds = tubular.jets.seed((x, 0.001, -0.002), 1)
-            point = chart.expand(*seeds, field.curve_order)
-            assert len(derivs) == len(point.derivs) == field.curve_order + 1
-            for got, want in zip((*derivs, *frame), (*point.derivs, *point.frame)):
-                assert [_bits(v) for v in got] == [_bits(v) for v in want], x
-            # and the reduced data of the whole pipeline
-            plain, tabled = (chart_data(field, chart, x, 0.001, -0.002, row=r) for r in (None, (derivs, frame)))
-            assert [_bits(plain.value(q)) for q in "efgAB"] == [_bits(tabled.value(q)) for q in "efgAB"], x
+RECORDER_CURVES = ("circle", "t1", "x,x^2,x^3", "cos(x),sin(x),0*sqrt(1-x)")
+GUARDED_TERMS = ("sqrt(x)", "1/(x - y)", "sqrt(2 + y) * exp(z)", "1/(sin(x) + 2)", "x^(-2)")
+
+
+@st.composite
+def recorder_cases(draw):
+    """A built-in field or a field document with random components, and a seed for its points."""
+    seeds = st.integers(0, 2**32 - 1)
+    words = lambda: verify._random_expression(np.random.default_rng(draw(seeds)))
+    xi = [
+        f"{words()} + y*({words()}) - z*({draw(st.sampled_from(GUARDED_TERMS))})" if draw(st.booleans()) else words()
+        for _ in range(3)
+    ]
+    document = json.dumps({"xi": xi, "curve": draw(st.sampled_from(RECORDER_CURVES))})
+    return draw(st.sampled_from((document,) * 8 + ("t1", "circle-example"))), draw(seeds)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=recorder_cases())
+def test_replay_matches_the_jet_pipeline_on_random_fields(case):
+    document, seed = case
+    field, chart = cli.resolve_field(document)
+    with np.errstate(all="ignore"):
+        replayed, plain, _ = _through_one_program(field, chart, _points(seed, 8, (-3.0, 3.0)))
+    assert replayed == plain, document
+
+
+def test_a_coefficient_calling_float_records_no_program():
+    # math.cos of the plain value would fold into a constant of the recording
+    curve = Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True)
+    field = TubularField(curve, coefficients={"k1": lambda t: math.cos(float(tubular.value_of(t))) * t})
+    replayed, plain, program = _through_one_program(field, TubularChart(curve), _points(3, 5))
+    assert program.code is False
+    assert replayed == plain and all(isinstance(r, list) for r in replayed)
+
+
+def test_a_tripped_sqrt_guard_falls_back_to_the_same_domain_error():
+    # the ambient x is (1 + y) cos x on the circle's chart: sqrt(x) is recorded
+    # at x = 0.3 and its guard trips at x = 2
+    field, chart = AmbientField(("sqrt(x)", "y", "1 + z")), circle_chart()
+    replayed, plain, program = _through_one_program(field, chart, [(0.3, 0.01, 0.02), (2.0, 0.01, 0.02)])
+    with pytest.raises(tubular.jets.GuardTripped):
+        program.code(2.0, 0.01, 0.02)
+    assert replayed == plain
+    assert replayed[1] == (DomainError, "sqrt of a negative value")
