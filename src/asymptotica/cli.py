@@ -7,9 +7,11 @@ and run the full verification suite.  Built-in names ("t1",
 "circle-example", "arnold:m,n") make every check runnable without input
 files.
 
-Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 numerical
-failure.  With --format json each subcommand writes a single JSON document
-to stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 check failure, 2 usage/parse error (an unreadable
+field file and input nested too deeply among them), 3 numerical failure.
+With --format json each subcommand writes a single JSON document to stdout;
+diagnostics go to stderr.  integrate --svg draws an SVG_WIDTH by SVG_HEIGHT
+canvas with an SVG_MARGIN border.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 GRID_PASS_POINTS = 4096  # points per vector chart_data pass of a classify or curvature grid
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 20  # integrate --svg's canvas, in pixels
 
 
 class UsageError(Exception):
@@ -39,8 +42,9 @@ class UsageError(Exception):
 
 
 def default_seed():
+    """$ASYMPTOTICA_SEED when it is a non-negative integer, else 0."""
     try:
-        return int(os.environ.get("ASYMPTOTICA_SEED", "0"))
+        return non_negative_int(os.environ.get("ASYMPTOTICA_SEED", "0"))
     except ValueError:
         return 0
 
@@ -81,8 +85,11 @@ def resolve_field(name):
     if name.lstrip().startswith("{"):
         text = name
     elif os.path.isfile(name):
-        with open(name) as fh:
-            text = fh.read()
+        try:
+            with open(name, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"field file {name!r} cannot be read as UTF-8 text: {exc}") from exc
     else:
         raise UsageError(f"unknown field {name!r}: use t1, circle-example, a JSON document, or a file path")
     try:
@@ -116,6 +123,14 @@ def positive_int(text):
     """argparse type for counts that must be at least 1."""
     value = int(text)
     if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def non_negative_int(text):
+    """argparse type for a seed, an integer of at least 0."""
+    value = int(text)
+    if value < 0:
         raise ValueError(text)
     return value
 
@@ -184,20 +199,20 @@ def emit(args, document, csv_rows=None, csv_header=None):
             out.close()
 
 
-def write_svg(path_obj, filename, width=640, height=480, margin=20):
+def write_svg(path_obj, filename):
     """Minimal static polyline rendering of the (x, y) chart projection."""
     xs, ys = path_obj.xs, path_obj.ys
     x0, x1 = float(np.min(xs)), float(np.max(xs))
     y0, y1 = float(np.min(ys)), float(np.max(ys))
-    sx = (width - 2 * margin) / max(x1 - x0, 1e-12)
-    sy = (height - 2 * margin) / max(y1 - y0, 1e-12)
+    sx = (SVG_WIDTH - 2 * SVG_MARGIN) / max(x1 - x0, 1e-12)
+    sy = (SVG_HEIGHT - 2 * SVG_MARGIN) / max(y1 - y0, 1e-12)
     pts = " ".join(
-        f"{margin + (x - x0) * sx:.2f},{height - margin - (y - y0) * sy:.2f}"
+        f"{SVG_MARGIN + (x - x0) * sx:.2f},{SVG_HEIGHT - SVG_MARGIN - (y - y0) * sy:.2f}"
         for x, y in zip(xs, ys)
     )
     with open_output(filename, "--svg") as fh:
         fh.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}">\n'
             f'  <polyline points="{pts}" fill="none" stroke="black" stroke-width="1"/>\n'
             "</svg>\n"
         )
@@ -351,7 +366,7 @@ def cmd_arnold_surface(args):
 
 def cmd_verify_paper(args):
     seed = args.seed if args.seed is not None else default_seed()
-    checks = verify.checks(seed=seed, perturb=args.perturb)
+    checks = verify.checks(seed=seed)
     results = [verify.run(name, fn) for name, fn in checks if not args.only or args.only in name]
     if not results:
         raise UsageError(f"--only {args.only!r} matched no checks")
@@ -378,7 +393,7 @@ def build_parser():
         prog="asymptotica",
         description="Asymptotic lines of plane fields in R^3: classification, return maps, verification.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default: $ASYMPTOTICA_SEED or 0)")
+    parser.add_argument("--seed", type=non_negative_int, help="random seed (default: $ASYMPTOTICA_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, default_format="json", formats=("json", "csv")):
@@ -438,7 +453,6 @@ def build_parser():
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     p.add_argument("--only", default=None, help="run only checks whose name contains this string")
-    p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
     common(p, default_format="table", formats=("table", "json"))
     p.set_defaults(fn=cmd_verify_paper)
     return parser
@@ -470,6 +484,9 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except exprlang.ExprError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError as exc:  # a document or expression nested deeper than Python's stack
+        print(f"error: input nested too deeply: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

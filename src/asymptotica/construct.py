@@ -86,7 +86,8 @@ def k1_function(curve, l1=None, H=1):
     def k1(t):
         num, den = _k1_num_den(*curve.jet(t, 3)[1:], l1_fn(t), H_fn(t))
         dv = value_of(den)
-        if np.any(np.abs(np.asarray(dv, dtype=float)) < 1e-13):
+        # the builtin abs keeps a recorded value recorded: the test is a guard of a chart program
+        if np.any(abs(dv) < 1e-13):
             raise InflectionOfProjection(f"k1 denominator vanishes at x = {value_of(t)}")
         return num / den
 

@@ -4,6 +4,10 @@ and the starlike test for plane projections.
 The frame attached to a curve gamma is X = gamma', Y = (gamma2', -gamma1', 0),
 Z = X ^ Y.  It only needs the horizontal projection of the tangent to be
 nonzero, so the curve may have inflections.
+
+finite_type_symbol reads derivatives up to SYMBOL_MAX_ORDER; its numeric
+rank test drops singular values below RANK_TOL times the largest, and the
+starlike test merges projected samples closer than DEDUPE_TOL.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from . import jets
 from .exprlang import compile_function, parse, to_source
 
 _CLOSED_TOL = 1e-12
+SYMBOL_MAX_ORDER = 9  # the highest derivative order finite_type_symbol reads
+RANK_TOL = 1e-9  # the numeric rank test's relative singular-value threshold
+DEDUPE_TOL = 1e-12  # is_starlike_projection merges samples closer than this
 
 
 class CurveError(Exception):
@@ -131,10 +138,6 @@ class Curve:
                 out[j][i] = t._compose_scaled(s) if isinstance(t, jets.Jet) else s[0]
         return out
 
-    def component(self, i, t, k=0):
-        """gamma_i^(k) at t; t may be a float, Fraction, or Jet."""
-        return self.jet(t, k)[k][i]
-
     def point(self, t):
         return np.array([float(v) for v in self.jet(t, 0)[0]])
 
@@ -156,28 +159,28 @@ def adapted_frame(d1):
 # -- finite type symbol ------------------------------------------------------
 
 
-def finite_type_symbol(curve, x, max_order=9):
+def finite_type_symbol(curve, x):
     """The symbol {1, m, n} of the curve at x.
 
     m is the least k with span{gamma', ..., gamma^(k)} of dimension 2, n the
-    least k reaching dimension 3.  Rank is measured exactly when the
-    derivatives are rational, otherwise by SVD with a 1e-9 threshold after
-    row normalization.
+    least k reaching dimension 3, both at most SYMBOL_MAX_ORDER.  Rank is
+    measured exactly when the derivatives are rational, otherwise by SVD
+    with the RANK_TOL threshold after row normalization.
     """
     try:
         xq = x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**12)
         exact = abs(float(xq) - float(x)) == 0.0
     except (TypeError, ValueError):
         exact = False
-    rows = curve.jet(xq if exact else x, max_order)[1:]
+    rows = curve.jet(xq if exact else x, SYMBOL_MAX_ORDER)[1:]
     # component functions that are not rational at this point give float rows
     exact = exact and all(isinstance(v, (int, Fraction)) for row in rows for v in row)
     return _symbol(rows, _rank_exact if exact else _rank_numeric, x)
 
 
-def finite_type_symbol_numeric(curve, x, max_order=9):
+def finite_type_symbol_numeric(curve, x):
     """The symbol with the SVD rank test at float(x), even for rational curves."""
-    return _symbol(curve.jet(float(x), max_order)[1:], _rank_numeric, x)
+    return _symbol(curve.jet(float(x), SYMBOL_MAX_ORDER)[1:], _rank_numeric, x)
 
 
 def _symbol(rows, rank, x):
@@ -216,7 +219,7 @@ def _rank_exact(rows):
     return rank
 
 
-def _rank_numeric(rows, threshold=1e-9):
+def _rank_numeric(rows):
     mat = []
     for row in rows:
         a = np.array(row, dtype=float)
@@ -226,7 +229,7 @@ def _rank_numeric(rows, threshold=1e-9):
     if not mat:
         return 0
     s = np.linalg.svd(np.array(mat), compute_uv=False)
-    return int(np.sum(s > threshold * s[0])) if s[0] > 0 else 0
+    return int(np.sum(s > RANK_TOL * s[0])) if s[0] > 0 else 0
 
 
 # -- starlike projection -----------------------------------------------------
@@ -262,13 +265,14 @@ def is_starlike_projection(curve, samples=256):
     return True, (cx, cy)
 
 
-def _dedupe(pts, tol=1e-12):
+def _dedupe(pts):
     out = [pts[0]]
     for p in pts[1:]:
         q = out[-1]
-        if abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol:
+        if abs(p[0] - q[0]) > DEDUPE_TOL or abs(p[1] - q[1]) > DEDUPE_TOL:
             out.append(p)
-    if len(out) > 1 and abs(out[0][0] - out[-1][0]) <= tol and abs(out[0][1] - out[-1][1]) <= tol:
+    first, last = out[0], out[-1]
+    if len(out) > 1 and abs(first[0] - last[0]) <= DEDUPE_TOL and abs(first[1] - last[1]) <= DEDUPE_TOL:
         out.pop()
     return out
 

@@ -17,7 +17,8 @@ an expression evaluated outside its domain, step-size underflow or a spent
 step budget).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
-with a message that begins with it.
+with a message that begins with it.  ChartSpectralCache expands the chart
+data to degree CACHE_DEGREE in (y, z) and fits them from CACHE_NODES nodes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .spectral import TrigSeries
 
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
 CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
+CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z)
 MIN_STEP = 1e-14  # rk45's smallest step
 MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
 
@@ -121,8 +123,8 @@ def _branch_slope(e, f, g, prev_p):
 class ChartSpectralCache:
     """Fast surrogate for the reduced data (e, f, g, A, B) around a closed curve.
 
-    Each quantity is expanded in (y, z) about the core curve to a fixed
-    degree, and every Taylor coefficient function of x is stored as a
+    Each quantity is expanded in (y, z) about the core curve to degree
+    CACHE_DEGREE, and every Taylor coefficient function of x is stored as a
     trigonometric interpolant (the chart data are periodic in x).  One
     evaluation then costs a small matrix product instead of a full jet
     pipeline pass, which is what makes the finite-difference return-map
@@ -135,11 +137,10 @@ class ChartSpectralCache:
 
     _QUANTITIES = ("e", "f", "g", "A", "B")
 
-    def __init__(self, field, chart, period, degree=3):
+    def __init__(self, field, chart, period):
         self.period = float(period)
-        self.degree = int(degree)
         self.monomials = [
-            (i, j) for total in range(degree + 1) for i in range(total + 1) for j in (total - i,)
+            (i, j) for total in range(CACHE_DEGREE + 1) for i in range(total + 1) for j in (total - i,)
         ]
         self._exponents = np.array(self.monomials).T  # exponents of y and of z
         self.series = TrigSeries.fit(
@@ -149,7 +150,7 @@ class ChartSpectralCache:
 
     def _taylor_table(self, field, chart, xs):
         """Taylor coefficients at (x, 0, 0), shape (len(xs), nquant * nmono)."""
-        d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=self.degree)
+        d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=CACHE_DEGREE)
         return np.stack(
             [
                 np.broadcast_to(np.asarray(getattr(d, name).coefficient((0, i, j)), dtype=float), xs.shape)

@@ -12,6 +12,9 @@ dz/dx-coupling to the slope and vanish only where b does; the independent
 finite-difference Jacobian below cross-checks them.  Q(period) is the
 derivative of the return map at the fixed point; the orbit is hyperbolic
 when both eigenvalues stay off the unit circle.
+
+VariationalCache fits M from FIT_NODES nodes, doubling them until the
+midpoint residual is below FIT_TOL, and raises FitError past FIT_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .spectral import TrigSeries
 HYPERBOLIC_TOL = 1e-6  # an eigenvalue modulus within this of 1 is on the unit circle
 RTOL, ATOL = 1e-11, 1e-13  # the Q integration
 FD_RTOL, FD_ATOL = 1e-11, 1e-14  # the finite-difference batch
-FIT_TOL = 1e-9  # VariationalCache's midpoint residual
+FIT_NODES, FIT_TOL, FIT_MAX_NODES = 256, 1e-9, 2048  # VariationalCache's fit: nodes, midpoint residual, node cap
 
 
 class ParabolicOnCurve(Exception):
@@ -62,10 +65,11 @@ class VariationalCache:
     cheap, and the mean of each entry gives its exact integral over a period.
     """
 
-    def __init__(self, field, chart, period, nodes=256, max_nodes=2048):
+    def __init__(self, field, chart, period):
         self.period = float(period)
         self.series = TrigSeries.fit(
-            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, nodes, FIT_TOL, max_nodes
+            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, FIT_NODES, FIT_TOL,
+            FIT_MAX_NODES,
         )
         self.nodes = self.series.nodes
         self.residual = self.series.residual
@@ -207,19 +211,17 @@ def check_fd_step(h, chart):
         raise ValueError(f"step h = {h} outside (1e-8, tube radius {chart.radius})")
 
 
-def fd_poincare_derivative(field, chart, period, h=1e-5, cache=None):
+def fd_poincare_derivative(field, chart, period, h=1e-5):
     """Central-difference Jacobian of the actual return map at the fixed point.
 
     This is the independent oracle for the variational route: it only uses
     the flow integrator, never the variational matrix.  The right-hand side
-    is evaluated through a ChartSpectralCache (validated against the direct
-    pipeline), which keeps the evaluation smooth enough for the central
-    differences to resolve; cache may be one prebuilt for the same field,
-    chart and period, and None builds one.
+    is evaluated through a ChartSpectralCache of its own (validated against
+    the direct pipeline), which keeps the evaluation smooth enough for the
+    central differences to resolve.
     """
     check_fd_step(h, chart)
-    if cache is None:
-        cache = flow.ChartSpectralCache(field, chart, float(period))
+    cache = flow.ChartSpectralCache(field, chart, float(period))
     starts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     ends = flow.integrate_batch(field, chart, starts, 0.0, float(period), rtol=FD_RTOL, atol=FD_ATOL, cache=cache)
     col_y = (ends[0] - ends[1]) / (2 * h)

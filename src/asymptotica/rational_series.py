@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .jets import Jet
-
 
 class SeriesError(Exception):
     pass
@@ -33,20 +31,6 @@ class PowerSeriesQ:
     @classmethod
     def constant(cls, value, order):
         return cls([Fraction(value)], order)
-
-    @classmethod
-    def x(cls, order):
-        return cls([Fraction(0), Fraction(1)], order)
-
-    @classmethod
-    def from_jet(cls, jet: Jet):
-        """Convert a univariate jet (Taylor coefficients at 0) to a series."""
-        if jet.nvars != 1:
-            raise SeriesError("only univariate jets convert to power series")
-        return cls([jet.coefficient((k,)) for k in range(jet.order + 1)])
-
-    def to_jet(self):
-        return Jet(1, self.order, {(k,): c for k, c in enumerate(self.coeffs) if c != 0})
 
     # -- ring operations ---------------------------------------------------
 
@@ -123,21 +107,6 @@ class PowerSeriesQ:
             out[k] = acc / o.coeffs[0]
         return PowerSeriesQ(out, s.order)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise SeriesError("series power wants a nonnegative integer")
-        result = PowerSeriesQ.constant(1, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeriesQ.constant(other, self.order)
-        if not isinstance(other, PowerSeriesQ):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def __repr__(self):
         return f"PowerSeriesQ({self.coeffs!r})"
 
@@ -149,13 +118,6 @@ class PowerSeriesQ:
     def derivative(self):
         out = [k * self.coeffs[k] for k in range(1, self.order + 1)]
         return PowerSeriesQ(out, self.order - 1)
-
-    def valuation(self):
-        """Index of the first nonzero coefficient (None for the zero series)."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return None
 
     def factor_x(self, k):
         """Divide by x^k; the first k coefficients must be identically zero."""
@@ -172,10 +134,3 @@ class PowerSeriesQ:
         if order > self.order:
             raise SeriesError("cannot extend truncation")
         return PowerSeriesQ(self.coeffs, order)
-
-    def __call__(self, x):
-        """Horner evaluation; exact when x is a Fraction."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc

@@ -43,15 +43,15 @@ class ParamSurface:
     def point(self, u, v):
         return np.array([float(jets.value_of(c(u, v))) for c in self.components])
 
-    def jet(self, u, v, order=2):
-        """Component jets at (u, v) to the requested order."""
-        uj, vj = jets.seed((u, v), order)
+    def jet(self, u, v):
+        """Component jets at (u, v) to second order, as far as second_fundamental reads."""
+        uj, vj = jets.seed((u, v), 2)
         return tuple(c(uj, vj) for c in self.components)
 
 
 def _second_partials(surface, u, v):
     """(alpha_uu, alpha_uv, alpha_vv) and w = alpha_u ^ alpha_v at (u, v)."""
-    cj = surface.jet(u, v, order=2)
+    cj = surface.jet(u, v)
     a_u = tuple(c.deriv(1, 0) for c in cj)
     a_v = tuple(c.deriv(0, 1) for c in cj)
     a_uu = tuple(2 * c.deriv(2, 0) for c in cj)

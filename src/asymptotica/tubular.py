@@ -69,7 +69,7 @@ class TubularChart:
         self.curve = curve
         self.radius = TUBE_RADIUS
 
-    def expand(self, x, y, z, order=2):
+    def expand(self, x, y, z, order):
         """The ChartPoint at (x, y, z), from one curve expansion to this
         order (at least 1: the frame is built from gamma')."""
         derivs = self.curve.jet(x, order)
@@ -80,9 +80,6 @@ class TubularChart:
 
     def point(self, x, y, z):
         return np.array([float(value_of(c)) for c in self.expand(x, y, z, 1).alpha])
-
-    def inside(self, y, z):
-        return abs(y) <= self.radius and abs(z) <= self.radius
 
 
 @dataclass

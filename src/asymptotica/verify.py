@@ -29,7 +29,7 @@ def run(name, fn):
     return {**doc, "passed": passed, "measurements": rows, "seconds": round(time.time() - t0, 3)}
 
 
-def checks(seed=0, perturb=False):
+def checks(seed=0):
     """The acceptance checks as (name, callable) pairs; each callable returns rows."""
     from .cli import _circle_curve, _t1_field  # cli imports this module; t1 stays cached in cli
 
@@ -56,8 +56,6 @@ def checks(seed=0, perturb=False):
     def fd_oracle():
         field, chart, result = t1()
         fd = monodromy.fd_poincare_derivative(field, chart, field.curve.period, h=1e-5)
-        if perturb:
-            fd = fd * 1.001
         tol = np.maximum(1e-4 * np.abs(result.Q), 1e-8)
         return [("max |FD - Q| / max(1e-4 |Q|, 1e-8)", np.max(np.abs(fd - result.Q) / tol), 1)]
 

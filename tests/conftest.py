@@ -1,21 +1,14 @@
 import math
-import os
 
 import pytest
 
-from asymptotica import construct, monodromy, tubular
-
-
-def base_seed():
-    try:
-        return int(os.environ.get("ASYMPTOTICA_SEED", "0"))
-    except ValueError:
-        return 0
+from asymptotica import cli, construct, monodromy, tubular
 
 
 @pytest.fixture(scope="session")
 def seeds():
-    s = base_seed()
+    # $ASYMPTOTICA_SEED as the CLI reads it: a non-negative integer, else 0
+    s = cli.default_seed()
     return (s, s + 1, s + 2)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, flow, planefield, tubular, verify
+from asymptotica import cli, flow, jets, monodromy, planefield, tubular, verify
 
 
 def run(capsys, *argv):
@@ -130,6 +130,10 @@ VERTICAL_CURVE_FIELD = json.dumps({"xi": ["1", "0", "0"], "curve": "0,0,x"})
 OVERFLOW_FIELD = json.dumps({"xi": ["1", "exp(800*y+800)", "0"]})
 
 
+def deep_field(expression):
+    return json.dumps({"xi": [expression, "1", "0"]})
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -171,6 +175,14 @@ OVERFLOW_FIELD = json.dumps({"xi": ["1", "exp(800*y+800)", "0"]})
         (["integrability", "--field", json.dumps({"xi": ["exp(800*x+800)", "1", "0"]}), "--point", "1,0,0"], 3),
         (["integrability", "--field", json.dumps({"xi": ["x^400", "1", "0"]}), "--point", "1e10,0,0"], 3),
         (["integrability", "--field", json.dumps({"xi": ["x^(-1)", "1", "0"]}), "--point", "0,0,0"], 3),
+        # input nested deeper than the parser, the compiler or json can recurse
+        (["classify", "--field", '{"xi": ' + "[" * 50_000 + "]" * 50_000 + "}"], 2),
+        (["classify", "--field", deep_field("(" * 5000 + "x" + ")" * 5000)], 2),
+        (["classify", "--field", deep_field("-" * 3000 + "x")], 2),
+        (["classify", "--field", deep_field(" + ".join(["x"] * 990))], 2),
+        # a seed is a non-negative integer; the negative control is a test, not a flag
+        (["--seed", "-1", "verify-paper", "--only", "gauge"], 2),
+        (["verify-paper", "--only", "fd-oracle", "--perturb"], 2),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -538,14 +550,54 @@ def test_verify_paper_json_format(capsys):
     assert all(check["passed"] == _passed_by_rows(check) for check in doc["checks"])
 
 
-def test_verify_paper_perturb_is_a_negative_control(capsys):
-    # --perturb scales the FD Jacobian by 1.001, ten times the 1e-4 relative bound
-    for extra, expected in (((), 0), (("--perturb",), 1)):
-        code, out, _ = run(capsys, "verify-paper", "--only", "fd-oracle", "--format", "json", *extra)
+def _fd_times_1_001(*args, _real=monodromy.fd_poincare_derivative, **kwargs):
+    # the FD Jacobian times 1.001, ten times the 1e-4 relative bound
+    return _real(*args, **kwargs) * 1.001
+
+
+def _f_without_abl6(A, B, L):
+    # reduced_coefficients with f missing its A B L6 term
+    L1, L2, L3, L4, L5, L6 = L
+    e = L1 + A * L4 + A * A * L6
+    f = jets._div(L2, 2) + jets._div(A * L5 + B * L4, 2)
+    return e, f, L3 + B * L5 + B * B * L6
+
+
+def _m_without_b(field, chart, x):
+    # variational_matrix with the B terms of its second row dropped
+    x = np.asarray(x, dtype=float)
+    d = tubular.chart_data(field, chart, x if x.ndim else float(x), 0.0, 0.0, order=1)
+    f2 = 2 * np.asarray(d.value("f"), dtype=float)
+    entries = (-d.partial("e", "y") / f2, -d.partial("e", "z") / f2, d.partial("A", "y"), d.partial("A", "z"))
+    return np.stack([np.broadcast_to(m, x.shape) for m in entries], axis=-1).reshape(x.shape + (2, 2))
+
+
+# each mutant of the library: the check that has to catch it, and the patch
+MUTANTS = {
+    "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
+    "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),
+    "M-without-B": ("fd-oracle", (monodromy, "variational_matrix", _m_without_b)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_verify_paper_fails_each_mutant(monkeypatch, capsys, mutant):
+    check, patch = MUTANTS[mutant]
+    monkeypatch.setattr(*patch)
+    code, out, _ = run(capsys, "verify-paper", "--only", check, "--format", "json")
+    (result,) = json.loads(out)["checks"]
+    assert code == 1 and result["name"] == check and not result["passed"] and "error" not in result
+
+
+def test_verify_paper_perturb_is_a_negative_control(monkeypatch, capsys):
+    for mutated, expected in ((False, 0), (True, 1)):
+        if mutated:
+            monkeypatch.setattr(*MUTANTS["fd-times-1.001"][1])
+        code, out, _ = run(capsys, "verify-paper", "--only", "fd-oracle", "--format", "json")
         assert code == expected
         (check,) = json.loads(out)["checks"]
         (row,) = check["measurements"]
-        assert (row["measured"] > row["bound"]) == bool(extra)
+        assert (row["measured"] > row["bound"]) == mutated
         assert check["passed"] == _passed_by_rows(check)
     assert row["measured"] == pytest.approx(10.0, rel=0.01) and row["bound"] == 1
 
@@ -563,7 +615,7 @@ def test_verify_paper_row_contract(monkeypatch, capsys):
         ("nan", lambda: [("nan row", float("nan"), 1.0)]),
         ("edge", lambda: [("at its bound", 1e-9, 1e-9), ("no failures", 0, 0)]),
     ]
-    monkeypatch.setattr(verify, "checks", lambda seed=0, perturb=False: suite)
+    monkeypatch.setattr(verify, "checks", lambda seed=0: suite)
     code, out, err = run(capsys, "verify-paper", "--format", "json")
     assert code == 1 and "Traceback" not in err
     doc = json.loads(out, parse_constant=_no_bare_token)
@@ -593,3 +645,30 @@ def test_seed_environment_default(monkeypatch):
     assert cli.default_seed() == 17
     monkeypatch.setenv("ASYMPTOTICA_SEED", "bogus")
     assert cli.default_seed() == 0
+    monkeypatch.setenv("ASYMPTOTICA_SEED", "-3")  # not a seed, so unset
+    assert cli.default_seed() == 0
+
+
+def test_field_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "classify", "--field", str(path))
+    assert code == 2 and len(err.splitlines()) == 1 and "UTF-8" in err
+
+
+def test_unreadable_field_file_is_usage_error(capsys, monkeypatch, tmp_path):
+    # a test run as root reads a chmod 000 file, so open itself is made to refuse
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"xi": ["z - y", "1", "1 + y*y"]}))
+
+    def refusing(name, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", name)
+
+    monkeypatch.setattr(cli, "open", refusing, raising=False)
+    code, _, err = run(capsys, "classify", "--field", str(path))
+    assert code == 2 and len(err.splitlines()) == 1 and "Permission denied" in err
+
+
+def test_input_nested_too_deeply_ends_in_one_line(capsys):
+    code, _, err = run(capsys, "classify", "--field", deep_field("-" * 3000 + "x"))
+    assert code == 2 and err.startswith("error: input nested too deeply") and len(err.splitlines()) == 1

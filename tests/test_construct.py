@@ -66,7 +66,7 @@ def test_bare_field_restricts_to_forced_frame_combination():
     for x in (0.0, 0.9, 3.3):
         _, X, Y, Z = c.frame_vectors(x)
         k0, l0 = k0_l0(*c.jet(x, 2)[1:])
-        xi = field.chart_components(tubular.TubularChart(c).expand(x, 0.0, 0.0))
+        xi = field.chart_components(tubular.TubularChart(c).expand(x, 0.0, 0.0, field.curve_order))
         expect = [l0 * Y[i] + k0 * Z[i] for i in range(3)]
         assert [float(v) for v in xi] == pytest.approx(expect, abs=1e-12)
 
@@ -85,9 +85,9 @@ def test_asymptotic_line_conditions(seeds):
     field = TubularField(c, coefficients=coeffs)
     chart = tubular.TubularChart(c)
     for x in np.linspace(0, 2 * math.pi, 256, endpoint=False):
-        xi = [float(v) for v in field.chart_components(chart.expand(float(x), 0.0, 0.0))]
-        d1 = [c.component(i, float(x), 1) for i in range(3)]
-        d2 = [c.component(i, float(x), 2) for i in range(3)]
+        point = chart.expand(float(x), 0.0, 0.0, field.curve_order)
+        xi = [float(v) for v in field.chart_components(point)]
+        _, d1, d2 = point.derivs
         assert abs(sum(a * b for a, b in zip(xi, d1))) <= 1e-10
         assert abs(sum(a * b for a, b in zip(xi, d2))) <= 1e-10
 

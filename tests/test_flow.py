@@ -384,7 +384,8 @@ def test_every_row_lies_at_the_abscissa_that_reads_it():
 
 @pytest.fixture
 def series_calls(monkeypatch):
-    """Counts TrigSeries evaluations; the stats of every rk45 run are appended too."""
+    """Counts TrigSeries evaluations; each rk45 run appends its stats and the
+    number of evaluations made inside it."""
     calls, runs = [], []
     real_call, real_rk45 = TrigSeries.__call__, flow.rk45
 
@@ -393,8 +394,9 @@ def series_calls(monkeypatch):
         return real_call(self, x)
 
     def recorded(*args, **kwargs):
+        before = len(calls)
         result = real_rk45(*args, **kwargs)
-        runs.append(result[2])
+        runs.append((result[2], len(calls) - before))
         return result
 
     monkeypatch.setattr(TrigSeries, "__call__", counted)
@@ -407,22 +409,19 @@ def test_cached_monodromy_evaluates_one_series_per_attempt(t1_field, t1_chart, s
     calls, runs = series_calls
     del calls[:]
     monodromy.monodromy(t1_field, t1_chart, 2 * math.pi, cache=cache)
-    (stats,) = runs
+    ((stats, _),) = runs
     # the start row and the 64-point triangular sample are the two extra calls;
     # one call per stage made 2,382
     assert len(calls) <= stats["steps"] + stats["rejected"] + 2
 
 
 def test_cached_fd_batch_evaluates_one_series_per_attempt(t1_field, t1_chart, series_calls):
-    cache = ChartSpectralCache(t1_field, t1_chart, 2 * math.pi)
-    calls, runs = series_calls
-    del calls[:]
-    monodromy.fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, cache=cache)
-    (stats,) = runs
+    monodromy.fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi)
+    ((stats, inside),) = series_calls[1]
     # the tracked slope of an accepted step reads the last stage's row, so the
-    # extra calls are the start row and the start's slope; one call per stage
-    # made 2,270, and a series evaluation per accepted step would add steps
-    assert len(calls) <= stats["steps"] + stats["rejected"] + 2
+    # start row is the one extra call inside the run; one call per stage made
+    # 2,270, and a series evaluation per accepted step would add steps
+    assert inside <= stats["steps"] + stats["rejected"] + 1
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ def test_every_public_name_resolves():
 # The parameters of the entry points, spelled out for the same reason: an
 # option is added or removed on purpose, together with this list.
 PARAMETERS = {
-    asymptotica.ChartSpectralCache: ["field", "chart", "period", "degree"],
+    asymptotica.ChartSpectralCache: ["field", "chart", "period"],
     asymptotica.TubularChart: ["curve"],
     asymptotica.TubularField: ["curve", "coefficients", "name"],
     asymptotica.arnold_surface: ["m", "n", "samples"],
@@ -74,7 +74,9 @@ PARAMETERS = {
     asymptotica.build_t1: [],
     asymptotica.chart_data: ["field", "chart", "x", "y", "z", "order", "program"],
     asymptotica.classify: ["field", "chart", "point"],
-    asymptotica.fd_poincare_derivative: ["field", "chart", "period", "h", "cache"],
+    asymptotica.fd_poincare_derivative: ["field", "chart", "period", "h"],
+    asymptotica.finite_type_symbol: ["curve", "x"],
+    asymptotica.finite_type_symbol_numeric: ["curve", "x"],
     asymptotica.gauge_scale: ["field", "phi_source"],
     asymptotica.integrate_asymptotic: ["field", "chart", "start", "x1", "rtol", "atol"],
     asymptotica.integrate_batch: ["field", "chart", "starts", "x0", "x1", "rtol", "atol", "cache"],
@@ -82,7 +84,7 @@ PARAMETERS = {
     asymptotica.normal_curvature: ["field", "p", "dr", "project"],
     asymptotica.realize_t5: ["curve"],
     flow.rk45: ["rhs", "x0", "x1", "y0", "rtol", "atol", "max_step", "on_accept", "coefficients"],
-    monodromy.VariationalCache: ["field", "chart", "period", "nodes", "max_nodes"],
+    monodromy.VariationalCache: ["field", "chart", "period"],
     monodromy.monodromy: ["field", "chart", "period", "cache", "checkpoints"],
 }
 

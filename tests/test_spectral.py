@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import jets
-from asymptotica.monodromy import VariationalCache
+from asymptotica import jets, monodromy
 from asymptotica.spectral import FitError, TrigSeries
 
 
@@ -106,9 +105,11 @@ def test_vector_derivative_and_mean_are_row_wise():
     assert v.mean() == pytest.approx([4.0, 0.0], abs=1e-14)
 
 
-def test_variational_cache_out_of_nodes_raises_fit_error(t1_field, t1_chart):
+def test_variational_cache_out_of_nodes_raises_fit_error(monkeypatch, t1_field, t1_chart):
+    monkeypatch.setattr(monodromy, "FIT_NODES", 8)
+    monkeypatch.setattr(monodromy, "FIT_MAX_NODES", 8)
     with pytest.raises(FitError):
-        VariationalCache(t1_field, t1_chart, 2 * math.pi, nodes=8, max_nodes=8)
+        monodromy.VariationalCache(t1_field, t1_chart, 2 * math.pi)
 
 
 def test_jet_evaluation_is_bitwise_the_derivative_stack():

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asymptotica import cli, tubular, verify
-from asymptotica.construct import TubularField
+from asymptotica.construct import InflectionOfProjection, TubularField, build_lac, realize_t5, t1_curve
 from asymptotica.curves import Curve
 from asymptotica.exprlang import DomainError
+from asymptotica.flow import integrate_asymptotic
 from asymptotica.jets import Jet
 from asymptotica.planefield import AmbientField, circle_example_field
 from asymptotica.spectral import TrigSeries
@@ -38,7 +39,7 @@ def test_chart_restricts_to_curve():
 def test_chart_partials_are_frame_vectors():
     chart = circle_chart()
     for x in (0.0, 1.3, 4.2):
-        _, Y, Z = chart.expand(x, 0.0, 0.0).frame
+        _, Y, Z = chart.expand(x, 0.0, 0.0, 1).frame
         h = 1e-7
         dy = (chart.point(x, h, 0) - chart.point(x, -h, 0)) / (2 * h)
         dz = (chart.point(x, 0, h) - chart.point(x, 0, -h)) / (2 * h)
@@ -106,10 +107,12 @@ def test_float_chart_passes_make_only_float_coefficients(name, t1_field, t1_char
             assert not _non_float_coefficients(chart_data(field, chart, *point, order=order)), (point, order)
 
 
-def test_inside_uses_radius():
+def test_a_path_past_the_radius_stops_at_tube_exit():
+    # the tube test of the tracker: every accepted point lies inside the radius
     chart = circle_chart()
-    assert chart.inside(0.05, -0.05)
-    assert not chart.inside(0.2, 0.0)
+    path = integrate_asymptotic(circle_example_field(), chart, (0.0, 0.095, 0.0), -0.3)
+    assert path.status == "tube-exit" and f"radius {chart.radius} " in path.reason
+    assert max(np.max(np.abs(path.ys)), np.max(np.abs(path.zs))) <= chart.radius
 
 
 def test_reduction_identity_random_directions(seeds):
@@ -258,7 +261,7 @@ def test_ambient_field_expands_the_curve_to_first_order():
     field, chart = circle_example_field(), circle_chart()
     seeds = tubular.jets.seed((0.7, 0.01, -0.02), 1)
     point = chart.expand(*seeds, field.curve_order)
-    full = chart.expand(*seeds)
+    full = chart.expand(*seeds, 2)
     assert len(point.derivs) == 2 and len(full.derivs) == 3
     for got, want in zip(point.alpha, full.alpha):
         assert got._coef == want._coef
@@ -362,3 +365,22 @@ def test_a_tripped_sqrt_guard_falls_back_to_the_same_domain_error():
         program.code(2.0, 0.01, 0.02)
     assert replayed == plain
     assert replayed[1] == (DomainError, "sqrt of a negative value")
+
+
+@pytest.mark.parametrize("H", [1, "2 + sin(x)"])
+def test_build_lac_fields_record_and_replay_bit_for_bit(H):
+    # k1's denominator test is a comparison of the recorded value, a guard
+    curve = t1_curve()
+    replayed, plain, program = _through_one_program(build_lac(curve, H=H), TubularChart(curve), _points(29, 300))
+    assert callable(program.code)
+    assert replayed == plain
+
+
+def test_a_realize_t5_field_replays_into_the_same_inflection_error():
+    # recorded at x = 0.2, the denominator guard trips at the inflection x = 0
+    curve = Curve.from_expressions(("x", "x^3", "x^5"), (-0.5, 0.5))
+    field, _ = realize_t5(curve)
+    replayed, plain, program = _through_one_program(field, TubularChart(curve), [(0.2, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    assert callable(program.code)
+    assert replayed == plain
+    assert replayed[1] == (InflectionOfProjection, "k1 denominator vanishes at x = 0.0")
