@@ -274,6 +274,7 @@ def cmd_poincare(args):
         doc["fd_max_deviation"] = float(np.max(diff))
         doc["fd_within_tolerance"] = bool(np.all(diff <= tol))
         if not doc["fd_within_tolerance"]:
+            print(f"fd check failed: max deviation {doc['fd_max_deviation']} exceeds its tolerance", file=sys.stderr)
             code = EXIT_CHECK_FAILED
     emit(args, doc)
     return code

@@ -2,16 +2,18 @@
 
 The line field is implicit: at each point the slope p = dy/dx solves
 g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
-branch by continuity (nearest root to the previously accepted slope), with
-rk45, the one adaptive integrator (DOP853, which monodromy uses too), for a
-single chart path, a lockstep batch of chart paths and a path on a
-parametrized surface.  An x-only part of the right-hand side is read from
-one evaluation per step attempt at the 11 abscissae of stages 1 to 11:
-monodromy's M (fitted or direct) or a cached batch's series; a single
-chart path replays one recorded tubular.ChartProgram at every stage.  A
-start point with no real branch raises EllipticStop or VerticalDirection.
-Any other stop ends the path with its status instead of jumping branches:
-"parabolic" (root collision), "elliptic" (no real root), "vertical" (only
+branch per point by continuity (nearest root to the previously accepted
+slope), with rk45, the one adaptive integrator (DOP853, which monodromy uses
+too).  It tracks n points in lockstep in plain Python floats, point by point
+at every stage: a single chart path is n = 1, the finite-difference batch
+n = 4, and a path on a parametrized surface n = 1 with no z.  An x-only part
+of the right-hand side is read from one evaluation per step attempt at the
+11 abscissae of stages 1 to 11: monodromy's M (fitted or direct) or a cached
+batch's series; a chart path without a cache replays one recorded
+tubular.ChartProgram at every point.  A start point with no real branch
+raises EllipticStop or VerticalDirection.  Any other stop ends the path
+with its status instead of jumping branches: "parabolic" (roots closer than
+COLLISION_TOL * (1 + |p|)), "elliptic" (no real root), "vertical" (only
 dx = 0), "tube-exit" or "singular" (a singular reduction, non-finite data,
 an expression evaluated outside its domain, step-size underflow or a spent
 step budget).
@@ -33,8 +35,9 @@ from .exprlang import DomainError
 from .spectral import TrigSeries
 
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
+COLLISION_TOL = 1e-6  # _track: roots closer than COLLISION_TOL * (1 + |p|) stop the run "parabolic"
 CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
-CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z)
+CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its efgab writes out the cubic
 MIN_STEP = 1e-14  # rk45's smallest step
 MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
 
@@ -73,25 +76,12 @@ class Path:
 
 
 def branch_slopes(e, f, g, prev_p=None):
-    """Real slope roots of g p^2 + 2 f p + e = 0 and the branch selection.
+    """Real slope roots of g p^2 + 2 f p + e = 0 at one point and the branch selection.
 
     Returns (slopes, selected): the real roots, one in the linear case
     |g| <= SLOPE_TOL * max(|e|, |f|, |g|), and the root nearest prev_p (without
-    prev_p, the root of least modulus).  e, f, g (and prev_p) may be 1-D
-    arrays, a lockstep batch solved point by point; slopes then holds two
-    arrays, the first inf where the equation is linear.
+    prev_p, the root of least modulus).
     """
-    if not np.ndim(e):
-        return _branch_slope(e, f, g, prev_p)
-    columns = [np.asarray(c, dtype=float).tolist() for c in (e, f, g)]
-    columns.append([None] * len(e) if prev_p is None else np.asarray(prev_p, dtype=float).tolist())
-    points = [_branch_slope(*point) for point in zip(*columns)]
-    roots = [(s[0] if len(s) == 2 else math.inf, s[-1]) for s, _ in points]
-    return tuple(np.array(c) for c in zip(*roots)), np.array([p for _, p in points])
-
-
-def _branch_slope(e, f, g, prev_p):
-    """branch_slopes at one point."""
     if not (math.isfinite(e) and math.isfinite(f) and math.isfinite(g)):
         raise FlowError(f"non-finite chart data e, f, g = {e}, {f}, {g}")
     scale = max(abs(e), abs(f), abs(g))
@@ -106,18 +96,11 @@ def _branch_slope(e, f, g, prev_p):
     if disc < 0:
         raise EllipticStop(f"discriminant {disc} < 0")
     r = math.sqrt(disc)
-    if f >= 0:
-        q = -(f + r)
-    else:
-        q = -(f - r)
+    q = -(f + r) if f >= 0 else -(f - r)
     p1 = q / g
     p2 = e / q if q != 0 else -2 * f / g
-    slopes = (p1, p2)
-    if prev_p is None:
-        selected = min(slopes, key=abs)
-    else:
-        selected = min(slopes, key=lambda s: abs(s - prev_p))
-    return slopes, selected
+    near = 0.0 if prev_p is None else prev_p
+    return (p1, p2), p2 if abs(p2 - near) < abs(p1 - near) else p1  # a tie keeps p1
 
 
 class ChartSpectralCache:
@@ -125,14 +108,14 @@ class ChartSpectralCache:
 
     Each quantity is expanded in (y, z) about the core curve to degree
     CACHE_DEGREE, and every Taylor coefficient function of x is stored as a
-    trigonometric interpolant (the chart data are periodic in x).  One
-    evaluation then costs a small matrix product instead of a full jet
-    pipeline pass, which is what makes the finite-difference return-map
-    derivative affordable.  The x-interpolation is validated off-node
-    against the direct pipeline at matching truncation; the (y, z)
-    truncation error scales like (excursion)^(degree+1), far below the
-    integrator tolerances for the small excursions the finite-difference
-    probes make.
+    trigonometric interpolant (the chart data are periodic in x).  A point
+    then costs a float polynomial in (y, z), its coefficients shared by the
+    points of an rk45 stage, instead of a jet pipeline pass; that makes the
+    finite-difference return-map derivative affordable.  The
+    x-interpolation is validated off-node against the direct pipeline at
+    matching truncation; the (y, z) truncation error scales like
+    (excursion)^(degree+1), far below the integrator tolerances for the
+    small excursions the finite-difference probes make.
     """
 
     _QUANTITIES = ("e", "f", "g", "A", "B")
@@ -142,7 +125,6 @@ class ChartSpectralCache:
         self.monomials = [
             (i, j) for total in range(CACHE_DEGREE + 1) for i in range(total + 1) for j in (total - i,)
         ]
-        self._exponents = np.array(self.monomials).T  # exponents of y and of z
         self.series = TrigSeries.fit(
             lambda xs: self._taylor_table(field, chart, xs), self.period, CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES
         )
@@ -160,19 +142,20 @@ class ChartSpectralCache:
             axis=1,
         )
 
-    def efgab(self, x, y, z, coeffs=None):
-        """Values of (e, f, g, A, B) at n points; y, z arrays of length n and
-        x either such an array or one float shared by every point (a lockstep
-        batch), which evaluates the x-interpolants once.  coeffs, when given,
-        is self.series(x) already evaluated (a row of rk45's stage table)."""
-        y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        coeffs = self.series(x) if coeffs is None else coeffs  # (nquant * nmono,) or (n, nquant * nmono)
-        coeffs = coeffs.reshape(coeffs.shape[:-1] + (len(self._QUANTITIES), len(self.monomials)))
-        i, j = self._exponents
-        mono = y[:, None] ** i * z[:, None] ** j  # (n, nmono)
-        values = np.matmul(coeffs, mono[:, :, None])[:, :, 0]  # (n, nquant)
-        return tuple(values.T)
+    def efgab(self, x, y, z, row=None):
+        """(e, f, g, A, B) at the point (x, y, z) of floats.  row, when given,
+        is self.series(x).tolist() already evaluated (a row of rk45's stage
+        table, shared by a lockstep batch).  The cubic of CACHE_DEGREE = 3 is
+        written out: a loop over self.monomials costs the FD batch about 40 %
+        more."""
+        c = self.series(x).tolist() if row is None else row
+        yy, yz, zz = y * y, y * z, z * z
+        yyy, yyz, yzz, zzz = yy * y, yz * y, yz * z, zz * z
+        return [  # the monomials 1, z, y, z^2, yz, y^2, z^3, yz^2, y^2 z, y^3 of each quantity
+            c[k] + c[k + 1] * z + c[k + 2] * y + c[k + 3] * zz + c[k + 4] * yz + c[k + 5] * yy
+            + c[k + 6] * zzz + c[k + 7] * yzz + c[k + 8] * yyz + c[k + 9] * yyy
+            for k in range(0, len(c), 10)
+        ]
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10); rows of _ERR: 5th- and 3rd-order error weights
@@ -324,52 +307,59 @@ def require_reached(stats):
 
 
 def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
-    """Follow one root branch of g p^2 + 2 f p + e = 0 from x0 toward x1.
+    """Follow one root branch of g p^2 + 2 f p + e = 0 per point from x0 toward x1.
 
-    state0 has shape (k,) for one path or (n, k) for a lockstep batch; its
-    first column moves with the tracked slope p.  equation(x, state) returns
-    (e, f, g) or (e, f, g, A, B), A and B moving the second column with
-    A + B p; coefficients goes to rk45, and equation takes a stage's row as
-    a third argument.  The start takes the root of least modulus, and each
-    accepted step the root nearest the last one.  A start with no real root
-    raises EllipticStop or VerticalDirection; any other stop ends the run (a
-    stage outside |state| <= radius is a "tube-exit", an expression
-    evaluated outside its domain is "singular").  Returns (xs, states, ps,
-    stats) at the start and every accepted step; stats are rk45's plus
-    "max_residual" of the slope equation.
+    state0 has shape (n, k), n points in lockstep (a single path is n = 1),
+    the first column of each moving with its slope p.  Every evaluation
+    loops over the points in plain floats: the tube test, equation(x, *point)
+    -> (e, f, g) or (e, f, g, A, B) (A + B p moves the second column),
+    branch_slopes and the collision test.  coefficients goes to rk45, and
+    equation then takes a stage's row as a last argument.  The start takes
+    the root of least modulus, each accepted step the root nearest the last
+    one.  A start with no real root raises EllipticStop or VerticalDirection;
+    any other stop of any point ends the run (a "tube-exit" outside |state|
+    <= radius, "parabolic" for roots closer than COLLISION_TOL * (1 + |p|),
+    "singular" for an expression evaluated outside its domain).  Returns
+    (xs, states, ps, stats) at the start and every accepted step, ps of shape
+    (samples, n); stats are rk45's plus the slope equation's "max_residual".
     """
-    track = {"p": None}
-    samples = []  # (x, state, p, residual) at the start and every accepted step
-
-    def evaluate(x, state, *row):
-        e, f, g, *tail = equation(x, state, *row)
-        slopes, p = branch_slopes(e, f, g, prev_p=track["p"])
-        return e, f, g, tail, slopes, p
+    prev = [None] * len(state0)  # the tracked slope of each point
+    samples = []  # (x, state, ps, residuals) at the start and every accepted step, one p and residual per point
 
     def on_accept(x, state, *row):
-        e, f, g, _, _, p = evaluate(x, state, *row)
-        track["p"] = p
-        samples.append((x, state, p, abs(g * p * p + 2 * f * p + e)))
+        if coefficients is not None and not row:  # the start, or a landing that rounded x away from the last row
+            row = (coefficients(x),)
+        residuals = []
+        for i, point in enumerate(state.tolist()):
+            e, f, g, *_ = equation(x, *point, *row)
+            p = prev[i] = branch_slopes(e, f, g, prev[i])[1]
+            residuals.append(abs(g * p * p + 2 * f * p + e))
+        samples.append((x, state, list(prev), residuals))
 
     def rhs(x, state, *row):
-        if (np.abs(state) > radius).any():
-            raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
-        try:
-            _, _, _, tail, slopes, p = evaluate(x, state, *row)
-        except (FlowError, tubular.ReductionSingular, DomainError) as exc:
-            # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
-            at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
-            raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
-        if len(slopes) == 2 and np.any(abs(slopes[0] - slopes[1]) < 1e-6 * (1 + abs(p))):
-            raise _Stop("parabolic", "root branches collided")
-        return np.stack((p, tail[0] + tail[1] * p) if tail else (p,), axis=-1)
+        out = []
+        for i, point in enumerate(state.tolist()):
+            if any(abs(v) > radius for v in point):
+                raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
+            try:
+                e, f, g, *tail = equation(x, *point, *row)
+                slopes, p = branch_slopes(e, f, g, prev[i])
+            except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+                # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
+                at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
+                raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
+            if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < COLLISION_TOL * (1 + abs(p)):
+                raise _Stop("parabolic", "root branches collided")
+            out.append((p, tail[0] + tail[1] * p) if tail else (p,))
+        return np.array(out)
 
     try:
         on_accept(x0, state0)
     except (FlowError, tubular.ReductionSingular, DomainError) as exc:
         if type(exc) in _STATUS:  # no real branch at the start
             raise
-        samples.append((x0, state0, math.nan, math.nan))  # rk45's first stage stops the run "singular"
+        nan = [math.nan] * len(state0)
+        samples.append((x0, state0, nan, nan))  # rk45's first stage stops the run "singular"
     _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, on_accept=on_accept, coefficients=coefficients)
     xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
     stats["max_residual"] = float(np.max(residuals))
@@ -386,34 +376,33 @@ def integrate_asymptotic(field, chart, start, x1, rtol=1e-10, atol=1e-12):
     the integrator statistics up to the stop.
     """
     x0, y0, z0 = (float(v) for v in start)
-    efgab = tubular.binary_equation_data(field, chart)
     xs, states, ps, stats = _track(
-        lambda x, yz: efgab(x, float(yz[0]), float(yz[1])), x0, x1, np.array([y0, z0]), chart.radius, rtol, atol
+        tubular.binary_equation_data(field, chart), x0, x1, np.array([[y0, z0]]), chart.radius, rtol, atol
     )
     status, reason = stats.pop("status"), stats.pop("reason")
-    return Path(xs=xs, ys=states[:, 0], zs=states[:, 1], ps=ps, status=status, reason=reason, stats=stats)
+    return Path(xs=xs, ys=states[:, 0, 0], zs=states[:, 0, 1], ps=ps[:, 0], status=status, reason=reason, stats=stats)
 
 
 def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=None):
-    """Integrate many trajectories in lockstep (shared steps, vectorized RHS).
+    """Integrate many trajectories in lockstep (shared steps, each point in plain floats).
 
     starts is an array of shape (n, 2) holding (y, z) initial values at x0.
     Returns the (n, 2) endpoint array.  Used by the finite-difference
     return-map derivative, where the trajectories stay close together.
-    cache may be a ChartSpectralCache built for the same field and chart; it
-    replaces the per-step jet pipeline with validated interpolants.  A start
-    with no real branch raises EllipticStop or VerticalDirection; a stop of
-    any trajectory (leaving the tube radius is a "tube-exit") stops the
-    batch and raises FlowError, its message beginning with the status.
+    Without a cache each point is a direct pipeline pass, so one start ends
+    where integrate_asymptotic does; cache may be a ChartSpectralCache built
+    for the same field and chart, whose validated interpolants replace that
+    pass.  A start with no real branch raises EllipticStop or
+    VerticalDirection; a stop of any trajectory (leaving the tube radius is a
+    "tube-exit") stops the batch and raises FlowError, its message beginning
+    with the status.
     """
     if cache is None:
-        direct = tubular.binary_equation_data(field, chart)
-        efgab = lambda x, y, z: direct(np.full(len(y), x), y, z)
+        equation, coefficients = tubular.binary_equation_data(field, chart), None
     else:
-        efgab = cache.efgab  # takes the shared abscissa as one float, or its stage-table row
+        equation, coefficients = cache.efgab, lambda xs: cache.series(xs).tolist()
     _, states, _, stats = _track(
-        lambda x, yz, *row: efgab(x, yz[:, 0], yz[:, 1], *row), x0, x1, np.asarray(starts, dtype=float),
-        chart.radius, rtol, atol, coefficients=None if cache is None else cache.series,
+        equation, x0, x1, np.asarray(starts, dtype=float), chart.radius, rtol, atol, coefficients=coefficients
     )
     require_reached(stats)
     return states[-1]

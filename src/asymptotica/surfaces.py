@@ -98,11 +98,11 @@ def integrate_surface_asymptotic(surface, start, u1):
     """
     u0, v0 = (float(s) for s in start)
     us, vs, ps, stats = flow._track(
-        lambda u, v: [float(c) for c in second_fundamental(surface, u, float(v[0]))],
-        u0, u1, np.array([v0]), math.inf, RTOL, ATOL,
+        lambda u, v: [float(c) for c in second_fundamental(surface, u, v)],
+        u0, u1, np.array([[v0]]), math.inf, RTOL, ATOL,
     )
     flow.require_reached(stats)
-    return us, vs[:, 0], ps
+    return us, vs[:, 0, 0], ps[:, 0]
 
 
 # -- rotating-type local model ------------------------------------------------

@@ -284,6 +284,32 @@ def test_fuzzed_poincare_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd
     _fuzz_one(rnd, ["poincare"], POINCARE_VALUES)
 
 
+# the t1 return map with and without the FD check: --h inside and outside
+# (1e-8, tube radius), tolerances the FD Jacobian meets and ones it cannot,
+# both formats; every value parses, so each run reaches the command
+T1_POINCARE_OPTIONS = {
+    "--h": ("1e-5", "3e-4", "1e-9", "1e-8", "0.1", "0.5"),
+    "--fd-rtol": ("1e-4", "1e-2", "1e-14"),
+    "--fd-atol": ("1e-8", "1e-300"),
+    "--format": ("json", "csv"),
+}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(use_true_random=True))
+def test_fuzzed_t1_poincare_keeps_the_exit_code_contract(monkeypatch, t1_field, rnd):
+    monkeypatch.setattr(cli, "_t1_field", lambda: t1_field)
+    argv = ["poincare", "--field", "t1"] + (["--fd-check"] if rnd.random() < 0.8 else [])
+    for option in rnd.sample(sorted(T1_POINCARE_OPTIONS), rnd.randint(1, 4)):
+        argv += [option, rnd.choice(T1_POINCARE_OPTIONS[option])]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert len(err.getvalue().splitlines()) == (code != 0), (argv, err.getvalue())
+
+
 # field documents: JSON values of every type at "xi", at "curve" and at an
 # unknown key, with expression strings from a short list and from the random
 # expressions of verify-paper.  poincare stays out, since rk45 has no step

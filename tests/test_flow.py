@@ -159,11 +159,16 @@ def test_cache_matches_direct_pipeline(t1_field, t1_chart):
     xs = rng.uniform(0, 2 * math.pi, 20)
     ys = rng.uniform(-2e-4, 2e-4, 20)
     zs = rng.uniform(-2e-4, 2e-4, 20)
-    got = cache.efgab(xs, ys, zs)
-    for i in range(20):
-        want = direct(float(xs[i]), float(ys[i]), float(zs[i]))
-        for q in range(5):
-            assert got[q][i] == pytest.approx(want[q], rel=1e-6, abs=1e-7)
+    i, j = np.array(cache.monomials).T
+    for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
+        got = cache.efgab(x, y, z)
+        assert got == cache.efgab(x, y, z, cache.series(np.array([x])).tolist()[0])
+        # the float polynomial is the series' coefficients times the monomials
+        table = cache.series(x).reshape(len(got), len(cache.monomials))
+        for v, w in zip(got, table @ (y**i * z**j)):
+            assert abs(v - w) <= 1e-14 * max(1.0, abs(w))
+        for v, w in zip(got, direct(x, y, z)):
+            assert v == pytest.approx(w, rel=1e-6, abs=1e-7)
 
 
 def test_batch_matches_single_trajectory(t1_field, t1_chart):
@@ -217,22 +222,6 @@ def test_rk45_nan_rhs_ends_in_a_singular_stop():
     assert x <= 0.5 and y[0] == pytest.approx(math.exp(x), rel=1e-8)
 
 
-def test_branch_slopes_on_arrays_match_scalars():
-    # quadratic, linear (g = 0) and near-linear points in one batch
-    e = np.array([-1.0, 4.0, 4.0, -2.0])
-    f = np.array([0.0, 1.0, 1.0, 0.5])
-    g = np.array([1.0, 0.0, 1e-14, 3.0])
-    prev = np.array([0.9, 0.0, -2.5, -1.0])
-    (far, near), sel = branch_slopes(e, f, g, prev_p=prev)
-    for i in range(4):
-        slopes, want = branch_slopes(e[i], f[i], g[i], prev_p=prev[i])
-        assert sel[i] == want
-        assert near[i] == slopes[-1]
-        assert far[i] == (slopes[0] if len(slopes) == 2 else math.inf)
-    with pytest.raises(EllipticStop):
-        branch_slopes(e, f, np.array([1.0, 0.0, 1e-14, -3.0]))
-
-
 @pytest.mark.parametrize(
     "bad, stop",
     [
@@ -242,15 +231,32 @@ def test_branch_slopes_on_arrays_match_scalars():
         ((1.0, math.nan, 1.0), FlowError),
     ],
 )
-def test_branch_slopes_on_arrays_raise_the_point_stop(bad, stop):
-    with pytest.raises(stop) as point:
-        branch_slopes(*bad)
+def test_lockstep_batch_raises_the_point_stop(bad, stop):
+    # a lockstep batch whose middle start is bad stops as that start alone;
+    # the good starts (y = 0 and 0.25, slope 1/2) never reach y = 1
     good = (-1.0, 0.5, 2.0)
-    e, f, g = (np.array([good[k], bad[k], good[k]]) for k in range(3))
-    with pytest.raises(stop) as batch:
-        branch_slopes(e, f, g)
-    assert type(batch.value) is type(point.value)
-    assert str(batch.value) == str(point.value)
+
+    def outcome(starts):
+        equation = lambda x, y: bad if y == 1.0 else good
+        with pytest.raises(stop) as info:
+            _, _, _, stats = flow._track(equation, 0.0, 1.0, np.array(starts), math.inf, 1e-10, 1e-12)
+            flow.require_reached(stats)
+        return type(info.value), str(info.value)
+
+    alone = outcome([[1.0]])
+    assert outcome([[0.0], [1.0], [0.25]]) == alone
+    assert alone[0] is stop
+
+
+@pytest.mark.parametrize("name, start", [("t1", (0.3, 1e-4, -5e-5)), ("circle-example", (0.5, 8e-4, 2e-4))])
+def test_one_start_batch_is_the_single_path(t1_field, t1_chart, name, start):
+    # one tracker: a batch of one start makes integrate_asymptotic's steps, bit for bit
+    field, chart = _field_and_chart(name, t1_field, t1_chart)
+    x0, y0, z0 = start
+    path = integrate_asymptotic(field, chart, start, x0 + 2.0, rtol=1e-10, atol=1e-12)
+    assert path.reached
+    ends = integrate_batch(field, chart, [[y0, z0]], x0, x0 + 2.0, rtol=1e-10, atol=1e-12)
+    assert ends.tolist() == [[path.ys[-1], path.zs[-1]]]
 
 
 # -- the DOP853 tableau of rk45 --------------------------------------------------
