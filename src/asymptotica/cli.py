@@ -185,7 +185,7 @@ def emit(args, document, csv_rows=None, csv_header=None):
     """Write the result document (strict JSON: a non-finite float is null) or rows (CSV) to --output or stdout."""
     out = sys.stdout if args.output is None else open_output(args.output, "--output")
     try:
-        if getattr(args, "format", "json") == "csv" and csv_rows is not None:
+        if args.format == "csv":  # offered where there are rows
             if csv_header:
                 out.write(",".join(csv_header) + "\n")
             for row in csv_rows:
@@ -397,8 +397,8 @@ def build_parser():
     parser.add_argument("--seed", type=non_negative_int, help="random seed (default: $ASYMPTOTICA_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json", formats=("json", "csv")):
-        p.add_argument("--format", choices=formats, default=default_format)
+    def common(p, *formats):  # the first format is the default
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("classify", help="classify a grid of tube points")
@@ -406,7 +406,7 @@ def build_parser():
     p.add_argument("--samples", type=positive_int, default=64)
     p.add_argument("--rings", type=positive_int, default=3, help="offsets per transverse direction")
     p.add_argument("--offset", type=finite_float, default=0.01, help="largest transverse offset")
-    common(p, default_format="csv")
+    common(p, "csv", "json")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("poincare", help="return-map derivative over one period")
@@ -415,7 +415,7 @@ def build_parser():
     p.add_argument("--h", type=positive_float, default=1e-5, help="finite-difference step")
     p.add_argument("--fd-rtol", type=positive_float, default=1e-4)
     p.add_argument("--fd-atol", type=positive_float, default=1e-8)
-    common(p)
+    common(p, "json")
     p.set_defaults(fn=cmd_poincare)
 
     p = sub.add_parser("integrate", help="follow one asymptotic branch")
@@ -425,36 +425,36 @@ def build_parser():
     p.add_argument("--rtol", type=positive_float, default=1e-10)
     p.add_argument("--atol", type=positive_float, default=1e-12)
     p.add_argument("--svg", default=None, help="write an SVG polyline of the (x, y) projection")
-    common(p, default_format="csv")
+    common(p, "csv", "json")
     p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("curvature", help="Gaussian curvature along the core curve")
     p.add_argument("--field", default="t1")
     p.add_argument("--samples", type=positive_int, default=128)
-    common(p, default_format="csv")
+    common(p, "csv", "json")
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("integrability", help="integrability defect of an ambient field")
     p.add_argument("--field", default="circle-example")
     p.add_argument("--point", type=finite_point, default=None, help="ambient x,y,z (default: sample along the curve)")
     p.add_argument("--samples", type=positive_int, default=32)
-    common(p, default_format="csv")
+    common(p, "csv", "json")
     p.set_defaults(fn=cmd_integrability)
 
     p = sub.add_parser("starlike", help="starlike test for a closed curve's projection")
     p.add_argument("--curve", default="circle")
-    common(p)
+    common(p, "json")
     p.set_defaults(fn=cmd_starlike)
 
     p = sub.add_parser("arnold-surface", help="appendix surface report for a local model")
     p.add_argument("--orders", default="2,3", help="arnold:m,n or m,n")
     p.add_argument("--samples", type=positive_int, default=64)
-    common(p)
+    common(p, "json")
     p.set_defaults(fn=cmd_arnold_surface)
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
     p.add_argument("--only", default=None, help="run only checks whose name contains this string")
-    common(p, default_format="table", formats=("table", "json"))
+    common(p, "table", "json")
     p.set_defaults(fn=cmd_verify_paper)
     return parser
 

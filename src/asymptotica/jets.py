@@ -8,6 +8,8 @@ ordinary forward-mode AD, order 2 carries Hessians, and so on.
 Products are table driven (Griewank & Walther, *Evaluating Derivatives*,
 ch. 13): a pair table built once per ``(nvars, order)`` numbers the product
 of two monomials, so a product makes one lookup per pair of coefficients.
+A coefficient of a product, sum or difference starts at its first term,
+not at 0, so one whose only term is -0.0 stays -0.0.
 
 Coefficients may be floats, numpy arrays (one array per monomial) or
 ``fractions.Fraction``; arithmetic stays exact as long as the inputs are
@@ -23,6 +25,10 @@ array coefficients into object arrays).
 
 A ``Tape`` records one evaluation on ``Recorded`` values as straight-line
 code that repeats its float operations (tubular.ChartProgram replays so).
+The code is trimmed as a tape is (Griewank & Walther, ch. 6) without
+changing those operations: a float's unit factor or divisor is not
+recorded, a value read once is written into its reader, and an unread
+value goes where its operation cannot raise.
 """
 
 from __future__ import annotations
@@ -182,7 +188,7 @@ class Jet:
             return NotImplemented
         out = dict(self._coef)
         for i, c in o.items():
-            out[i] = out.get(i, 0) + c
+            out[i] = out[i] + c if i in out else c
         return _jet(self._table, out)
 
     __radd__ = __add__
@@ -196,7 +202,7 @@ class Jet:
             return NotImplemented
         out = dict(self._coef)
         for i, c in o.items():
-            out[i] = out.get(i, 0) - c
+            out[i] = out[i] - c if i in out else -c
         return _jet(self._table, out)
 
     def __rsub__(self, other):
@@ -218,12 +224,13 @@ class Jet:
             n = len(row)
             if n == 1:  # a top-degree monomial pairs only with the constant
                 if b0 is not None:
-                    out[i] = out.get(i, 0) + ca * b0
+                    t = ca * b0
+                    out[i] = out[i] + t if i in out else t
                 continue
             for j, cb in pairs:
                 if j < n:
-                    k = row[j]
-                    out[k] = out.get(k, 0) + ca * cb
+                    k, t = row[j], ca * cb
+                    out[k] = out[k] + t if k in out else t
         j = _new(Jet)  # _jet inlined: this is the hottest constructor
         j._table, j._coef = table, out
         return j
@@ -405,7 +412,7 @@ class Recorded:
     records each operation.  It reports v's class, so isinstance tests answer
     as for v, and numpy defers its operators to it."""
 
-    __slots__ = ("v", "tape", "name")
+    __slots__ = ("v", "tape", "index")
     __array_ufunc__ = __hash__ = None
     __class__ = property(lambda self: type(self.v))
     ndim = property(lambda self: self.v.ndim)
@@ -458,60 +465,148 @@ def opaque(fn, *args):
 # recorded values' names stay interned: fresh names for each compile, freed
 # with its program, churned the interned-string table (peak RSS +2 MB)
 _NAMES = []
+# float +, -, * and unary - raise on no operand: a record of one whose value
+# is never read may go.  A division, a power or a call stays, since whether
+# it raises decides whether a point takes the jet pipeline
+_TOTAL = (operator.add, operator.sub, operator.mul, operator.neg)
+# nested parentheses of one expression in a program (CPython parses 200)
+DEPTH_CAP = 50
+
+
+def _cannot_raise(fn, values):
+    # an int operand converts to float, which raises past the float range
+    return fn in _TOTAL and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
+
+
+def _is_unit(v):
+    return (type(v) is int or type(v) is float) and v == 1
+
+
+def _unit_keeps(v):
+    """Whether v times or over a unit is v itself, of v's type: a float, or a
+    float64 array (not a 0-d one, which numpy makes a scalar)."""
+    return type(v) is float or type(v) is np.float64 or type(v) is np.ndarray and v.dtype == np.float64 and v.ndim > 0
+
+
+def _flat(obj):
+    """(form, entries) of a value or a nested tuple: one {} per entry."""
+    if type(obj) is not tuple:
+        return "{}", [obj]
+    parts = [_flat(v) for v in obj]
+    return f"({''.join(form + ', ' for form, _ in parts)})", [e for _, entries in parts for e in entries]
 
 
 class Tape:
-    """The operations of one evaluation on Recorded inputs, in order, as
-    lines: ring operations with their operands as they were (0 + a*b stays
-    so), comparisons as guards, opaque calls as calls.  compile() makes them
-    a function of the inputs that raises GuardTripped where a guard fails."""
+    """The operations of one evaluation on Recorded inputs, in order:
+    ring operations as the jet kernel makes them, comparisons as guards,
+    opaque calls as calls.  A float (or float64 array) times or over a
+    literal 1 is that value, exactly in IEEE 754 (-0.0, inf and NaN
+    included), and is not recorded.
+    compile() makes the records a function of the inputs that raises
+    GuardTripped where a guard fails."""
 
     def __init__(self):
-        # names and constants only: no Recorded value is kept in a cycle
-        self.lines, self.constants, self.count = [], {}, 0
+        # records are (target index or None, form with one {} per operand,
+        # operands, droppable); an operand is a value's index or a constant's
+        # source, so no Recorded value is kept in a cycle.  uses[i] counts the
+        # operands that are value i
+        self.records, self.constants, self.uses = [], {}, []
 
     def new(self, value):
-        """A Recorded value carrying value: an input, or the result of a line."""
-        while len(_NAMES) <= self.count:
-            _NAMES.append(sys.intern(f"v{len(_NAMES)}"))
+        """A Recorded value carrying value: an input, or the result of a record."""
+        i = len(self.uses)
+        if i == len(_NAMES):
+            _NAMES.append(sys.intern(f"v{i}"))
         r = _new(Recorded)
-        r.v, r.tape, r.name = value, self, _NAMES[self.count]
-        self.count += 1
+        r.v, r.tape, r.index = value, self, i
+        self.uses.append(0)
         return r
 
     def ref(self, obj):
-        """obj in the source: a name, a tuple, an int or finite float literal or a bound constant."""
-        if type(obj) is Recorded:
-            return obj.name
-        if type(obj) is tuple:
-            return f"({''.join(self.ref(v) + ', ' for v in obj)})"
+        """A constant in the source: an int or finite float literal or a bound constant."""
         if type(obj) is int or type(obj) is float and math.isfinite(obj):
             return f"({obj!r})" if repr(obj).startswith("-") else repr(obj)
         self.constants[name := f"c{len(self.constants)}"] = obj
         return name
 
+    def _operands(self, args, uses):
+        """The operands of args, each value's use counted in uses."""
+        operands = []
+        for a in args:
+            if type(a) is Recorded:
+                uses[a.index] += 1
+                operands.append(a.index)
+            else:
+                operands.append(self.ref(a))
+        return operands
+
+    def _record(self, target, form, args, droppable):
+        self.records.append((target, form, self._operands(args, self.uses), droppable))
+
     def op(self, fn, form, *args):
-        """fn(*args) as a Recorded value; its line is form filled with the operands."""
-        out = self.new(fn(*map(unwrap, args)))
-        self.lines.append(f"{out.name} = {form.format(*map(self.ref, args))}")
+        """fn(*args) as a Recorded value, recorded as form filled with the operands."""
+        if fn is operator.mul or fn is operator.truediv:
+            a, b = args
+            if _is_unit(b) and type(a) is Recorded and _unit_keeps(a.v):
+                return a
+            if fn is operator.mul and _is_unit(a) and type(b) is Recorded and _unit_keeps(b.v):
+                return b
+        values = [a.v if type(a) is Recorded else a for a in args]
+        out = self.new(fn(*values))
+        self._record(out.index, form, args, _cannot_raise(fn, values))
         return out
 
     def guard(self, fn, form, a, b):
         outcome = fn(unwrap(a), unwrap(b))
-        self.lines.append(f"if {'not ' if outcome else ''}({form.format(self.ref(a), self.ref(b))}): raise Trip")
+        self._record(None, f"if {'not ' if outcome else ''}({form}): raise Trip", (a, b), False)
         return outcome
 
     def unpack(self, a):
         """a.tolist() of a recorded vector, one Recorded value per entry."""
         out = [self.new(v) for v in a.v.tolist()]
-        self.lines.append(f"[{', '.join(r.name for r in out)}] = {a.name}.tolist()")
+        self._record(None, f"[{', '.join(_NAMES[r.index] for r in out)}] = {{}}.tolist()", (a,), False)
         return out
 
+    def source(self, inputs, outputs):
+        """The records as the source of program(inputs) returning outputs
+        (Recorded values, constants and tuples of them).  A value read once
+        is written into its reader, in parentheses, unless that nests deeper
+        than DEPTH_CAP; a value never read goes with its record where the
+        record cannot raise.  Guards, unpacks and values read more often are
+        lines of their own."""
+        form, args = _flat(tuple(outputs))
+        uses, live = self.uses.copy(), []
+        records = self.records + [(None, f"return {form}", self._operands(args, uses), False)]
+        for record in reversed(records):  # readers first, so a dropped reader frees its operands
+            target, _, operands, droppable = record
+            if droppable and not uses[target]:
+                for r in operands:
+                    if type(r) is int:
+                        uses[r] -= 1
+            else:
+                live.append(record)
+        inlined, lines = {}, []  # inlined: index -> (parenthesised source, nesting depth)
+        for target, form, operands, _ in reversed(live):
+            texts, depth = [], 0
+            for r in operands:
+                if type(r) is not int:
+                    texts.append(r)
+                elif r in inlined:
+                    text, d = inlined.pop(r)
+                    texts.append(text)
+                    depth = max(depth, d)
+                else:
+                    texts.append(_NAMES[r])
+            text, depth = form.format(*texts), depth + form.count("(")
+            if target is not None and uses[target] == 1 and depth < DEPTH_CAP:
+                inlined[target] = f"({text})", depth + 1
+            else:
+                lines.append(text if target is None else f"{_NAMES[target]} = {text}")
+        return f"def program({', '.join(_NAMES[r.index] for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in lines)
+
     def compile(self, inputs, outputs):
-        """The lines as a function of the Recorded inputs returning outputs
-        (Recorded values, constants and tuples of them)."""
-        source = f"def program({', '.join(self.ref(r) for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in self.lines)
-        source += f"    return {self.ref(tuple(outputs))}\n"
+        """program(inputs) of source(), compiled."""
+        code = compile(self.source(inputs, outputs), "<recorded>", "exec")
         namespace = {**self.constants, "Trip": GuardTripped}
-        exec(compile(source, "<recorded>", "exec"), namespace)
+        exec(code, namespace)
         return namespace.pop("program")  # its globals do not refer back to it

@@ -183,6 +183,10 @@ def deep_field(expression):
         # a seed is a non-negative integer; the negative control is a test, not a flag
         (["--seed", "-1", "verify-paper", "--only", "gauge"], 2),
         (["verify-paper", "--only", "fd-oracle", "--perturb"], 2),
+        # the JSON-only subcommands offer no csv
+        (["poincare", "--field", "circle-example", "--format", "csv"], 2),
+        (["starlike", "--format", "csv"], 2),
+        (["arnold-surface", "--format", "csv"], 2),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
@@ -285,13 +289,14 @@ def test_fuzzed_poincare_keeps_the_exit_code_contract(monkeypatch, tmp_path, rnd
 
 
 # the t1 return map with and without the FD check: --h inside and outside
-# (1e-8, tube radius), tolerances the FD Jacobian meets and ones it cannot,
-# both formats; every value parses, so each run reaches the command
+# (1e-8, tube radius), tolerances the FD Jacobian meets and ones it cannot;
+# --format takes only json (csv is a usage error, a malformed-input row), so
+# every value parses and each run reaches the command
 T1_POINCARE_OPTIONS = {
     "--h": ("1e-5", "3e-4", "1e-9", "1e-8", "0.1", "0.5"),
     "--fd-rtol": ("1e-4", "1e-2", "1e-14"),
     "--fd-atol": ("1e-8", "1e-300"),
-    "--format": ("json", "csv"),
+    "--format": ("json",),
 }
 
 

@@ -242,6 +242,17 @@ def test_no_operation_changes_its_operands(ring):
     assert all(_unchanged(j, s) for j, s in zip((x, y, a, b), before))
 
 
+def test_a_coefficient_whose_one_term_is_negative_zero_keeps_its_sign():
+    # a coefficient sum starts at its first term, not at 0 (0 + -0.0 is +0.0)
+    x = Jet.variable(-0.0, 0, 2, 1)
+    a, b = Jet(2, 1, {(0, 0): 1.0}), Jet(2, 1, {(0, 0): 0.5, (0, 1): -0.0})
+    product = x * Jet.constant(3.0, 2, 1)  # value: -0.0 * 3.0 alone
+    total = a + b  # (0, 1): -0.0 alone
+    difference = a - (-b)  # (0, 1): -(0.0) alone
+    for c in (product.value, total.coefficient((0, 1)), difference.coefficient((0, 1))):
+        assert c == 0 and math.copysign(1.0, c) == -1.0
+
+
 def _monomials(nvars, order):
     return [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
 

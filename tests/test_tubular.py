@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, tubular, verify
+from asymptotica import cli, jets, tubular, verify
 from asymptotica.construct import InflectionOfProjection, TubularField, build_lac, realize_t5, t1_curve
 from asymptotica.curves import Curve
 from asymptotica.exprlang import DomainError
@@ -312,10 +313,63 @@ def _points(seed, n, xs=(-7.0, 7.0)):
     return list(zip(*(c.tolist() for c in columns)))
 
 
+# on the core curve and off it by signed zeros: where a coefficient's only
+# term may be -0.0, and a unit factor or divisor the recording folds meets it
+SIGNED_ZEROS = [(x, y, z) for x in (0.0, 1.3, -2.9) for y in (0.0, -0.0) for z in (0.0, -0.0)]
+
+
 @pytest.mark.parametrize("name", ["t1", "circle-example"])
 def test_replay_is_the_jet_pipeline_bit_for_bit(t1_field, t1_chart, name):
     field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
-    replayed, plain, program = _through_one_program(field, chart, _points(17, 1000))
+    # recorded off the curve, and at a signed zero
+    for points in (_points(17, 1000) + SIGNED_ZEROS, SIGNED_ZEROS[::-1] + _points(18, 50)):
+        replayed, plain, program = _through_one_program(field, chart, points)
+        assert callable(program.code)
+        assert replayed == plain
+
+
+def _program_source(field, chart, point=(0.3, 0.01, -0.02)):
+    """The source of the chart program recorded at point."""
+    tape = jets.Tape()
+    inputs = [tape.new(v) for v in point]
+    d = tubular._reduce(field, chart, *inputs, 0)
+    return tape.source(inputs, (d.a, d.b, d.c, d.L, d.e, d.f, d.g, d.A, d.B))
+
+
+# 707 and 658 statements when every operation was a line, 186 and 141 of
+# them sums seeded with 0; 100 and 60 measured, the return included.  The
+# one 0 + left in the circle's program is the curve's: its third component
+# 0*x is an exact 0, and 0 + y*0 makes the sign of the zero
+@pytest.mark.parametrize("name, zero_sums, statements", [("t1", 0, 110), ("circle-example", 1, 66)])
+def test_chart_programs_carry_no_zero_seeds_or_unit_factors(t1_field, t1_chart, name, zero_sums, statements):
+    field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
+    source = _program_source(field, chart)
+    assert len(re.findall(r"(?<![\w.])0 \+ ", source)) == zero_sums
+    assert not re.search(r"[*/] 1(\.0)?(?![\w.])|(?<![\w.])1(\.0)? \*", source)
+    assert source.count("\n") - 1 <= statements
+
+
+def test_an_unread_division_still_raises_in_the_replay():
+    # a raising replay sends the point to the jet pipeline, which raises too
+    tape = jets.Tape()
+    x, y = tape.new(1.0), tape.new(2.0)
+    x / y
+    x * y - x  # unread and cannot raise: no line
+    outputs = [x + 1.0]
+    assert "*" not in tape.source([x, y], outputs)
+    program = tape.compile([x, y], outputs)
+    assert program(3.0, 2.0) == (4.0,)
+    with pytest.raises(ZeroDivisionError):
+        program(3.0, 0.0)
+
+
+def test_a_long_sum_replays_under_the_nesting_cap():
+    # each partial sum is read once; written into its reader without a cap,
+    # 300 of them nest past the 200 parentheses CPython parses
+    terms = " + ".join(f"{k}*x*y" for k in range(1, 301))
+    field = AmbientField((f"z - y + {terms}", "1 + 0*x", "1 + y*y"))
+    chart = TubularChart(Curve.from_expressions(("x", "x^2", "x^3"), (-1, 1)))
+    replayed, plain, program = _through_one_program(field, chart, _points(5, 20, (-0.5, 0.5)))
     assert callable(program.code)
     assert replayed == plain
 
