@@ -8,7 +8,8 @@ and run the full verification suite.  Built-in names ("t1",
 files.
 
 Exit codes: 0 success, 1 check failure, 2 usage/parse error (an unreadable
-field file and input nested too deeply among them), 3 numerical failure.
+field file, input nested too deeply and a grid of more than MAX_GRID_POINTS
+points among them), 3 numerical failure.
 With --format json each subcommand writes a single JSON document to stdout;
 diagnostics go to stderr.  integrate --svg draws an SVG_WIDTH by SVG_HEIGHT
 canvas with an SVG_MARGIN border.
@@ -34,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 GRID_PASS_POINTS = 4096  # points per vector chart_data pass of a classify or curvature grid
+MAX_GRID_POINTS = 10**6  # most points a command samples: --samples, times --rings squared for classify
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 20  # integrate --svg's canvas, in pixels
 
 
@@ -221,6 +223,13 @@ def write_svg(path_obj, filename):
 # -- subcommands -------------------------------------------------------------
 
 
+def check_grid_points(count):
+    """Raise UsageError when a command would sample more than MAX_GRID_POINTS
+    points, before anything is allocated."""
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"{count} sample points requested, at most {MAX_GRID_POINTS} allowed (--samples, --rings)")
+
+
 def _grid_pass(field, chart, grid, read):
     """read(d) of the order-0 chart data d of each vector pass over the flat
     arrays grid = (xs, ys, zs), at most GRID_PASS_POINTS points a pass,
@@ -235,6 +244,7 @@ def _grid_pass(field, chart, grid, read):
 
 
 def cmd_classify(args):
+    check_grid_points(args.samples * args.rings**2)
     field, chart = resolve_field(args.field)
     x0, x1 = chart.curve.interval
     xs = np.linspace(x0, x1, args.samples, endpoint=not chart.curve.closed)
@@ -304,6 +314,7 @@ def cmd_integrate(args):
 
 
 def cmd_curvature(args):
+    check_grid_points(args.samples)
     field, chart = resolve_field(args.field)
     x0, x1 = chart.curve.interval
     xs = np.linspace(x0, x1, args.samples, endpoint=not chart.curve.closed)
@@ -326,6 +337,7 @@ def cmd_integrability(args):
     if args.point:
         pts = [args.point]
     else:
+        check_grid_points(args.samples)
         x0, x1 = chart.curve.interval
         pts = [tuple(chart.point(x, 0.0, 0.0)) for x in np.linspace(x0, x1, args.samples, endpoint=False)]
     rows = [(p[0], p[1], p[2], float(planefield.integrability_defect(field, p))) for p in pts]
@@ -348,6 +360,7 @@ def cmd_starlike(args):
 
 def cmd_arnold_surface(args):
     m, n = parse_orders(args.orders)
+    check_grid_points(args.samples)
     try:
         _, report = surfaces.arnold_surface(m, n, samples=args.samples)
     except ValueError as exc:

@@ -3,15 +3,49 @@
 Used where floating point is not good enough: recognizing that the leading
 coefficients of a series are *identically* zero so that a power of x can be
 factored out, and certifying on-curve identities coefficient by coefficient.
+
+Coefficients are always `Fraction`s.  Products run on integer numerators:
+each factor is brought over its least common denominator, the convolution
+is done in `int`, and one `Fraction` is built per non-zero output
+coefficient, so no gcd is taken per term.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+_ZERO = Fraction(0)
 
 
 class SeriesError(Exception):
     pass
+
+
+def _numerators(coeffs):
+    """(numerators, d): integers n_k with coeffs[k] == n_k / d, d the least common denominator."""
+    d = 1
+    for c in coeffs:  # pairwise: math.lcm(*generator) left memory held after a loop of realizations
+        d = math.lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def truncated_product(a, b):
+    """The first len(a) coefficients of the product of the Fraction lists a and b,
+    as Fractions (the zeros share one object)."""
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    size = len(na)
+    terms = [(j, y) for j, y in enumerate(nb) if y]
+    out = [0] * size
+    for i, x in enumerate(na):
+        if x:
+            for j, y in terms:
+                if i + j >= size:
+                    break
+                out[i + j] += x * y
+    d = da * db
+    return [Fraction(c, d) if c else _ZERO for c in out]
 
 
 class PowerSeriesQ:
@@ -20,11 +54,11 @@ class PowerSeriesQ:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        coeffs += [_ZERO] * (order + 1 - len(coeffs))
         self.coeffs = coeffs
         self.order = order
 
@@ -38,12 +72,15 @@ class PowerSeriesQ:
         """Pair (self, other) at a common truncation order.
 
         Truncating to the shorter order is sound (truncation is an ideal),
-        so mixed-order arithmetic aligns silently rather than erroring.
+        so mixed-order arithmetic aligns silently rather than erroring.  Series
+        are never mutated, so operands of equal order are returned as they are.
         """
         if isinstance(other, (int, Fraction)):
             other = PowerSeriesQ.constant(other, self.order)
         if not isinstance(other, PowerSeriesQ):
             return NotImplemented
+        if other.order == self.order:
+            return self, other
         order = min(self.order, other.order)
         return self.truncated(order), other.truncated(order)
 
@@ -76,15 +113,7 @@ class PowerSeriesQ:
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        out = [Fraction(0)] * (s.order + 1)
-        for i, a in enumerate(s.coeffs):
-            if a == 0:
-                continue
-            for j in range(s.order + 1 - i):
-                b = o.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeriesQ(out, s.order)
+        return PowerSeriesQ(truncated_product(s.coeffs, o.coeffs), s.order)
 
     __rmul__ = __mul__
 

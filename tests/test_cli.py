@@ -187,12 +187,28 @@ def deep_field(expression):
         (["poincare", "--field", "circle-example", "--format", "csv"], 2),
         (["starlike", "--format", "csv"], 2),
         (["arnold-surface", "--format", "csv"], 2),
+        # grids over cli.MAX_GRID_POINTS, rejected before anything is allocated
+        (["classify", "--field", "t1", "--samples", "100000000"], 2),
+        (["classify", "--field", "circle-example", "--samples", "111112", "--rings", "3"], 2),
+        (["classify", "--field", "circle-example", "--samples", "2", "--rings", "100000000"], 2),
+        (["curvature", "--field", "circle-example", "--samples", "100000000"], 2),
+        (["curvature", "--field", "circle-example", "--samples", "1000001"], 2),
+        (["integrability", "--samples", "100000000"], 2),
+        (["arnold-surface", "--samples", "100000000"], 2),
     ],
 )
 def test_malformed_input_exit_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
+
+
+def test_a_grid_over_the_bound_is_one_usage_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_grid_pass", None)  # nothing may be evaluated
+    code, out, err = run(capsys, "classify", "--field", "circle-example", "--samples", "1000", "--rings", "32")
+    assert (code, out) == (2, "")
+    assert err.strip().count("\n") == 0
+    assert "1024000 sample points requested, at most 1000000" in err
 
 
 # cheap subcommands only, each with its base argvs and the options it takes;
