@@ -271,7 +271,7 @@ def cmd_poincare(args):
         except ValueError as exc:
             raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
-    # the fits' vector passes stop on non-finite data (exit 3), not with a warning
+    # a periodic fit stops at its first non-finite sample (FitError, exit 3), not with a warning
     with np.errstate(all="ignore"):
         result = monodromy.monodromy(field, chart, period)
         fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h) if args.fd_check else None

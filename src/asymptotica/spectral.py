@@ -5,7 +5,8 @@ uniform nodes over one period.  Samples of shape (N,) give a scalar series;
 samples of shape (N, m) give m series that share nodes and are evaluated
 together.  For trigonometric polynomials of degree < N/2 the interpolant is
 exact; for other analytic periodic functions the node count is doubled until
-an off-node residual check passes (refine), so the error is spectrally small.
+an off-node residual check passes (refine), so the error is spectrally small;
+fit samples once per level and stops at the first non-finite sample.
 Series evaluate on floats, numpy arrays, and jets (through univariate
 Taylor recomposition); columns splits the value of a vector series into its
 m series.
@@ -19,7 +20,7 @@ from . import jets
 
 
 class FitError(ValueError):
-    """An adaptive periodic fit ran out of nodes before its residual check passed."""
+    """An adaptive periodic fit met a non-finite sample or ran out of nodes."""
 
 
 def refine(attempt, period, nodes, max_nodes):
@@ -66,21 +67,26 @@ class TrigSeries:
 
         fn maps a numpy array of n sample points to n values, shape (n,) or
         (n, m).  Each of the m rows passes when its largest midpoint error is
-        at most tol * max(1, max |row|).  After a doubling the node samples
-        are the previous node and midpoint samples interleaved, so fn is
-        called only on the new midpoints: a fit that stops at 2n nodes calls
-        fn on 4n points.  The result records its node count in .nodes and
-        the worst scaled residual in .residual.
+        at most tol * max(1, max |row|).  fn is called once per level: on the
+        n nodes and n midpoints together, then, since the doubled nodes are
+        the previous nodes and midpoints interleaved, on the new midpoints
+        only; a fit that stops at 2n nodes calls fn on 4n points in two calls.
+        A non-finite sample raises FitError at once, naming the least such x.
+        The result records its node count in .nodes and the worst scaled
+        residual in .residual.
         """
         samples = []  # [node values, midpoint values] of the previous attempt
 
         def attempt(xs, probe):
+            pts = probe if samples else np.concatenate([xs, probe])  # one fn call per level
+            new = np.asarray(fn(pts), dtype=float)
+            bad = ~np.isfinite(new).reshape(len(pts), -1).all(axis=1)
+            if bad.any():
+                raise FitError(f"periodic fit sample not finite at x = {float(np.min(pts[bad]))}")
+            vals, probe_vals = np.split(new, [len(pts) - len(probe)])
             if samples:
-                vals = np.empty((len(xs),) + samples[0].shape[1:])
+                vals = np.empty((len(xs),) + new.shape[1:])
                 vals[0::2], vals[1::2] = samples
-            else:
-                vals = np.asarray(fn(xs), dtype=float)
-            probe_vals = np.asarray(fn(probe), dtype=float)
             samples[:] = vals, probe_vals
             series = cls.from_samples(vals, period)
             scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
@@ -106,9 +112,17 @@ class TrigSeries:
         return series
 
     def _table(self, x):
-        """The cos and sin tables of the harmonics at x, shape s + (K,)."""
-        t = self.omega * np.multiply.outer(np.asarray(x, dtype=float), self._k)
-        return np.cos(t), np.sin(t)
+        """The cos and sin tables of the harmonics at x, shape s + (K,): the
+        real and imaginary views of z^k, k = 0..K-1, z = exp(i t), t = w x, as
+        one in-place running product.  z is within eps/sqrt(2) of e^(it) and each
+        product adds sqrt(5)/2 eps, so entry k is within about 2 k eps of
+        cos(k t) and sin(k t) for any |x|; cos(w k x) can be off by eps |w k x|."""
+        x = np.asarray(x, dtype=float)
+        z = np.empty(x.shape + self._k.shape, dtype=complex)
+        z[...] = np.exp(1j * self.omega * x)[..., None]
+        z[..., 0] = 1.0
+        np.multiply.accumulate(z, axis=-1, out=z)
+        return z.real, z.imag
 
     def _apply(self, table):
         cos_t, sin_t = table

@@ -333,9 +333,8 @@ def test_fuzzed_t1_poincare_keeps_the_exit_code_contract(monkeypatch, t1_field, 
 
 # field documents: JSON values of every type at "xi", at "curve" and at an
 # unknown key, with expression strings from a short list and from the random
-# expressions of verify-paper.  poincare stays out, since rk45 has no step
-# budget; so do finite but steep components such as exp(800*x), on which
-# an integrate run takes thousands of tiny steps
+# expressions of verify-paper.  Finite but steep components such as
+# exp(800*x) stay out: an integrate run takes thousands of tiny steps on them
 DOCUMENT_EXPRESSIONS = (
     "x", "1", "0", "z - y", "1 + y*y", "-x^2 - y^2", "sqrt(1 - x)", "1/x", "exp(800*x + 800)", "x^400", "0*x", "sin(",
 )
@@ -377,10 +376,7 @@ DOCUMENT_COMMANDS = (
 )
 
 
-@settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(document=field_documents(), command=st.sampled_from(DOCUMENT_COMMANDS))
-def test_fuzzed_field_documents_keep_the_exit_code_contract(document, command):
-    argv = command + ["--field", document]
+def _document_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
@@ -388,6 +384,21 @@ def test_fuzzed_field_documents_keep_the_exit_code_contract(document, command):
     assert code in (0, 1, 2, 3), argv
     assert len(err.getvalue().splitlines()) == (code != 0), (argv, err.getvalue())
     assert not seen, (argv, [str(w.message) for w in seen])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(document=field_documents(), command=st.sampled_from(DOCUMENT_COMMANDS))
+def test_fuzzed_field_documents_keep_the_exit_code_contract(document, command):
+    _document_contract(command + ["--field", document])
+
+
+# the return map on field documents: rk45 stops at flow.MAX_STEPS, and a
+# periodic fit at its first non-finite sample; without --fd-check, since the
+# FD batch's integrations would make each example several times longer
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(document=field_documents())
+def test_fuzzed_field_documents_keep_the_poincare_exit_code_contract(document):
+    _document_contract(["poincare", "--field", document])
 
 
 @pytest.mark.parametrize("curve", [5, None, [1, 2], {"name": "circle"}])
@@ -474,6 +485,18 @@ def test_non_finite_fit_data_stop_in_one_line(capsys, fd):
     assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_non_finite_fit_sample_stops_poincare_after_one_pass(capsys, monkeypatch):
+    # 1/x is infinite at the first node, x = 0 on the t1 curve: the variational
+    # fit's first chart pass stops the run, with no further doubling
+    passes = []
+    real = tubular.chart_data
+    monkeypatch.setattr(tubular, "chart_data", lambda *a, **kw: passes.append(np.size(a[2])) or real(*a, **kw))
+    code, out, err = run(capsys, "poincare", "--field", json.dumps({"xi": ["1/x", "z - y", "1"], "curve": "t1"}))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["numerical failure: periodic fit sample not finite at x = 0.0"]
+    assert passes == [2 * monodromy.FIT_NODES]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from asymptotica import jets, monodromy
+from asymptotica import jets, monodromy, tubular
+from asymptotica.curves import Curve
+from asymptotica.planefield import AmbientField
 from asymptotica.spectral import FitError, TrigSeries
 
 
@@ -56,13 +58,38 @@ def test_from_samples_round_trip():
 
 def test_jet_evaluation_matches_derivatives():
     s = TrigSeries.fit(lambda x: np.exp(np.sin(x)), 2 * math.pi, nodes=64)
-    x0 = 1.1
-    j = s(jets.Jet.variable(x0, 0, 1, 2))
     d1 = s.derivative()
     d2 = d1.derivative()
-    assert j.value == pytest.approx(float(s(x0)))
-    assert j.deriv(1) == pytest.approx(float(d1(x0)))
-    assert j.deriv(2) == pytest.approx(float(d2(x0)))
+    d3 = d2.derivative()
+    for x0 in (1.1, -3.7, 987.6):
+        j = s(jets.Jet.variable(x0, 0, 1, 3))
+        assert j.value == pytest.approx(float(s(x0)), rel=1e-14)
+        assert j.deriv(1) == pytest.approx(float(d1(x0)), rel=1e-13, abs=1e-13)
+        assert j.deriv(2) == pytest.approx(float(d2(x0)), rel=1e-13, abs=1e-13)
+        assert j.deriv(3) == pytest.approx(float(d3(x0)), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a long double of at least 64 bits")
+@pytest.mark.parametrize("K", [1, 2, 129, 257, 1025])
+@pytest.mark.parametrize("period", [2 * math.pi, 3.0])
+def test_harmonic_table_matches_a_long_double_reference(K, period):
+    # the table holds the harmonics of the phase t = w x rounded to a float,
+    # the value any evaluation at the float x starts from; k t is exact in a
+    # 64-bit mantissa (k < 2^11), so cosl(k t) is a reference to about 1e-19.
+    # Bound: z = exp(i t) is within eps/sqrt(2) of e^(it), and each of the k
+    # complex products of the running product adds at most sqrt(5)/2 eps
+    # (Brent, Percival and Zimmermann 2007), so entry k is off by at most
+    # about 1.83 k eps to first order: 2 K eps holds every entry
+    s = TrigSeries(np.zeros(K), np.zeros(K), period)
+    rng = np.random.default_rng(K)
+    bound = 2 * K * np.finfo(float).eps
+    k = np.arange(K).astype(np.longdouble)
+    for x in (0.7, -999.3, 1e3, rng.uniform(-1e3, 1e3, 64), rng.uniform(-1e3, 1e3, (8, 5)), np.array(-2.5)):
+        cos_t, sin_t = s._table(x)
+        assert cos_t.shape == sin_t.shape == np.shape(x) + (K,)
+        t = np.multiply.outer((s.omega * np.asarray(x, dtype=float)).astype(np.longdouble), k)
+        assert np.max(np.abs(cos_t - np.cos(t))) <= bound
+        assert np.max(np.abs(sin_t - np.sin(t))) <= bound
 
 
 def test_array_evaluation_shape():
@@ -143,20 +170,69 @@ def test_two_jet_evaluations_build_one_derivative(monkeypatch):
 
 
 def test_fit_reuses_node_and_midpoint_samples():
+    # a vector fit: one fn call per level, on 4n points in all
+    rows = lambda x: np.stack([np.exp(np.sin(x)), np.cos(2 * x) / (3 + np.sin(x))], axis=1)
     points = []
 
     def fn(x):
         points.append(len(x))
-        return np.exp(np.sin(x))
+        return rows(x)
 
     n = 16
     s = TrigSeries.fit(fn, 2 * math.pi, nodes=n, tol=1e-9)
     assert s.nodes == 2 * n  # one doubling
-    assert sum(points) == 4 * n  # n nodes, n midpoints, 2n new midpoints
+    assert points == [2 * n, 2 * n]  # n nodes with n midpoints, then the 2n new midpoints
     xs = np.arange(2 * n) * (2 * math.pi / (2 * n))
-    direct = TrigSeries.from_samples(np.exp(np.sin(xs)), 2 * math.pi)
+    direct = TrigSeries.from_samples(rows(xs), 2 * math.pi)
     assert np.array_equal(s.cos_coeffs, direct.cos_coeffs)
     assert np.array_equal(s.sin_coeffs, direct.sin_coeffs)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_a_non_finite_sample_stops_the_fit_at_once_and_names_the_least_x(level):
+    passes = []
+
+    def fn(x):
+        passes.append(x)
+        v = np.stack([np.exp(np.sin(x)), np.cos(3 * x)], axis=1)
+        if len(passes) == level + 1:
+            v[x > 4, 1] = np.nan  # in one row, past x = 4, in this pass only
+        return v
+
+    with pytest.raises(FitError) as info:
+        TrigSeries.fit(fn, 2 * math.pi, nodes=8, tol=1e-13)  # no level reaches 1e-13 before the NaN
+    assert len(passes) == level + 1
+    least = float(np.min(passes[-1][passes[-1] > 4]))  # a midpoint at either level
+    assert str(info.value) == f"periodic fit sample not finite at x = {least}"
+
+
+def _counted_chart_data(monkeypatch):
+    passes = []
+    real = tubular.chart_data
+
+    def counted(field, chart, x, *rest, **kw):
+        passes.append(np.size(x))
+        return real(field, chart, x, *rest, **kw)
+
+    monkeypatch.setattr(tubular, "chart_data", counted)
+    return passes
+
+
+def test_a_singular_reduction_stops_the_first_pass_and_names_its_point(monkeypatch):
+    chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))
+    passes = _counted_chart_data(monkeypatch)
+    with pytest.raises(tubular.ReductionSingular) as info:
+        monodromy.VariationalCache(AmbientField(("1 + 0*x", "0*x", "0*x")), chart, 2 * math.pi)
+    assert str(info.value) == "c = 0.0 at (x, y, z) = (0.0, 0.0, 0.0)"  # the first node of the stacked pass
+    assert passes == [2 * monodromy.FIT_NODES]
+
+
+def test_a_parabolic_curve_stops_the_first_pass(monkeypatch):
+    chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))
+    passes = _counted_chart_data(monkeypatch)
+    with pytest.raises(monodromy.ParabolicOnCurve, match=r"min \|f\| = 0\.0"):
+        monodromy.VariationalCache(AmbientField(("0*x", "0*x", "1 + 0*x")), chart, 2 * math.pi)
+    assert passes == [2 * monodromy.FIT_NODES]
 
 
 def test_columns_split_one_evaluation_into_its_series():
