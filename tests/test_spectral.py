@@ -206,33 +206,19 @@ def test_a_non_finite_sample_stops_the_fit_at_once_and_names_the_least_x(level):
     assert str(info.value) == f"periodic fit sample not finite at x = {least}"
 
 
-def _counted_chart_data(monkeypatch):
+@pytest.mark.parametrize("xi, error, message", [
+    (("1 + 0*x", "0*x", "0*x"), tubular.ReductionSingular, "c = 0.0 at (x, y, z) = (0.0, 0.0, 0.0)"),  # the first node
+    (("0*x", "0*x", "1 + 0*x"), monodromy.ParabolicOnCurve, "f(x,0,0) vanishes on the curve (min |f| = 0.0)"),
+])
+def test_a_singular_or_parabolic_curve_stops_the_first_pass(monkeypatch, xi, error, message):
+    chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))
     passes = []
     real = tubular.chart_data
-
-    def counted(field, chart, x, *rest, **kw):
-        passes.append(np.size(x))
-        return real(field, chart, x, *rest, **kw)
-
-    monkeypatch.setattr(tubular, "chart_data", counted)
-    return passes
-
-
-def test_a_singular_reduction_stops_the_first_pass_and_names_its_point(monkeypatch):
-    chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))
-    passes = _counted_chart_data(monkeypatch)
-    with pytest.raises(tubular.ReductionSingular) as info:
-        monodromy.VariationalCache(AmbientField(("1 + 0*x", "0*x", "0*x")), chart, 2 * math.pi)
-    assert str(info.value) == "c = 0.0 at (x, y, z) = (0.0, 0.0, 0.0)"  # the first node of the stacked pass
-    assert passes == [2 * monodromy.FIT_NODES]
-
-
-def test_a_parabolic_curve_stops_the_first_pass(monkeypatch):
-    chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))
-    passes = _counted_chart_data(monkeypatch)
-    with pytest.raises(monodromy.ParabolicOnCurve, match=r"min \|f\| = 0\.0"):
-        monodromy.VariationalCache(AmbientField(("0*x", "0*x", "1 + 0*x")), chart, 2 * math.pi)
-    assert passes == [2 * monodromy.FIT_NODES]
+    monkeypatch.setattr(tubular, "chart_data", lambda *a, **kw: passes.append(np.size(a[2])) or real(*a, **kw))
+    with pytest.raises(error) as info:
+        monodromy.VariationalCache(AmbientField(xi), chart, 2 * math.pi)
+    assert str(info.value) == message
+    assert passes == [2 * monodromy.FIT_NODES]  # nodes and midpoints in one pass
 
 
 def test_columns_split_one_evaluation_into_its_series():
