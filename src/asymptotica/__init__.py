@@ -55,7 +55,6 @@ from .surfaces import (
     arnold_k1,
     arnold_surface,
     f_on_curve,
-    integrate_surface_asymptotic,
     second_fundamental,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "integrability_defect",
     "integrate_asymptotic",
     "integrate_batch",
-    "integrate_surface_asymptotic",
     "is_starlike_projection",
     "jets",
     "k1_function",

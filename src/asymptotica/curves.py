@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .exprlang import compile_function, parse, to_source
+from .exprlang import compile_function
 
 _CLOSED_TOL = 1e-12
 SYMBOL_MAX_ORDER = 9  # the highest derivative order finite_type_symbol reads
@@ -77,8 +77,9 @@ class Curve:
         return cls(fns, interval, closed=closed, name=name)
 
     @classmethod
-    def from_series(cls, coefficient_lists, interval=(-1, 1), closed=False, name=None):
-        """Polynomial local model with exact rational coefficients.
+    def from_series(cls, coefficient_lists):
+        """Polynomial local model with exact rational coefficients on (-1, 1),
+        not closed.
 
         Each component is given as its list of Taylor coefficients at 0.
         """
@@ -94,8 +95,7 @@ class Curve:
 
             return fn
 
-        fns = [make(c) for c in coefficient_lists]
-        return cls(fns, interval, closed=closed, name=name)
+        return cls([make(c) for c in coefficient_lists], (-1, 1))
 
     @property
     def period(self):

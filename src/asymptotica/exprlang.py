@@ -341,7 +341,7 @@ def compile_expr(expr: Expr, variables: Tuple[str, ...]):
         # literals stay exact with no arguments or any exact one (an int, a
         # Fraction or a jet over one); otherwise float and array arithmetic
         # never meets a Fraction (which would make numpy object arrays)
-        if not args or any(_is_exact(v) for v in args):
+        if not args or any(jets._exact(jets.value_of(v)) for v in args):
             return exact(args)
         return inexact(args)
 
@@ -383,12 +383,6 @@ def evaluate(expr: Expr, bindings: Dict[str, object]):
     """Evaluate over whatever scalar ring the bindings live in (compiles expr
     for this one call; compile_expr once for repeated evaluation)."""
     return compile_expr(expr, tuple(bindings))(*bindings.values())
-
-
-def _is_exact(v):
-    if isinstance(v, jets.Jet):
-        v = v.value
-    return isinstance(v, (int, Fraction))
 
 
 def free_variables(expr: Expr) -> Tuple[str, ...]:

@@ -4,13 +4,13 @@ The line field is implicit: at each point the slope p = dy/dx solves
 g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
 branch per point by continuity (nearest root to the previously accepted
 slope), with rk45, the one adaptive integrator (DOP853, which monodromy uses
-too).  It tracks n points in lockstep in plain Python floats, point by point
-at every stage: a single chart path is n = 1, the finite-difference batch
-n = 4, and a path on a parametrized surface n = 1 with no z.  An x-only part
-of the right-hand side is read from one evaluation per step attempt at the
-11 abscissae of stages 1 to 11: monodromy's M (fitted or direct) or a cached
-batch's series; a chart path without a cache replays one recorded
-tubular.ChartProgram at every point.  A start point with no real branch
+too).  It tracks n points (y, z) in lockstep in plain Python floats, point
+by point at every stage: a single chart path is n = 1 and the
+finite-difference batch n = 4.  An x-only part of the right-hand side is
+read from one evaluation per step attempt at the 11 abscissae of stages 1
+to 11: monodromy's M (fitted or direct) or a cached batch's series; a chart
+path without a cache replays one recorded tubular.ChartProgram at every
+point.  A start point with no real branch
 raises EllipticStop or VerticalDirection.  Any other stop ends the path
 with its status instead of jumping branches: "parabolic" (roots closer than
 COLLISION_TOL * (1 + |p|)), "elliptic" (no real root), "vertical" (only
@@ -18,9 +18,9 @@ dx = 0), "tube-exit" or "singular" (a singular reduction, non-finite data,
 an expression evaluated outside its domain, step-size underflow or a spent
 step budget).
 integrate_asymptotic reports the status with the partial path;
-integrate_batch and surfaces.integrate_surface_asymptotic raise FlowError
-with a message that begins with it.  ChartSpectralCache expands the chart
-data to degree CACHE_DEGREE in (y, z) and fits them from CACHE_NODES nodes.
+integrate_batch raises FlowError with a message that begins with it.
+ChartSpectralCache expands the chart data to degree CACHE_DEGREE in (y, z)
+and fits them from CACHE_NODES nodes.
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class Path:
 
     def endpoint(self):
         return float(self.xs[-1]), float(self.ys[-1]), float(self.zs[-1])
-
-    def ambient(self, chart):
-        return np.array([chart.point(x, y, z) for x, y, z in zip(self.xs, self.ys, self.zs)])
 
 
 def branch_slopes(e, f, g, prev_p=None):
@@ -214,7 +211,7 @@ class _Stop(Exception):
         self.reason = reason
 
 
-def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None, coefficients=None):
+def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=None):
     """Adaptive Runge-Kutta of order 8 (DOP853); y may be any numpy array shape.
     Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
     combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
@@ -233,7 +230,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None,
     estimate rejects and shrinks the step, so such a run ends in a
     "singular" step-size underflow, as does a run that has made MAX_STEPS
     step attempts.  on_accept(x, y[, last row]) is called at every accepted
-    step.  max_step defaults to 1/8 of the run.
+    step.  A step is at most 1/8 of the run, the first 1/16.
     Returns (x, y, stats) at the last station, or at the last accepted point
     after a stop; stats holds "steps", "rejected", "min_step", "status"
     ("reached" or the stop's) and "reason".
@@ -243,9 +240,8 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, max_step=None, on_accept=None,
     stations = np.atleast_1d(np.asarray(x1, dtype=float)).tolist()
     direction = 1.0 if stations[-1] >= x else -1.0
     span = abs(stations[-1] - x)
-    if max_step is None:
-        max_step = span / 8 if span > 0 else 1.0
-    h = min(max_step, span / 16) if span > 0 else max_step
+    max_step = span / 8 if span > 0 else 1.0
+    h = span / 16 if span > 0 else max_step
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
         f0 = rhs(x, y) if coefficients is None else rhs(x, y, coefficients(x))
@@ -309,15 +305,14 @@ def require_reached(stats):
 def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
     """Follow one root branch of g p^2 + 2 f p + e = 0 per point from x0 toward x1.
 
-    state0 has shape (n, k), n points in lockstep (a single path is n = 1),
-    the first column of each moving with its slope p.  Every evaluation
-    loops over the points in plain floats: the tube test, equation(x, *point)
-    -> (e, f, g) or (e, f, g, A, B) (A + B p moves the second column),
-    branch_slopes and the collision test.  coefficients goes to rk45, and
+    state0 has shape (n, 2), n points (y, z) in lockstep (a single path is
+    n = 1): dy/dx = p and dz/dx = A + B p.  Every evaluation loops over the
+    points in plain floats: the tube test, equation(x, y, z) -> (e, f, g, A,
+    B), branch_slopes and the collision test.  coefficients goes to rk45, and
     equation then takes a stage's row as a last argument.  The start takes
     the root of least modulus, each accepted step the root nearest the last
     one.  A start with no real root raises EllipticStop or VerticalDirection;
-    any other stop of any point ends the run (a "tube-exit" outside |state|
+    any other stop of any point ends the run (a "tube-exit" outside |y|, |z|
     <= radius, "parabolic" for roots closer than COLLISION_TOL * (1 + |p|),
     "singular" for an expression evaluated outside its domain).  Returns
     (xs, states, ps, stats) at the start and every accepted step, ps of shape
@@ -330,19 +325,19 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
         if coefficients is not None and not row:  # the start, or a landing that rounded x away from the last row
             row = (coefficients(x),)
         residuals = []
-        for i, point in enumerate(state.tolist()):
-            e, f, g, *_ = equation(x, *point, *row)
+        for i, (y, z) in enumerate(state.tolist()):
+            e, f, g, _, _ = equation(x, y, z, *row)
             p = prev[i] = branch_slopes(e, f, g, prev[i])[1]
             residuals.append(abs(g * p * p + 2 * f * p + e))
         samples.append((x, state, list(prev), residuals))
 
     def rhs(x, state, *row):
         out = []
-        for i, point in enumerate(state.tolist()):
-            if any(abs(v) > radius for v in point):
+        for i, (y, z) in enumerate(state.tolist()):
+            if abs(y) > radius or abs(z) > radius:
                 raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
             try:
-                e, f, g, *tail = equation(x, *point, *row)
+                e, f, g, A, B = equation(x, y, z, *row)
                 slopes, p = branch_slopes(e, f, g, prev[i])
             except (FlowError, tubular.ReductionSingular, DomainError) as exc:
                 # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
@@ -350,7 +345,7 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
                 raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
             if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < COLLISION_TOL * (1 + abs(p)):
                 raise _Stop("parabolic", "root branches collided")
-            out.append((p, tail[0] + tail[1] * p) if tail else (p,))
+            out.append((p, A + B * p))
         return np.array(out)
 
     try:

@@ -47,8 +47,10 @@ def variational_matrix(field, chart, x):
     x = np.asarray(x, dtype=float)
     d = tubular.chart_data(field, chart, x if x.ndim else float(x), 0.0, 0.0, order=1)
     f = np.asarray(d.value("f"), dtype=float)
-    if np.any(np.abs(f) < 1e-12):
-        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve (min |f| = {np.min(np.abs(f))})")
+    if np.any(np.abs(f) < 1e-12):  # name the point of least |f|
+        size, xs = np.broadcast_arrays(np.abs(f), x)
+        i = np.nanargmin(size)
+        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve: |f| = {size.flat[i]} at x = {xs.flat[i]}")
     b0 = d.value("B")
     m11 = -d.partial("e", "y") / (2 * f)
     m12 = -d.partial("e", "z") / (2 * f)

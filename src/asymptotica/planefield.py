@@ -60,23 +60,15 @@ class AmbientField:
         return f"AmbientField({list(self.sources)!r})"
 
 
-def normal_curvature(field, p, dr, project=False):
-    """k_n = -<dxi(p) dr, dr> / <dr, dr> for a direction dr in the plane at p.
-
-    With project=True, dr is first projected onto the plane orthogonal to
-    xi(p) instead of rejecting off-plane directions.
-    """
+def normal_curvature(field, p, dr):
+    """k_n = -<dxi(p) dr, dr> / <dr, dr> for a direction dr in the plane at p;
+    an off-plane direction raises FieldError."""
     dr = np.asarray(dr, dtype=float)
     norm = np.linalg.norm(dr)
     if norm == 0:
         raise FieldError("zero direction")
     xi = field.evaluate(p)
-    if project:
-        dr = dr - xi * (np.dot(xi, dr) / np.dot(xi, xi))
-        norm = np.linalg.norm(dr)
-        if norm == 0:
-            raise FieldError("direction is normal to the plane; projection vanishes")
-    elif abs(np.dot(xi, dr)) > PLANE_TOL * np.linalg.norm(xi) * norm:
+    if abs(np.dot(xi, dr)) > PLANE_TOL * np.linalg.norm(xi) * norm:
         raise FieldError("direction does not lie in the plane of the distribution")
     J = field.jacobian(p)
     return -float(np.dot(J @ dr, dr) / np.dot(dr, dr))

@@ -17,13 +17,10 @@ exactly when n = m + 1, which is the rotating-type criterion.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import flow, jets
+from . import jets
 
-RTOL, ATOL = 1e-10, 1e-12  # integrate_surface_asymptotic's tolerances
 U_MAX = 0.5  # arnold_surface samples |u| <= U_MAX
 
 
@@ -85,24 +82,6 @@ def second_fundamental_unnormalized(surface, u, v):
     """
     second, w = _second_partials(surface, u, v)
     return tuple(jets.dot(a, w) for a in second)
-
-
-def integrate_surface_asymptotic(surface, start, u1):
-    """Follow one asymptotic branch dv/du from start=(u0, v0) until u = u1.
-
-    The chart-coordinate tracker with (u, v) in place of (x, y) and no
-    transverse z component, on the root of least modulus at the start;
-    returns (us, vs, ps).  A start with no real branch raises EllipticStop
-    or VerticalDirection; a later stop raises FlowError, its message
-    beginning with the status.
-    """
-    u0, v0 = (float(s) for s in start)
-    us, vs, ps, stats = flow._track(
-        lambda u, v: [float(c) for c in second_fundamental(surface, u, v)],
-        u0, u1, np.array([[v0]]), math.inf, RTOL, ATOL,
-    )
-    flow.require_reached(stats)
-    return us, vs[:, 0, 0], ps[:, 0]
 
 
 # -- rotating-type local model ------------------------------------------------

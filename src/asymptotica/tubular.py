@@ -280,6 +280,6 @@ def binary_equation_data(field, chart):
 
     def efgab(x, y, z):
         d = chart_data(field, chart, x, y, z, order=0, program=program)
-        return (d.value("e"), d.value("f"), d.value("g"), d.value("A"), d.value("B"))
+        return d.e, d.f, d.g, d.A, d.B
 
     return efgab

@@ -157,6 +157,8 @@ def test_jet_derivative_matches_finite_difference(seeds):
 def test_integer_literals_stay_off_the_exact_path_for_floats():
     assert compile_function("2*x", "x")(np.arange(3.0)).dtype == np.float64
     assert type(evaluate(parse("2*x"), {"x": 1.5})) is float
+    # a numpy float is a float (exact literals would make this a Python float)
+    assert type(evaluate(parse("x/3 + 1/3"), {"x": np.float64(1.5)})) is np.float64
     # exact bindings (and none at all) keep every literal exact
     assert evaluate(parse("x/3"), {"x": 1}) == Fraction(1, 3)
     assert evaluate(parse("x/3"), {"x": jets.Jet.variable(Fraction(1), 0, 1, 1)}).value == Fraction(1, 3)

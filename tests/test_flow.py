@@ -104,13 +104,6 @@ def test_path_samples_monotone(t1_field, t1_chart):
     assert np.all(np.diff(path.xs) > 0)
 
 
-def test_path_ambient_coordinates(t1_field, t1_chart):
-    path = integrate_asymptotic(t1_field, t1_chart, (0.0, 0.0, 0.0), 1.0)
-    pts = path.ambient(t1_chart)
-    assert pts.shape == (len(path.xs), 3)
-    assert np.allclose(pts[0], t1_chart.curve.point(0.0), atol=1e-12)
-
-
 def test_quadratic_residual_bound(t1_field, t1_chart):
     path = integrate_asymptotic(t1_field, t1_chart, (0.0, 1e-4, 0.0), 1.0)
     assert path.stats["max_residual"] <= 1e-8
@@ -233,18 +226,19 @@ def test_rk45_nan_rhs_ends_in_a_singular_stop():
 )
 def test_lockstep_batch_raises_the_point_stop(bad, stop):
     # a lockstep batch whose middle start is bad stops as that start alone;
-    # the good starts (y = 0 and 0.25, slope 1/2) never reach y = 1
+    # the good starts (y = 0 and 0.25, slope 1/2) never reach y = 1, and
+    # A = B = 0 keeps every z at 0
     good = (-1.0, 0.5, 2.0)
 
     def outcome(starts):
-        equation = lambda x, y: bad if y == 1.0 else good
+        equation = lambda x, y, z: (*(bad if y == 1.0 else good), 0.0, 0.0)
         with pytest.raises(stop) as info:
             _, _, _, stats = flow._track(equation, 0.0, 1.0, np.array(starts), math.inf, 1e-10, 1e-12)
             flow.require_reached(stats)
         return type(info.value), str(info.value)
 
-    alone = outcome([[1.0]])
-    assert outcome([[0.0], [1.0], [0.25]]) == alone
+    alone = outcome([[1.0, 0.0]])
+    assert outcome([[0.0, 0.0], [1.0, 0.0], [0.25, 0.0]]) == alone
     assert alone[0] is stop
 
 
@@ -275,12 +269,12 @@ def test_tableau_is_consistent():
 
 def test_rk45_observed_order_is_eight():
     # y' = y cos x has y = exp(sin x), back to 1 after one period; huge
-    # tolerances accept every step, so max_step fixes the step size
+    # tolerances accept every step, so n uniform stations fix the step size
     errors = []
     for n in (16, 32):
         _, y, stats = rk45(
-            lambda x, y: y * math.cos(x), 0.0, 2 * math.pi, np.array([1.0]), rtol=1e10, atol=1e10,
-            max_step=2 * math.pi / n,
+            lambda x, y: y * math.cos(x), 0.0, np.linspace(0, 2 * math.pi, n + 1)[1:], np.array([1.0]),
+            rtol=1e10, atol=1e10,
         )
         assert (stats["steps"], stats["rejected"]) == (n, 0)
         errors.append(abs(y[0] - 1.0))

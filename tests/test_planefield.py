@@ -44,16 +44,6 @@ def test_zero_direction_rejected():
         normal_curvature(contact_field(), (0, 0, 0), (0, 0, 0))
 
 
-def test_projection_flag_projects_onto_plane():
-    f = contact_field()
-    p = (0.0, 0.0, 0.0)
-    v = normal_curvature(f, p, (1, 1, 0.3), project=True)
-    dr = np.array([1.0, 1.0, 0.3])
-    xi = f.evaluate(p)
-    dr -= xi * (xi @ dr) / (xi @ xi)
-    assert v == pytest.approx(normal_curvature(f, p, dr))
-
-
 def test_curvature_homogeneous_in_direction(seeds):
     f = circle_example_field()
     for seed in seeds:

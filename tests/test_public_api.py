@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "integrability_defect",
     "integrate_asymptotic",
     "integrate_batch",
-    "integrate_surface_asymptotic",
     "is_starlike_projection",
     "jets",
     "k1_function",
@@ -80,10 +79,9 @@ PARAMETERS = {
     asymptotica.gauge_scale: ["field", "phi_source"],
     asymptotica.integrate_asymptotic: ["field", "chart", "start", "x1", "rtol", "atol"],
     asymptotica.integrate_batch: ["field", "chart", "starts", "x0", "x1", "rtol", "atol", "cache"],
-    asymptotica.integrate_surface_asymptotic: ["surface", "start", "u1"],
-    asymptotica.normal_curvature: ["field", "p", "dr", "project"],
+    asymptotica.normal_curvature: ["field", "p", "dr"],
     asymptotica.realize_t5: ["curve"],
-    flow.rk45: ["rhs", "x0", "x1", "y0", "rtol", "atol", "max_step", "on_accept", "coefficients"],
+    flow.rk45: ["rhs", "x0", "x1", "y0", "rtol", "atol", "on_accept", "coefficients"],
     monodromy.VariationalCache: ["field", "chart", "period"],
     monodromy.monodromy: ["field", "chart", "period", "cache", "checkpoints"],
 }

@@ -208,7 +208,7 @@ def test_a_non_finite_sample_stops_the_fit_at_once_and_names_the_least_x(level):
 
 @pytest.mark.parametrize("xi, error, message", [
     (("1 + 0*x", "0*x", "0*x"), tubular.ReductionSingular, "c = 0.0 at (x, y, z) = (0.0, 0.0, 0.0)"),  # the first node
-    (("0*x", "0*x", "1 + 0*x"), monodromy.ParabolicOnCurve, "f(x,0,0) vanishes on the curve (min |f| = 0.0)"),
+    (("0*x", "0*x", "1 + 0*x"), monodromy.ParabolicOnCurve, "f(x,0,0) vanishes on the curve: |f| = 0.0 at x = 0.0"),
 ])
 def test_a_singular_or_parabolic_curve_stops_the_first_pass(monkeypatch, xi, error, message):
     chart = tubular.TubularChart(Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 2 * math.pi), closed=True))

@@ -1,17 +1,14 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from asymptotica.flow import FlowError
 from asymptotica.surfaces import (
     DegenerateNormal,
     ParamSurface,
     arnold_k1,
     arnold_surface,
     f_on_curve,
-    integrate_surface_asymptotic,
     second_fundamental,
     second_fundamental_unnormalized,
 )
@@ -111,26 +108,3 @@ def test_f_closed_form_matches_triple_product():
     for m, n in ((2, 3), (3, 4), (2, 4)):
         _, report = arnold_surface(m, n)
         assert report["max_rel_f_mismatch"] <= 1e-9
-
-
-def test_model_curve_is_asymptotic_trajectory():
-    surface, _ = arnold_surface(2, 3)
-    us, vs, _ = integrate_surface_asymptotic(surface, (0.1, 0.0), 0.4)
-    assert us[-1] == pytest.approx(0.4)
-    assert np.max(np.abs(vs)) <= 1e-9
-
-
-def test_surface_asymptotic_off_curve_branch():
-    # hyperbolic paraboloid: asymptotic lines are the coordinate rulings,
-    # so dv/du = 0 along any start and v stays constant
-    s = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: u * v])
-    us, vs, ps = integrate_surface_asymptotic(s, (0.0, 0.3), 1.0)
-    assert vs[-1] == pytest.approx(0.3, abs=1e-10)
-    assert np.max(np.abs(ps)) <= 1e-10
-
-
-def test_surface_asymptotic_stop_raises_with_status():
-    # z = u^3 + v^2 is hyperbolic for u < 0, parabolic at u = 0, elliptic beyond
-    s = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: u ** 3 + v * v])
-    with pytest.raises(FlowError, match="^(parabolic|elliptic):"):
-        integrate_surface_asymptotic(s, (-0.5, 0.0), 0.5)
