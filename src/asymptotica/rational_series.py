@@ -4,10 +4,10 @@ Used where floating point is not good enough: recognizing that the leading
 coefficients of a series are *identically* zero so that a power of x can be
 factored out, and certifying on-curve identities coefficient by coefficient.
 
-Coefficients are always `Fraction`s.  Products run on integer numerators:
-each factor is brought over its least common denominator, the convolution
-is done in `int`, and one `Fraction` is built per non-zero output
-coefficient, so no gcd is taken per term.
+A series is stored as integer numerators `_num` over one common denominator
+`_den` > 0, in lowest terms: the gcd of `_den` and every numerator is 1.
+Every ring operation runs in `int` and reduces once at the end, so no gcd is
+taken per term; `Fraction`s are built only when `.coeffs` is read.
 """
 
 from __future__ import annotations
@@ -22,49 +22,46 @@ class SeriesError(Exception):
     pass
 
 
-def _numerators(coeffs):
-    """(numerators, d): integers n_k with coeffs[k] == n_k / d, d the least common denominator."""
-    d = 1
-    for c in coeffs:  # pairwise: math.lcm(*generator) left memory held after a loop of realizations
-        d = math.lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def truncated_product(a, b):
-    """The first len(a) coefficients of the product of the Fraction lists a and b,
-    as Fractions (the zeros share one object)."""
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
-    size = len(na)
-    terms = [(j, y) for j, y in enumerate(nb) if y]
-    out = [0] * size
-    for i, x in enumerate(na):
-        if x:
-            for j, y in terms:
-                if i + j >= size:
-                    break
-                out[i + j] += x * y
-    d = da * db
-    return [Fraction(c, d) if c else _ZERO for c in out]
+def _series(num, den, order):
+    """The series with coefficients num[k] / den (den != 0), in lowest terms with den > 0."""
+    g = abs(den)
+    for c in num:  # pairwise: math.gcd(den, *num) left memory held after a loop of realizations
+        if g == 1:
+            break
+        g = math.gcd(g, c)
+    g = -g if den < 0 else g  # the sign goes into the numerators
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    s = PowerSeriesQ.__new__(PowerSeriesQ)
+    s._num, s._den, s.order = num, den, order
+    return s
 
 
 class PowerSeriesQ:
-    """Polynomial truncation sum c_k x^k, k <= order, with Fraction coefficients."""
+    """Polynomial truncation sum c_k x^k, k <= order, with c_k = _num[k] / _den."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("_num", "_den", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) in (int, Fraction) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         coeffs = coeffs[: order + 1]
-        coeffs += [_ZERO] * (order + 1 - len(coeffs))
-        self.coeffs = coeffs
-        self.order = order
+        den = 1
+        for c in coeffs:  # pairwise, as in _series
+            den = math.lcm(den, c.denominator)
+        # over the lcm of reduced denominators the numerators are already in lowest terms
+        self._num = [c.numerator * (den // c.denominator) for c in coeffs] + [0] * (order + 1 - len(coeffs))
+        self._den, self.order = den, order
+
+    @property
+    def coeffs(self):
+        """The coefficients as a new list of Fractions (the zeros share one object)."""
+        return [Fraction(c, self._den) if c else _ZERO for c in self._num]
 
     @classmethod
     def constant(cls, value, order):
-        return cls([Fraction(value)], order)
+        return cls([value], order)
 
     # -- ring operations ---------------------------------------------------
 
@@ -84,36 +81,46 @@ class PowerSeriesQ:
         order = min(self.order, other.order)
         return self.truncated(order), other.truncated(order)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         pair = self._coerce(other)
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        return PowerSeriesQ([a + b for a, b in zip(s.coeffs, o.coeffs)], s.order)
+        d = math.lcm(s._den, o._den)
+        u, v = d // s._den, sign * (d // o._den)
+        return _series([a * u + b * v for a, b in zip(s._num, o._num)], d, s.order)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeriesQ([-a for a in self.coeffs], self.order)
+        return _series([-a for a in self._num], self._den, self.order)
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is NotImplemented:
-            return NotImplemented
-        s, o = pair
-        return PowerSeriesQ([a - b for a, b in zip(s.coeffs, o.coeffs)], s.order)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return PowerSeriesQ([a * other for a in self.coeffs], self.order)
+            return _series([a * other.numerator for a in self._num], self._den * other.denominator, self.order)
         pair = self._coerce(other)
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        return PowerSeriesQ(truncated_product(s.coeffs, o.coeffs), s.order)
+        size = s.order + 1
+        terms = [(j, y) for j, y in enumerate(o._num) if y]
+        out = [0] * size
+        for i, x in enumerate(s._num):
+            if x:
+                for j, y in terms:
+                    if i + j >= size:
+                        break
+                    out[i + j] += x * y
+        return _series(out, s._den * o._den, s.order)
 
     __rmul__ = __mul__
 
@@ -121,20 +128,23 @@ class PowerSeriesQ:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("series divided by zero")
-            return PowerSeriesQ([a / other for a in self.coeffs], self.order)
+            return _series([a * other.denominator for a in self._num], self._den * other.numerator, self.order)
         pair = self._coerce(other)
         if pair is NotImplemented:
             return NotImplemented
         s, o = pair
-        if o.coeffs[0] == 0:
+        u = o._num[0]
+        if u == 0:
             raise SeriesError("division requires a unit (nonzero constant term)")
-        out = [Fraction(0)] * (s.order + 1)
-        for k in range(s.order + 1):
-            acc = s.coeffs[k]
-            for j in range(1, k + 1):
-                acc -= o.coeffs[j] * out[k - j]
-            out[k] = acc / o.coeffs[0]
-        return PowerSeriesQ(out, s.order)
+        # on the numerators s_k, o_k with u = o_0: s/o = (d_o/d_s) sum t_k x^k / u^(k+1), where
+        # t_k = u^k s_k - sum_{j=1..k} o_j u^(j-1) t_(k-j); one reduction at the end
+        n = s.order
+        powers = [u**k for k in range(n + 2)]
+        scaled = [b * p for b, p in zip(o._num[1:], powers)]
+        t = []
+        for k, a in enumerate(s._num):
+            t.append(powers[k] * a - sum(b * c for b, c in zip(scaled, reversed(t))))
+        return _series([o._den * powers[n - k] * c for k, c in enumerate(t)], s._den * powers[n + 1], n)
 
     def __repr__(self):
         return f"PowerSeriesQ({self.coeffs!r})"
@@ -142,24 +152,21 @@ class PowerSeriesQ:
     # -- series-specific operations ----------------------------------------
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def derivative(self):
-        out = [k * self.coeffs[k] for k in range(1, self.order + 1)]
-        return PowerSeriesQ(out, self.order - 1)
+        return _series([k * self._num[k] for k in range(1, self.order + 1)], self._den, self.order - 1)
 
     def factor_x(self, k):
         """Divide by x^k; the first k coefficients must be identically zero."""
         if k < 0 or k > self.order:
             raise SeriesError("cannot factor that power of x")
-        bad = [i for i in range(k) if self.coeffs[i] != 0]
+        bad = [i for i in range(k) if self._num[i]]
         if bad:
-            raise SeriesError(
-                f"cannot factor x^{k}: coefficient of x^{bad[0]} is {self.coeffs[bad[0]]}, not zero"
-            )
-        return PowerSeriesQ(self.coeffs[k:], self.order - k)
+            raise SeriesError(f"cannot factor x^{k}: coefficient of x^{bad[0]} is {self.coeffs[bad[0]]}, not zero")
+        return _series(self._num[k:], self._den, self.order - k)
 
     def truncated(self, order):
         if order > self.order:
             raise SeriesError("cannot extend truncation")
-        return PowerSeriesQ(self.coeffs, order)
+        return _series(self._num[: order + 1], self._den, order)

@@ -75,7 +75,9 @@ def checks(seed=0):
 
     def t5():
         failures, worst = 0, 0.0
-        for comps in (("x", "x^2", "x^3"), ("x", "x^3", "x^5"), ("x", "x^2", "x^4")):
+        # the last model has rational coefficients, so its series have unequal denominators
+        models = (("x", "x^2", "x^3"), ("x", "x^3", "x^5"), ("x", "x^2", "x^4"), ("x", "3/7*x^2 - 1/6*x^3", "2/9*x^3"))
+        for comps in models:
             curve = curves.Curve.from_expressions(comps, (-0.5, 0.5), name=",".join(comps))
             field, cert = construct.realize_t5(curve)
             failures += not (cert["C000_exact"] and cert["e_on_curve_zero"] and cert["f_on_curve_one"])

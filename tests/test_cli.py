@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, flow, jets, monodromy, planefield, tubular, verify
+from asymptotica import cli, flow, jets, monodromy, planefield, rational_series, tubular, verify
 
 
 def run(capsys, *argv):
@@ -642,11 +642,21 @@ def _m_without_b(field, chart, x):
     return np.stack([np.broadcast_to(m, x.shape) for m in entries], axis=-1).reshape(x.shape + (2, 2))
 
 
+def _sum_over_left_denominator(self, other, sign):
+    # PowerSeriesQ._combine with both numerator lists read over the left operand's denominator
+    pair = self._coerce(other)
+    if pair is NotImplemented:
+        return NotImplemented
+    s, o = pair
+    return rational_series._series([a + sign * b for a, b in zip(s._num, o._num)], s._den, s.order)
+
+
 # each mutant of the library: the check that has to catch it, and the patch
 MUTANTS = {
     "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
     "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),
     "M-without-B": ("fd-oracle", (monodromy, "variational_matrix", _m_without_b)),
+    "series-sum-over-left-denominator": ("t5", (rational_series.PowerSeriesQ, "_combine", _sum_over_left_denominator)),
 }
 
 
