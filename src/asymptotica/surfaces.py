@@ -2,7 +2,9 @@
 
 A ParamSurface wraps three component functions of (u, v) evaluated through
 two-variable jets; second_fundamental extracts the coefficients (e, f, g) of
-the binary asymptotic equation e du^2 + 2 f du dv + g dv^2 = 0.
+the binary asymptotic equation e du^2 + 2 f du dv + g dv^2 = 0.  The normal
+degenerates where |alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v|, a test
+that does not depend on the surface's scale.
 
 The rotating-type construction pairs the local curve model (u, u^m, u^n),
 1 < m < n, with its planar normal N(u) = (m u^{m-1}, -1, 0) and the slope
@@ -13,6 +15,9 @@ profile k1(u) below to produce the ruled surface
 whose v = 0 line is asymptotic (e(u, 0) = 0) and whose mixed coefficient
 f(u, 0) has the closed form implemented in f_on_curve.  f(0, 0) is nonzero
 exactly when n = m + 1, which is the rotating-type criterion.
+arnold_surface evaluates beta once, as three components, on a second-order
+jet of its u-grid: e against the unit normal and f against alpha_u ^ alpha_v
+both come from that jet, and f(0, 0) from one more jet at the origin.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ U_MAX = 0.5  # arnold_surface samples |u| <= U_MAX
 
 
 class DegenerateNormal(Exception):
-    """alpha_u ^ alpha_v vanished at the queried point."""
+    """|alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v| at the queried point: the tangents are parallel."""
 
 
 class ParamSurface:
@@ -46,15 +51,25 @@ class ParamSurface:
         return tuple(c(uj, vj) for c in self.components)
 
 
-def _second_partials(surface, u, v):
-    """(alpha_uu, alpha_uv, alpha_vv) and w = alpha_u ^ alpha_v at (u, v)."""
-    cj = surface.jet(u, v)
+def _second_partials(cj):
+    """(alpha_uu, alpha_uv, alpha_vv), w = alpha_u ^ alpha_v and |alpha_u|^2 |alpha_v|^2 from component jets."""
     a_u = tuple(c.deriv(1, 0) for c in cj)
     a_v = tuple(c.deriv(0, 1) for c in cj)
     a_uu = tuple(2 * c.deriv(2, 0) for c in cj)
     a_uv = tuple(c.deriv(1, 1) for c in cj)
     a_vv = tuple(2 * c.deriv(0, 2) for c in cj)
-    return (a_uu, a_uv, a_vv), jets.cross(a_u, a_v)
+    return (a_uu, a_uv, a_vv), jets.cross(a_u, a_v), jets.dot(a_u, a_u) * jets.dot(a_v, a_v)
+
+
+def _unit_coefficients(second, w, tangents, u, v):
+    """Dot products of second with the unit normal w/|w|, where tangents = |alpha_u|^2 |alpha_v|^2."""
+    ww = jets.dot(w, w)
+    norm = np.sqrt(ww)
+    # |w| = |alpha_u| |alpha_v| sin(angle), so the test does not depend on the surface's scale
+    if np.any(np.asarray(ww <= 1e-28 * tangents)):
+        raise DegenerateNormal(f"|alpha_u ^ alpha_v| = {norm} <= 1e-14 |alpha_u| |alpha_v| at (u, v) = ({u}, {v})")
+    n = tuple(wi / norm for wi in w)
+    return tuple(jets.dot(a, n) for a in second)
 
 
 def second_fundamental(surface, u, v):
@@ -62,14 +77,10 @@ def second_fundamental(surface, u, v):
 
     e = <alpha_uu, N>, f = <alpha_uv, N>, g = <alpha_vv, N> with the unit
     normal N = (alpha_u ^ alpha_v)/|alpha_u ^ alpha_v|.  Accepts scalars or
-    numpy arrays of parameter values.
+    numpy arrays of parameter values.  Raises DegenerateNormal where the
+    tangents are parallel (the module docstring gives the scale-free test).
     """
-    second, w = _second_partials(surface, u, v)
-    norm = np.sqrt(jets.dot(w, w))
-    if np.any(np.asarray(norm) < 1e-14):
-        raise DegenerateNormal(f"|alpha_u ^ alpha_v| = {norm} at (u, v) = ({u}, {v})")
-    n = tuple(wi / norm for wi in w)
-    return tuple(jets.dot(a, n) for a in second)
+    return _unit_coefficients(*_second_partials(surface.jet(u, v)), u, v)
 
 
 def second_fundamental_unnormalized(surface, u, v):
@@ -80,7 +91,7 @@ def second_fundamental_unnormalized(surface, u, v):
     and match the closed forms quoted for the rotating-type model, which
     are triple products [alpha_u, alpha_v, alpha_**].
     """
-    second, w = _second_partials(surface, u, v)
+    second, w, _ = _second_partials(surface.jet(u, v))
     return tuple(jets.dot(a, w) for a in second)
 
 
@@ -125,34 +136,29 @@ def arnold_surface(m, n, samples=64):
     """
     _check_orders(m, n)
 
-    def gamma(u):
-        return (u, u ** m, u ** n)
-
-    def normal(u):
-        return (m * u ** (m - 1), -1, 0)
-
-    def ruling(u):
-        # gamma' ^ N for gamma' = (1, m u^{m-1}, n u^{n-1})
-        return (
-            n * u ** (n - 1),
-            m * n * u ** (m + n - 2),
-            -1 - m * m * u ** (2 * (m - 1)),
-        )
+    def beta(u, v):
+        # gamma(u) + v N(u) + k1(u) v (gamma' ^ N)(u) with N = (m u^{m-1}, -1, 0)
+        # and gamma' ^ N for gamma' = (1, m u^{m-1}, n u^{n-1})
+        g = (u, u ** m, u ** n)
+        N = (m * u ** (m - 1), -1, 0)
+        R = (n * u ** (n - 1), m * n * u ** (m + n - 2), -1 - m * m * u ** (2 * (m - 1)))
+        k = arnold_k1(m, n, u)
+        return tuple(g[i] + v * N[i] + k * v * R[i] for i in range(3))
 
     def component(i):
-        def comp(u, v):
-            return gamma(u)[i] + v * normal(u)[i] + arnold_k1(m, n, u) * v * ruling(u)[i]
-
-        return comp
+        return lambda u, v: beta(u, v)[i]
 
     surface = ParamSurface([component(i) for i in range(3)], name=f"arnold:{m},{n}")
 
     us = np.linspace(-U_MAX, U_MAX, samples)
-    e_s, _, _ = second_fundamental(surface, us, 0.0 * us)
-    # the closed form is the triple-product (unnormalized) convention
-    _, f_s, _ = second_fundamental_unnormalized(surface, us, 0.0 * us)
+    vs = 0.0 * us
+    # one second-order jet of beta on the grid gives e (unit normal) and f
+    # (alpha_u ^ alpha_v, the triple-product convention of the closed form)
+    second, w, tangents = _second_partials(beta(*jets.seed((us, vs), 2)))
+    e_s, _, _ = _unit_coefficients(second, w, tangents, us, vs)
+    f_s = jets.dot(second[1], w)
     f_closed = f_on_curve(m, n, us)
-    _, f00, _ = second_fundamental(surface, 0.0, 0.0)
+    _, f00, _ = _unit_coefficients(*_second_partials(beta(*jets.seed((0.0, 0.0), 2))), 0.0, 0.0)
     scale = np.maximum(np.abs(f_closed), 1.0)
     report = {
         "m": m,

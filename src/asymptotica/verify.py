@@ -116,18 +116,21 @@ def checks(seed=0):
         xi = planefield.AmbientField(("z - y", "1 + 0*x", "1 + y*y"))
         chart = tubular.TubularChart(_circle_curve())
         direct = tubular.binary_equation_data(xi, chart)
-        r, worst = chart.radius, 0.0
+        r, worst, far = chart.radius, 0.0, 0
         for phi in ("2 + sin(x)*cos(y) + z^2", "1 + x^2/20", "3 - cos(z)", "exp(y)", "2 + sin(x*y)"):
             scaled = tubular.binary_equation_data(planefield.gauge_scale(xi, phi), chart)
             hits = 0
             while hits < 100:
                 point = (rng.uniform(0.0, 2 * math.pi), rng.uniform(-r, r), rng.uniform(-r, r))
-                s1, s2 = (flow.branch_slopes(*efgab(*point)[:3])[0] for efgab in (direct, scaled))
+                picks = [flow.branch_slopes(*efgab(*point)[:3]) for efgab in (direct, scaled)]
+                (s1, _), (s2, _) = picks
                 if len(s1) != 2 or len(s2) != 2:
                     continue
                 hits += 1
                 worst = max(worst, max(abs(a - b) for a, b in zip(sorted(s1), sorted(s2))))
-        return [("worst slope deviation", worst, 1e-9)]
+                # without a previous slope every path starts on the root of least modulus
+                far += sum(p != min(s, key=abs) for s, p in picks)
+        return [("worst slope deviation", worst, 1e-9), ("selected slope not the root of least modulus", far, 0)]
 
     def properties():
         trips = jet_fd = drift = residual = liouville = det_failures = 0.0

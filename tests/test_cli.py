@@ -651,10 +651,17 @@ def _sum_over_left_denominator(self, other, sign):
     return rational_series._series([a + sign * b for a, b in zip(s._num, o._num)], s._den, s.order)
 
 
+def _far_root(e, f, g, prev_p=None, _real=flow.branch_slopes):
+    # branch_slopes selecting the other root of the quadratic
+    slopes, selected = _real(e, f, g, prev_p)
+    return slopes, slopes[-1] if selected == slopes[0] else slopes[0]
+
+
 # each mutant of the library: the check that has to catch it, and the patch
 MUTANTS = {
     "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
     "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),
+    "far-root": ("gauge", (flow, "branch_slopes", _far_root)),
     "M-without-B": ("fd-oracle", (monodromy, "variational_matrix", _m_without_b)),
     "series-sum-over-left-denominator": ("t5", (rational_series.PowerSeriesQ, "_combine", _sum_over_left_denominator)),
 }

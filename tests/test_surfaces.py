@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from asymptotica import surfaces
 from asymptotica.surfaces import (
     DegenerateNormal,
     ParamSurface,
@@ -52,6 +53,19 @@ def test_degenerate_normal_raises():
     s = ParamSurface([lambda u, v: u, lambda u, v: u, lambda u, v: 0 * u])
     with pytest.raises(DegenerateNormal):
         second_fundamental(s, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e8])
+def test_degenerate_normal_test_is_scale_free(s):
+    # (e, f, g) scale with the surface, and the degeneracy test with it
+    def surface(k):
+        return ParamSurface([lambda u, v: k * u, lambda u, v: k * v, lambda u, v: k * (u * v + u * u)])
+
+    unit = second_fundamental(surface(1.0), 0.1, 0.2)
+    assert second_fundamental(surface(s), 0.1, 0.2) == pytest.approx(tuple(s * c for c in unit), rel=1e-12, abs=0)
+    line = ParamSurface([lambda u, v: s * u, lambda u, v: s * u, lambda u, v: 0 * u])
+    with pytest.raises(DegenerateNormal):
+        second_fundamental(line, 0.1, 0.2)
 
 
 def test_unnormalized_scales_by_normal_length():
@@ -108,3 +122,36 @@ def test_f_closed_form_matches_triple_product():
     for m, n in ((2, 3), (3, 4), (2, 4)):
         _, report = arnold_surface(m, n)
         assert report["max_rel_f_mismatch"] <= 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 5), (2, 9), (8, 9)])
+def test_arnold_report_matches_generic_path(m, n):
+    # the report's one grid jet and one origin jet give the bits of the per-component path
+    surface, report = arnold_surface(m, n)
+    us = report["u"]
+    e, _, _ = second_fundamental(surface, us, 0.0 * us)
+    _, f, _ = second_fundamental_unnormalized(surface, us, 0.0 * us)
+    _, f00, _ = second_fundamental(surface, 0.0, 0.0)
+    closed = np.asarray(f_on_curve(m, n, us), dtype=float)
+    mismatch = np.max(np.abs(f - closed) / np.maximum(np.abs(closed), 1.0))
+    assert report["e_on_curve"].tobytes() == np.asarray(e, dtype=float).tobytes()
+    assert report["f_on_curve"].tobytes() == np.asarray(f, dtype=float).tobytes()
+    assert report["f_closed_form"].tobytes() == closed.tobytes()
+    assert np.float64(report["f00"]).tobytes() == np.float64(f00).tobytes()
+    assert np.float64(report["max_abs_e"]).tobytes() == np.max(np.abs(e)).tobytes()
+    assert np.float64(report["max_rel_f_mismatch"]).tobytes() == mismatch.tobytes()
+
+
+def test_arnold_surface_evaluates_the_model_twice(monkeypatch):
+    # one model evaluation on the grid and one at the origin
+    calls = []
+
+    def counted(m, n, u, _real=arnold_k1):
+        calls.append(u)
+        return _real(m, n, u)
+
+    monkeypatch.setattr(surfaces, "arnold_k1", counted)
+    for m, n in ((2, 3), (4, 7)):
+        calls.clear()
+        arnold_surface(m, n)
+        assert len(calls) == 2
