@@ -11,7 +11,8 @@ Grammar notes:
   * ``^`` is right-associative and binds tighter than unary minus, so
     ``-x^2`` is ``-(x^2)``.
   * ``^`` accepts integer exponents only (optionally negated or in
-    parentheses); anything else is rejected at parse time.
+    parentheses, or a chain such as 3^2 of at most MAX_CHAIN); anything
+    else is rejected at parse time.
   * numeric literals are exact rationals; at evaluation they stay exact when
     no variable is bound or any bound value is exact (an int, a Fraction or
     a jet over one), and otherwise become ints (integer literals) or floats.
@@ -35,6 +36,7 @@ from . import jets
 
 VARIABLES = ("x", "y", "z", "u", "v")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
+MAX_CHAIN = 10**6  # the largest value of an exponent chain such as 3^2 in x^3^2
 
 
 class ExprError(Exception):
@@ -215,10 +217,13 @@ class _Parser:
         if kind == "num" and "." not in text:
             self.advance()
             value = int(text)
-            # right-associative chains: x^3^2 is x^(3^2)
+            # right-associative chains: x^3^2 is x^(3^2), checked before the power is built (b^n >= 2^n for b >= 2)
             if self.peek()[0] == "^":
                 self.advance()
-                value = value ** self.integer_exponent()
+                n = self.integer_exponent()
+                if n < 0 and value != 1 or value > 1 and (n >= MAX_CHAIN.bit_length() or value**n > MAX_CHAIN):
+                    raise ParseError(f"exponent chain is not an integer of at most {MAX_CHAIN}", off)
+                value **= abs(n)  # 1^-n is 1
             return value
         raise ParseError("exponent must be an integer", off, expected=("integer literal",))
 

@@ -139,19 +139,18 @@ class ChartSpectralCache:
             axis=1,
         )
 
-    def efgab(self, x, y, z, row=None):
-        """(e, f, g, A, B) at the point (x, y, z) of floats.  row, when given,
-        is self.series(x).tolist() already evaluated (a row of rk45's stage
+    def efgab(self, x, y, z, row):
+        """(e, f, g, A, B) at the point (x, y, z) of floats.  row is
+        self.series(x).tolist() already evaluated (a row of rk45's stage
         table, shared by a lockstep batch).  The cubic of CACHE_DEGREE = 3 is
         written out: a loop over self.monomials costs the FD batch about 40 %
         more."""
-        c = self.series(x).tolist() if row is None else row
         yy, yz, zz = y * y, y * z, z * z
         yyy, yyz, yzz, zzz = yy * y, yz * y, yz * z, zz * z
         return [  # the monomials 1, z, y, z^2, yz, y^2, z^3, yz^2, y^2 z, y^3 of each quantity
-            c[k] + c[k + 1] * z + c[k + 2] * y + c[k + 3] * zz + c[k + 4] * yz + c[k + 5] * yy
-            + c[k + 6] * zzz + c[k + 7] * yzz + c[k + 8] * yyz + c[k + 9] * yyy
-            for k in range(0, len(c), 10)
+            row[k] + row[k + 1] * z + row[k + 2] * y + row[k + 3] * zz + row[k + 4] * yz + row[k + 5] * yy
+            + row[k + 6] * zzz + row[k + 7] * yzz + row[k + 8] * yyz + row[k + 9] * yyy
+            for k in range(0, len(row), 10)
         ]
 
 
@@ -216,30 +215,29 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
     combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
     stays because bench/tracer.py patches flow.rk45; a rename waits on a
-    benchmark change.  x1 is the end point or a sequence of stations ending
-    there; a step lands exactly on each, keeping step size and first stage.
+    benchmark change.  The last step lands exactly on the end point x1.
     rhs(x, y) -> dy/dx; it may raise _Stop.  coefficients, when given, is a
     vectorised function of x alone (a fitted series or monodromy's M),
     evaluated once per step attempt at the 11 abscissae of
     stages 1 to 11 (stage 0 is the last step's final slope): stage i calls
     rhs(x_i, y_i, row_(i-1)), the first-same-as-last stage reuses the last
-    row, and so does on_accept unless a landing on a station rounds x away
-    from x + h; the start takes one row at x0.
+    row, and so does on_accept unless the landing on x1 rounds x away from
+    x + h; the start takes one row at x0.
     A stop inside a step halves the step, since overshooting may cause it,
     and ends the run once the step is down to 4 MIN_STEP.  A NaN error
     estimate rejects and shrinks the step, so such a run ends in a
     "singular" step-size underflow, as does a run that has made MAX_STEPS
     step attempts.  on_accept(x, y[, last row]) is called at every accepted
     step.  A step is at most 1/8 of the run, the first 1/16.
-    Returns (x, y, stats) at the last station, or at the last accepted point
+    Returns (x, y, stats) at x1, or at the last accepted point
     after a stop; stats holds "steps", "rejected", "min_step", "status"
     ("reached" or the stop's) and "reason".
     """
     y = np.array(y0, dtype=float)
     x = float(x0)
-    stations = np.atleast_1d(np.asarray(x1, dtype=float)).tolist()
-    direction = 1.0 if stations[-1] >= x else -1.0
-    span = abs(stations[-1] - x)
+    x1 = float(x1)
+    direction = 1.0 if x1 >= x else -1.0
+    span = abs(x1 - x)
     max_step = span / 8 if span > 0 else 1.0
     h = span / 16 if span > 0 else max_step
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
@@ -248,49 +246,48 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
         # the stage slopes of one step, one flattened row per stage
         ks = np.empty((12, y.size))
         rows = [()] * 11  # the extra rhs argument of stages 1 to 11
-        for station in stations:
-            tiny = 1e-15 * max(1.0, abs(station))
-            while (remaining := direction * (station - x)) > tiny:
-                step = remaining if h >= remaining - tiny else h
-                if step < MIN_STEP:
-                    raise _Stop("singular", f"step size underflow at x = {x}")
-                if stats["steps"] + stats["rejected"] >= MAX_STEPS:
-                    raise _Stop("singular", f"step budget of {MAX_STEPS} attempts spent at x = {x}")
-                dh = direction * step
-                try:
-                    if coefficients is not None:
-                        rows = [(row,) for row in coefficients(x + dh * _STAGES)]
-                    ks[0] = f0.reshape(-1)
-                    for i in range(1, 12):
-                        yi = y + dh * (_A[i] @ ks[:i]).reshape(y.shape)
-                        ks[i] = rhs(x + dh * _C[i], yi, *rows[i - 1]).reshape(-1)
-                    y1 = y + dh * (_B @ ks).reshape(y.shape)
-                    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
-                    err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
-                    # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
-                    err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
-                    if err <= 1.0:
-                        f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
-                except _Stop:
-                    if step <= 4 * MIN_STEP:
-                        raise
-                    h = step / 2
-                    stats["rejected"] += 1
-                    continue
+        tiny = 1e-15 * max(1.0, abs(x1))
+        while (remaining := direction * (x1 - x)) > tiny:
+            step = remaining if h >= remaining - tiny else h
+            if step < MIN_STEP:
+                raise _Stop("singular", f"step size underflow at x = {x}")
+            if stats["steps"] + stats["rejected"] >= MAX_STEPS:
+                raise _Stop("singular", f"step budget of {MAX_STEPS} attempts spent at x = {x}")
+            dh = direction * step
+            try:
+                if coefficients is not None:
+                    rows = [(row,) for row in coefficients(x + dh * _STAGES)]
+                ks[0] = f0.reshape(-1)
+                for i in range(1, 12):
+                    yi = y + dh * (_A[i] @ ks[:i]).reshape(y.shape)
+                    ks[i] = rhs(x + dh * _C[i], yi, *rows[i - 1]).reshape(-1)
+                y1 = y + dh * (_B @ ks).reshape(y.shape)
+                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
+                err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
+                # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
+                err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
                 if err <= 1.0:
-                    end = x + dh
-                    x = station if step == remaining else end
-                    y = y1
-                    stats["steps"] += 1
-                    stats["min_step"] = min(stats["min_step"], step)
-                    if on_accept is not None:
-                        # the last row is at x + dh, which may miss the station by a rounding
-                        on_accept(x, y, *(rows[-1] if x == end else ()))
-                else:
-                    stats["rejected"] += 1
-                # a NaN estimate (no comparison holds) shrinks the step
-                factor = 0.9 * err ** -0.125 if err > 0 else (5.0 if err == 0 else 0.2)
-                h = min(max_step, step * min(5.0, max(0.2, factor)))
+                    f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
+            except _Stop:
+                if step <= 4 * MIN_STEP:
+                    raise
+                h = step / 2
+                stats["rejected"] += 1
+                continue
+            if err <= 1.0:
+                end = x + dh
+                x = x1 if step == remaining else end
+                y = y1
+                stats["steps"] += 1
+                stats["min_step"] = min(stats["min_step"], step)
+                if on_accept is not None:
+                    # the last row is at x + dh, which may miss x1 by a rounding
+                    on_accept(x, y, *(rows[-1] if x == end else ()))
+            else:
+                stats["rejected"] += 1
+            # a NaN estimate (no comparison holds) shrinks the step
+            factor = 0.9 * err ** -0.125 if err > 0 else (5.0 if err == 0 else 0.2)
+            h = min(max_step, step * min(5.0, max(0.2, factor)))
     except _Stop as stop:
         stats["status"], stats["reason"] = stop.status, stop.reason
     return x, y, stats

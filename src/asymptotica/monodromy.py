@@ -122,15 +122,16 @@ def eigenvalues_2x2(Q):
     return complex(tr / 2, r / 2), complex(tr / 2, -r / 2)
 
 
-def monodromy(field, chart, period, cache=None, checkpoints=None):
+def monodromy(field, chart, period, cache=None):
     """Solve Q' = M(x) Q over one period and classify hyperbolicity.
 
     cache may be a prebuilt VariationalCache (reused across calls), None to
     build one, or False for the direct oracle, which evaluates M through
     the pipeline: one vector order-1 pass per step attempt, at the stage
     abscissae of rk45's stage table, as the cached path reads its fit there.
-    checkpoints, when given, collects (x, Q(x)) pairs at that many uniform
-    stations for identity tests, on which the one integration lands steps.
+    stats are rk45's plus "det_nonpositive", the accepted steps at which
+    det Q <= 0 (Liouville's identity keeps det Q positive); counting them
+    does not change the steps.
     """
     period = float(period)
     if cache is False:
@@ -140,21 +141,17 @@ def monodromy(field, chart, period, cache=None, checkpoints=None):
         vc = cache if isinstance(cache, VariationalCache) else VariationalCache(field, chart, period)
         mfn = vc.matrix
 
-    stations = np.linspace(0.0, period, checkpoints + 1)[1:].tolist() if checkpoints else period
-    collected = []
+    dets = []  # det Q after every accepted step
 
     def rhs(x, qflat, m):  # M(x) is the row of rk45's stage table
         return (m @ qflat.reshape(2, 2)).reshape(4)
 
-    def on_accept(x, q, *_):  # M's row is passed too
-        if x in stations:  # a step that lands on a station ends exactly there
-            collected.append((x, q.reshape(2, 2).copy()))
-
     _, q, stats = flow.rk45(
-        rhs, 0.0, stations, np.eye(2).reshape(4), rtol=RTOL, atol=ATOL, on_accept=on_accept if checkpoints else None,
-        coefficients=mfn,
+        rhs, 0.0, period, np.eye(2).reshape(4), rtol=RTOL, atol=ATOL, coefficients=mfn,
+        on_accept=lambda x, q, *_: dets.append(q[0] * q[3] - q[1] * q[2]),
     )
     flow.require_reached(stats)
+    stats["det_nonpositive"] = sum(1 for d in dets if d <= 0)
     Q = q.reshape(2, 2)
 
     ev = eigenvalues_2x2(Q)
@@ -203,7 +200,7 @@ def monodromy(field, chart, period, cache=None, checkpoints=None):
         triangular=triangular,
         integrals=integrals,
         det_residual=det_residual,
-        stats=dict(stats, checkpoints=collected) if checkpoints else stats,
+        stats=stats,
     )
 
 

@@ -1,6 +1,6 @@
 """Parametrized surfaces and the rotating-type local model.
 
-A ParamSurface wraps three component functions of (u, v) evaluated through
+A ParamSurface wraps one map (u, v) -> three components, evaluated through
 two-variable jets; second_fundamental extracts the coefficients (e, f, g) of
 the binary asymptotic equation e du^2 + 2 f du dv + g dv^2 = 0.  The normal
 degenerates where |alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v|, a test
@@ -15,9 +15,10 @@ profile k1(u) below to produce the ruled surface
 whose v = 0 line is asymptotic (e(u, 0) = 0) and whose mixed coefficient
 f(u, 0) has the closed form implemented in f_on_curve.  f(0, 0) is nonzero
 exactly when n = m + 1, which is the rotating-type criterion.
-arnold_surface evaluates beta once, as three components, on a second-order
-jet of its u-grid: e against the unit normal and f against alpha_u ^ alpha_v
-both come from that jet, and f(0, 0) from one more jet at the origin.
+arnold_surface evaluates beta once on a second-order jet of its u-grid: e
+against the unit normal and f against alpha_u ^ alpha_v both come from that
+jet, and f(0, 0) from one more jet at the origin.  The surface it returns is
+beta itself, so each point set evaluates the model once.
 """
 
 from __future__ import annotations
@@ -34,21 +35,21 @@ class DegenerateNormal(Exception):
 
 
 class ParamSurface:
-    """Surface (u, v) -> R^3 given by three ring-generic component functions."""
+    """Surface given by one ring-generic map alpha(u, v) -> its three components."""
 
-    def __init__(self, components, name=""):
-        if len(components) != 3:
-            raise ValueError("a surface needs exactly three component functions")
-        self.components = tuple(components)
+    def __init__(self, alpha, name=""):
+        self.alpha = alpha
         self.name = name
 
     def point(self, u, v):
-        return np.array([float(jets.value_of(c(u, v))) for c in self.components])
+        return np.array([float(jets.value_of(c)) for c in self.alpha(u, v)])
 
     def jet(self, u, v):
         """Component jets at (u, v) to second order, as far as second_fundamental reads."""
-        uj, vj = jets.seed((u, v), 2)
-        return tuple(c(uj, vj) for c in self.components)
+        cj = tuple(self.alpha(*jets.seed((u, v), 2)))
+        if len(cj) != 3:
+            raise ValueError(f"a surface map returns three components, got {len(cj)}")
+        return cj
 
 
 def _second_partials(cj):
@@ -145,10 +146,7 @@ def arnold_surface(m, n, samples=64):
         k = arnold_k1(m, n, u)
         return tuple(g[i] + v * N[i] + k * v * R[i] for i in range(3))
 
-    def component(i):
-        return lambda u, v: beta(u, v)[i]
-
-    surface = ParamSurface([component(i) for i in range(3)], name=f"arnold:{m},{n}")
+    surface = ParamSurface(beta, name=f"arnold:{m},{n}")
 
     us = np.linspace(-U_MAX, U_MAX, samples)
     vs = 0.0 * us

@@ -24,4 +24,4 @@ def t1_chart(t1_field):
 
 @pytest.fixture(scope="session")
 def t1_monodromy(t1_field, t1_chart):
-    return monodromy.monodromy(t1_field, t1_chart, 2.0 * math.pi, checkpoints=16)
+    return monodromy.monodromy(t1_field, t1_chart, 2.0 * math.pi)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -421,6 +422,14 @@ def test_field_expression_error_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("chain", ["2^-1", "9^9^9"])
+@pytest.mark.parametrize("command", [["curvature"], ["classify"], ["integrability", "--point", "0.1,0.2,0.3"]])
+def test_exponent_chain_error_is_one_usage_line(capsys, chain, command):
+    doc = json.dumps({"xi": [f"y^{chain} + 1", "x", "z + 1"]})
+    code, _, err = run(capsys, command[0], "--field", doc, *command[1:])
+    assert code == 2 and len(err.splitlines()) == 1 and "exponent chain" in err
+
+
 def test_inline_field_document(capsys):
     doc = json.dumps({"xi": ["z - y", "1 + 0*x", "1 + y*y"], "curve": "circle"})
     code, out, _ = run(capsys, "classify", "--field", doc, "--samples", "4", "--format", "json")
@@ -618,6 +627,28 @@ def test_verify_paper_json_format(capsys):
     assert doc["checks"][0]["name"] == "circle"
     assert {row["label"] for row in doc["checks"][0]["measurements"]} >= {"max |normal curvature|"}
     assert all(check["passed"] == _passed_by_rows(check) for check in doc["checks"])
+
+
+def test_verify_paper_certifies_the_q_that_poincare_prints(monkeypatch, capsys):
+    # the t1 rows read a monodromy run identical to the one of `poincare --field t1`, bit for bit
+    results = []
+
+    def recorded(*args, _real=monodromy.monodromy, **kwargs):
+        results.append(_real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(monodromy, "monodromy", recorded)
+    code, out, _ = run(capsys, "poincare", "--field", "t1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    checks = dict(verify.checks())
+    rows = {label: measured for name in ("t1-eigenvalues", "properties") for label, measured, _ in checks[name]()}
+    printed, certified = results
+    assert certified.Q.tobytes() == printed.Q.tobytes() and certified.Q.tolist() == doc["Q"]
+    want = (math.exp(-25 * math.pi / 8), math.exp(2 * math.pi))
+    moduli = sorted(abs(complex(ev["re"], ev["im"])) for ev in doc["eigenvalues"])
+    assert rows["max relative eigenvalue error"] == max(abs(a - b) / b for a, b in zip(moduli, want))
+    assert rows["Liouville residual"] == doc["det_residual"]
 
 
 def _fd_times_1_001(*args, _real=monodromy.fd_poincare_derivative, **kwargs):

@@ -66,6 +66,22 @@ def test_power_right_associative():
     assert evaluate(parse("x^3^2"), {"x": 2.0}) == 2.0 ** 9
 
 
+@pytest.mark.parametrize(
+    "source, offset", [("x^2^-1", 2), ("x^0^(-1)", 2), ("x^2^20", 2), ("x^9^9^9", 4), ("x^9^9^7", 4)]
+)
+def test_exponent_chain_that_is_no_bounded_integer_is_a_parse_error(source, offset):
+    # decided before the power is built: 9^9^9 would have 369 million digits
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert info.value.offset == offset
+
+
+def test_exponent_chains_that_fold():
+    assert parse("x^3^2") == Pow(Var("x"), 9)
+    assert parse("x^1^-5") == Pow(Var("x"), 1)
+    assert parse("x^10^6") == Pow(Var("x"), exprlang.MAX_CHAIN)
+
+
 def test_noninteger_exponent_rejected_at_parse_time():
     with pytest.raises(ParseError):
         parse("x^y")

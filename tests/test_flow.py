@@ -154,7 +154,7 @@ def test_cache_matches_direct_pipeline(t1_field, t1_chart):
     zs = rng.uniform(-2e-4, 2e-4, 20)
     i, j = np.array(cache.monomials).T
     for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
-        got = cache.efgab(x, y, z)
+        got = cache.efgab(x, y, z, cache.series(x).tolist())
         assert got == cache.efgab(x, y, z, cache.series(np.array([x])).tolist()[0])
         # the float polynomial is the series' coefficients times the monomials
         table = cache.series(x).reshape(len(got), len(cache.monomials))
@@ -269,26 +269,17 @@ def test_tableau_is_consistent():
 
 def test_rk45_observed_order_is_eight():
     # y' = y cos x has y = exp(sin x), back to 1 after one period; huge
-    # tolerances accept every step, so n uniform stations fix the step size
+    # tolerances accept every step, so n runs chained over uniform intervals
+    # take the same 9 steps each, scaled by 1/n (16 against 32 runs reaches roundoff)
     errors = []
-    for n in (16, 32):
-        _, y, stats = rk45(
-            lambda x, y: y * math.cos(x), 0.0, np.linspace(0, 2 * math.pi, n + 1)[1:], np.array([1.0]),
-            rtol=1e10, atol=1e10,
-        )
-        assert (stats["steps"], stats["rejected"]) == (n, 0)
+    for n in (2, 4):
+        y = np.array([1.0])
+        edges = np.linspace(0, 2 * math.pi, n + 1).tolist()
+        for a, b in zip(edges, edges[1:]):
+            _, y, stats = rk45(lambda x, y: y * math.cos(x), a, b, y, rtol=1e10, atol=1e10)
+            assert (stats["steps"], stats["rejected"]) == (9, 0)
         errors.append(abs(y[0] - 1.0))
     assert errors[0] >= 2**7 * errors[1] > 0
-
-
-def test_rk45_lands_on_every_station():
-    seen = []
-    stations = [0.25, 0.5, 1.0]
-    x, y, stats = rk45(lambda x, y: y, 0.0, stations, np.array([1.0]), on_accept=lambda x, y: seen.append(x))
-    assert set(stations) <= set(seen) and x == 1.0
-    assert y[0] == pytest.approx(math.e, rel=1e-9)
-    _, plain, _ = rk45(lambda x, y: y, 0.0, 1.0, np.array([1.0]))
-    assert y[0] == pytest.approx(plain[0], rel=1e-10)
 
 
 @pytest.fixture
@@ -367,19 +358,19 @@ def test_stage_table_matches_evaluating_the_coefficients_per_stage():
 
 def test_every_row_lies_at_the_abscissa_that_reads_it():
     # with the abscissa itself as the row, each stage and each accepted step
-    # can check its row; a landing whose x + h rounds away from the station
-    # (here the first) passes on_accept no row
+    # can check its row; a landing whose x + h rounds away from the end point
+    # (as here) passes on_accept no row
     seen = []
 
     def rhs(x, y, row):
         assert row == x
         return np.cos(x) * y
 
-    stations = [0.16720508430044376, 0.3810124269313443, 0.5125805437872851, 1.1819580885022483]
-    rk45(rhs, -0.04199605819447161, stations, np.array([1.0]), rtol=1e-6, coefficients=lambda xs: xs,
+    x1 = 0.0019439320867797743
+    rk45(rhs, -0.061636570372949076, x1, np.array([1.0]), rtol=1e-6, coefficients=lambda xs: xs,
          on_accept=lambda x, y, *row: seen.append((x, row)))
     assert all(row == (x,) for x, row in seen if row)
-    assert (stations[0], ()) in seen and any(row for _, row in seen)
+    assert seen[-1] == (x1, ()) and any(row for _, row in seen)
 
 
 @pytest.fixture

@@ -65,6 +65,7 @@ def test_every_public_name_resolves():
 # option is added or removed on purpose, together with this list.
 PARAMETERS = {
     asymptotica.ChartSpectralCache: ["field", "chart", "period"],
+    asymptotica.ParamSurface: ["alpha", "name"],
     asymptotica.TubularChart: ["curve"],
     asymptotica.TubularField: ["curve", "coefficients", "name"],
     asymptotica.arnold_surface: ["m", "n", "samples"],
@@ -83,7 +84,7 @@ PARAMETERS = {
     asymptotica.realize_t5: ["curve"],
     flow.rk45: ["rhs", "x0", "x1", "y0", "rtol", "atol", "on_accept", "coefficients"],
     monodromy.VariationalCache: ["field", "chart", "period"],
-    monodromy.monodromy: ["field", "chart", "period", "cache", "checkpoints"],
+    monodromy.monodromy: ["field", "chart", "period", "cache"],
 }
 
 

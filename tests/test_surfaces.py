@@ -16,13 +16,13 @@ from asymptotica.surfaces import (
 
 
 def test_plane_has_zero_second_fundamental():
-    plane = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: 0 * u])
+    plane = ParamSurface(lambda u, v: (u, v, 0 * u))
     e, f, g = second_fundamental(plane, 0.3, -0.7)
     assert (e, f, g) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_hyperbolic_paraboloid_mixed_coefficient():
-    s = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: u * v])
+    s = ParamSurface(lambda u, v: (u, v, u * v))
     e, f, g = second_fundamental(s, 0.0, 0.0)
     assert e == pytest.approx(0.0, abs=1e-14)
     assert g == pytest.approx(0.0, abs=1e-14)
@@ -36,7 +36,7 @@ def test_sphere_elliptic():
     def z(u, v):
         return jets.sqrt(1 - u * u - v * v)
 
-    s = ParamSurface([lambda u, v: u, lambda u, v: v, z])
+    s = ParamSurface(lambda u, v: (u, v, z(u, v)))
     e, f, g = second_fundamental(s, 0.1, 0.2)
     assert e * g - f * f > 0
 
@@ -44,13 +44,13 @@ def test_sphere_elliptic():
 def test_cylinder_parabolic():
     import asymptotica.jets as jets
 
-    s = ParamSurface([lambda u, v: jets.cos(u), lambda u, v: jets.sin(u), lambda u, v: v])
+    s = ParamSurface(lambda u, v: (jets.cos(u), jets.sin(u), v))
     e, f, g = second_fundamental(s, 0.4, 1.0)
     assert e * g - f * f == pytest.approx(0.0, abs=1e-13)
 
 
 def test_degenerate_normal_raises():
-    s = ParamSurface([lambda u, v: u, lambda u, v: u, lambda u, v: 0 * u])
+    s = ParamSurface(lambda u, v: (u, u, 0 * u))
     with pytest.raises(DegenerateNormal):
         second_fundamental(s, 0.0, 0.0)
 
@@ -59,17 +59,17 @@ def test_degenerate_normal_raises():
 def test_degenerate_normal_test_is_scale_free(s):
     # (e, f, g) scale with the surface, and the degeneracy test with it
     def surface(k):
-        return ParamSurface([lambda u, v: k * u, lambda u, v: k * v, lambda u, v: k * (u * v + u * u)])
+        return ParamSurface(lambda u, v: (k * u, k * v, k * (u * v + u * u)))
 
     unit = second_fundamental(surface(1.0), 0.1, 0.2)
     assert second_fundamental(surface(s), 0.1, 0.2) == pytest.approx(tuple(s * c for c in unit), rel=1e-12, abs=0)
-    line = ParamSurface([lambda u, v: s * u, lambda u, v: s * u, lambda u, v: 0 * u])
+    line = ParamSurface(lambda u, v: (s * u, s * u, 0 * u))
     with pytest.raises(DegenerateNormal):
         second_fundamental(line, 0.1, 0.2)
 
 
 def test_unnormalized_scales_by_normal_length():
-    s = ParamSurface([lambda u, v: u, lambda u, v: v, lambda u, v: u * v + u * u])
+    s = ParamSurface(lambda u, v: (u, v, u * v + u * u))
     u0, v0 = 0.3, -0.2
     e1, f1, g1 = second_fundamental(s, u0, v0)
     e2, f2, g2 = second_fundamental_unnormalized(s, u0, v0)
@@ -143,7 +143,8 @@ def test_arnold_report_matches_generic_path(m, n):
 
 
 def test_arnold_surface_evaluates_the_model_twice(monkeypatch):
-    # one model evaluation on the grid and one at the origin
+    # one model evaluation on the grid and one at the origin; the returned
+    # surface is the model map, so each of its point sets evaluates it once
     calls = []
 
     def counted(m, n, u, _real=arnold_k1):
@@ -153,5 +154,10 @@ def test_arnold_surface_evaluates_the_model_twice(monkeypatch):
     monkeypatch.setattr(surfaces, "arnold_k1", counted)
     for m, n in ((2, 3), (4, 7)):
         calls.clear()
-        arnold_surface(m, n)
+        surface, _ = arnold_surface(m, n)
         assert len(calls) == 2
+        us = np.linspace(-0.4, 0.4, 5)
+        for probe in (lambda: second_fundamental(surface, us, 0.0 * us), lambda: surface.point(0.1, 0.2)):
+            calls.clear()
+            probe()
+            assert len(calls) == 1
