@@ -241,7 +241,10 @@ def is_starlike_projection(curve, samples=256):
     Returns (flag, witness): witness is a star point of the kernel when the
     projection is starlike, else None.  The projection is approximated by a
     polygon at the given sampling density and its kernel computed by clipping
-    with the half-plane of every edge.
+    with the half-plane of every edge.  The polygon's angle about the kernel's
+    centroid rises along every edge, so a winding number of +-1 proves it simple
+    (else NotSimple).  A kernel that is empty or has no area (its centroid may
+    lie on an edge's line) takes the O(n^2) simplicity test instead.
     """
     if not curve.closed:
         raise CurveError("starlike test needs a closed curve")
@@ -255,14 +258,27 @@ def is_starlike_projection(curve, samples=256):
     pts = _dedupe(pts)
     if len(pts) < 3:
         raise NotSimple("projection degenerates to fewer than three distinct points")
-    if not _is_simple_polygon(pts):
-        raise NotSimple("projected polygon self-intersects")
     kernel = polygon_kernel(pts)
+    flat = kernel is None or _area2(kernel) <= 0
+    if flat and not _is_simple_polygon(pts):
+        raise NotSimple("projected polygon self-intersects")
     if kernel is None:
         return False, None
-    cx = sum(p[0] for p in kernel) / len(kernel)
-    cy = sum(p[1] for p in kernel) / len(kernel)
-    return True, (cx, cy)
+    witness = (sum(p[0] for p in kernel) / len(kernel), sum(p[1] for p in kernel) / len(kernel))
+    if not flat and abs(_winding(pts, witness)) != 1:
+        raise NotSimple("projected polygon self-intersects")
+    return True, witness
+
+
+def _area2(pts):
+    """Twice the signed area of a polygon (positive counter-clockwise)."""
+    return sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _winding(pts, c):
+    """The winding number of a closed polygon about a point c off it."""
+    z = np.array([complex(*p) for p in pts]) - complex(*c)
+    return round(float(np.sum(np.angle(np.roll(z, -1) / z))) / (2 * math.pi))
 
 
 def _dedupe(pts):
@@ -303,8 +319,7 @@ def _is_simple_polygon(pts):
 
 def polygon_kernel(pts):
     """Kernel of a simple polygon via successive half-plane clipping, or None."""
-    area2 = sum(pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1] for i in range(len(pts)))
-    if area2 < 0:
+    if _area2(pts) < 0:
         pts = list(reversed(pts))
     lo_x = min(p[0] for p in pts) - 1.0
     hi_x = max(p[0] for p in pts) + 1.0

@@ -4,9 +4,9 @@ The line field is implicit: at each point the slope p = dy/dx solves
 g p^2 + 2 f p + e = 0, and dz/dx = A + B p.  One tracker follows one root
 branch per point by continuity (nearest root to the previously accepted
 slope), with rk45, the one adaptive integrator (DOP853, which monodromy uses
-too).  It tracks n points (y, z) in lockstep in plain Python floats, point
-by point at every stage: a single chart path is n = 1 and the
-finite-difference batch n = 4.  An x-only part of the right-hand side is
+too), whose state is a flat list of Python floats.  It tracks n points
+(y, z) in lockstep, point by point at every stage: a single chart path is
+n = 1 and the finite-difference batch n = 4.  An x-only part of the right-hand side is
 read from one evaluation per step attempt at the 11 abscissae of stages 1
 to 11: monodromy's M (fitted or direct) or a cached batch's series; a chart
 path without a cache replays one recorded tubular.ChartProgram at every
@@ -199,6 +199,21 @@ _ERR = np.array((
 ))
 
 
+def _stage_sum(expression, rows):
+    """lambda y, dh, ks: [expression for v, k_i, ... in zip(y, ks[i], ...)], {j} in
+    expression being the sum of w * k_i over the nonzero weights w of rows[j],
+    written as round-trip literals: the tableau above stays the one copy."""
+    used = sorted({i for row in rows for i, w in enumerate(row) if w})
+    sums = ["(" + " + ".join(f"{float(w)!r} * k{i}" for i, w in enumerate(row) if w) + ")" for row in rows]
+    names, slopes = "".join(f", k{i}" for i in used), "".join(f", ks[{i}]" for i in used)
+    return eval(f"lambda y, dh, ks: [{expression.format(*sums)} for v{names} in zip(y{slopes})]")
+
+
+_STAGE_STATES = [None] + [_stage_sum("v + dh * {0}", [row]) for row in _A[1:]]  # stage i's state
+_UPDATE = _stage_sum("v + dh * {0}", [_B])
+_ERRORS = _stage_sum("({0}, {1})", _ERR)
+
+
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
 
 
@@ -211,15 +226,17 @@ class _Stop(Exception):
 
 
 def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=None):
-    """Adaptive Runge-Kutta of order 8 (DOP853); y may be any numpy array shape.
+    """Adaptive Runge-Kutta of order 8 (DOP853) on a flat list of floats.
     Dormand-Prince 8(5,3): 12 stages plus first-same-as-last, Hairer's
     combined 5th- and 3rd-order error estimate, step exponent -1/8.  The name
     stays because bench/tracer.py patches flow.rk45; a rename waits on a
     benchmark change.  The last step lands exactly on the end point x1.
-    rhs(x, y) -> dy/dx; it may raise _Stop.  coefficients, when given, is a
-    vectorised function of x alone (a fitted series or monodromy's M),
-    evaluated once per step attempt at the 11 abscissae of
-    stages 1 to 11 (stage 0 is the last step's final slope): stage i calls
+    The state y is y0's entries in C order as a list of Python floats (numpy's
+    per-call cost exceeds the arithmetic on a few entries); rhs(x, y) -> dy/dx
+    returns a flat sequence and may raise _Stop.  coefficients, when given, is a
+    vectorised function of x alone (a fitted series or monodromy's M), evaluated
+    once per step attempt at the 11 abscissae of stages 1 to 11 (stage 0 is
+    the last step's final slope), one row each: stage i calls
     rhs(x_i, y_i, row_(i-1)), the first-same-as-last stage reuses the last
     row, and so does on_accept unless the landing on x1 rounds x away from
     x + h; the start takes one row at x0.
@@ -227,13 +244,14 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     and ends the run once the step is down to 4 MIN_STEP.  A NaN error
     estimate rejects and shrinks the step, so such a run ends in a
     "singular" step-size underflow, as does a run that has made MAX_STEPS
-    step attempts.  on_accept(x, y[, last row]) is called at every accepted
+    step attempts; the error norm never raises (x / 0 is inf or NaN, as in
+    numpy).  on_accept(x, y[, last row]) is called at every accepted
     step.  A step is at most 1/8 of the run, the first 1/16.
     Returns (x, y, stats) at x1, or at the last accepted point
-    after a stop; stats holds "steps", "rejected", "min_step", "status"
-    ("reached" or the stop's) and "reason".
+    after a stop, y an array of y0's shape; stats holds "steps", "rejected",
+    "min_step", "status" ("reached" or the stop's) and "reason".
     """
-    y = np.array(y0, dtype=float)
+    y = np.asarray(y0, dtype=float).ravel().tolist()
     x = float(x0)
     x1 = float(x1)
     direction = 1.0 if x1 >= x else -1.0
@@ -243,8 +261,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
         f0 = rhs(x, y) if coefficients is None else rhs(x, y, coefficients(x))
-        # the stage slopes of one step, one flattened row per stage
-        ks = np.empty((12, y.size))
+        ks = [None] * 12  # the stage slopes of one step
         rows = [()] * 11  # the extra rhs argument of stages 1 to 11
         tiny = 1e-15 * max(1.0, abs(x1))
         while (remaining := direction * (x1 - x)) > tiny:
@@ -257,15 +274,17 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
             try:
                 if coefficients is not None:
                     rows = [(row,) for row in coefficients(x + dh * _STAGES)]
-                ks[0] = f0.reshape(-1)
+                ks[0] = f0
                 for i in range(1, 12):
-                    yi = y + dh * (_A[i] @ ks[:i]).reshape(y.shape)
-                    ks[i] = rhs(x + dh * _C[i], yi, *rows[i - 1]).reshape(-1)
-                y1 = y + dh * (_B @ ks).reshape(y.shape)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y1)).reshape(-1)
-                err5, err3 = np.sum((_ERR @ ks / scale) ** 2, axis=1)
+                    ks[i] = rhs(x + dh * _C[i], _STAGE_STATES[i](y, dh, ks), *rows[i - 1])
+                y1 = _UPDATE(y, dh, ks)
+                err5 = err3 = 0.0
+                for a, b, (u, w) in zip(y, y1, _ERRORS(y, dh, ks)):
+                    s = atol + rtol * max(abs(b), abs(a))  # NaN whenever y1 is (a NaN y makes a NaN y1)
+                    u, w = (u / s, w / s) if s else (u * math.inf, w * math.inf)  # x / 0 as numpy divides
+                    err5, err3 = err5 + u * u, err3 + w * w
                 # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
-                err = float(step * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)) if err5 or err3 else 0.0
+                err = step * err5 / math.sqrt((err5 + 0.01 * err3) * len(y)) if err5 or err3 else 0.0
                 if err <= 1.0:
                     f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
             except _Stop:
@@ -290,7 +309,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
             h = min(max_step, step * min(5.0, max(0.2, factor)))
     except _Stop as stop:
         stats["status"], stats["reason"] = stop.status, stop.reason
-    return x, y, stats
+    return x, np.reshape(y, np.shape(y0)), stats
 
 
 def require_reached(stats):
@@ -304,25 +323,27 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
 
     state0 has shape (n, 2), n points (y, z) in lockstep (a single path is
     n = 1): dy/dx = p and dz/dx = A + B p.  Every evaluation loops over the
-    points in plain floats: the tube test, equation(x, y, z) -> (e, f, g, A,
-    B), branch_slopes and the collision test.  coefficients goes to rk45, and
+    points of rk45's state [y0, z0, y1, z1, ...]: the tube test, equation(x,
+    y, z) -> (e, f, g, A, B), branch_slopes and the collision test.  coefficients goes to rk45, and
     equation then takes a stage's row as a last argument.  The start takes
     the root of least modulus, each accepted step the root nearest the last
     one.  A start with no real root raises EllipticStop or VerticalDirection;
     any other stop of any point ends the run (a "tube-exit" outside |y|, |z|
     <= radius, "parabolic" for roots closer than COLLISION_TOL * (1 + |p|),
     "singular" for an expression evaluated outside its domain).  Returns
-    (xs, states, ps, stats) at the start and every accepted step, ps of shape
-    (samples, n); stats are rk45's plus the slope equation's "max_residual".
+    (xs, states, ps, stats) at the start and every accepted step, states of
+    shape (samples, n, 2), ps (samples, n); stats are rk45's plus the slope
+    equation's "max_residual".
     """
-    prev = [None] * len(state0)  # the tracked slope of each point
+    n, start = len(state0), np.asarray(state0, dtype=float).ravel().tolist()
+    prev = [None] * n  # the tracked slope of each point
     samples = []  # (x, state, ps, residuals) at the start and every accepted step, one p and residual per point
 
     def on_accept(x, state, *row):
         if coefficients is not None and not row:  # the start, or a landing that rounded x away from the last row
             row = (coefficients(x),)
         residuals = []
-        for i, (y, z) in enumerate(state.tolist()):
+        for i, y, z in zip(range(n), state[0::2], state[1::2]):
             e, f, g, _, _ = equation(x, y, z, *row)
             p = prev[i] = branch_slopes(e, f, g, prev[i])[1]
             residuals.append(abs(g * p * p + 2 * f * p + e))
@@ -330,7 +351,7 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
 
     def rhs(x, state, *row):
         out = []
-        for i, (y, z) in enumerate(state.tolist()):
+        for i, y, z in zip(range(n), state[0::2], state[1::2]):
             if abs(y) > radius or abs(z) > radius:
                 raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
             try:
@@ -342,20 +363,20 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
                 raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
             if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < COLLISION_TOL * (1 + abs(p)):
                 raise _Stop("parabolic", "root branches collided")
-            out.append((p, A + B * p))
-        return np.array(out)
+            out += p, A + B * p
+        return out
 
     try:
-        on_accept(x0, state0)
+        on_accept(x0, start)
     except (FlowError, tubular.ReductionSingular, DomainError) as exc:
         if type(exc) in _STATUS:  # no real branch at the start
             raise
-        nan = [math.nan] * len(state0)
-        samples.append((x0, state0, nan, nan))  # rk45's first stage stops the run "singular"
-    _, _, stats = rk45(rhs, x0, x1, state0, rtol=rtol, atol=atol, on_accept=on_accept, coefficients=coefficients)
+        nan = [math.nan] * n
+        samples.append((x0, start, nan, nan))  # rk45's first stage stops the run "singular"
+    _, _, stats = rk45(rhs, x0, x1, start, rtol=rtol, atol=atol, on_accept=on_accept, coefficients=coefficients)
     xs, states, ps, residuals = (np.array(column) for column in zip(*samples))
     stats["max_residual"] = float(np.max(residuals))
-    return xs, states, ps, stats
+    return xs, states.reshape(len(xs), n, 2), ps, stats
 
 
 def integrate_asymptotic(field, chart, start, x1, rtol=1e-10, atol=1e-12):
@@ -369,7 +390,7 @@ def integrate_asymptotic(field, chart, start, x1, rtol=1e-10, atol=1e-12):
     """
     x0, y0, z0 = (float(v) for v in start)
     xs, states, ps, stats = _track(
-        tubular.binary_equation_data(field, chart), x0, x1, np.array([[y0, z0]]), chart.radius, rtol, atol
+        tubular.binary_equation_data(field, chart), x0, x1, [[y0, z0]], chart.radius, rtol, atol
     )
     status, reason = stats.pop("status"), stats.pop("reason")
     return Path(xs=xs, ys=states[:, 0, 0], zs=states[:, 0, 1], ps=ps[:, 0], status=status, reason=reason, stats=stats)
@@ -394,7 +415,7 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=
     else:
         equation, coefficients = cache.efgab, lambda xs: cache.series(xs).tolist()
     _, states, _, stats = _track(
-        equation, x0, x1, np.asarray(starts, dtype=float), chart.radius, rtol, atol, coefficients=coefficients
+        equation, x0, x1, starts, chart.radius, rtol, atol, coefficients=coefficients
     )
     require_reached(stats)
     return states[-1]

@@ -455,10 +455,14 @@ def unwrap(v):
 
 def opaque(fn, *args):
     """fn(*args), recorded as one call when an argument is Recorded: a replay
-    makes the call again (the numpy calls of sin, cos, exp, sqrt, a series)."""
+    makes the call again (the numpy calls of sin, cos, exp, sqrt, a series;
+    of a float as float(fn(v)), numpy's bits, so the replay runs on floats)."""
     for a in args:
         if type(a) is Recorded:
-            return a.tape.op(fn, f"{a.tape.ref(fn)}({', '.join(['{}'] * len(args))})", *args)
+            form = f"{a.tape.ref(fn)}({', '.join(['{}'] * len(args))})"
+            if fn in (np.sin, np.cos, np.exp, np.sqrt) and type(a.v) is float:
+                return a.tape.op(lambda v: float(fn(v)), f"float({form})", a)
+            return a.tape.op(fn, form, *args)
     return fn(*args)
 
 

@@ -143,16 +143,16 @@ def monodromy(field, chart, period, cache=None):
 
     dets = []  # det Q after every accepted step
 
-    def rhs(x, qflat, m):  # M(x) is the row of rk45's stage table
-        return (m @ qflat.reshape(2, 2)).reshape(4)
+    def rhs(x, q, m):  # M Q on floats; M(x) is the row of rk45's stage table
+        ((m11, m12), (m21, m22)), (q11, q12, q21, q22) = m, q
+        return [m11 * q11 + m12 * q21, m11 * q12 + m12 * q22, m21 * q11 + m22 * q21, m21 * q12 + m22 * q22]
 
-    _, q, stats = flow.rk45(
-        rhs, 0.0, period, np.eye(2).reshape(4), rtol=RTOL, atol=ATOL, coefficients=mfn,
+    _, Q, stats = flow.rk45(
+        rhs, 0.0, period, np.eye(2), rtol=RTOL, atol=ATOL, coefficients=lambda xs: mfn(xs).tolist(),
         on_accept=lambda x, q, *_: dets.append(q[0] * q[3] - q[1] * q[2]),
     )
     flow.require_reached(stats)
     stats["det_nonpositive"] = sum(1 for d in dets if d <= 0)
-    Q = q.reshape(2, 2)
 
     ev = eigenvalues_2x2(Q)
     dist = min(abs(abs(e) - 1.0) for e in ev)

@@ -206,6 +206,22 @@ def test_self_intersecting_projection_rejected():
         is_starlike_projection(fig8)
 
 
+def test_double_wound_circle_is_not_simple():
+    # its kernel is the disk, about whose centre the polygon winds twice
+    double = Curve.from_expressions(("cos(2*x)", "sin(2*x)", "0*x"), (0, 2 * math.pi), closed=True)
+    with pytest.raises(NotSimple):
+        is_starlike_projection(double)
+
+
+def test_starlike_takes_the_quadratic_simplicity_test_only_without_a_kernel(monkeypatch):
+    calls = []
+    real = curves._is_simple_polygon
+    monkeypatch.setattr(curves, "_is_simple_polygon", lambda pts: calls.append(len(pts)) or real(pts))
+    assert is_starlike_projection(circle_curve())[0] and calls == []
+    u = polygon_curve([(3, 0), (3, 4), (2, 4), (2, 1), (-2, 1), (-2, 4), (-3, 4), (-3, 0)])
+    assert is_starlike_projection(u, samples=64) == (False, None) and calls == [64]
+
+
 def test_starlike_needs_closed_curve():
     arc = Curve.from_expressions(("cos(x)", "sin(x)", "0*x"), (0, 1))
     with pytest.raises(CurveError):

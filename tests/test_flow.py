@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from asymptotica import flow, jets, monodromy, tubular
+from asymptotica import cli, flow, jets, monodromy, tubular
 from asymptotica.curves import Curve
 from asymptotica.flow import (
     ChartSpectralCache,
@@ -73,20 +74,20 @@ def test_branch_slopes_stable_for_tiny_g():
 
 
 def test_rk45_exponential():
-    x, y, stats = rk45(lambda x, y: y, 0.0, 1.0, np.array([1.0]), rtol=1e-10, atol=1e-12)
+    x, y, stats = rk45(lambda x, y: y, 0.0, 1.0, [1.0], rtol=1e-10, atol=1e-12)
     assert y[0] == pytest.approx(math.e, rel=1e-9)
     assert stats["steps"] > 0
 
 
 def test_rk45_backward_integration():
-    _, y, _ = rk45(lambda x, y: y, 1.0, 0.0, np.array([math.e]))
+    _, y, _ = rk45(lambda x, y: y, 1.0, 0.0, [math.e])
     assert y[0] == pytest.approx(1.0, rel=1e-8)
 
 
 def test_rk45_tolerance_controls_error():
     errors = []
     for rtol in (1e-6, 1e-9):
-        _, y, _ = rk45(lambda x, y: np.array([math.cos(x)]) , 0.0, 10.0, np.array([0.0]), rtol=rtol, atol=1e-14)
+        _, y, _ = rk45(lambda x, y: [math.cos(x)], 0.0, 10.0, [0.0], rtol=rtol, atol=1e-14)
         errors.append(abs(y[0] - math.sin(10.0)))
     assert errors[1] < errors[0]
 
@@ -208,11 +209,50 @@ def test_rk45_nan_rhs_ends_in_a_singular_stop():
         calls.append(x)
         if len(calls) > 100_000:
             raise RuntimeError("rk45 does not terminate on a NaN right-hand side")
-        return np.array([math.nan]) if x > 0.5 else y
+        return [math.nan] if x > 0.5 else y
 
-    x, y, stats = rk45(rhs, 0.0, 1.0, np.array([1.0]))
+    x, y, stats = rk45(rhs, 0.0, 1.0, [1.0])
     assert stats["status"] == "singular"
     assert x <= 0.5 and y[0] == pytest.approx(math.exp(x), rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "rhs, y0, rtol, want",
+    [
+        # (u / scale)^2 past the float range: ** 2 would raise OverflowError
+        (lambda x, y: [1e200 if x > 0.5 else 0.0], [0.0], 0.0, (0.49999999999998346, 40, 55)),
+        # slopes past the float range: inf - inf is NaN in the stage sums
+        (lambda x, y: [v * 1e300 for v in y], [1e10], 1e-10, (0.0, 0, 19)),
+    ],
+    ids=["squared-error", "slopes"],
+)
+def test_rk45_overflow_ends_in_a_singular_stop(rhs, y0, rtol, want):
+    # an inf or NaN error norm rejects and shrinks the step, as the array norm did
+    x, _, stats = rk45(rhs, 0.0, 1.0, y0, rtol=rtol)
+    assert (x, stats["steps"], stats["rejected"]) == want
+    assert stats["status"] == "singular" and stats["reason"].startswith("step size underflow")
+
+
+def test_rk45_atol_zero():
+    # a zero state is fine while the step's end is not zero
+    x, y, stats = rk45(lambda x, y: [1.0], 0.0, 1.0, [0.0], atol=0.0)
+    assert stats["status"] == "reached" and y.tolist() == [pytest.approx(1.0, rel=1e-14)]
+    # a component pinned at 0 has scale 0: 0 / 0 is NaN, as numpy divides, and never raises
+    x, y, stats = rk45(lambda x, y: [y[0], 0.0], 0.0, 1.0, [1.0, 0.0], atol=0.0)
+    assert (x, stats["steps"], stats["status"]) == (0.0, 0, "singular")
+    assert y.tolist() == [1.0, 0.0]
+
+
+def test_rk45_state_is_a_list_of_floats_and_y_keeps_its_shape():
+    seen = []
+
+    def rhs(x, y):
+        seen.append(y)
+        return [-v for v in y]
+
+    _, y, _ = rk45(rhs, 0.0, 1.0, np.eye(2), on_accept=lambda x, y: seen.append(y))
+    assert {type(state) for state in seen} == {list} and {type(v) for state in seen for v in state} == {float}
+    assert y.shape == (2, 2) and y == pytest.approx(np.eye(2) / math.e, rel=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -273,10 +313,10 @@ def test_rk45_observed_order_is_eight():
     # take the same 9 steps each, scaled by 1/n (16 against 32 runs reaches roundoff)
     errors = []
     for n in (2, 4):
-        y = np.array([1.0])
+        y = [1.0]
         edges = np.linspace(0, 2 * math.pi, n + 1).tolist()
         for a, b in zip(edges, edges[1:]):
-            _, y, stats = rk45(lambda x, y: y * math.cos(x), a, b, y, rtol=1e10, atol=1e10)
+            _, y, stats = rk45(lambda x, y: [v * math.cos(x) for v in y], a, b, y, rtol=1e10, atol=1e10)
             assert (stats["steps"], stats["rejected"]) == (9, 0)
         errors.append(abs(y[0] - 1.0))
     assert errors[0] >= 2**7 * errors[1] > 0
@@ -343,12 +383,13 @@ def test_stage_table_matches_evaluating_the_coefficients_per_stage():
 
     def coefficients(xs):
         table_calls.append(np.shape(xs))
-        return a(xs)
+        return a(xs).tolist()
 
-    y0 = np.array([1.0, -2.0])
-    _, per_stage, want = rk45(lambda x, y: a(x) * y, 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13)
+    y0 = [1.0, -2.0]
+    scaled = lambda row, y: [c * v for c, v in zip(row, y)]
+    _, per_stage, want = rk45(lambda x, y: scaled(a(x).tolist(), y), 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13)
     _, tabled, got = rk45(
-        lambda x, y, row: row * y, 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13, coefficients=coefficients
+        lambda x, y, row: scaled(row, y), 0.0, 2 * math.pi, y0, rtol=1e-11, atol=1e-13, coefficients=coefficients
     )
     assert (got["steps"], got["rejected"]) == (want["steps"], want["rejected"])
     assert np.all(np.abs(tabled - per_stage) <= 1e-14 * np.abs(per_stage))
@@ -364,10 +405,10 @@ def test_every_row_lies_at_the_abscissa_that_reads_it():
 
     def rhs(x, y, row):
         assert row == x
-        return np.cos(x) * y
+        return [math.cos(x) * v for v in y]
 
     x1 = 0.0019439320867797743
-    rk45(rhs, -0.061636570372949076, x1, np.array([1.0]), rtol=1e-6, coefficients=lambda xs: xs,
+    rk45(rhs, -0.061636570372949076, x1, [1.0], rtol=1e-6, coefficients=lambda xs: xs,
          on_accept=lambda x, y, *row: seen.append((x, row)))
     assert all(row == (x,) for x, row in seen if row)
     assert seen[-1] == (x1, ()) and any(row for _, row in seen)
@@ -468,33 +509,100 @@ def test_single_path_records_once_and_multiplies_no_jet_after(monkeypatch, t1_fi
     assert events.index("compile") == len(events) - 1 and events.count("mul") > 0
 
 
+@pytest.mark.parametrize(
+    "name, start", [("t1", (0.3, 0.0, 0.0)), ("circle-example", (0.5, 8e-4, 2e-4)), ("saddle", (0.0, 1e-4, 0.0))]
+)
+def test_single_path_stays_on_the_float_replay(monkeypatch, t1_field, t1_chart, saddle, name, start):
+    # an np.float64 anywhere in the state or the replay's outputs would fail
+    # chart_data's float test and send every later stage through the jet
+    # pipeline, with the same output: only the recording may reduce
+    field, chart = saddle if name == "saddle" else _field_and_chart(name, t1_field, t1_chart)
+    reductions, types = [], set()
+    real_reduce, real_equation = tubular._reduce, tubular.binary_equation_data
+
+    def counted_reduce(*args):
+        reductions.append(args[2:5])
+        return real_reduce(*args)
+
+    def typed_equation(field, chart):
+        equation = real_equation(field, chart)
+
+        def typed(x, y, z):
+            out = equation(x, y, z)
+            types.update(map(type, (x, y, z, *out)))
+            return out
+
+        return typed
+
+    monkeypatch.setattr(tubular, "_reduce", counted_reduce)
+    monkeypatch.setattr(tubular, "binary_equation_data", typed_equation)
+    path = integrate_asymptotic(field, chart, start, start[0] + 2.0)
+    assert path.reached and path.stats["steps"] > 5
+    assert len(reductions) == 1 and types == {float}
+
+
 def _jet_pipeline_only(self, field, chart, x, y, z):
     return tubular._reduce(field, chart, x, y, z, 0)
 
 
-@pytest.mark.parametrize("third", ["0*sqrt(1-x)", "0*exp(800*x)"])
-def test_failing_curves_stop_as_the_jet_pipeline(monkeypatch, third):
+@pytest.mark.parametrize(
+    "third, x1, reason",
+    [
+        ("0*sqrt(1-x)", 2.0, "sqrt of a negative value at x = "),
+        ("0*exp(800*x)", 2.0, "non-finite chart data"),
+        ("0/(x - 1)", 1.0, "division by zero at x = 1.0"),
+    ],
+    ids=["0*sqrt(1-x)", "0*exp(800*x)", "0/(x - 1)"],
+)
+def test_failing_curves_stop_as_the_jet_pipeline(monkeypatch, third, x1, reason):
     # a negative sqrt raises past x = 1 (the replay's guard trips), 0 * inf
-    # is NaN past x = 0.887: both stop "singular" with the reason and the
-    # partial path of a run whose every point takes the jet pipeline
+    # is NaN past x = 0.887 (the replay's float exp is inf, as numpy's), and
+    # the landing on x = 1 divides by zero: each stops "singular" with the
+    # reason and the partial path of a run whose every point takes the jet pipeline
     curve = Curve.from_expressions(("cos(x)", "sin(x)", third), (0, 2 * math.pi))
     field, chart = circle_example_field(), tubular.TubularChart(curve)
 
     def outcome():
         with np.errstate(all="ignore"):
-            path = integrate_asymptotic(field, chart, (0.0, 0.0, 0.0), 2.0)
+            path = integrate_asymptotic(field, chart, (0.0, 0.0, 0.0), x1)
         return path.status, path.reason, repr([path.xs.tolist(), path.ys.tolist(), path.zs.tolist(), path.ps.tolist()])
 
     replayed = outcome()
     monkeypatch.setattr(tubular.ChartProgram, "run", _jet_pipeline_only)
     assert outcome() == replayed
     assert replayed[0] == "singular"
-    assert replayed[1].startswith("sqrt of a negative value at x = " if "sqrt" in third else "non-finite chart data")
+    assert replayed[1].startswith(reason)
+
+
+# circle-example's field as a document, on the unit circle with a third
+# component that is 0 away from its pole at x = 1
+POLE_DOCUMENT = json.dumps(
+    {
+        "xi": ["y*(x^2*z + y^2*z - x^2 - y^2 - 2*z + 1) + x*z", "-x*(x^2*z + y^2*z - x^2 - y^2 - 2*z + 1) + y*z",
+               "-x^2 - y^2"],
+        "curve": "cos(x),sin(x),0/(x - 1)",
+    }
+)
+
+
+@pytest.mark.parametrize("document, to", [(POLE_DOCUMENT, "1"), (POLE_DOCUMENT.replace("0/(x - 1)", "0*exp(800*x)"), "2")])
+def test_a_failing_document_exits_as_the_jet_pipeline(monkeypatch, capsys, document, to):
+    # stdout, stderr and the exit code of integrate are those of a run whose
+    # every point takes the jet pipeline
+    def outcome():
+        with np.errstate(all="ignore"):
+            code = cli.main(["integrate", "--field", document, "--start", "0,0,0", "--to", to, "--format", "json"])
+        return (code, *capsys.readouterr())
+
+    replayed = outcome()
+    monkeypatch.setattr(tubular.ChartProgram, "run", _jet_pipeline_only)
+    assert outcome() == replayed
+    assert replayed[0] == 3 and json.loads(replayed[1])["status"] == "singular"
 
 
 def test_step_budget_stops_the_run_singular(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
-    _, _, stats = rk45(lambda x, y: -y, 0.0, 10.0, np.array([1.0]))
+    _, _, stats = rk45(lambda x, y: [-v for v in y], 0.0, 10.0, [1.0])
     assert stats["status"] == "singular"
     assert stats["reason"].startswith("step budget of 3 attempts spent at x = ")
     assert stats["steps"] + stats["rejected"] == 3

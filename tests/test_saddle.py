@@ -7,29 +7,15 @@ exactly, with eigenvalues exp(pi (-1 +- sqrt 5)).  The bounds are the
 measured deviations times a margin of at least 4.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from asymptotica import cli, monodromy
+from asymptotica import monodromy
 
-SADDLE = {
-    "xi": [
-        "y*(x^2*z + y^2*z - x^2 - y^2 - 3*z + 1 + (x^2+y^2-1)/2) + x*(z + (x^2+y^2-1)/2)",
-        "-x*(x^2*z + y^2*z - x^2 - y^2 - 3*z + 1 + (x^2+y^2-1)/2) + y*(z + (x^2+y^2-1)/2)",
-        "-x^2 - y^2",
-    ],
-    "curve": "circle",
-}
-M = np.array([[-3.0, 5.0], [-1.0, 2.0]])
-
-
-@pytest.fixture(scope="module")
-def saddle():
-    return cli.resolve_field(json.dumps(SADDLE))
+M = np.array([[-3.0, 5.0], [-1.0, 2.0]])  # the saddle fixture's M (tests/conftest.py)
 
 
 def test_saddle_variational_matrix_is_constant(saddle):

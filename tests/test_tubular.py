@@ -291,19 +291,28 @@ def test_exact_chart_point_stays_exact():
 
 
 def _outcome(run):
-    """run()'s reduced data as (type, float.hex) pairs, or the type and message of what it raised."""
+    """run()'s reduced data as float.hex values, bit for bit, or the type and
+    message of what it raised.  The replay gives Python floats where the jet
+    pipeline gives np.float64, so the types are checked apart."""
     try:
         d = run()
     except Exception as exc:
         return type(exc), str(exc)
-    return [(type(v).__name__, float(v).hex()) for v in (d.a, d.b, d.c, *d.L, d.e, d.f, d.g, d.A, d.B)]
+    return [float(v).hex() for v in (d.a, d.b, d.c, *d.L, d.e, d.f, d.g, d.A, d.B)]
 
 
 def _through_one_program(field, chart, points):
     """The outcomes at points of one ChartProgram (the first records, the rest
-    replay) and of the jet pipeline, and the program."""
+    replay) and of the jet pipeline, and the program.  Every point that the
+    recorded code carries without raising gives Python floats."""
     program = tubular.ChartProgram()
     replayed = [_outcome(lambda: chart_data(field, chart, *p, program=program)) for p in points]
+    for p in points if program.code else ():
+        try:
+            a, b, c, L, *rest = program.code(*p)
+        except Exception:
+            continue
+        assert {type(v) for v in (a, b, c, *L, *rest)} == {float}, p
     return replayed, [_outcome(lambda: tubular._reduce(field, chart, *p, 0)) for p in points], program
 
 
@@ -337,7 +346,7 @@ def _program_source(field, chart, point=(0.3, 0.01, -0.02)):
 
 
 # 707 and 658 statements when every operation was a line, 186 and 141 of
-# them sums seeded with 0; 100 and 60 measured, the return included.  The
+# them sums seeded with 0; 95 and 59 measured, the return included.  The
 # one 0 + left in the circle's program is the curve's: its third component
 # 0*x is an exact 0, and 0 + y*0 makes the sign of the zero
 @pytest.mark.parametrize("name, zero_sums, statements", [("t1", 0, 110), ("circle-example", 1, 66)])
@@ -361,6 +370,24 @@ def test_an_unread_division_still_raises_in_the_replay():
     assert program(3.0, 2.0) == (4.0,)
     with pytest.raises(ZeroDivisionError):
         program(3.0, 0.0)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_a_float_raise_in_the_replay_takes_the_jet_pipeline(error):
+    # a float division by zero or ** past the float range raises where an
+    # np.float64 gave inf or NaN: the point then reduces as the jet pipeline does
+    field, chart = cli.resolve_field("circle-example")
+    program = tubular.ChartProgram()
+    chart_data(field, chart, 0.3, 0.01, -0.02, program=program)
+
+    def raising(*point):
+        raise error("float replay")
+
+    program.code = raising
+    point = (1.7, -0.03, 0.05)
+    replayed = chart_data(field, chart, *point, program=program)
+    assert _outcome(lambda: replayed) == _outcome(lambda: tubular._reduce(field, chart, *point, 0))
+    assert program.code is raising
 
 
 def test_a_long_sum_replays_under_the_nesting_cap():
