@@ -20,7 +20,8 @@ step budget).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch raises FlowError with a message that begins with it.
 ChartSpectralCache expands the chart data to degree CACHE_DEGREE in (y, z)
-and fits them from CACHE_NODES nodes.
+and fits them from CACHE_NODES nodes; its per-point polynomial efgab is
+straight-line code generated at import from that degree's monomials.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .spectral import TrigSeries
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
 COLLISION_TOL = 1e-6  # _track: roots closer than COLLISION_TOL * (1 + |p|) stop the run "parabolic"
 CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
-CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its efgab writes out the cubic
+CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its efgab is generated from _MONOMIALS
+_MONOMIALS = tuple((i, total - i) for total in range(CACHE_DEGREE + 1) for i in range(total + 1))  # y^i z^j
 MIN_STEP = 1e-14  # rk45's smallest step
 MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
 
@@ -100,6 +102,24 @@ def branch_slopes(e, f, g, prev_p=None):
     return (p1, p2), p2 if abs(p2 - near) < abs(p1 - near) else p1  # a tie keeps p1
 
 
+def _polynomial_sums(monomials, count):
+    """efgab(self, x, y, z, row) as straight-line code: the count sums, term by
+    term in the order of monomials, of row[k + m] times the m-th monomial
+    y^i z^j (k = 0, len(monomials), ...).  The row is unpacked once, and each
+    monomial is formed once, as m(i - 1, j) * y when i > j, else m(i, j - 1) * z;
+    a body that indexes the row per term costs the FD batch about 30 % more."""
+    name = lambda i, j: "y" * i + "z" * j
+    n = len(monomials)
+    lines = [", ".join(f"r{k}" for k in range(count * n)) + ", = row"]
+    lines += [f"{name(i, j)} = " + (f"{name(i - 1, j)} * y" if i > j else f"{name(i, j - 1)} * z")
+              for i, j in monomials if i + j > 1]
+    factors = [f" * {name(i, j)}" if i + j else "" for i, j in monomials]
+    sums = [" + ".join(f"r{k + m}{t}" for m, t in enumerate(factors)) for k in range(0, count * n, n)]
+    scope = {}
+    exec("def efgab(self, x, y, z, row):\n    " + "\n    ".join(lines + [f"return [{', '.join(sums)}]"]), scope)
+    return scope["efgab"]
+
+
 class ChartSpectralCache:
     """Fast surrogate for the reduced data (e, f, g, A, B) around a closed curve.
 
@@ -116,12 +136,10 @@ class ChartSpectralCache:
     """
 
     _QUANTITIES = ("e", "f", "g", "A", "B")
+    monomials = _MONOMIALS
 
     def __init__(self, field, chart, period):
         self.period = float(period)
-        self.monomials = [
-            (i, j) for total in range(CACHE_DEGREE + 1) for i in range(total + 1) for j in (total - i,)
-        ]
         self.series = TrigSeries.fit(
             lambda xs: self._taylor_table(field, chart, xs), self.period, CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES
         )
@@ -139,19 +157,9 @@ class ChartSpectralCache:
             axis=1,
         )
 
-    def efgab(self, x, y, z, row):
-        """(e, f, g, A, B) at the point (x, y, z) of floats.  row is
-        self.series(x).tolist() already evaluated (a row of rk45's stage
-        table, shared by a lockstep batch).  The cubic of CACHE_DEGREE = 3 is
-        written out: a loop over self.monomials costs the FD batch about 40 %
-        more."""
-        yy, yz, zz = y * y, y * z, z * z
-        yyy, yyz, yzz, zzz = yy * y, yz * y, yz * z, zz * z
-        return [  # the monomials 1, z, y, z^2, yz, y^2, z^3, yz^2, y^2 z, y^3 of each quantity
-            row[k] + row[k + 1] * z + row[k + 2] * y + row[k + 3] * zz + row[k + 4] * yz + row[k + 5] * yy
-            + row[k + 6] * zzz + row[k + 7] * yzz + row[k + 8] * yyz + row[k + 9] * yyy
-            for k in range(0, len(row), 10)
-        ]
+    # efgab(x, y, z, row): (e, f, g, A, B) at a point of floats, row = self.series(x).tolist()
+    # already evaluated (a row of rk45's stage table, shared by a lockstep batch)
+    efgab = _polynomial_sums(monomials, len(_QUANTITIES))
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10); rows of _ERR: 5th- and 3rd-order error weights

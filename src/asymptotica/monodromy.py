@@ -11,7 +11,8 @@ where A = -a/c and B = -b/c.  The B terms in the second row carry the
 dz/dx-coupling to the slope and vanish only where b does; the independent
 finite-difference Jacobian below cross-checks them.  Q(period) is the
 derivative of the return map at the fixed point; the orbit is hyperbolic
-when both eigenvalues stay off the unit circle.
+when both eigenvalues stay off the unit circle.  They take det Q from
+Liouville's identity, det Q = exp of the integrated trace of M.
 
 VariationalCache fits M from FIT_NODES nodes, doubling them until the
 midpoint residual is below FIT_TOL, and raises FitError past FIT_MAX_NODES.
@@ -108,10 +109,12 @@ class MonodromyResult:
         }
 
 
-def eigenvalues_2x2(Q):
-    """Closed-form eigenvalues, with the small root recovered from det/trace."""
+def eigenvalues_2x2(Q, det):
+    """Closed-form eigenvalues of Q given det Q (monodromy passes Liouville's
+    exp of the integrated trace, which no cancellation in Q's entries
+    reaches): the large real root from the trace, the small one det/large,
+    and a complex pair of modulus sqrt(det)."""
     tr = Q[0, 0] + Q[1, 1]
-    det = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
     disc = tr * tr - 4 * det
     if disc >= 0:
         r = math.sqrt(disc)
@@ -154,10 +157,6 @@ def monodromy(field, chart, period, cache=None):
     flow.require_reached(stats)
     stats["det_nonpositive"] = sum(1 for d in dets if d <= 0)
 
-    ev = eigenvalues_2x2(Q)
-    dist = min(abs(abs(e) - 1.0) for e in ev)
-    hyperbolic = dist > HYPERBOLIC_TOL
-
     # the cached path integrates its validated interpolant exactly (period
     # times the mean); the direct path, the oracle for the cache, uses quad
     if vc is None:
@@ -169,10 +168,15 @@ def monodromy(field, chart, period, cache=None):
         def integral(entry):
             return period * float(entry(mean))
 
-    # Liouville identity: det Q(l) = exp of the integrated trace
+    # Liouville identity: det Q(l) = exp of the integrated trace.  The eigenvalues
+    # take their det from it; Q's own det, compared with it, checks Q
     trace_integral = integral(np.trace)
+    det = math.exp(trace_integral)
     detQ = float(np.linalg.det(Q))
-    det_residual = abs(detQ - math.exp(trace_integral)) / max(abs(detQ), 1e-300)
+    det_residual = abs(detQ - det) / max(abs(detQ), 1e-300)
+    ev = eigenvalues_2x2(Q, det)
+    dist = min(abs(abs(e) - 1.0) for e in ev)
+    hyperbolic = dist > HYPERBOLIC_TOL
 
     # when M is triangular the eigenvalues are exponentials of the diagonal integrals
     ms = mfn(np.linspace(0.0, period, 64, endpoint=False))

@@ -165,6 +165,51 @@ def test_cache_matches_direct_pipeline(t1_field, t1_chart):
             assert v == pytest.approx(w, rel=1e-6, abs=1e-7)
 
 
+def _written_cubic(row, y, z):
+    # efgab's degree-3 body as it was written by hand: the reference for the generated code's bits
+    yy, yz, zz = y * y, y * z, z * z
+    yyy, yyz, yzz, zzz = yy * y, yz * y, yz * z, zz * z
+    return [
+        row[k] + row[k + 1] * z + row[k + 2] * y + row[k + 3] * zz + row[k + 4] * yz + row[k + 5] * yy
+        + row[k + 6] * zzz + row[k + 7] * yzz + row[k + 8] * yyz + row[k + 9] * yyy
+        for k in range(0, len(row), 10)
+    ]
+
+
+def _monomials(degree):
+    return [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]
+
+
+def test_generated_efgab_keeps_the_bits_of_the_written_cubic(t1_chart):
+    assert flow.CACHE_DEGREE == 3 and list(ChartSpectralCache.monomials) == _monomials(3)
+    rng = np.random.default_rng(7)
+    r = t1_chart.radius
+    # t1's stage rows reach |3.9e7| (the g row); take magnitudes 1e-8 to 1e8 of either
+    # sign, with exact zeros of both signs, at points up to the tube radius and on its axes
+    points = [(y, z) for y in (0.0, -0.0, r, -r) for z in (0.0, -0.0, r, -r)]
+    points += rng.uniform(-r, r, (40, 2)).tolist() + (rng.uniform(-r, r, (20, 2)) * 1e-6).tolist()
+    for y, z in points:
+        row = (rng.choice([-1.0, 1.0], 50) * 10 ** rng.uniform(-8, 8, 50)).tolist()
+        row[rng.integers(50)], row[rng.integers(50)] = 0.0, -0.0
+        got = ChartSpectralCache.efgab(None, 0.5, y, z, row)
+        assert [v.hex() for v in got] == [v.hex() for v in _written_cubic(row, y, z)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_generated_sums_at_other_degrees(degree):
+    monomials = _monomials(degree)
+    n = len(monomials)
+    efgab = flow._polynomial_sums(monomials, 5)
+    rng = np.random.default_rng(degree)
+    for y, z in rng.uniform(-0.1, 0.1, (30, 2)).tolist() + [(0.0, -0.0), (-0.1, 0.1)]:
+        row = rng.uniform(-1, 1, 5 * n).tolist()
+        want = [sum(row[k + m] * y**i * z**j for m, (i, j) in enumerate(monomials)) for k in range(0, 5 * n, n)]
+        got = efgab(None, 0.5, y, z, row)
+        assert len(got) == 5
+        for v, w in zip(got, want):
+            assert abs(v - w) <= 1e-14 * max(1.0, abs(w))
+
+
 def test_batch_matches_single_trajectory(t1_field, t1_chart):
     starts = np.array([[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4]])
     ends = integrate_batch(t1_field, t1_chart, starts, 0.0, 1.5, rtol=1e-11, atol=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asymptotica import monodromy as mono
-from asymptotica import tubular
+from asymptotica import tubular, verify
 from asymptotica.flow import FlowError
 from asymptotica.curves import Curve
 from asymptotica.monodromy import (
@@ -23,17 +23,17 @@ def circle_setup():
 
 
 def test_eigenvalues_identity():
-    ev = eigenvalues_2x2(np.eye(2))
+    ev = eigenvalues_2x2(np.eye(2), 1.0)
     assert sorted(e.real for e in ev) == pytest.approx([1.0, 1.0])
 
 
 def test_eigenvalues_diagonal():
-    ev = eigenvalues_2x2(np.diag([3.0, -0.5]))
+    ev = eigenvalues_2x2(np.diag([3.0, -0.5]), -1.5)
     assert sorted(e.real for e in ev) == pytest.approx([-0.5, 3.0])
 
 
 def test_eigenvalues_complex_pair():
-    ev = eigenvalues_2x2(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    ev = eigenvalues_2x2(np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0)
     assert ev[0] == pytest.approx(1j)
     assert ev[1] == pytest.approx(-1j)
 
@@ -41,9 +41,21 @@ def test_eigenvalues_complex_pair():
 def test_eigenvalues_small_root_accurate():
     # the small eigenvalue comes from det/large, not from trace cancellation
     Q = np.array([[1e8, 0.0], [123.0, 1e-8]])
-    ev = eigenvalues_2x2(Q)
+    ev = eigenvalues_2x2(Q, 1.0)
     small = min(ev, key=abs)
     assert small.real == pytest.approx(1e-8, rel=1e-12)
+
+
+def test_eigenvalues_take_det_from_the_caller():
+    # the small root is det/large and a complex pair has modulus sqrt(det), whatever
+    # det the entries of Q would give: monodromy passes Liouville's exp(int tr M)
+    Q = np.array([[100.0, 3.0], [-3.0, 1e-3]])  # its own det is 9.1
+    large, small = eigenvalues_2x2(Q, 2.0)
+    assert large.real + small.real == pytest.approx(100.001, rel=1e-9)
+    assert small.real == 2.0 / large.real and small.imag == 0.0
+    pair = eigenvalues_2x2(np.array([[1.0, -2.0], [2.0, 1.0]]), 4.0)
+    assert [abs(ev) for ev in pair] == pytest.approx([2.0, 2.0], rel=1e-15)
+    assert pair[0] == pair[1].conjugate() and pair[0].real == 1.0
 
 
 def test_eigenvalues_similarity_invariant(seeds):
@@ -54,8 +66,9 @@ def test_eigenvalues_similarity_invariant(seeds):
             S = rng.uniform(-2, 2, (2, 2))
             if abs(np.linalg.det(S)) < 0.1:
                 continue
-            ev1 = sorted(eigenvalues_2x2(Q), key=lambda e: (e.real, e.imag))
-            ev2 = sorted(eigenvalues_2x2(S @ Q @ np.linalg.inv(S)), key=lambda e: (e.real, e.imag))
+            det = float(np.linalg.det(Q))
+            ev1 = sorted(eigenvalues_2x2(Q, det), key=lambda e: (e.real, e.imag))
+            ev2 = sorted(eigenvalues_2x2(S @ Q @ np.linalg.inv(S), det), key=lambda e: (e.real, e.imag))
             for a, b in zip(ev1, ev2):
                 assert a == pytest.approx(b, abs=1e-9)
 
@@ -93,6 +106,23 @@ def test_t1_monodromy_triangular_eigenvalues(t1_monodromy):
     evs = sorted(abs(e) for e in r.eigenvalues)
     assert evs[1] == pytest.approx(math.exp(2 * math.pi), rel=1e-6)
     assert evs[0] == pytest.approx(math.exp(-25 * math.pi / 8), rel=1e-6)
+
+
+def _naive_small_eigenvalue(Q, det):
+    # eigenvalues_2x2 with the small root as (tr - r) / 2, where the trace cancels
+    tr = Q[0, 0] + Q[1, 1]
+    r = math.sqrt(tr * tr - 4 * det)
+    return complex((tr + r) / 2), complex((tr - r) / 2)
+
+
+@pytest.mark.parametrize("naive", [False, True])
+def test_t1_eigenvalues_row_fails_the_naive_small_eigenvalue(monkeypatch, naive):
+    # measured: 1.16e-14 with det/large and Liouville's det, 4.19e-11 with the naive
+    # root (and 4.01e-11 with det/large on Q's own det, the formula before Liouville's)
+    if naive:
+        monkeypatch.setattr(mono, "eigenvalues_2x2", _naive_small_eigenvalue)
+    (label, measured, _), _ = dict(verify.checks())["t1-eigenvalues"]()
+    assert label == "max relative eigenvalue error" and (measured > 1e-13) == naive
 
 
 def test_t1_monodromy_diagonal_integrals(t1_monodromy):

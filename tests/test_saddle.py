@@ -27,12 +27,15 @@ def test_saddle_variational_matrix_is_constant(saddle):
 @pytest.mark.parametrize("cache", [None, False])
 def test_saddle_q_is_the_matrix_exponential(saddle, cache):
     # measured, relative to max |exp(2 pi M)|: 2.48e-12 cached, 2.48e-12 direct;
-    # the large eigenvalue 2.46e-12 and 2.47e-12; the trace integral exactly -2 pi on both
+    # the large eigenvalue 2.46e-12 and 2.47e-12, the small one (det/large with
+    # Liouville's det) 2.45e-12 on both; the trace integral exactly -2 pi on both
     result = monodromy.monodromy(*saddle, 2 * math.pi, cache=cache)
     want = scipy.linalg.expm(2 * math.pi * M)
     assert np.max(np.abs(result.Q - want)) <= 1e-11 * np.max(np.abs(want))
     large = math.exp(math.pi * (math.sqrt(5) - 1))
     assert abs(max(abs(ev) for ev in result.eigenvalues) - large) <= 1e-11 * large
+    small = math.exp(-math.pi * (1 + math.sqrt(5)))
+    assert abs(min(abs(ev) for ev in result.eigenvalues) - small) <= 1e-11 * small
     assert result.hyperbolic and not result.triangular
     assert abs(result.integrals["trace"] + 2 * math.pi) <= 1e-12
     assert result.stats["det_nonpositive"] == 0
