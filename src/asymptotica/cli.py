@@ -236,10 +236,7 @@ def _grid_pass(field, chart, grid, read):
     concatenated in grid order."""
     out = []
     for s in range(0, grid[0].size, GRID_PASS_POINTS):
-        # a non-finite value stops the command through read (exit 3), not with a warning
-        with np.errstate(all="ignore"):
-            d = tubular.chart_data(field, chart, *(v[s : s + GRID_PASS_POINTS] for v in grid))
-        out += read(d)
+        out += read(tubular.chart_data(field, chart, *(v[s : s + GRID_PASS_POINTS] for v in grid)))
     return out
 
 
@@ -271,10 +268,8 @@ def cmd_poincare(args):
         except ValueError as exc:
             raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
-    # a periodic fit stops at its first non-finite sample (FitError, exit 3), not with a warning
-    with np.errstate(all="ignore"):
-        result = monodromy.monodromy(field, chart, period)
-        fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h) if args.fd_check else None
+    result = monodromy.monodromy(field, chart, period)
+    fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h) if args.fd_check else None
     doc = result.to_dict()
     code = EXIT_OK
     if args.fd_check:
@@ -292,8 +287,7 @@ def cmd_poincare(args):
 
 def cmd_integrate(args):
     field, chart = resolve_field(args.field)
-    with np.errstate(all="ignore"):  # non-finite chart data stops the path "singular", not with a warning
-        path = flow.integrate_asymptotic(field, chart, args.start, args.to, rtol=args.rtol, atol=args.atol)
+    path = flow.integrate_asymptotic(field, chart, args.start, args.to, rtol=args.rtol, atol=args.atol)
     if args.svg:
         write_svg(path, args.svg)
     rows = list(zip(path.xs, path.ys, path.zs, path.ps))
@@ -480,7 +474,11 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         check_outputs(args)
-        return args.fn(args)
+        # a non-finite value stops a command through its own checks (a grid point's
+        # class, a singular path, a periodic fit's FitError: exit 3), never with a
+        # numpy warning
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

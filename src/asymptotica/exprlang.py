@@ -8,6 +8,9 @@ the same expression yields plain values over floats, exact values over
 rationals, and derivatives of any order over jets.
 
 Grammar notes:
+  * tokens are ASCII (numbers such as 12, 1.5, .5 or 2.; names; + - * / ^ ( )),
+    whitespace is any Unicode space, and any other character (``²`` and ``٣``
+    included) is a ParseError at its offset.
   * ``^`` is right-associative and binds tighter than unary minus, so
     ``-x^2`` is ``-(x^2)``.
   * ``^`` accepts integer exponents only (optionally negated or in
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -109,36 +113,23 @@ Expr = Union[Num, Var, Pi, Neg, BinOp, Pow, Call]
 
 # -- tokenizer ---------------------------------------------------------------
 
+# after optional whitespace (any str.isspace character): an ASCII number, name or
+# operator, the end of input, or any other character, which is an error
+_TOKEN = re.compile(
+    r"(?s)\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)|(?P<bad>.))"
+)
+
 
 def _tokenize(source: str):
-    tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    seen_dot = True
-                j += 1
-            tokens.append(("num", source[i:j], i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    """(kind, text, offset) tuples, kind being "num", "name", "end" or the operator itself."""
+    tokens, pos = [], 0
+    while not tokens or tokens[-1][0] != "end":
+        match = _TOKEN.match(source, pos)
+        kind, text, pos = match.lastgroup, match[match.lastgroup], match.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", match.start(kind))
+        tokens.append((text if kind == "op" else kind, text, match.start(kind)))
     return tokens
 
 
@@ -172,7 +163,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        expr = self.expression(0)
+        try:
+            expr = self.expression(0)
+        except ValueError:  # the literal just read has more digits than int() converts
+            raise ParseError("numeric literal has too many digits", self.tokens[self.pos - 1][2]) from None
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected=("end of input",))
@@ -230,11 +224,7 @@ class _Parser:
     def atom(self):
         kind, text, off = self.advance()
         if kind == "num":
-            if "." in text:
-                whole, frac = text.split(".")
-                denom = 10 ** len(frac)
-                return Num(Fraction(int(whole or 0) * denom + int(frac or 0), denom))
-            return Num(Fraction(int(text)))
+            return Num(Fraction(text))
         if kind == "name":
             if text == "pi":
                 return Pi()
@@ -333,12 +323,9 @@ def compile_expr(expr: Expr, variables: Tuple[str, ...]):
     The tree is walked once, here, into nested closures: one set whose
     literals are exact and one whose literals are ints or floats (see the
     literal rule in the module docstring).  Each call picks the set once,
-    from its arguments.  A variable of expr that is not among variables
-    raises UnboundVariable here, not at the call.
+    from its arguments.  The first variable of expr in tree order that is
+    not among variables raises UnboundVariable here, not at the call.
     """
-    for name in free_variables(expr):
-        if name not in variables:
-            raise UnboundVariable(f"unbound variable {name!r}")
     index = {name: i for i, name in enumerate(variables)}
     exact, inexact = _closure(expr, index, True), _closure(expr, index, False)
 
@@ -360,6 +347,8 @@ def _closure(node, index, exact):
         value = v if exact else int(v) if v.denominator == 1 else float(v)
         return lambda args: value
     if isinstance(node, Var):
+        if node.name not in index:
+            raise UnboundVariable(f"unbound variable {node.name!r}")
         return operator.itemgetter(index[node.name])
     if isinstance(node, Pi):
         return lambda args: math.pi
@@ -390,30 +379,6 @@ def evaluate(expr: Expr, bindings: Dict[str, object]):
     return compile_expr(expr, tuple(bindings))(*bindings.values())
 
 
-def free_variables(expr: Expr) -> Tuple[str, ...]:
-    seen = []
-
-    def walk(node):
-        if isinstance(node, Var) and node.name not in seen:
-            seen.append(node.name)
-        elif isinstance(node, Neg):
-            walk(node.arg)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Call):
-            walk(node.arg)
-        elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(seen)
-
-
 def compile_function(source: str, *variables: str):
     """Parse and compile once, returning a plain callable over the named variables."""
-    expr = parse(source)
-    fn = compile_expr(expr, variables)
-    fn.expr = expr
-    fn.source = source
-    return fn
+    return compile_expr(parse(source), variables)

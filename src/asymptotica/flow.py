@@ -116,7 +116,8 @@ def _polynomial_sums(monomials, count):
     factors = [f" * {name(i, j)}" if i + j else "" for i, j in monomials]
     sums = [" + ".join(f"r{k + m}{t}" for m, t in enumerate(factors)) for k in range(0, count * n, n)]
     scope = {}
-    exec("def efgab(self, x, y, z, row):\n    " + "\n    ".join(lines + [f"return [{', '.join(sums)}]"]), scope)
+    source = "def efgab(self, x, y, z, row):\n    " + "\n    ".join(lines + [f"return [{', '.join(sums)}]"])
+    exec(compile(source, "<ChartSpectralCache.efgab>", "exec"), scope)
     return scope["efgab"]
 
 
@@ -207,19 +208,22 @@ _ERR = np.array((
 ))
 
 
-def _stage_sum(expression, rows):
+def _stage_sum(name, expression, rows):
     """lambda y, dh, ks: [expression for v, k_i, ... in zip(y, ks[i], ...)], {j} in
     expression being the sum of w * k_i over the nonzero weights w of rows[j],
-    written as round-trip literals: the tableau above stays the one copy."""
+    written as round-trip literals: the tableau above stays the one copy.  Its
+    code's file name is "<rk45 name>", so that a profile keeps each sum apart."""
     used = sorted({i for row in rows for i, w in enumerate(row) if w})
     sums = ["(" + " + ".join(f"{float(w)!r} * k{i}" for i, w in enumerate(row) if w) + ")" for row in rows]
     names, slopes = "".join(f", k{i}" for i in used), "".join(f", ks[{i}]" for i in used)
-    return eval(f"lambda y, dh, ks: [{expression.format(*sums)} for v{names} in zip(y{slopes})]")
+    source = f"lambda y, dh, ks: [{expression.format(*sums)} for v{names} in zip(y{slopes})]"
+    return eval(compile(source, f"<rk45 {name}>", "eval"))
 
 
-_STAGE_STATES = [None] + [_stage_sum("v + dh * {0}", [row]) for row in _A[1:]]  # stage i's state
-_UPDATE = _stage_sum("v + dh * {0}", [_B])
-_ERRORS = _stage_sum("({0}, {1})", _ERR)
+# stage i's state
+_STAGE_STATES = [None] + [_stage_sum(f"stage {i}", "v + dh * {0}", [row]) for i, row in enumerate(_A) if i]
+_UPDATE = _stage_sum("update", "v + dh * {0}", [_B])
+_ERRORS = _stage_sum("errors", "({0}, {1})", _ERR)
 
 
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"

@@ -338,6 +338,7 @@ def test_fuzzed_t1_poincare_keeps_the_exit_code_contract(monkeypatch, t1_field, 
 # exp(800*x) stay out: an integrate run takes thousands of tiny steps on them
 DOCUMENT_EXPRESSIONS = (
     "x", "1", "0", "z - y", "1 + y*y", "-x^2 - y^2", "sqrt(1 - x)", "1/x", "exp(800*x + 800)", "x^400", "0*x", "sin(",
+    "x^²", "٣ + x", "ｘ",
 )
 DOCUMENT_CURVES = ("circle", "t1", "x,x^2,0*x", "cos(x),sin(x),0*sqrt(1-x)", "cos(x),sin(x)", "nowhere")
 json_values = st.recursive(
@@ -428,6 +429,26 @@ def test_exponent_chain_error_is_one_usage_line(capsys, chain, command):
     doc = json.dumps({"xi": [f"y^{chain} + 1", "x", "z + 1"]})
     code, _, err = run(capsys, command[0], "--field", doc, *command[1:])
     assert code == 2 and len(err.splitlines()) == 1 and "exponent chain" in err
+
+
+# a superscript 2 in a field component and in --curve, then an Arabic-Indic 3
+# and a fullwidth x in the curve of every other command that reads a document
+NON_ASCII_COMMANDS = {
+    "curvature-superscript-2": ["curvature", "--field", '{"xi": ["x^²", "1", "0"]}'],
+    "starlike-superscript-2": ["starlike", "--curve", "cos(x),sin(x),x^²"],
+    **{
+        f"{command}-{name}": [command, "--field", json.dumps({"xi": ["1", "0", "1"], "curve": curve}), *rest]
+        for command, *rest in (["classify"], ["poincare"], ["integrate", "--to", "0.5"], ["integrability"])
+        for name, curve in (("arabic-indic-3", "cos(x),sin(x),٣*x"), ("fullwidth-x", "cos(x),sin(x),ｘ"))
+    },
+}
+
+
+@pytest.mark.parametrize("argv", NON_ASCII_COMMANDS.values(), ids=NON_ASCII_COMMANDS.keys())
+def test_a_non_ascii_digit_or_letter_is_one_usage_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "unexpected character" in err
 
 
 def test_inline_field_document(capsys):
@@ -688,8 +709,15 @@ def _far_root(e, f, g, prev_p=None, _real=flow.branch_slopes):
     return slopes, slopes[-1] if selected == slopes[0] else slopes[0]
 
 
+class _DegreeOneCache(flow.ChartSpectralCache):
+    # the FD batch's cache with its (y, z) expansion cut at degree 1
+    monomials = ((0, 0), (0, 1), (1, 0))
+    efgab = flow._polynomial_sums(monomials, 5)
+
+
 # each mutant of the library: the check that has to catch it, and the patch
 MUTANTS = {
+    "degree-1-chart-cache": ("fd-oracle", (flow, "ChartSpectralCache", _DegreeOneCache)),
     "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
     "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),
     "far-root": ("gauge", (flow, "branch_slopes", _far_root)),

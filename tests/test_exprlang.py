@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,6 @@ from asymptotica.exprlang import (
     Var,
     compile_function,
     evaluate,
-    free_variables,
     parse,
     to_source,
 )
@@ -95,6 +95,12 @@ def test_rational_literals_are_exact():
 def test_unbound_variable():
     with pytest.raises(UnboundVariable):
         evaluate(parse("x + y"), {"x": 1.0})
+
+
+@pytest.mark.parametrize("source, name", [("x + u*v", "u"), ("sin(v)^2 - u", "v"), ("-(y/z)", "y")])
+def test_the_first_unbound_variable_in_tree_order_is_reported_at_compile_time(source, name):
+    with pytest.raises(UnboundVariable, match=f"^unbound variable '{name}'$"):
+        exprlang.compile_expr(parse(source), ("x",))
 
 
 def test_division_by_zero_is_domain_error():
@@ -308,9 +314,16 @@ def _assert_same_outcome(want, got):
         assert got[0] == "value" and _same(want[1], got[1])
 
 
+def _variables(node):
+    """The names of the variables in a tree."""
+    if isinstance(node, Var):
+        return {node.name}
+    return set().union(*(_variables(getattr(node, f)) for f in ("arg", "base", "left", "right") if hasattr(node, f)))
+
+
 def _check_against_the_walker(tree, bindings):
     got = _outcome(lambda: evaluate(tree, bindings))
-    if set(free_variables(tree)) - set(bindings):
+    if _variables(tree) - set(bindings):
         # the compiled evaluator reports an unbound variable before evaluating
         assert got[:2] == ("raise", UnboundVariable)
         return
@@ -345,3 +358,110 @@ def test_compiled_expressions_match_the_tree_walker(ring, data):
 def test_compiled_expressions_raise_what_the_tree_walker_raises(source, bindings, error):
     assert _outcome(lambda: _oracle(parse(source), bindings))[:2] == ("raise", error)
     _check_against_the_walker(parse(source), bindings)
+
+
+# -- the token pattern against the hand-written scanner it replaced -----------
+
+
+def _reference_tokenize(source):
+    """The scanner that the token pattern replaced, kept as the reference: it
+    reads any str.isdigit, str.isalpha and str.isalnum character."""
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+                if source[j] == ".":
+                    seen_dot = True
+                j += 1
+            tokens.append(("num", source[i:j], i))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("name", source[i:j], i))
+            i = j
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def _reference_literal(text):
+    """The literal code that Fraction(text) replaced."""
+    if "." in text:
+        whole, frac = text.split(".")
+        denom = 10 ** len(frac)
+        return Fraction(int(whole or 0) * denom + int(frac or 0), denom)
+    return Fraction(int(text))
+
+
+class _ReferenceParser(exprlang._Parser):
+    """The parser fed by the reference scanner, its literals read by the reference code."""
+
+    def __init__(self, source):
+        if not source.strip():
+            raise ParseError("empty input", 0)
+        self.tokens = _reference_tokenize(source)
+        self.pos = 0
+
+    def atom(self):
+        kind, text, _ = self.peek()
+        if kind == "num":
+            self.advance()
+            return Num(_reference_literal(text))
+        return super().atom()
+
+
+def _parse_outcome(fn):
+    """("value", v) or ("raise", ParseError, message, offset)."""
+    try:
+        return ("value", fn())
+    except ParseError as exc:
+        return ("raise", type(exc), str(exc), exc.offset)
+
+
+# ASCII pieces: digits and dots, every name the grammar knows and some it does
+# not, the operators, parentheses, and whitespace including \x1c (str.isspace)
+_PIECES = (
+    list("0123456789..") + list(exprlang.VARIABLES + exprlang.FUNCTIONS) + ["pi", "a", "Q", "_", "tan", "x1", "e5"]
+    + list("+-*/^()") + [" ", "  ", "\t", "\n", "\x1c", "\x0b", "#", "$", ",", "'"]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(source=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+@example(source="1.2.3 + .5 * 2.")
+@example(source="x^2^-1 \x1c")
+@example(source="sin(x)^3 - 2*pi / .5")
+def test_the_token_pattern_matches_the_reference_scanner_on_ascii(source):
+    assert _parse_outcome(lambda: exprlang._tokenize(source)) == _parse_outcome(lambda: _reference_tokenize(source))
+    assert _parse_outcome(lambda: parse(source)) == _parse_outcome(lambda: _ReferenceParser(source).parse())
+
+
+@pytest.mark.parametrize("source", ["²", "x^²", "x + ¹", "٣", "x^٣", "ｘ", "é"])
+def test_a_non_ascii_digit_or_letter_is_a_parse_error_at_its_offset(source):
+    offset = next(i for i, ch in enumerate(source) if not ch.isascii())
+    with pytest.raises(ParseError, match=f"^unexpected character {source[offset]!r} at offset {offset}$") as info:
+        parse(source)
+    assert info.value.offset == offset
+
+
+@pytest.mark.parametrize("template, offset", [("{}", 0), ("x + 0.{}", 4), ("x^{}", 2)])
+def test_a_literal_with_more_digits_than_int_converts_is_a_parse_error(template, offset):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python converts integer strings of any length")
+    with pytest.raises(ParseError, match="too many digits") as info:
+        parse(template.format("1" * (limit + 1)))
+    assert info.value.offset == offset

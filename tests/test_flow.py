@@ -210,6 +210,16 @@ def test_generated_sums_at_other_degrees(degree):
             assert abs(v - w) <= 1e-14 * max(1.0, abs(w))
 
 
+def test_each_generated_function_has_its_own_file_name_for_a_profile():
+    # cProfile keys a function by (file name, line, name): generated code under one
+    # file name merges into one "<string>:1(<lambda>)" entry
+    sums = [*flow._STAGE_STATES[1:], flow._UPDATE, flow._ERRORS]
+    names = [fn.__code__.co_filename for fn in sums]
+    assert len(sums) == 13 and len(set(names)) == 13
+    assert names[2] == "<rk45 stage 3>" and names[-2:] == ["<rk45 update>", "<rk45 errors>"]
+    assert ChartSpectralCache.efgab.__code__.co_filename == "<ChartSpectralCache.efgab>"
+
+
 def test_batch_matches_single_trajectory(t1_field, t1_chart):
     starts = np.array([[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4]])
     ends = integrate_batch(t1_field, t1_chart, starts, 0.0, 1.5, rtol=1e-11, atol=1e-14)
