@@ -21,11 +21,14 @@ integrate_asymptotic reports the status with the partial path;
 integrate_batch raises FlowError with a message that begins with it.
 ChartSpectralCache expands the chart data to degree CACHE_DEGREE in (y, z)
 and fits them from CACHE_NODES nodes; its per-point polynomial efgab is
-straight-line code generated at import from that degree's monomials.
+straight-line code generated at import from that degree's monomials.  An
+rk45 step attempt is straight-line code too, generated on first use for each
+state size, so an import compiles none of it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -208,22 +211,48 @@ _ERR = np.array((
 ))
 
 
-def _stage_sum(name, expression, rows):
-    """lambda y, dh, ks: [expression for v, k_i, ... in zip(y, ks[i], ...)], {j} in
-    expression being the sum of w * k_i over the nonzero weights w of rows[j],
-    written as round-trip literals: the tableau above stays the one copy.  Its
-    code's file name is "<rk45 name>", so that a profile keeps each sum apart."""
-    used = sorted({i for row in rows for i, w in enumerate(row) if w})
-    sums = ["(" + " + ".join(f"{float(w)!r} * k{i}" for i, w in enumerate(row) if w) + ")" for row in rows]
-    names, slopes = "".join(f", k{i}" for i in used), "".join(f", ks[{i}]" for i in used)
-    source = f"lambda y, dh, ks: [{expression.format(*sums)} for v{names} in zip(y{slopes})]"
-    return eval(compile(source, f"<rk45 {name}>", "eval"))
+@functools.cache
+def _step_function(n, with_rows):
+    """One DOP853 step attempt on n floats as straight-line code:
+    step(rhs, x, dh, y, f0, rows, atol, rtol) -> (y1, err5, err3), the update
+    and the sums over the components of the squared fifth- and third-order
+    error estimates, each divided by atol + rtol * max(|y1_j|, |y_j|) (times
+    inf where that is 0, as numpy divides).  Every sum is written term by
+    term over the tableau's nonzero weights, as round-trip literals in tableau
+    order, so each value keeps the bits of the stage loop over lists that
+    tests/test_flow.py keeps as its reference.  Stage i passes rhs the
+    (i-1)-th entry of rows when with_rows.  The file name "<rk45 step n>" (or
+    "<rk45 step n with rows>") keeps each size apart in a profile."""
 
+    def weighted(row, j):
+        return "(" + " + ".join(f"{float(w)!r} * k{i}_{j}" for i, w in enumerate(row) if w) + ")"
 
-# stage i's state
-_STAGE_STATES = [None] + [_stage_sum(f"stage {i}", "v + dh * {0}", [row]) for i, row in enumerate(_A) if i]
-_UPDATE = _stage_sum("update", "v + dh * {0}", [_B])
-_ERRORS = _stage_sum("errors", "({0}, {1})", _ERR)
+    def unpack(names, source):  # [] = y unpacks an empty state, where ", = y" would not parse
+        return f"[{', '.join(names)}] = {source}"
+
+    slopes = lambda i: [f"k{i}_{j}" for j in range(n)]
+    lines = [unpack([f"a{j}" for j in range(n)], "y"), unpack(slopes(0), "f0")]
+    if with_rows:
+        lines.append(unpack([f"r{i}" for i in range(1, 12)], "rows"))
+    for i in range(1, 12):
+        state = ", ".join(f"a{j} + dh * {weighted(_A[i], j)}" for j in range(n))
+        lines.append(unpack(slopes(i), f"rhs(x + dh * {_C[i]!r}, [{state}]{f', r{i}' if with_rows else ''})"))
+    lines += [f"b{j} = a{j} + dh * {weighted(_B, j)}" for j in range(n)]
+    lines.append("err5 = err3 = 0.0")
+    for j in range(n):
+        lines += [
+            f"u, w = {weighted(_ERR[0], j)}, {weighted(_ERR[1], j)}",
+            # NaN whenever y1 is (a NaN y makes a NaN y1)
+            f"s = atol + rtol * max(abs(b{j}), abs(a{j}))",
+            "u, w = (u / s, w / s) if s else (u * inf, w * inf)",
+            "err5, err3 = err5 + u * u, err3 + w * w",
+        ]
+    lines.append(f"return [{', '.join(f'b{j}' for j in range(n))}], err5, err3")
+    name = f"<rk45 step {n}{' with rows' if with_rows else ''}>"
+    scope = {"inf": math.inf}
+    source = "def step(rhs, x, dh, y, f0, rows, atol, rtol):\n    " + "\n    ".join(lines)
+    exec(compile(source, name, "exec"), scope)
+    return scope["step"]
 
 
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
@@ -258,7 +287,10 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     "singular" step-size underflow, as does a run that has made MAX_STEPS
     step attempts; the error norm never raises (x / 0 is inf or NaN, as in
     numpy).  on_accept(x, y[, last row]) is called at every accepted
-    step.  A step is at most 1/8 of the run, the first 1/16.
+    step.  A step is at most 1/8 of the run, the first 1/16.  Each step
+    attempt runs the straight-line code of _step_function for the state's
+    size, compiled at the first run of that size in the process (about 1 ms
+    for 2 floats, 2 ms for 4 and 4 ms for 8 on 2 vCPUs, linear in the size).
     Returns (x, y, stats) at x1, or at the last accepted point
     after a stop, y an array of y0's shape; stats holds "steps", "rejected",
     "min_step", "status" ("reached" or the stop's) and "reason".
@@ -273,8 +305,8 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     stats = {"steps": 0, "rejected": 0, "min_step": math.inf, "status": "reached", "reason": ""}
     try:
         f0 = rhs(x, y) if coefficients is None else rhs(x, y, coefficients(x))
-        ks = [None] * 12  # the stage slopes of one step
-        rows = [()] * 11  # the extra rhs argument of stages 1 to 11
+        attempt = _step_function(len(y), coefficients is not None)
+        rows, last = None, ()  # the stage table of the attempt and the extra rhs argument at its end
         tiny = 1e-15 * max(1.0, abs(x1))
         while (remaining := direction * (x1 - x)) > tiny:
             step = remaining if h >= remaining - tiny else h
@@ -285,20 +317,13 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
             dh = direction * step
             try:
                 if coefficients is not None:
-                    rows = [(row,) for row in coefficients(x + dh * _STAGES)]
-                ks[0] = f0
-                for i in range(1, 12):
-                    ks[i] = rhs(x + dh * _C[i], _STAGE_STATES[i](y, dh, ks), *rows[i - 1])
-                y1 = _UPDATE(y, dh, ks)
-                err5 = err3 = 0.0
-                for a, b, (u, w) in zip(y, y1, _ERRORS(y, dh, ks)):
-                    s = atol + rtol * max(abs(b), abs(a))  # NaN whenever y1 is (a NaN y makes a NaN y1)
-                    u, w = (u / s, w / s) if s else (u * math.inf, w * math.inf)  # x / 0 as numpy divides
-                    err5, err3 = err5 + u * u, err3 + w * w
+                    rows = coefficients(x + dh * _STAGES)
+                    last = (rows[-1],)
+                y1, err5, err3 = attempt(rhs, x, dh, y, f0, rows, atol, rtol)
                 # Hairer's norm: the fifth-order estimate, damped where the third-order one is larger
                 err = step * err5 / math.sqrt((err5 + 0.01 * err3) * len(y)) if err5 or err3 else 0.0
                 if err <= 1.0:
-                    f0 = rhs(x + dh, y1, *rows[-1])  # first same as last; _C[11] == 1
+                    f0 = rhs(x + dh, y1, *last)  # first same as last; _C[11] == 1
             except _Stop:
                 if step <= 4 * MIN_STEP:
                     raise
@@ -313,7 +338,7 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
                 stats["min_step"] = min(stats["min_step"], step)
                 if on_accept is not None:
                     # the last row is at x + dh, which may miss x1 by a rounding
-                    on_accept(x, y, *(rows[-1] if x == end else ()))
+                    on_accept(x, y, *(last if x == end else ()))
             else:
                 stats["rejected"] += 1
             # a NaN estimate (no comparison holds) shrinks the step
@@ -420,8 +445,11 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=
     pass.  A start with no real branch raises EllipticStop or
     VerticalDirection; a stop of any trajectory (leaving the tube radius is a
     "tube-exit") stops the batch and raises FlowError, its message beginning
-    with the status.
+    with the status.  starts of any other shape raise ValueError.
     """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != 2 or not len(starts):
+        raise ValueError(f"starts must have shape (n, 2) with n >= 1, not {starts.shape}")
     if cache is None:
         equation, coefficients = tubular.binary_equation_data(field, chart), None
     else:

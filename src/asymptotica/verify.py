@@ -41,10 +41,18 @@ def checks(seed=0):
         return field, chart, monodromy.monodromy(field, chart, field.curve.period)
 
     def t1_eigenvalues():
-        result = t1()[2]
+        field, chart, result = t1()
         want = (math.exp(-25 * math.pi / 8), math.exp(2 * math.pi))
         rel = max(abs(a - b) / b for a, b in zip(sorted(abs(ev) for ev in result.eigenvalues), want))
-        return [("max relative eigenvalue error", rel, 1e-4), ("not hyperbolic", not result.hyperbolic, 0)]
+        xs = np.linspace(0.0, field.curve.period, 64, endpoint=False)
+        classes = tubular._classes(tubular.chart_data(field, chart, xs, 0.0, 0.0))
+        # 202 attempts (158 accepted, 44 rejected); a DP5 step exponent -1/5 makes 256
+        attempts = result.stats["steps"] + result.stats["rejected"]
+        return [
+            ("max relative eigenvalue error", rel, 1e-4), ("not hyperbolic", not result.hyperbolic, 0),
+            ("core points not Hyperbolic", sum(c is not tubular.PointClass.HYPERBOLIC for c in classes), 0),
+            ("Q step attempts", attempts, 225),
+        ]
 
     def t1_integrals():
         integrals = t1()[2].integrals

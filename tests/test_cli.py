@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -715,8 +716,19 @@ class _DegreeOneCache(flow.ChartSpectralCache):
     efgab = flow._polynomial_sums(monomials, 5)
 
 
+def _dp5_exponent_rk45():
+    # rk45 with the step exponent -1/5 of a fifth-order pair in place of DOP853's -1/8
+    source = inspect.getsource(flow.rk45)
+    assert source.count("err ** -0.125") == 1
+    scope = dict(vars(flow))
+    exec(source.replace("err ** -0.125", "err ** -0.2"), scope)
+    return scope["rk45"]
+
+
 # each mutant of the library: the check that has to catch it, and the patch
 MUTANTS = {
+    "dp5-step-exponent": ("t1-eigenvalues", (flow, "rk45", _dp5_exponent_rk45())),
+    "wide-class-band": ("t1-eigenvalues", (tubular, "CLASS_TOL", 1e-2)),
     "degree-1-chart-cache": ("fd-oracle", (flow, "ChartSpectralCache", _DegreeOneCache)),
     "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
     "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),

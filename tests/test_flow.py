@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,11 +218,132 @@ def test_generated_sums_at_other_degrees(degree):
 def test_each_generated_function_has_its_own_file_name_for_a_profile():
     # cProfile keys a function by (file name, line, name): generated code under one
     # file name merges into one "<string>:1(<lambda>)" entry
-    sums = [*flow._STAGE_STATES[1:], flow._UPDATE, flow._ERRORS]
-    names = [fn.__code__.co_filename for fn in sums]
-    assert len(sums) == 13 and len(set(names)) == 13
-    assert names[2] == "<rk45 stage 3>" and names[-2:] == ["<rk45 update>", "<rk45 errors>"]
+    steps = [flow._step_function(n, with_rows) for n in range(9) for with_rows in (False, True)]
+    names = [fn.__code__.co_filename for fn in steps]
+    assert len(steps) == 18 and len(set(names)) == 18
+    assert names[4:6] == ["<rk45 step 2>", "<rk45 step 2 with rows>"]
+    assert names[-1] == "<rk45 step 8 with rows>"
+    assert flow._step_function(8, True) is steps[-1]  # generated once per size
     assert ChartSpectralCache.efgab.__code__.co_filename == "<ChartSpectralCache.efgab>"
+
+
+def test_no_step_is_generated_at_import():
+    # a run that integrates nothing (--help, the benchmark's set-up) pays no compile
+    code = "import asymptotica.cli, asymptotica.flow as f; print(f._step_function.cache_info().currsize)"
+    src = str(Path(flow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
+
+
+# -- the generated step attempt against the stage loop it replaced ------------
+
+
+def _stage_sum(expression, rows):
+    # lambda y, dh, ks: [expression for v, k_i, ... in zip(y, ks[i], ...)], {j} in expression
+    # being the sum of w * k_i over the nonzero weights w of rows[j], as round-trip literals
+    used = sorted({i for row in rows for i, w in enumerate(row) if w})
+    sums = ["(" + " + ".join(f"{float(w)!r} * k{i}" for i, w in enumerate(row) if w) + ")" for row in rows]
+    names, slopes = "".join(f", k{i}" for i in used), "".join(f", ks[{i}]" for i in used)
+    return eval(f"lambda y, dh, ks: [{expression.format(*sums)} for v{names} in zip(y{slopes})]")
+
+
+_STAGE_STATES = [None] + [_stage_sum("v + dh * {0}", [row]) for row in flow._A[1:]]
+_UPDATE = _stage_sum("v + dh * {0}", [flow._B])
+_ERRORS = _stage_sum("({0}, {1})", flow._ERR)
+
+
+def _stage_loop(rhs, x, dh, y, f0, rows, atol, rtol):
+    # rk45's step attempt as it was written before the generated one: the reference for its bits
+    rows = [()] * 11 if rows is None else [(row,) for row in rows]
+    ks = [f0] + [None] * 11
+    for i in range(1, 12):
+        ks[i] = rhs(x + dh * flow._C[i], _STAGE_STATES[i](y, dh, ks), *rows[i - 1])
+    y1 = _UPDATE(y, dh, ks)
+    err5 = err3 = 0.0
+    for a, b, (u, w) in zip(y, y1, _ERRORS(y, dh, ks)):
+        s = atol + rtol * max(abs(b), abs(a))
+        u, w = (u / s, w / s) if s else (u * math.inf, w * math.inf)
+        err5, err3 = err5 + u * u, err3 + w * w
+    return y1, err5, err3
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _draws(rng, n):
+    # magnitudes 1e-8 to 1e8 of either sign, with exact zeros of both signs, NaN and infinities
+    values = (rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-8, 8, n)).tolist()
+    for special in (0.0, -0.0, math.nan, math.inf, -math.inf):
+        if rng.random() < 0.3:
+            values[rng.integers(n)] = special
+    return values
+
+
+@pytest.mark.parametrize("with_rows", [False, True], ids=["no-rows", "rows"])
+def test_generated_step_keeps_the_bits_of_the_stage_loop(with_rows):
+    rng = np.random.default_rng(30)
+    for n in range(1, 9):
+        step = flow._step_function(n, with_rows)
+        for atol, rtol in [(1e-12, 1e-10), (0.0, 0.0), (0.0, 1e-10), (1e-12, 0.0)] * 5:
+            y, f0 = _draws(rng, n), _draws(rng, n)
+            x, dh = rng.uniform(-5, 5), float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, 0))
+            rows = rng.uniform(-2, 2, 11).tolist() if with_rows else None
+            if with_rows and rng.random() < 0.3:
+                rows[rng.integers(11)] = -0.0
+            results, calls = [], []
+            for attempt in (_stage_loop, step):
+                seen = []
+
+                def rhs(x, state, *row):
+                    # each slope reads x, its entry, its neighbour and the row, so every stage state counts
+                    seen.append(_hex([x, *state, *row]))
+                    shift = row[0] if row else 0.0
+                    return [(v - x) * 0.75 + state[j - 1] * 0.125 + shift for j, v in enumerate(state)]
+
+                y1, err5, err3 = attempt(rhs, x, dh, list(y), list(f0), rows, atol, rtol)
+                results.append(_hex([*y1, err5, err3]))
+                calls.append(seen)
+            assert results[0] == results[1] and calls[0] == calls[1]
+            assert len(calls[1]) == 11
+
+
+def test_rk45_runs_keep_the_bits_of_the_stage_loop(monkeypatch, t1_field, t1_chart):
+    # whole runs on the stage loop against the generated steps: the Q integration (4 floats,
+    # rows), the FD batch (8 floats, rows) and a chart path (2 floats, no rows)
+    circle = _field_and_chart("circle-example", t1_field, t1_chart)
+
+    def runs():
+        result = monodromy.monodromy(t1_field, t1_chart, 2 * math.pi)
+        fd = monodromy.fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, h=1e-5)
+        path = integrate_asymptotic(*circle, (0.5, 8e-4, 2e-4), 2.0)
+        stats = (result.stats, path.stats, path.status)
+        return stats, [a.tobytes() for a in (result.Q, fd, path.xs, path.ys, path.zs, path.ps)]
+
+    generated = runs()
+    monkeypatch.setattr(flow, "_step_function", lambda n, with_rows: _stage_loop)
+    assert runs() == generated
+    assert (generated[0][0]["steps"], generated[0][0]["rejected"]) == (158, 44)
+
+
+@pytest.mark.parametrize("coefficients", [None, lambda xs: xs], ids=["no-rows", "rows"])
+def test_rk45_on_an_empty_state(coefficients):
+    rhs = lambda x, y, *row: []
+    x, y, stats = rk45(rhs, 0.0, 1.0, np.empty((0, 2)), coefficients=coefficients)
+    assert x == 1.0 and y.shape == (0, 2) and stats["status"] == "reached"
+    assert (stats["steps"], stats["rejected"]) == (9, 0)
+
+
+@pytest.mark.parametrize(
+    "starts, shape",
+    [([[1e-4, 0.0, 0.0]], "(1, 3)"), ([1e-4, 0.0], "(2,)"), (np.empty((0, 2)), "(0, 2)"), ([], "(0,)")],
+    ids=["three-columns", "flat", "no-starts", "empty-list"],
+)
+def test_integrate_batch_rejects_malformed_starts_before_integrating(monkeypatch, t1_field, t1_chart, starts, shape):
+    monkeypatch.setattr(flow, "rk45", lambda *args, **kwargs: pytest.fail("integrated a malformed batch"))
+    with pytest.raises(ValueError, match=re.escape(f"shape (n, 2) with n >= 1, not {shape}")):
+        integrate_batch(t1_field, t1_chart, starts, 0.0, 1.0)
 
 
 def test_batch_matches_single_trajectory(t1_field, t1_chart):

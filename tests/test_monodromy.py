@@ -121,7 +121,7 @@ def test_t1_eigenvalues_row_fails_the_naive_small_eigenvalue(monkeypatch, naive)
     # root (and 4.01e-11 with det/large on Q's own det, the formula before Liouville's)
     if naive:
         monkeypatch.setattr(mono, "eigenvalues_2x2", _naive_small_eigenvalue)
-    (label, measured, _), _ = dict(verify.checks())["t1-eigenvalues"]()
+    (label, measured, _), *_ = dict(verify.checks())["t1-eigenvalues"]()
     assert label == "max relative eigenvalue error" and (measured > 1e-13) == naive
 
 
