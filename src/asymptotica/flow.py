@@ -23,7 +23,13 @@ ChartSpectralCache expands the chart data to degree CACHE_DEGREE in (y, z)
 and fits them from CACHE_NODES nodes; its per-point polynomial efgab is
 straight-line code generated at import from that degree's monomials.  An
 rk45 step attempt is straight-line code too, generated on first use for each
-state size, so an import compiles none of it.
+state size, and so is the tracker's right-hand side for each number of
+points: the stage row unpacked once, then point by point the tube test, the
+data (a cache's polynomial written out, or one equation call) and
+branch_slopes' root choice with the collision test.  An import compiles none
+of it, and each generated function compiles under its own file name.  Since
+the generated code grows with the points, integrate_batch takes at most
+MAX_BATCH starts.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 
 from . import tubular
 from .exprlang import DomainError
+from .jets import _compiled
 from .spectral import TrigSeries
 
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
@@ -45,6 +52,7 @@ CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its efgab is g
 _MONOMIALS = tuple((i, total - i) for total in range(CACHE_DEGREE + 1) for i in range(total + 1))  # y^i z^j
 MIN_STEP = 1e-14  # rk45's smallest step
 MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
+MAX_BATCH = 16  # integrate_batch's most starts: its generated step and rhs grow with them (about 25 ms at 16)
 
 
 class FlowError(Exception):
@@ -105,23 +113,28 @@ def branch_slopes(e, f, g, prev_p=None):
     return (p1, p2), p2 if abs(p2 - near) < abs(p1 - near) else p1  # a tie keeps p1
 
 
-def _polynomial_sums(monomials, count):
-    """efgab(self, x, y, z, row) as straight-line code: the count sums, term by
-    term in the order of monomials, of row[k + m] times the m-th monomial
-    y^i z^j (k = 0, len(monomials), ...).  The row is unpacked once, and each
-    monomial is formed once, as m(i - 1, j) * y when i > j, else m(i, j - 1) * z;
-    a body that indexes the row per term costs the FD batch about 30 % more."""
-    name = lambda i, j: "y" * i + "z" * j
+def _polynomial(monomials, count, y, z):
+    """The count sums, term by term in the order of monomials, of r(k + m)
+    times the m-th monomial y^i z^j at the point named y, z (k = 0,
+    len(monomials), ...), as straight-line code: (lines, sums), the lines
+    forming each monomial of degree above 1 once, as m(i - 1, j) * y when
+    i > j, else m(i, j - 1) * z, and the text of each sum."""
+    name = lambda i, j: y if (i, j) == (1, 0) else z if (i, j) == (0, 1) else "y" * i + "z" * j
     n = len(monomials)
-    lines = [", ".join(f"r{k}" for k in range(count * n)) + ", = row"]
-    lines += [f"{name(i, j)} = " + (f"{name(i - 1, j)} * y" if i > j else f"{name(i, j - 1)} * z")
-              for i, j in monomials if i + j > 1]
+    lines = [f"{name(i, j)} = " + (f"{name(i - 1, j)} * {y}" if i > j else f"{name(i, j - 1)} * {z}")
+             for i, j in monomials if i + j > 1]
     factors = [f" * {name(i, j)}" if i + j else "" for i, j in monomials]
-    sums = [" + ".join(f"r{k + m}{t}" for m, t in enumerate(factors)) for k in range(0, count * n, n)]
-    scope = {}
+    return lines, [" + ".join(f"r{k + m}{t}" for m, t in enumerate(factors)) for k in range(0, count * n, n)]
+
+
+def _polynomial_sums(monomials, count):
+    """efgab(self, x, y, z, row) as straight-line code: the count sums of
+    _polynomial at (y, z) on row = [r0, r1, ...], unpacked once.  A body that
+    indexes the row per term costs the FD batch about 30 % more."""
+    lines, sums = _polynomial(monomials, count, "y", "z")
+    lines.insert(0, ", ".join(f"r{k}" for k in range(count * len(monomials))) + ", = row")
     source = "def efgab(self, x, y, z, row):\n    " + "\n    ".join(lines + [f"return [{', '.join(sums)}]"])
-    exec(compile(source, "<ChartSpectralCache.efgab>", "exec"), scope)
-    return scope["efgab"]
+    return _compiled(source, "<ChartSpectralCache.efgab>", {}, "efgab")
 
 
 class ChartSpectralCache:
@@ -162,7 +175,8 @@ class ChartSpectralCache:
         )
 
     # efgab(x, y, z, row): (e, f, g, A, B) at a point of floats, row = self.series(x).tolist()
-    # already evaluated (a row of rk45's stage table, shared by a lockstep batch)
+    # already evaluated (a row of rk45's stage table, shared by a lockstep batch); the
+    # tracker's generated right-hand side writes the same sums out per point
     efgab = _polynomial_sums(monomials, len(_QUANTITIES))
 
 
@@ -249,13 +263,12 @@ def _step_function(n, with_rows):
         ]
     lines.append(f"return [{', '.join(f'b{j}' for j in range(n))}], err5, err3")
     name = f"<rk45 step {n}{' with rows' if with_rows else ''}>"
-    scope = {"inf": math.inf}
     source = "def step(rhs, x, dh, y, f0, rows, atol, rtol):\n    " + "\n    ".join(lines)
-    exec(compile(source, name, "exec"), scope)
-    return scope["step"]
+    return _compiled(source, name, {"inf": math.inf}, "step")
 
 
 _STATUS = {EllipticStop: "elliptic", VerticalDirection: "vertical"}  # any other failure is "singular"
+_POINT_ERRORS = (FlowError, tubular.ReductionSingular, DomainError)  # what an equation's point may raise
 
 
 class _Stop(Exception):
@@ -264,6 +277,93 @@ class _Stop(Exception):
     def __init__(self, status, reason):
         self.status = status
         self.reason = reason
+
+
+def _stopped(exc, x):
+    """The _Stop of an equation's error at a stage point of abscissa x."""
+    # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
+    at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
+    return _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
+
+
+# One point of _track's right-hand side after its data e, f, g, A, B: branch_slopes'
+# root choice nearest the tracked slope q@ and the collision test, giving p@ and v@ =
+# A + B p@ (@ is the point's index).  Its abs, max and isfinite calls are comparisons,
+# with the same outcomes: each |.| and max only enters comparisons, where a sign of zero
+# does not count, and a float v is finite when |v| < inf.  The linear-case test
+# |g| <= SLOPE_TOL * max(|e|, |f|, |g|) reads max(|e|, |f|) as m, since |g| <= SLOPE_TOL * |g|
+# holds only at g = 0; then e = f = g = 0 is m == 0.
+_ROOT_CHOICE = f"""\
+ae = e if e > 0 else -e
+af = f if f > 0 else -f
+ag = g if g > 0 else -g
+if not (ae < inf and af < inf and ag < inf):
+    raise _Stop("singular", f"non-finite chart data e, f, g = {{e}}, {{f}}, {{g}} at x = {{x}}")
+m = ae if ae > af else af
+if ag <= {SLOPE_TOL!r} * m:
+    if m == 0:
+        raise _Stop("singular", f"e = f = g = 0: every direction is asymptotic at x = {{x}}")
+    if af <= {SLOPE_TOL!r} * m:
+        raise _Stop("vertical", "f = g = 0: only dx = 0 solves the equation")
+    p@ = -e / (2 * f)
+else:
+    disc = f * f - g * e
+    if disc < 0:
+        raise _Stop("elliptic", f"discriminant {{disc}} < 0")
+    r = sqrt(disc)
+    s = -(f + r) if f >= 0 else -(f - r)
+    t1 = s / g
+    t2 = e / s if s != 0 else -2 * f / g
+    d1, d2 = t1 - q@, t2 - q@
+    p@ = t2 if (d2 if d2 > 0 else -d2) < (d1 if d1 > 0 else -d1) else t1
+    d = t1 - t2
+    if (d if d > 0 else -d) < {COLLISION_TOL!r} * (1 + (p@ if p@ > 0 else -p@)):
+        raise _Stop("parabolic", "root branches collided")
+v@ = A + B * p@"""
+
+
+@functools.cache
+def _rhs_function(n, monomials):
+    """_track's right-hand side on n points as straight-line code:
+    bind(equation, radius, prev) -> rhs(x, state[, row]) -> [p0, A0 + B0 p0,
+    p1, ...], the slopes dy/dx = p and dz/dx = A + B p of the points (y, z)
+    of state = [y0, z0, y1, z1, ...].  Point after point it writes the tube
+    test |y|, |z| <= radius, the data (e, f, g, A, B) and branch_slopes' root
+    choice nearest prev[i] with the collision test; a stop raises _Stop with
+    the status and reason of the exception that branch_slopes or equation
+    raises there.  With monomials (a ChartSpectralCache's), the data are the
+    sums of its efgab, written out on the stage row unpacked once; without,
+    one call of equation(x, y, z) per point.  The float operations and their
+    order are those of equation (or efgab) and branch_slopes, so each slope
+    keeps its bits: tests/test_flow.py keeps a loop over those two calls as
+    the reference.  The file name "<_track rhs n>" (or "<_track rhs n on m
+    monomials>") keeps each kind apart in a profile."""
+    points, quantities = [str(i) for i in range(n)], ChartSpectralCache._QUANTITIES  # e, f, g, A, B name the data
+    lines = [f"[{', '.join(f'y{i}, z{i}' for i in points)}] = state", f"[{', '.join('q' + i for i in points)}] = prev"]
+    if monomials is not None:
+        lines.insert(0, f"[{', '.join(f'r{k}' for k in range(len(quantities) * len(monomials)))}] = row")
+    for i in points:
+        lines.append(f"if y{i} > radius or y{i} < low or z{i} > radius or z{i} < low:")
+        lines.append('    raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")')
+        if monomials is None:
+            lines += ["try:", f"    e, f, g, A, B = equation(x, y{i}, z{i})",
+                      "except _POINT_ERRORS as exc:", "    raise _stopped(exc, x)"]
+        else:
+            powers, sums = _polynomial(monomials, len(quantities), f"y{i}", f"z{i}")
+            lines += powers + [f"{q} = {total}" for q, total in zip(quantities, sums)]
+        lines += _ROOT_CHOICE.replace("@", i).splitlines()
+    lines.append(f"return [{', '.join(f'p{i}, v{i}' for i in points)}]")
+    signature, name = ("x, state", f"<_track rhs {n}>") if monomials is None else (
+        "x, state, row", f"<_track rhs {n} on {len(monomials)} monomials>")
+    source = "\n".join([
+        "def bind(equation, radius, prev):",
+        "    low = -radius",
+        f"    def rhs({signature}):",
+        *("        " + line for line in lines),
+        "    return rhs",
+    ])
+    scope = {"inf": math.inf, "sqrt": math.sqrt, "_Stop": _Stop, "_stopped": _stopped, "_POINT_ERRORS": _POINT_ERRORS}
+    return _compiled(source, name, scope, "bind")
 
 
 def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=None):
@@ -290,7 +390,8 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     step.  A step is at most 1/8 of the run, the first 1/16.  Each step
     attempt runs the straight-line code of _step_function for the state's
     size, compiled at the first run of that size in the process (about 1 ms
-    for 2 floats, 2 ms for 4 and 4 ms for 8 on 2 vCPUs, linear in the size).
+    for 2 floats, 2 ms for 4 and 4 ms for 8 on 2 vCPUs, linear in the size;
+    rk45 itself bounds no size, integrate_batch does for its batches).
     Returns (x, y, stats) at x1, or at the last accepted point
     after a stop, y an array of y0's shape; stats holds "steps", "rejected",
     "min_step", "status" ("reached" or the stop's) and "reason".
@@ -355,26 +456,35 @@ def require_reached(stats):
         raise FlowError(f"{stats['status']}: {stats['reason']}")
 
 
-def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
+def _track(equation, x0, x1, state0, radius, rtol, atol, cache=None):
     """Follow one root branch of g p^2 + 2 f p + e = 0 per point from x0 toward x1.
 
     state0 has shape (n, 2), n points (y, z) in lockstep (a single path is
-    n = 1): dy/dx = p and dz/dx = A + B p.  Every evaluation loops over the
-    points of rk45's state [y0, z0, y1, z1, ...]: the tube test, equation(x,
-    y, z) -> (e, f, g, A, B), branch_slopes and the collision test.  coefficients goes to rk45, and
-    equation then takes a stage's row as a last argument.  The start takes
-    the root of least modulus, each accepted step the root nearest the last
-    one.  A start with no real root raises EllipticStop or VerticalDirection;
-    any other stop of any point ends the run (a "tube-exit" outside |y|, |z|
-    <= radius, "parabolic" for roots closer than COLLISION_TOL * (1 + |p|),
-    "singular" for an expression evaluated outside its domain).  Returns
-    (xs, states, ps, stats) at the start and every accepted step, states of
-    shape (samples, n, 2), ps (samples, n); stats are rk45's plus the slope
-    equation's "max_residual".
+    n = 1): dy/dx = p and dz/dx = A + B p.  equation(x, y, z) -> (e, f, g,
+    A, B) gives the data at a point; with a cache (a ChartSpectralCache),
+    equation is None and the data are the cache's polynomial on the stage
+    rows of its series, which go to rk45 as coefficients.  The right-hand side is
+    _rhs_function's straight-line code for n points (and the cache's
+    monomials), generated once per kind in a process: point by point, the
+    tube test, the data, the root choice and the collision test.  The start
+    and each accepted step select with equation (or cache.efgab) and
+    branch_slopes: the start takes the root of least modulus, each accepted
+    step the root nearest the last one.  A start with no real root raises
+    EllipticStop or VerticalDirection; any other stop of any point ends the
+    run (a "tube-exit" outside |y|, |z| <= radius, "parabolic" for roots
+    closer than COLLISION_TOL * (1 + |p|), "singular" for an expression
+    evaluated outside its domain).  Returns (xs, states, ps, stats) at the
+    start and every accepted step, states of shape (samples, n, 2), ps
+    (samples, n); stats are rk45's plus the slope equation's "max_residual".
     """
     n, start = len(state0), np.asarray(state0, dtype=float).ravel().tolist()
-    prev = [None] * n  # the tracked slope of each point
+    prev = [0.0] * n  # the tracked slope of each point; 0.0 selects as no slope does: the root of least modulus
     samples = []  # (x, state, ps, residuals) at the start and every accepted step, one p and residual per point
+    if cache is None:
+        coefficients, rhs = None, _rhs_function(n, None)(equation, radius, prev)
+    else:
+        equation, coefficients = cache.efgab, lambda xs: cache.series(xs).tolist()
+        rhs = _rhs_function(n, tuple(map(tuple, cache.monomials)))(None, radius, prev)
 
     def on_accept(x, state, *row):
         if coefficients is not None and not row:  # the start, or a landing that rounded x away from the last row
@@ -386,26 +496,9 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, coefficients=None):
             residuals.append(abs(g * p * p + 2 * f * p + e))
         samples.append((x, state, list(prev), residuals))
 
-    def rhs(x, state, *row):
-        out = []
-        for i, y, z in zip(range(n), state[0::2], state[1::2]):
-            if abs(y) > radius or abs(z) > radius:
-                raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
-            try:
-                e, f, g, A, B = equation(x, y, z, *row)
-                slopes, p = branch_slopes(e, f, g, prev[i])
-            except (FlowError, tubular.ReductionSingular, DomainError) as exc:
-                # a ReductionSingular names its point; an elliptic or vertical stop keeps its bare message
-                at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
-                raise _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
-            if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < COLLISION_TOL * (1 + abs(p)):
-                raise _Stop("parabolic", "root branches collided")
-            out += p, A + B * p
-        return out
-
     try:
         on_accept(x0, start)
-    except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+    except _POINT_ERRORS as exc:
         if type(exc) in _STATUS:  # no real branch at the start
             raise
         nan = [math.nan] * n
@@ -445,17 +538,17 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=
     pass.  A start with no real branch raises EllipticStop or
     VerticalDirection; a stop of any trajectory (leaving the tube radius is a
     "tube-exit") stops the batch and raises FlowError, its message beginning
-    with the status.  starts of any other shape raise ValueError.
+    with the status.  starts of any other shape, or more than MAX_BATCH of
+    them, raise ValueError before any code is generated: the rk45 step and
+    the right-hand side that a batch compiles grow with its starts, to about
+    25 ms at 16 starts (2 vCPUs) and over half a second at 512.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or not len(starts):
         raise ValueError(f"starts must have shape (n, 2) with n >= 1, not {starts.shape}")
-    if cache is None:
-        equation, coefficients = tubular.binary_equation_data(field, chart), None
-    else:
-        equation, coefficients = cache.efgab, lambda xs: cache.series(xs).tolist()
-    _, states, _, stats = _track(
-        equation, x0, x1, starts, chart.radius, rtol, atol, coefficients=coefficients
-    )
+    if len(starts) > MAX_BATCH:
+        raise ValueError(f"a batch takes at most MAX_BATCH = {MAX_BATCH} starts, not {len(starts)}")
+    equation = tubular.binary_equation_data(field, chart) if cache is None else None
+    _, states, _, stats = _track(equation, x0, x1, starts, chart.radius, rtol, atol, cache)
     require_reached(stats)
     return states[-1]

@@ -500,6 +500,14 @@ def _flat(obj):
     return f"({''.join(form + ', ' for form, _ in parts)})", [e for _, entries in parts for e in entries]
 
 
+def _compiled(source, filename, scope, name):
+    """The function name that source defines, compiled under filename (a
+    profile keys functions by file name, so each generated function has its
+    own) and run in scope, its globals.  The one compile of generated code."""
+    exec(compile(source, filename, "exec"), scope)
+    return scope.pop(name)  # its globals do not refer back to it
+
+
 class Tape:
     """The operations of one evaluation on Recorded inputs, in order:
     ring operations as the jet kernel makes them, comparisons as guards,
@@ -610,7 +618,5 @@ class Tape:
 
     def compile(self, inputs, outputs):
         """program(inputs) of source(), compiled."""
-        code = compile(self.source(inputs, outputs), "<recorded>", "exec")
         namespace = {**self.constants, "Trip": GuardTripped}
-        exec(code, namespace)
-        return namespace.pop("program")  # its globals do not refer back to it
+        return _compiled(self.source(inputs, outputs), "<recorded>", namespace, "program")

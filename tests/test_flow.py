@@ -11,6 +11,7 @@ import pytest
 
 from asymptotica import cli, flow, jets, monodromy, tubular
 from asymptotica.curves import Curve
+from asymptotica.exprlang import DomainError
 from asymptotica.flow import (
     ChartSpectralCache,
     EllipticStop,
@@ -225,15 +226,25 @@ def test_each_generated_function_has_its_own_file_name_for_a_profile():
     assert names[-1] == "<rk45 step 8 with rows>"
     assert flow._step_function(8, True) is steps[-1]  # generated once per size
     assert ChartSpectralCache.efgab.__code__.co_filename == "<ChartSpectralCache.efgab>"
+    # _track's rhs, per size, without and with rows of a cache's monomials; bind and the rhs it returns share one
+    binds = [flow._rhs_function(n, monomials) for n in range(1, 5) for monomials in (None, flow._MONOMIALS)]
+    binds.append(flow._rhs_function(4, ((0, 0), (0, 1), (1, 0))))
+    rhs_names = [fn.__code__.co_filename for fn in binds]
+    assert rhs_names[:2] == ["<_track rhs 1>", "<_track rhs 1 on 10 monomials>"]
+    assert rhs_names[-1] == "<_track rhs 4 on 3 monomials>"
+    assert len(set(rhs_names)) == 9 and not set(rhs_names) & set(names)
+    assert [binds[-1](None, 1.0, [0.0] * 4).__code__.co_filename] == rhs_names[-1:]
+    assert flow._rhs_function(4, flow._MONOMIALS) is binds[7]  # generated once per kind
 
 
 def test_no_step_is_generated_at_import():
     # a run that integrates nothing (--help, the benchmark's set-up) pays no compile
-    code = "import asymptotica.cli, asymptotica.flow as f; print(f._step_function.cache_info().currsize)"
+    code = "import asymptotica.cli, asymptotica.flow as f; print(f._step_function.cache_info().currsize," \
+           " f._rhs_function.cache_info().currsize)"
     src = str(Path(flow.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "0\n"
+    assert out.stdout == "0 0\n"
 
 
 # -- the generated step attempt against the stage loop it replaced ------------
@@ -335,6 +346,171 @@ def test_rk45_on_an_empty_state(coefficients):
     assert (stats["steps"], stats["rejected"]) == (9, 0)
 
 
+# -- the generated right-hand side against the point loop it replaced ---------
+
+
+def _reference_rhs_function(n, monomials):
+    # _track's rhs as it was written before the generated one, as the same
+    # bind(equation, radius, prev): the reference for its bits and its stops
+    efgab = None if monomials is None else flow._polynomial_sums(monomials, 5)
+
+    def bind(equation, radius, prev):
+        data = equation if efgab is None else (lambda x, y, z, row: efgab(None, x, y, z, row))
+
+        def rhs(x, state, *row):
+            out = []
+            for i, y, z in zip(range(n), state[0::2], state[1::2]):
+                if abs(y) > radius or abs(z) > radius:
+                    raise flow._Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
+                try:
+                    e, f, g, A, B = data(x, y, z, *row)
+                    slopes, p = branch_slopes(e, f, g, prev[i])
+                except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+                    at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
+                    raise flow._Stop(flow._STATUS.get(type(exc), "singular"), f"{exc}{at}")
+                if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < flow.COLLISION_TOL * (1 + abs(p)):
+                    raise flow._Stop("parabolic", "root branches collided")
+                out += p, A + B * p
+            return out
+
+        return rhs
+
+    return bind
+
+
+def _rhs_outcomes(monomials, points, prev, radius, x, row=None):
+    # (generated, reference): the hex of each slope, or a stop's (status, reason); points
+    # holds each point's (y, z, data), data being (e, f, g, A, B) or an exception to raise
+    outcomes = []
+    for make in (flow._rhs_function, _reference_rhs_function):
+        calls = iter([data for _, _, data in points])
+
+        def equation(x, y, z):
+            data = next(calls)
+            if isinstance(data, Exception):
+                raise data
+            return data
+
+        rhs = make(len(points), monomials)(equation if monomials is None else None, radius, list(prev))
+        state = [v for y, z, _ in points for v in (y, z)]
+        try:
+            outcomes.append(_hex(rhs(x, state) if monomials is None else rhs(x, state, row)))
+        except flow._Stop as stop:
+            outcomes.append((stop.status, stop.reason))
+    return outcomes
+
+
+# one point of data (e, f, g, A, B), its tracked slope, and the outcome it must have
+_RHS_CASES = {
+    "hyperbolic": ((1.0, -3.0, 2.0, 0.5, -0.25), 0.0, "value"),
+    "tie-keeps-the-first-root": ((-1.0, 0.0, 1.0, 1.0, 1.0), 0.0, "value"),
+    "tie-at-signed-zeros": ((-1.0, -0.0, 1.0, -0.0, 0.0), -0.0, "value"),
+    "tie-off-zero": ((0.0, -1.0, 1.0, 2.0, 3.0), 1.0, "value"),
+    "linear": ((1.0, 0.5, 0.0, 1.0, 2.0), 0.3, "value"),
+    "linear-negative-zero-g": ((-0.0, 0.5, -0.0, 1.0, 2.0), 0.0, "value"),
+    "linear-at-the-threshold": ((1.0, 0.5, 1e-12, 1.0, 2.0), 0.0, "value"),
+    "quadratic-above-the-threshold": ((1.0, 0.5, 1.0000000000000002e-12, 1.0, 2.0), 0.0, "value"),
+    "non-finite-e": ((math.nan, 1.0, 1.0, 0.0, 0.0), 0.0, "singular"),
+    "non-finite-g": ((1.0, 1.0, -math.inf, 0.0, 0.0), 0.0, "singular"),
+    "all-zero": ((0.0, -0.0, 0.0, 1.0, 1.0), 0.0, "singular"),
+    "vertical": ((1.0, 0.0, 0.0, 1.0, 1.0), 0.0, "vertical"),
+    "vertical-relative": ((1.0, 1e-13, -1e-13, 1.0, 1.0), 0.0, "vertical"),
+    "elliptic": ((1.0, 0.0, 1.0, 1.0, 1.0), 0.0, "elliptic"),
+    "collision": ((1.0, -1.0, 1.0, 1.0, 1.0), 1.0, "parabolic"),
+    "collision-at-a-zero-root": ((0.0, -0.0, 1.0, 1.0, 1.0), 0.0, "parabolic"),
+    "roots-exactly-the-collision-distance-apart": ((0.0, -5e-7, 1.0, 1.0, 1.0), 0.0, "value"),  # 0 and 1e-6
+    "domain-error": (DomainError("sqrt of a negative number"), 0.0, "singular"),
+    "reduction-singular": (tubular.ReductionSingular("c = 0.0 at (x, y, z) = (0.5, 0.0, 0.0)"), 0.0, "singular"),
+    "equation-elliptic": (EllipticStop("discriminant -2.0 < 0"), 0.0, "elliptic"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RHS_CASES))
+def test_generated_rhs_stops_and_chooses_as_the_point_loop(case):
+    data, near, status = _RHS_CASES[case]
+    good = ((1.0, -3.0, 2.0, 0.5, -0.25), 0.7)
+    # the case alone, then between two good points, the last of which it must stop before
+    for points, prev in [([(1e-3, -0.0, data)], [near]),
+                         ([(0.0, 0.0, good[0]), (-1e-3, 2e-3, data), (0.0, 0.0, good[0])], [good[1], near, good[1]])]:
+        generated, reference = _rhs_outcomes(None, points, prev, 0.01, 0.5)
+        assert generated == reference
+        assert (generated[0] if isinstance(generated, tuple) else "value") == status
+    assert _rhs_outcomes(None, [(0.02, 0.0, data)], [near], 0.01, 0.5)[0][0] == "tube-exit"
+
+
+def _draw(rng, scale=8):
+    # magnitudes 1e-scale to 1e+scale of either sign, sometimes a signed zero
+    if rng.random() < 0.1:
+        return float(rng.choice([0.0, -0.0]))
+    return float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-scale, scale))
+
+
+def _random_point_data(rng):
+    # (e, f, g, A, B) mostly of a hyperbolic or elliptic point, often of an edge case
+    e, f, g, A, B = (_draw(rng) for _ in range(5))
+    kind = rng.integers(8)
+    if kind == 1:  # linear, or on either side of its threshold
+        g = f * float(rng.choice([0.0, 1e-12, 1.0000000000000002e-12, 1e-13]))
+    elif kind == 2:  # a double root, nudged: collisions and near collisions
+        root = _draw(rng, 3)
+        f, e = -g * root, g * root * root * (1 + _draw(rng, 1) * 1e-7)
+    elif kind == 3:  # signed zeros in e and f
+        e, f = float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0, _draw(rng)]))
+    elif kind == 4:  # a non-finite entry
+        e, f, g = [float(rng.choice([math.nan, math.inf, -math.inf])) if rng.random() < 0.4 else v for v in (e, f, g)]
+    elif kind == 5:  # symmetric roots +-sqrt(-e/g): a tie at a zero tracked slope
+        e, f = -abs(e) * (1 if g > 0 else -1), float(rng.choice([0.0, -0.0]))
+    return e, f, g, A, B
+
+
+@pytest.mark.parametrize("degree", [None, 1, 3], ids=["equation", "degree-1-rows", "cubic-rows"])
+def test_generated_rhs_keeps_the_bits_of_the_point_loop(degree):
+    rng = np.random.default_rng(31 if degree is None else degree)
+    monomials = None if degree is None else tuple(_monomials(degree))
+    radius, seen = 0.01, set()
+    for _ in range(600):
+        n = int(rng.integers(1, 6))
+        row = None
+        if monomials is None:
+            points = [(float(rng.uniform(-radius, radius)), float(rng.uniform(-radius, radius)), _random_point_data(rng))
+                      for _ in range(n)]
+        else:
+            # the row's constant terms are one point's edge case; the other terms move it off that case
+            row = [v * 10 ** rng.uniform(-6, 2) for v in _draws(rng, 5 * len(monomials))]
+            for k, v in zip(range(0, len(row), len(monomials)), _random_point_data(rng)):
+                row[k] = v
+            points = [(float(rng.choice([0.0, -0.0])), float(rng.choice([0.0, -0.0])), None) if rng.random() < 0.5
+                      else (float(rng.uniform(-radius, radius)), float(rng.uniform(-radius, radius)), None)
+                      for _ in range(n)]
+        if rng.random() < 0.1:  # on the tube's wall, past it, or NaN
+            y = float(rng.choice([radius, -radius, 1.5 * radius, -1.5 * radius, math.nan]))
+            points[rng.integers(n)] = (y, *points[rng.integers(n)][1:])
+        prev = [float(rng.choice([0.0, -0.0])) if rng.random() < 0.3 else _draw(rng, 3) for _ in range(n)]
+        generated, reference = _rhs_outcomes(monomials, points, prev, radius, float(rng.uniform(-5, 5)), row)
+        assert generated == reference
+        seen.add("value" if isinstance(generated, list) else (generated[0], generated[1].split(" ")[0]))
+    # every stop that the draws can reach was reached
+    assert {"value", ("tube-exit", "|y|"), ("singular", "non-finite"), ("elliptic", "discriminant"),
+            ("parabolic", "root")} <= seen
+
+
+def test_rk45_runs_keep_the_bits_of_the_point_loop(monkeypatch, t1_field, t1_chart):
+    # whole runs on the point loop against the generated rhs: the t1 FD batch (4 points,
+    # cubic rows), a circle-example path (1 point, the chart program) and a stop
+    circle = _field_and_chart("circle-example", t1_field, t1_chart)
+
+    def runs():
+        fd = monodromy.fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, h=1e-5)
+        path = integrate_asymptotic(*circle, (0.5, 8e-4, 2e-4), 2.0)
+        stop = integrate_asymptotic(t1_field, t1_chart, (0.0, 0.008, 0.0), 2 * math.pi)
+        stats = (path.stats, path.status, stop.stats, stop.status, stop.reason)
+        return stats, [a.tobytes() for a in (fd, path.xs, path.ys, path.zs, path.ps, stop.xs, stop.ys, stop.ps)]
+
+    generated = runs()
+    monkeypatch.setattr(flow, "_rhs_function", _reference_rhs_function)
+    assert runs() == generated
+
+
 @pytest.mark.parametrize(
     "starts, shape",
     [([[1e-4, 0.0, 0.0]], "(1, 3)"), ([1e-4, 0.0], "(2,)"), (np.empty((0, 2)), "(0, 2)"), ([], "(0,)")],
@@ -344,6 +520,16 @@ def test_integrate_batch_rejects_malformed_starts_before_integrating(monkeypatch
     monkeypatch.setattr(flow, "rk45", lambda *args, **kwargs: pytest.fail("integrated a malformed batch"))
     with pytest.raises(ValueError, match=re.escape(f"shape (n, 2) with n >= 1, not {shape}")):
         integrate_batch(t1_field, t1_chart, starts, 0.0, 1.0)
+
+
+def test_integrate_batch_rejects_a_batch_over_the_bound_before_generating_code(t1_field, t1_chart):
+    # the generated step and rhs grow with the starts: a 512-start step compiles for over half a second
+    before = flow._step_function.cache_info(), flow._rhs_function.cache_info()
+    with pytest.raises(ValueError, match=f"^a batch takes at most MAX_BATCH = {flow.MAX_BATCH} starts, not 512$"):
+        integrate_batch(t1_field, t1_chart, np.zeros((512, 2)), 0.0, 1.0)
+    assert (flow._step_function.cache_info(), flow._rhs_function.cache_info()) == before
+    ends = integrate_batch(t1_field, t1_chart, np.zeros((flow.MAX_BATCH, 2)), 0.0, 0.1)
+    assert ends.shape == (flow.MAX_BATCH, 2)
 
 
 def test_batch_matches_single_trajectory(t1_field, t1_chart):

@@ -43,6 +43,14 @@ def test_derivative():
     assert np.max(np.abs(d(xs) - 2 * np.cos(2 * xs))) < 1e-12
 
 
+def test_derivative_at_a_period_other_than_two_pi():
+    # harmonic k has frequency k * omega, omega = 2 pi / 3; at period 2 pi, omega = 1 hides k / omega
+    w = 2 * math.pi / 3.0
+    s = TrigSeries.fit(lambda x: np.sin(2 * w * x) + np.cos(w * x), 3.0, nodes=16)
+    xs = np.linspace(0, 3.0, 50)
+    assert np.max(np.abs(s.derivative()(xs) - (2 * w * np.cos(2 * w * xs) - w * np.sin(w * xs)))) < 1e-12
+
+
 def test_mean():
     s = TrigSeries.fit(lambda x: 4.0 + np.cos(x), 2 * math.pi, nodes=16)
     assert s.mean() == pytest.approx(4.0)
