@@ -18,7 +18,10 @@ y, z, y^2/2, yz, z^2/2 on each frame direction.  The module provides:
     nodes: (l1, k1) so that A_z meets its target and f = 1 on the curve,
     then (l2, k2) so that e_z = 0 and e_y + 2f = 0, then four stages of
     quadratic and cubic coefficients that make the flow linear to third
-    order.  The node samples of all 18 coefficient slots are interpolated
+    order.  A stage's residual and its unit-bump sensitivities come from one
+    chart pass over copies of the node grid (two for the cubic stages), and
+    its refinement step from the next stage's pass: 10 vector passes in all.
+    The node samples of all 18 coefficient slots are interpolated
     trigonometrically as one vector series, and one off-node residual
     check covers all six stages.
 """
@@ -42,6 +45,7 @@ COEFFICIENT_NAMES = (
     "kt1", "kt2", "kt3", "jt1", "jt2", "jt3", "lt1", "lt2", "lt3",
 )
 T1_NODES, T1_RESIDUAL_TOL, T1_MAX_NODES = 256, 1e-9, 1024  # build_t1's node grid and residual bound
+T1_PASS_POINTS = 1024  # build_t1's most chart points in one pass: a bound on its peak memory
 
 
 class ConstructError(Exception):
@@ -350,50 +354,89 @@ _T1_FLOW_STAGES = (
     (3, _flow_rows("vertical", _CUBIC_MONOMS), tuple((1, i, j) for i, j in _CUBIC_MONOMS)),
     (3, _flow_rows("slope", _CUBIC_MONOMS), tuple((2, i, j) for i, j in _CUBIC_MONOMS)),
 )
+_T1_SLOTS = tuple(slot for _, _, slots in _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES for slot in slots)
+
+
+def _t1_series(curve, store):
+    """The slots in store (slot -> node samples on a uniform grid) and one
+    vector series through their samples, a column per slot."""
+    slots = tuple(slot for slot in _T1_SLOTS if slot in store)
+    return slots, TrigSeries.from_samples(np.stack([store[slot] for slot in slots], axis=1), curve.period)
+
+
+def _t1_pass(chart, store, xs, order, row_fns, copies):
+    """One chart pass at this jet order over len(copies) copies of the nodes
+    xs: a copy None is the state in store, a copy slot is that state with the
+    slot's coefficient plus exactly 1, added to its column after the series is
+    evaluated (a bumped copy is not re-fitted).  Returns, per function of
+    row_fns, its rows as an array (rows, copies, nodes)."""
+    n, m = len(xs), len(copies)
+    slots, series = _t1_series(chart.curve, store)
+    bumps = [np.repeat([c == slot for c in copies], n).astype(float) if slot in copies else None for slot in slots]
+
+    def columns(t):
+        # the series and its derivatives from one harmonic table of the nodes,
+        # repeated for every copy: bit for bit what TrigSeries gives at the
+        # repeated points, with a table of one copy instead of m
+        table, derivs, s = series._table(xs), [], series
+        for _ in range(t.order + 1):
+            derivs.append(np.tile(s._apply(table), (m, 1)))
+            s = s.derivative()
+        return [c if b is None else c + b for c, b in zip(t.compose_univariate(derivs).unstack(), bumps)]
+
+    field = TubularField(chart.curve, coefficients={slots: columns})
+    d = tubular.chart_data(field, chart, np.tile(xs, m), 0.0, 0.0, order=order)
+    return [np.stack([np.asarray(r, dtype=float) + np.zeros(n * m) for r in fn(d)]).reshape(-1, m, n) for fn in row_fns]
 
 
 def _t1_solve(curve, chart):
     """Solve the t1 stages pointwise at uniform nodes; see build_t1."""
-    period = curve.period
     stages = _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES
-    unknowns = [slot for _, _, slots in stages for slot in slots]
-
-    def assemble(store):
-        # every solved slot is a column of one vector series on the node grid
-        slots = tuple(slot for slot in unknowns if slot in store)
-        if not slots:
-            return TubularField(curve)
-        series = TrigSeries.from_samples(np.stack([store[slot] for slot in slots], axis=1), period)
-        return TubularField(curve, coefficients={slots: series.columns})
-
-    def rows(order, fn, store, pts):
-        d = tubular.chart_data(assemble(store), chart, pts, 0.0, 0.0, order=order)
-        return np.stack([np.asarray(r, dtype=float) + np.zeros_like(pts) for r in fn(d)])
 
     def attempt(xs, probe):
+        n = len(xs)
+        per_pass = max(1, T1_PASS_POINTS // n)  # copies of the grid in one chart pass
         store = {}  # slot -> node samples of its coefficient function
-        sens = {}  # stage -> (nodes, conditions, unknowns) sensitivities
-        one = np.ones_like(xs)
+        sens = []  # per stage: (nodes, conditions, unknowns) sensitivities
         initial_scale = 1.0
-        # every stage is affine in its unknowns, but the large intermediate
-        # cancellations leave roundoff in a single solve; a second sweep with
-        # the same sensitivities removes it (classical iterative refinement)
-        for sweep in range(2):
-            for s, (order, fn, slots) in enumerate(stages):
-                F0 = rows(order, fn, store, xs)
-                if sweep == 0:
-                    if s >= len(_T1_ON_CURVE_STAGES):
-                        initial_scale = max(initial_scale, float(np.max(np.abs(F0))))
-                    # a unit bump of each unknown on top of the current state
-                    bumped = [rows(order, fn, {**store, slot: store.get(slot, 0) + one}, xs) for slot in slots]
-                    sens[s] = (np.stack(bumped, axis=1) - F0[:, None]).transpose(2, 0, 1)
-                    if not np.all(np.abs(np.linalg.det(sens[s])) >= 1e-10):
-                        raise ConstructError(f"t1 stage {s + 1} is degenerate: singular sensitivities at a node")
-                sol = np.linalg.solve(sens[s], -F0.T[:, :, None])[:, :, 0]
-                for k, slot in enumerate(slots):
-                    store[slot] = store.get(slot, 0) + sol[:, k]
 
-        field = assemble(store)
+        def correct(s, residual):
+            sol = np.linalg.solve(sens[s], -residual.T[:, :, None])[:, :, 0]
+            for k, slot in enumerate(stages[s][2]):
+                store[slot] = store[slot] + sol[:, k]
+
+        # every stage is affine in its unknowns, but the large intermediate
+        # cancellations leave roundoff in a single solve; one more solve with
+        # the same sensitivities removes it (classical iterative refinement).
+        # A stage's residual and its unit bumps are one pass over copies of the
+        # grid, and no stage's rows read a later stage's slots, so the refinement
+        # of stage s - 1 is read from the unbumped copy of stage s's pass
+        for s, (order, fn, slots) in enumerate(stages):
+            for slot in slots:
+                store[slot] = np.zeros(n)
+            copies = [None, *slots]
+            size = -(-len(copies) // -(-len(copies) // per_pass))  # the fewest passes, evenly filled
+            first, *rest = (copies[i : i + size] for i in range(0, len(copies), size))
+            fns, first_order = (fn,), order
+            if s:
+                fns, first_order = (fn, stages[s - 1][1]), max(order, stages[s - 1][0])
+            rows, *earlier = _t1_pass(chart, store, xs, first_order, fns, first)
+            F = np.concatenate([rows] + [_t1_pass(chart, store, xs, order, (fn,), chunk)[0] for chunk in rest], axis=1)
+            F0 = F[:, 0]
+            if s >= len(_T1_ON_CURVE_STAGES):
+                initial_scale = max(initial_scale, float(np.max(np.abs(F0))))
+            sens.append((F[:, 1:] - F0[:, None]).transpose(2, 0, 1))
+            if not np.all(np.abs(np.linalg.det(sens[s])) >= 1e-10):
+                raise ConstructError(f"t1 stage {s + 1} is degenerate: singular sensitivities at a node")
+            correct(s, F0)
+            if earlier:
+                correct(s - 1, earlier[0][:, 0])
+        # the last stage has no later pass to carry its refinement
+        order, fn, _ = stages[-1]
+        correct(len(stages) - 1, _t1_pass(chart, store, xs, order, (fn,), [None])[0][:, 0])
+
+        slots, series = _t1_series(curve, store)
+        field = TubularField(curve, coefficients={slots: series.columns})
         # one check of every stage at the midpoints of the build grid, so the
         # probe resolution grows with the node count and localized residual
         # peaks cannot hide: the on-curve rows against T1_RESIDUAL_TOL, the full
@@ -410,7 +453,7 @@ def _t1_solve(curve, chart):
         # the residual in units of its bound
         return field, max(on_curve / T1_RESIDUAL_TOL, flow / (T1_RESIDUAL_TOL * initial_scale)), 1.0
 
-    return refine(attempt, period, T1_NODES, T1_MAX_NODES)
+    return refine(attempt, curve.period, T1_NODES, T1_MAX_NODES)
 
 
 def build_t1():
@@ -435,10 +478,14 @@ def build_t1():
          lets the finite-difference Jacobian cross-check converge at
          practical step sizes.
 
-    Each stage is a pointwise linear solve at uniform nodes, with the
-    sensitivities measured by unit bumps and a second sweep of iterative
-    refinement; a singular sensitivity matrix (|det| < 1e-10) at any node
-    raises ConstructError.  The node samples are interpolated
+    Each stage is a pointwise linear solve at uniform nodes.  Its residual
+    and its sensitivities, a unit bump of each unknown, come from one chart
+    pass over copies of the node grid, split at T1_PASS_POINTS points (so
+    the cubic stages take two passes); a singular sensitivity matrix
+    (|det| < 1e-10) at any node raises ConstructError.  One step of
+    iterative refinement with the same sensitivities follows, read from the
+    unbumped copy of the next stage's pass, since no stage's rows read a
+    later stage's unknowns; the last stage gets a pass of its own.  The node samples are interpolated
     trigonometrically as one vector series, and one residual check at the
     midpoints covers all six stages: the on-curve rows of stages 1-2 to
     T1_RESIDUAL_TOL absolute, and the quadratic and cubic Taylor coefficients

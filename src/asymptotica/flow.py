@@ -29,7 +29,7 @@ data (a cache's polynomial written out, or one equation call) and
 branch_slopes' root choice with the collision test.  An import compiles none
 of it, and each generated function compiles under its own file name.  Since
 the generated code grows with the points, integrate_batch takes at most
-MAX_BATCH starts.
+MAX_BATCH starts and rk45 a state of at most 2 * MAX_BATCH floats.
 """
 
 from __future__ import annotations
@@ -390,13 +390,16 @@ def rk45(rhs, x0, x1, y0, rtol=1e-10, atol=1e-12, on_accept=None, coefficients=N
     step.  A step is at most 1/8 of the run, the first 1/16.  Each step
     attempt runs the straight-line code of _step_function for the state's
     size, compiled at the first run of that size in the process (about 1 ms
-    for 2 floats, 2 ms for 4 and 4 ms for 8 on 2 vCPUs, linear in the size;
-    rk45 itself bounds no size, integrate_batch does for its batches).
+    for 2 floats, 2 ms for 4 and 4 ms for 8 on 2 vCPUs, linear in the size).
+    A state of more than 2 * MAX_BATCH floats, the most the library makes
+    (a full batch's (y, z) pairs), raises ValueError before anything runs.
     Returns (x, y, stats) at x1, or at the last accepted point
     after a stop, y an array of y0's shape; stats holds "steps", "rejected",
     "min_step", "status" ("reached" or the stop's) and "reason".
     """
     y = np.asarray(y0, dtype=float).ravel().tolist()
+    if len(y) > 2 * MAX_BATCH:
+        raise ValueError(f"rk45 takes a state of at most 2 * MAX_BATCH = {2 * MAX_BATCH} floats, not {len(y)}")
     x = float(x0)
     x1 = float(x1)
     direction = 1.0 if x1 >= x else -1.0

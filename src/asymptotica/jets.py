@@ -616,7 +616,7 @@ class Tape:
                 lines.append(text if target is None else f"{_NAMES[target]} = {text}")
         return f"def program({', '.join(_NAMES[r.index] for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in lines)
 
-    def compile(self, inputs, outputs):
-        """program(inputs) of source(), compiled."""
+    def compile(self, inputs, outputs, filename):
+        """program(inputs) of source(), compiled under filename."""
         namespace = {**self.constants, "Trip": GuardTripped}
-        return _compiled(self.source(inputs, outputs), "<recorded>", namespace, "program")
+        return _compiled(self.source(inputs, outputs), filename, namespace, "program")

@@ -150,17 +150,24 @@ def chart_data(field, chart, x, y, z, order=0, program=None):
     return _reduce(field, chart, x, y, z, order)
 
 
-def _reduce(field, chart, x, y, z, order):
-    """chart_data through the jet pipeline."""
-    q = order + 1
-    point = chart.expand(*jets.seed((x, y, z), q), field.curve_order)
+def _partials(field, chart, x, y, z, order):
+    """The field truncated to order and the first partials of the field and
+    of the chart at a chart point."""
+    point = chart.expand(*jets.seed((x, y, z), order + 1), field.curve_order)
     xi = field.chart_components(point)
     d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]
-    xi_t = [_truncate(cmp, order) for cmp in xi]
+    return [_truncate(cmp, order) for cmp in xi], d_xi, d_alpha
 
+
+def _reduce(field, chart, x, y, z, order):
+    """chart_data through the jet pipeline."""
+    # the curve expansion is freed as _partials returns and the partials before
+    # the reduction, which bounds a vector pass's peak memory
+    xi_t, d_xi, d_alpha = _partials(field, chart, x, y, z, order)
     a, b, c = (jets.dot(xi_t, d) for d in d_alpha)
     L = quadratic_coefficients(d_xi, d_alpha)
+    del xi_t, d_xi, d_alpha
 
     small = abs(value_of(c)) < C_TOL
     if np.any(small):  # name the first such point
@@ -197,7 +204,8 @@ class ChartProgram:
             try:
                 d = _reduce(field, chart, *inputs, 0)
                 outputs = (d.a, d.b, d.c, d.L, d.e, d.f, d.g, d.A, d.B)
-                self.code = tape.compile(inputs, outputs)
+                name = f"<chart program {field.name or type(field).__name__}>"
+                self.code = tape.compile(inputs, outputs, name)
             except Exception:
                 d = _reduce(field, chart, x, y, z, 0)  # a failure of the point raises here
                 self.code = False  # the jet pipeline ran where the recording did not

@@ -167,7 +167,7 @@ def checks(seed=0):
             ("round-trip failures", trips, 0), ("max jet/FD error / scale", jet_fd, 1e-6),
             ("core-curve drift", drift, 1e-9), ("slope residual", residual, 1e-9),
             ("Liouville residual", result.det_residual, 1e-6),
-            ("checkpoints with det Q <= 0", result.stats["det_nonpositive"], 0),
+            ("accepted Q steps with det Q <= 0", result.stats["det_nonpositive"], 0),
         ]
 
     suite = (t1_eigenvalues, t1_integrals, fd_oracle, lac, t5, appendix, circle, gauge, properties)

@@ -180,7 +180,7 @@ PROPERTY_BOUNDS = {
         "core-curve drift": 1e-9,
         "slope residual": 1e-9,
         "Liouville residual": 1e-6,
-        "checkpoints with det Q <= 0": 0,
+        "accepted Q steps with det Q <= 0": 0,
     },
 }
 

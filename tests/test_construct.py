@@ -219,6 +219,58 @@ def test_t1_degenerate_stage_raises_construct_error(monkeypatch):
         construct.build_t1()
 
 
+def _t1_node_state(t1_field):
+    """The nodes of build_t1's grid and its slots' samples there."""
+    ((slots, columns),) = t1_field.coefficients.items()
+    xs = np.arange(construct.T1_NODES) * (2 * math.pi / construct.T1_NODES)
+    return xs, dict(zip(slots, columns(xs)))
+
+
+def test_t1_stage_rows_read_no_later_slot(t1_field, t1_chart):
+    # the premise of carrying a stage's refinement on the next stage's pass: a
+    # unit bump of any later stage's slot leaves a stage's rows unchanged at the
+    # nodes up to roundoff (measured at most 3.3e-12, on stage 5), while a unit
+    # bump of each of its own slots moves them by 0.25 to 1.5
+    xs, store = _t1_node_state(t1_field)
+    stages = construct._T1_ON_CURVE_STAGES + construct._T1_FLOW_STAGES
+    for s, (order, fn, own) in enumerate(stages[:-1]):
+        later = [slot for _, _, slots in stages[s + 1 :] for slot in slots]
+        (rows,) = construct._t1_pass(t1_chart, store, xs, order, (fn,), [None, *later, *own])
+        moved = np.max(np.abs(rows[:, 1:] - rows[:, :1]), axis=(0, 2))
+        assert np.all(moved[: len(later)] <= 1e-10), (s + 1, moved)
+        assert np.all(moved[len(later) :] >= 0.2), (s + 1, moved)
+
+
+def _slot_coefficients(field):
+    ((_, columns),) = field.coefficients.items()
+    return columns.__self__.cos_coeffs.tobytes() + columns.__self__.sin_coeffs.tobytes()
+
+
+def test_t1_slots_do_not_depend_on_the_pass_bound(t1_field, monkeypatch):
+    # every operation of a pass is elementwise over its points, so one copy of
+    # the grid per pass and all copies in one pass give the same bits
+    expected = _slot_coefficients(t1_field)
+    for bound in (1, 10**6):
+        monkeypatch.setattr(construct, "T1_PASS_POINTS", bound)
+        assert _slot_coefficients(construct.build_t1()) == expected
+
+
+def test_t1_build_makes_at_most_ten_chart_passes(monkeypatch):
+    # one pass per stage, but two for each of the cubic stages' five copies
+    # of the grid, then the last stage's refinement and the midpoint check;
+    # the earlier schedule of two sweeps made 31
+    sizes = []
+    chart_data = tubular.chart_data
+
+    def counted(field, chart, x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return chart_data(field, chart, x, *args, **kwargs)
+
+    monkeypatch.setattr(tubular, "chart_data", counted)
+    construct.build_t1()
+    assert len(sizes) <= 10 and max(sizes) <= construct.T1_PASS_POINTS, sizes
+
+
 def test_t1_curve_is_the_trig_cubic(t1_field):
     c = t1_field.curve
     assert np.allclose(c.point(0.5), [math.sin(0.5), math.cos(0.5), math.sin(0.5) ** 3])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asymptotica import cli, flow, jets, monodromy, tubular
+from asymptotica import cli, construct, flow, jets, monodromy, tubular
 from asymptotica.curves import Curve
 from asymptotica.exprlang import DomainError
 from asymptotica.flow import (
@@ -235,6 +235,15 @@ def test_each_generated_function_has_its_own_file_name_for_a_profile():
     assert len(set(rhs_names)) == 9 and not set(rhs_names) & set(names)
     assert [binds[-1](None, 1.0, [0.0] * 4).__code__.co_filename] == rhs_names[-1:]
     assert flow._rhs_function(4, flow._MONOMIALS) is binds[7]  # generated once per kind
+    # a chart program is named after its field, or after the field's type when it has no name
+    fields = [cli.resolve_field(name) for name in ("t1", "circle-example")]
+    fields.append((construct.TubularField(fields[0][0].curve), fields[0][1]))
+    programs = [tubular.ChartProgram() for _ in fields]
+    for program, (field, chart) in zip(programs, fields):
+        program.run(field, chart, 0.3, 0.01, -0.02)
+    program_names = [program.code.__code__.co_filename for program in programs]
+    assert program_names == ["<chart program t1>", "<chart program circle-example>", "<chart program TubularField>"]
+    assert not set(program_names) & set(names + rhs_names)
 
 
 def test_no_step_is_generated_at_import():
@@ -530,6 +539,18 @@ def test_integrate_batch_rejects_a_batch_over_the_bound_before_generating_code(t
     assert (flow._step_function.cache_info(), flow._rhs_function.cache_info()) == before
     ends = integrate_batch(t1_field, t1_chart, np.zeros((flow.MAX_BATCH, 2)), 0.0, 0.1)
     assert ends.shape == (flow.MAX_BATCH, 2)
+
+
+def test_rk45_rejects_a_state_over_the_bound_before_generating_code():
+    # the largest state the library makes is a full batch's (y, z) pairs; a
+    # 64-float step compiled for 35-51 ms, growing linearly with the size
+    before = flow._step_function.cache_info()
+    limit = 2 * flow.MAX_BATCH
+    with pytest.raises(ValueError, match=f"^rk45 takes a state of at most 2 \\* MAX_BATCH = {limit} floats, not 64$"):
+        flow.rk45(lambda x, y: [0.0] * len(y), 0.0, 1.0, [0.0] * 64)
+    assert flow._step_function.cache_info() == before
+    _, y, stats = flow.rk45(lambda x, y: [1.0] * len(y), 0.0, 1.0, np.zeros(limit))
+    assert stats["status"] == "reached" and np.allclose(y, 1.0)
 
 
 def test_batch_matches_single_trajectory(t1_field, t1_chart):

@@ -7,13 +7,15 @@ exactly, with eigenvalues exp(pi (-1 +- sqrt 5)).  The bounds are the
 measured deviations times a margin of at least 4.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import SADDLE
 
-from asymptotica import monodromy
+from asymptotica import cli, monodromy
 
 M = np.array([[-3.0, 5.0], [-1.0, 2.0]])  # the saddle fixture's M (tests/conftest.py)
 
@@ -39,3 +41,15 @@ def test_saddle_q_is_the_matrix_exponential(saddle, cache):
     assert result.hyperbolic and not result.triangular
     assert abs(result.integrals["trace"] + 2 * math.pi) <= 1e-12
     assert result.stats["det_nonpositive"] == 0
+
+
+def test_saddle_passes_the_fd_oracle(capsys):
+    # the CLI's finite-difference check at its frozen tolerances; the largest
+    # entry of |FD - Q| / max(1e-4 |Q|, 1e-8) measured 0.103
+    code = cli.main(
+        ["poincare", "--field", json.dumps(SADDLE), "--fd-check", "--fd-rtol", "1e-4", "--fd-atol", "1e-8", "--format", "json"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["fd_within_tolerance"]
+    Q, fd = np.array(doc["Q"]), np.array(doc["fd_jacobian"])
+    assert np.max(np.abs(fd - Q) / np.maximum(1e-4 * np.abs(Q), 1e-8)) <= 0.5

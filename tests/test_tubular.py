@@ -366,7 +366,7 @@ def test_an_unread_division_still_raises_in_the_replay():
     x * y - x  # unread and cannot raise: no line
     outputs = [x + 1.0]
     assert "*" not in tape.source([x, y], outputs)
-    program = tape.compile([x, y], outputs)
+    program = tape.compile([x, y], outputs, "<test program>")
     assert program(3.0, 2.0) == (4.0,)
     with pytest.raises(ZeroDivisionError):
         program(3.0, 0.0)
