@@ -28,6 +28,7 @@ y, z, y^2/2, yz, z^2/2 on each frame direction.  The module provides:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -320,22 +321,24 @@ def _t1_az_target(t):
     )
 
 
-def _t1_target_rows(d):
+def _t1_target_rows(d, flow):
     """A_z(x,0,0) on its target and f(x,0,0) = 1 (affine in l1, k1)."""
     return d.partial("A", "z") - _t1_az_target(d.x), d.value("f") - 1
 
 
-def _t1_triangular_rows(d):
+def _t1_triangular_rows(d, flow):
     """e_z(x,0,0) = 0 and e_y(x,0,0) + 2 f(x,0,0) = 0 (affine in l2, k2)."""
     return d.partial("e", "z"), d.partial("e", "y") + 2 * d.value("f")
 
 
 def _flow_rows(which, monomials):
     """Rows reading the Taylor coefficients at these (y, z) monomials of the
-    slope p or of the decoupled vertical part A + (B - B0) p."""
+    slope p or of the decoupled vertical part A + (B - B0) p.  Every row
+    function takes chart data d and flow(), which returns
+    _slope_and_vertical_jets(d), built once for all the rows of a pass."""
 
-    def rows(d):
-        p, vertical, _ = _slope_and_vertical_jets(d)
+    def rows(d, flow):
+        p, vertical, _ = flow()
         r = p if which == "slope" else vertical
         return [r.coefficient((0, i, j)) for i, j in monomials]
 
@@ -369,7 +372,9 @@ def _t1_pass(chart, store, xs, order, row_fns, copies):
     xs: a copy None is the state in store, a copy slot is that state with the
     slot's coefficient plus exactly 1, added to its column after the series is
     evaluated (a bumped copy is not re-fitted).  Returns, per function of
-    row_fns, its rows as an array (rows, copies, nodes)."""
+    row_fns, its rows as an array (rows, copies, nodes); a row function
+    takes the pass's chart data and flow(), its slope and vertical jets,
+    built by the first row function that reads them."""
     n, m = len(xs), len(copies)
     slots, series = _t1_series(chart.curve, store)
     bumps = [np.repeat([c == slot for c in copies], n).astype(float) if slot in copies else None for slot in slots]
@@ -379,14 +384,16 @@ def _t1_pass(chart, store, xs, order, row_fns, copies):
         # repeated for every copy: bit for bit what TrigSeries gives at the
         # repeated points, with a table of one copy instead of m
         table, derivs, s = series._table(xs), [], series
-        for _ in range(t.order + 1):
+        for _ in range(t.composition_order + 1):
             derivs.append(np.tile(s._apply(table), (m, 1)))
             s = s.derivative()
         return [c if b is None else c + b for c, b in zip(t.compose_univariate(derivs).unstack(), bumps)]
 
     field = TubularField(chart.curve, coefficients={slots: columns})
     d = tubular.chart_data(field, chart, np.tile(xs, m), 0.0, 0.0, order=order)
-    return [np.stack([np.asarray(r, dtype=float) + np.zeros(n * m) for r in fn(d)]).reshape(-1, m, n) for fn in row_fns]
+    flow = functools.cache(lambda: _slope_and_vertical_jets(d))
+    rows = ([np.asarray(r, dtype=float) + np.zeros(n * m) for r in fn(d, flow)] for fn in row_fns)
+    return [np.stack(r).reshape(-1, m, n) for r in rows]
 
 
 def _t1_solve(curve, chart):
@@ -443,7 +450,7 @@ def _t1_solve(curve, chart):
         # quadratic + cubic expansion of (dy/dx, dz/dx) against T1_RESIDUAL_TOL
         # times the largest first residual of the flow stages
         d = tubular.chart_data(field, chart, probe, 0.0, 0.0, order=3)
-        on_curve = max(float(np.max(np.abs(r))) for _, fn, _ in _T1_ON_CURVE_STAGES for r in fn(d))
+        on_curve = max(float(np.max(np.abs(r))) for _, fn, _ in _T1_ON_CURVE_STAGES for r in fn(d, None))
         p, _, full = _slope_and_vertical_jets(d)
         flow = max(
             float(np.max(np.abs(r.coefficient((0, i, j)))))

@@ -117,11 +117,12 @@ class Curve:
         """Derivative vectors gamma, gamma', ..., gamma^(k) at t.
 
         t may be a float, a Fraction, a numpy array or a Jet.  Each component
-        is evaluated once, on a univariate Taylor seed of order k (plus the
-        order of t when t is a jet), and every derivative is read off that one
-        expansion; for a jet t the derivatives are composed back with t.
+        is evaluated once, on a univariate Taylor seed of order k (plus, when
+        t is a jet, the composition order of t: 1 for the x seed of a table
+        linear in x), and every derivative is read off that one expansion; for
+        a jet t the derivatives are composed back with t.
         """
-        q = t.order if isinstance(t, jets.Jet) else 0
+        q = t.composition_order if isinstance(t, jets.Jet) else 0
         # a plain t is its own seed of order 0, so plain evaluation needs no jets
         plain = k == 0 and not isinstance(t, jets.Jet)
         u = t if plain else jets.Jet.variable(jets.value_of(t), 0, 1, q + k)

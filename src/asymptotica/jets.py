@@ -11,6 +11,15 @@ of two monomials, so a product makes one lookup per pair of coefficients.
 A coefficient of a product, sum or difference starts at its first term,
 not at 0, so one whose only term is -0.0 stays -0.0.
 
+A table may also cap the exponent of the first variable (Griewank &
+Walther's truncation with a per-variable degree bound): the chart's passes
+carry x to first degree only and (y, z) to the full order, and reduce on
+jets with no x at all.  The monomials past the cap form an ideal, so a
+product, power or composition gives every kept coefficient the same terms
+in the same order as the uncapped table does: the same bits.  A
+composition reads as many derivatives as its argument can use
+(``composition_order``): one for the x seed of such a table.
+
 Coefficients may be floats, numpy arrays (one array per monomial) or
 ``fractions.Fraction``; arithmetic stays exact as long as the inputs are
 exact and no transcendental function is applied.
@@ -54,16 +63,21 @@ class _Monomials:
     Monomials are numbered by degree, then by exponent tuple, largest first:
     a monomial has one number at every order, and those of degree <= d come
     first.  ``rows[i][j]`` numbers monomial i times monomial j, for the
-    prefix of j that keeps the product within the order.
+    prefix of j that keeps the product within the order.  ``first`` caps
+    the first variable's exponent (None: no cap); a pair past the cap
+    numbers ``sink``, one past the monomials, which a product drops once.
+    Every call passes ``first``, so one table has one cache key.
     """
 
-    def __init__(self, nvars, order):
-        self.nvars, self.order = nvars, order
-        monomials = (e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order)
+    def __init__(self, nvars, order, first):
+        self.nvars, self.order, self.first = nvars, order, first
+        cap = order if first is None else first
+        monomials = (e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order and e[0] <= cap)
         self.exponents = sorted(monomials, key=lambda e: (sum(e), [-x for x in e]))
         self.index = {e: i for i, e in enumerate(self.exponents)}
+        self.sink = len(self.exponents)
         self.rows = [
-            [self.index[tuple(map(sum, zip(a, b)))] for b in self.exponents if sum(a) + sum(b) <= order]
+            [self.index.get(tuple(map(sum, zip(a, b))), self.sink) for b in self.exponents if sum(a) + sum(b) <= order]
             for a in self.exponents
         ]
         # lowered[v][i]: (number of monomial i over x_v, exponent of x_v), None where x_v is absent
@@ -99,14 +113,14 @@ class Jet:
     __array_ufunc__ = None
 
     def __init__(self, nvars, order, coef=None):
-        self._table = _Monomials(nvars, order)
+        self._table = _Monomials(nvars, order, None)
         self._coef = {self._table.index[tuple(e)]: c for e, c in (coef or {}).items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, value, nvars, order):
-        return _jet(_Monomials(nvars, order), {0: value})
+        return _jet(_Monomials(nvars, order, None), {0: value})
 
     @classmethod
     def variable(cls, value, index, nvars, order):
@@ -116,7 +130,7 @@ class Jet:
         """
         unit = 1 if _exact(value) else 1.0
         # the degree-one monomials follow the constant, in variable order
-        return _jet(_Monomials(nvars, order), {0: value, 1 + index: unit} if order >= 1 else {0: value})
+        return _jet(_Monomials(nvars, order, None), {0: value, 1 + index: unit} if order >= 1 else {0: value})
 
     # -- accessors ---------------------------------------------------------
 
@@ -142,14 +156,31 @@ class Jet:
         """The jet of the partial derivative in direction ``index`` (order drops by one)."""
         lowered = self._table.lowered[index]
         out = {lowered[i][0]: c * lowered[i][1] for i, c in self._coef.items() if lowered[i] is not None}
-        return _jet(_Monomials(self.nvars, self.order - 1), out)
+        return _jet(_Monomials(self.nvars, self.order - 1, self._table.first), out)
 
     def truncated(self, order):
         if order >= self.order:
             return self
-        table = _Monomials(self.nvars, order)
+        table = _Monomials(self.nvars, order, self._table.first)
         n = len(table.exponents)  # the monomials of the lower order come first
         return _jet(table, {i: c for i, c in self._coef.items() if i < n})
+
+    def restricted(self, first):
+        """This jet in the table of its order whose first variable has exponent
+        at most ``first``; the coefficients of the other monomials drop."""
+        table, exponents = _Monomials(self.nvars, self.order, first), self._table.exponents
+        index = table.index
+        return _jet(table, {index[e]: c for i, c in self._coef.items() if (e := exponents[i]) in index})
+
+    @property
+    def composition_order(self):
+        """The number of derivatives a composition f(self) reads, the highest
+        power of (self - value) that can be non-zero: the first variable's
+        cap where every non-constant monomial holds it, else the order."""
+        table = self._table
+        if table.first is not None and all(table.exponents[i][0] for i in self._coef if i):
+            return min(table.first, table.order)
+        return table.order
 
     def nilpotent(self):
         """This jet minus its value (the part that vanishes at the expansion point)."""
@@ -231,6 +262,7 @@ class Jet:
                 if j < n:
                     k, t = row[j], ca * cb
                     out[k] = out[k] + t if k in out else t
+        out.pop(table.sink, None)  # the pairs past the first variable's cap
         j = _new(Jet)  # _jet inlined: this is the hottest constructor
         j._table, j._coef = table, out
         return j
@@ -273,7 +305,7 @@ class Jet:
                 result = base if result is None else result * base
             n >>= 1
             base = base * base if n else base
-        return Jet.constant(1, self.nvars, self.order) if result is None else result
+        return _jet(self._table, {0: 1}) if result is None else result
 
     def _compose_scaled(self, scaled_derivs):
         """Sum scaled_derivs[k] * (self - value)^k, with scaled_derivs[k] = f^(k)(a0)/k!."""
@@ -357,13 +389,13 @@ def _sin_cos(x, shift):
     a0 = _as_float(x.value)
     s, c = opaque(np.sin, a0), opaque(np.cos, a0)
     cycle = [s, c, -s, -c]
-    return x.compose_univariate([cycle[(k + shift) % 4] for k in range(x.order + 1)])
+    return x.compose_univariate([cycle[(k + shift) % 4] for k in range(x.composition_order + 1)])
 
 
 def exp(x):
     if isinstance(x, Jet):
         e0 = opaque(np.exp, _as_float(x.value))
-        return x.compose_univariate([e0] * (x.order + 1))
+        return x.compose_univariate([e0] * (x.composition_order + 1))
     return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
@@ -376,7 +408,7 @@ def sqrt(x):
             raise ValueError("sqrt jet at zero is not differentiable")
         derivs = [opaque(np.sqrt, a0)]
         coeff = 1.0
-        for k in range(1, x.order + 1):
+        for k in range(1, x.composition_order + 1):
             coeff *= 0.5 - (k - 1)
             derivs.append(coeff * a0 ** (0.5 - k))
         return x.compose_univariate(derivs)

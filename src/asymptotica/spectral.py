@@ -142,13 +142,15 @@ class TrigSeries:
     def __call__(self, x):
         if not isinstance(x, jets.Jet):
             return self._apply(self._table(x))
-        # every derivative shares the harmonics of the same point: one table
+        # every derivative shares the harmonics of the same point: one table,
+        # freed before the composition
         table = jets.opaque(self._table, x.value)
         series = self
         derivs = [jets.opaque(series._apply, table)]
-        for _ in range(x.order):
+        for _ in range(x.composition_order):
             series = series.derivative()
             derivs.append(jets.opaque(series._apply, table))
+        del table
         return x.compose_univariate(derivs)
 
     def columns(self, x):

@@ -87,8 +87,9 @@ class ChartData:
     """Reduced binary-equation data at one chart point (or an array of them).
 
     At order 0 every field is a plain value (a float, an array or a
-    Fraction); at a higher order the jet fields keep derivative information
-    up to that order, and the scalar convenience accessors read their values.
+    Fraction); at a higher order the jet fields keep their Taylor
+    coefficients in (y, z) up to that order, on monomials free of x, and the
+    scalar convenience accessors read their values.
     """
 
     x: object
@@ -108,10 +109,15 @@ class ChartData:
         return value_of(getattr(self, name))
 
     def partial(self, name, var):
+        """The first partial of field name in var ("y" or "z"); 0.0 on
+        order-0 data.  Order >= 1 data carries no partial in x: "x" raises
+        ValueError."""
         j = getattr(self, name)
         index = {"x": 0, "y": 1, "z": 2}[var]
         if not isinstance(j, jets.Jet):
             return 0.0
+        if not index:
+            raise ValueError("chart_data carries transverse partials only (in y and z), not the partial in x")
         exps = tuple(1 if i == index else 0 for i in range(3))
         return j.deriv(*exps)
 
@@ -120,25 +126,28 @@ class ChartData:
         return self.value("e") * self.value("g") - self.value("f") ** 2
 
 
-def _plain(j):
+def _transverse(j):
     """An order-0 jet as its plain value (the reduction then runs on floats,
-    arrays or Fractions); a higher-order jet as it is."""
-    return j.value if j.order == 0 else j
+    arrays or Fractions); a higher-order jet on the monomials free of x."""
+    return j.value if j.order == 0 else j.restricted(0)
 
 
 def _partial_vec(vec, i):
-    return [_plain(comp.partial(i)) if isinstance(comp, jets.Jet) else 0 for comp in vec]
+    return [_transverse(comp.partial(i)) if isinstance(comp, jets.Jet) else 0 for comp in vec]
 
 
 def _truncate(v, order):
-    return _plain(v.truncated(order)) if isinstance(v, jets.Jet) else v
+    return _transverse(v.truncated(order)) if isinstance(v, jets.Jet) else v
 
 
 def chart_data(field, chart, x, y, z, order=0, program=None):
     """Evaluate the full coefficient pipeline at a chart point.
 
     order is the jet order retained on the outputs: 0 for plain values,
-    1 when first partials in (x, y, z) are wanted.  x, y, z may be numpy
+    k >= 1 for the Taylor coefficients in (y, z) to degree k at the point
+    (ChartData.partial reads the first ones).  The outputs carry no
+    x-monomial: the reduction reads the first x-partials of the field and
+    the chart, and no reader wants one of its own.  x, y, z may be numpy
     arrays (broadcast evaluation at many points at once).  The curve is
     expanded to field.curve_order, the highest derivative of gamma that
     field.chart_components reads.  program, the ChartProgram of one
@@ -152,8 +161,15 @@ def chart_data(field, chart, x, y, z, order=0, program=None):
 
 def _partials(field, chart, x, y, z, order):
     """The field truncated to order and the first partials of the field and
-    of the chart at a chart point."""
-    point = chart.expand(*jets.seed((x, y, z), order + 1), field.curve_order)
+    of the chart at a chart point, on the monomials free of x.
+
+    The seeds carry x to first degree only, all that the x-partials read:
+    the monomials of higher x-degree are an ideal, so a coefficient of
+    x-degree <= 1 takes the same terms in the same order as with full seeds.
+    Once the x-partials are taken every output drops its x-monomials, whose
+    coefficients would now be incomplete; the reduction runs on the rest."""
+    seeds = [s.restricted(1) for s in jets.seed((x, y, z), order + 1)]
+    point = chart.expand(*seeds, field.curve_order)
     xi = field.chart_components(point)
     d_alpha = [_partial_vec(point.alpha, i) for i in range(3)]
     d_xi = [_partial_vec(xi, i) for i in range(3)]

@@ -211,7 +211,7 @@ def test_t1_degenerate_stage_raises_construct_error(monkeypatch):
     # sensitivity matrix at every node, which must not surface as LinAlgError
     target, (order, _, unknowns) = construct._T1_ON_CURVE_STAGES
 
-    def ignores_unknowns(d):
+    def ignores_unknowns(d, flow):
         return 0 * d.x + 1.0, 0 * d.x
 
     monkeypatch.setattr(construct, "_T1_ON_CURVE_STAGES", (target, (order, ignores_unknowns, unknowns)))
@@ -269,6 +269,19 @@ def test_t1_build_makes_at_most_ten_chart_passes(monkeypatch):
     monkeypatch.setattr(tubular, "chart_data", counted)
     construct.build_t1()
     assert len(sizes) <= 10 and max(sizes) <= construct.T1_PASS_POINTS, sizes
+
+
+def test_t1_build_makes_the_slope_jets_once_per_flow_pass(monkeypatch):
+    # the seven passes that read flow rows (stages 3-6, the cubic ones in two
+    # passes, and the last refinement) and the midpoint check; a pass whose
+    # rows read two stages built them once per row function, 11 in all
+    calls = []
+    jets_of = construct._slope_and_vertical_jets
+    monkeypatch.setattr(construct, "_slope_and_vertical_jets", lambda d: calls.append(d) or jets_of(d))
+    built = construct.build_t1()
+    assert len(calls) == 8
+    ((slots, columns),) = built.coefficients.items()
+    assert columns.__self__.nodes == construct.T1_NODES  # one attempt: a second would double the count
 
 
 def test_t1_curve_is_the_trig_cubic(t1_field):

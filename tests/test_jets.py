@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from asymptotica import jets
 from asymptotica.exprlang import DomainError, compile_function
 from asymptotica.jets import Jet
+from asymptotica.spectral import TrigSeries
 
 
 def test_variable_seeding():
@@ -357,3 +358,91 @@ def test_kernel_matches_a_naive_product_oracle(rnd):
     ]
     for k, (jet, want) in enumerate(cases):
         assert _agrees(jet, want, ring), (k, nvars, order, ring)
+
+
+def _bits(j):
+    """Each coefficient of j with its type: the bytes of a float or an array, an exact value itself."""
+    out = []
+    for e in _monomials(j.nvars, j.order):
+        c = j.coefficient(e)
+        out.append((e, type(c), c if isinstance(c, (int, Fraction)) else np.asarray(c).tobytes()))
+    return out
+
+
+def _linear(terms):
+    """The terms of x-degree at most 1 (the first variable's)."""
+    return {e: c for e, c in terms.items() if e[0] <= 1}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_the_table_linear_in_x_matches_the_oracle_restricted_to_it(rnd):
+    # products, powers (** 0 included), quotients, compositions, partials and
+    # truncations of jets whose first variable has exponent at most 1 agree
+    # with the naive oracle restricted to those monomials, stay in a table of
+    # that kind, and give the same bits as the full table restricted after
+    nvars, order, ring = rnd.randint(1, 3), rnd.randint(0, 4), rnd.choice(["float", "array", "exact"])
+    ta, tb = _random_terms(rnd, ring, nvars, order), _random_terms(rnd, ring, nvars, order)
+    fa, fb = Jet(nvars, order, ta), Jet(nvars, order, tb)
+    a, b = fa.restricted(1), fb.restricted(1)
+    table = jets._Monomials(nvars, order, 1)
+    assert a._table is table and all(e[0] <= 1 for e in table.exponents)
+    ta, tb = _linear(ta), _linear(tb)
+    n = rnd.randint(-3, 6)
+    derivs = [_random_coefficient(rnd, ring) for _ in range(order + 1)]
+    s = _random_coefficient(rnd, ring, 1.0, 2.0)
+    cases = [
+        (a * b, fa * fb, _oracle_mul(ta, tb, order)),
+        (a * s, fa * s, _oracle_mul(ta, {(0,) * nvars: s}, order)),
+        (a ** n, fa ** n, _oracle_pow(ta, n, order)),
+        (a ** 0, fa ** 0, {(0,) * nvars: 1}),
+        (a / b, fa / fb, _oracle_mul(ta, _oracle_reciprocal(tb, order), order)),
+        (a._reciprocal(), fa._reciprocal(), _oracle_reciprocal(ta, order)),
+        (a.compose_univariate(derivs), fa.compose_univariate(derivs), _oracle_compose(ta, derivs, order)),
+    ]
+    for k, (jet, full, want) in enumerate(cases):
+        assert jet._table is table, k
+        assert _agrees(jet, _linear(want), ring), (k, nvars, order, ring)
+        assert _bits(jet) == _bits(full.restricted(1)), k
+    k = rnd.randint(0, order)
+    assert a.truncated(k)._table is jets._Monomials(nvars, k, 1)
+    assert _bits(a.truncated(k)) == _bits(fa.truncated(k).restricted(1))
+    if order:
+        for v in range(nvars):
+            d = a.partial(v)
+            assert d._table is jets._Monomials(nvars, order - 1, 1)
+            # x's partial lowers x-degree 1 to 0; the full table's x^2 terms would fill x-degree 1
+            want = fa.partial(v).restricted(0 if v == 0 else 1)
+            assert _bits(d.restricted(0 if v == 0 else 1)) == _bits(want), v
+
+
+def test_the_x_seed_composes_to_first_degree_and_a_y_seed_to_every_order():
+    full = jets.seed((0.3, 0.7, -0.2), 4)
+    x, y, z = (s.restricted(1) for s in full)
+    assert (x.composition_order, y.composition_order, z.composition_order) == (1, 4, 4)
+    h = x.nilpotent()
+    assert (x * x).composition_order == 1 and not (h * h)._coef
+    assert (x + y).composition_order == 4 and full[0].composition_order == 4
+    series = TrigSeries([0.5, -1.0, 0.25], [0.0, 0.75, -0.5], 2 * math.pi)
+    y_powers, x_powers = [(0, k, 0) for k in range(5)], [(0, 0, 0), (1, 0, 0)]
+    for fn in (jets.sin, jets.cos, jets.exp, jets.sqrt, series):
+        # every y-derivative to order 4, bit for bit those of the full seed
+        got, want = fn(y), fn(full[1])
+        assert [got.coefficient(e) for e in y_powers] == [want.coefficient(e) for e in y_powers]
+        assert want.coefficient((0, 4, 0)) != 0
+        # x's to first order, and none past the cap
+        got, want = fn(x), fn(full[0])
+        assert [got.coefficient(e) for e in x_powers] == [want.coefficient(e) for e in x_powers]
+        assert got.coefficient((2, 0, 0)) == 0 != want.coefficient((2, 0, 0))
+
+
+def test_a_product_past_the_cap_drops_the_sink():
+    # the pairs past the first variable's cap number the sink, dropped once per product
+    table = jets._Monomials(3, 3, 1)
+    x = jets.seed((0.5, 0.0, 0.0), 3)[0].restricted(1)
+    assert table.sink == len(table.exponents) == 16
+    assert table.rows[table.index[(1, 0, 0)]][table.index[(1, 0, 0)]] == table.sink
+    assert sorted((x * x)._coef) == [0, 1] and (x * x).coefficient((1, 0, 0)) == 1.0
+    # a cap of 0 leaves no pair past it: its rows are the full table's on the monomials free of x
+    transverse = jets._Monomials(3, 3, 0)
+    assert all(table_row and max(table_row) < transverse.sink for table_row in transverse.rows)

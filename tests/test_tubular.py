@@ -465,3 +465,63 @@ def test_a_realize_t5_field_replays_into_the_same_inflection_error():
     assert callable(program.code)
     assert replayed == plain
     assert replayed[1] == (InflectionOfProjection, "k1 denominator vanishes at x = 0.0")
+
+
+def _full_seed_partials(field, chart, x, y, z, order):
+    """tubular._partials as it was with seeds of every x-degree and outputs on
+    every monomial: the reference of the transverse outputs."""
+    plain = lambda j: j.value if j.order == 0 else j
+    point = chart.expand(*jets.seed((x, y, z), order + 1), field.curve_order)
+    xi = field.chart_components(point)
+    d_alpha = [[plain(c.partial(i)) if isinstance(c, Jet) else 0 for c in point.alpha] for i in range(3)]
+    d_xi = [[plain(c.partial(i)) if isinstance(c, Jet) else 0 for c in xi] for i in range(3)]
+    return [plain(c.truncated(order)) if isinstance(c, Jet) else c for c in xi], d_xi, d_alpha
+
+
+def _outputs(d):
+    return (d.a, d.b, d.c, *d.L, d.e, d.f, d.g, d.A, d.B)
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("name", ["t1", "circle-example", "saddle"])
+def test_transverse_outputs_keep_the_bits_of_full_seeds(monkeypatch, name, order, t1_field, t1_chart, saddle):
+    # seeds linear in x and outputs on the monomials free of x give every
+    # transverse coefficient the same bytes as the full seeds, which also
+    # carry (incomplete) x-coefficients that the pipeline no longer keeps
+    field, chart = {"t1": (t1_field, t1_chart), "saddle": saddle}.get(name) or cli.resolve_field(name)
+    for x in (0.7, np.linspace(0.1, 6.0, 23)):
+        for y, z in ((0.0, 0.0), (0.01, -0.02)):
+            got = _outputs(chart_data(field, chart, x, y, z, order=order))
+            with monkeypatch.context() as m:
+                m.setattr(tubular, "_partials", _full_seed_partials)
+                want = _outputs(chart_data(field, chart, x, y, z, order=order))
+            assert any(e[0] and np.any(w.coefficient(e)) for w in want for e in w._table.exponents)
+            for g, w in zip(got, want):
+                assert all(e[0] == 0 for e in g._table.exponents), "an output carries an x-monomial"
+                for e in g._table.exponents:
+                    c, ref = g.coefficient(e), w.coefficient(e)
+                    assert type(c) is type(ref) and np.asarray(c).tobytes() == np.asarray(ref).tobytes(), (e, x, y)
+
+
+@pytest.mark.parametrize("order, seed, reduction", [(0, 4, 1), (1, 9, 3), (2, 16, 6), (3, 25, 10)])
+def test_passes_seed_x_to_first_degree_and_reduce_on_y_z(monkeypatch, order, seed, reduction, t1_field, t1_chart):
+    # the seeds of an order-k pass hold x to first degree (35 monomials at
+    # order 3 with full seeds), and the reduction's jets only the (y, z)
+    # monomials to degree k (20 with x's)
+    sizes = []
+    expand = TubularChart.expand
+    monkeypatch.setattr(
+        TubularChart, "expand", lambda self, x, *rest: sizes.append(len(x._table.exponents)) or expand(self, x, *rest)
+    )
+    d = chart_data(t1_field, t1_chart, np.linspace(0.0, 6.0, 8), 0.0, 0.0, order=order)
+    assert sizes == [seed]
+    assert all(len(v._table.exponents) == reduction for v in _outputs(d)) if order else not _non_float_coefficients(d)
+
+
+def test_order_one_chart_data_has_no_partial_in_x(t1_field, t1_chart):
+    d = chart_data(t1_field, t1_chart, 0.7, 0.0, 0.0, order=1)
+    with pytest.raises(ValueError, match="transverse partials only"):
+        d.partial("e", "x")
+    assert d.partial("e", "y") == d.e.deriv(0, 1, 0) and d.partial("A", "z") == d.A.deriv(0, 0, 1)
+    plain = chart_data(t1_field, t1_chart, 0.7, 0.0, 0.0)
+    assert plain.partial("e", "x") == plain.partial("e", "y") == 0.0
