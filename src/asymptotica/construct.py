@@ -19,8 +19,9 @@ y, z, y^2/2, yz, z^2/2 on each frame direction.  The module provides:
     then (l2, k2) so that e_z = 0 and e_y + 2f = 0, then four stages of
     quadratic and cubic coefficients that make the flow linear to third
     order.  A stage's residual and its unit-bump sensitivities come from one
-    chart pass over copies of the node grid (two for the cubic stages), and
-    its refinement step from the next stage's pass: 10 vector passes in all.
+    chart pass over the node grid, the bumps a leading axis of the bumped
+    coefficient columns, and its refinement step from the next stage's
+    pass: 8 vector passes in all.
     The node samples of all 18 coefficient slots are interpolated
     trigonometrically as one vector series, and one off-node residual
     check covers all six stages.
@@ -46,7 +47,6 @@ COEFFICIENT_NAMES = (
     "kt1", "kt2", "kt3", "jt1", "jt2", "jt3", "lt1", "lt2", "lt3",
 )
 T1_NODES, T1_RESIDUAL_TOL, T1_MAX_NODES = 256, 1e-9, 1024  # build_t1's node grid and residual bound
-T1_PASS_POINTS = 1024  # build_t1's most chart points in one pass: a bound on its peak memory
 
 
 class ConstructError(Exception):
@@ -368,32 +368,28 @@ def _t1_series(curve, store):
 
 
 def _t1_pass(chart, store, xs, order, row_fns, copies):
-    """One chart pass at this jet order over len(copies) copies of the nodes
-    xs: a copy None is the state in store, a copy slot is that state with the
-    slot's coefficient plus exactly 1, added to its column after the series is
-    evaluated (a bumped copy is not re-fitted).  Returns, per function of
-    row_fns, its rows as an array (rows, copies, nodes); a row function
-    takes the pass's chart data and flow(), its slope and vertical jets,
-    built by the first row function that reads them."""
-    n, m = len(xs), len(copies)
+    """One chart pass at this jet order over the nodes xs for len(copies)
+    copies of the state: a copy None is the state in store, a copy slot is
+    that state with the slot's coefficient plus exactly 1, added to its
+    column after the series is evaluated (a bumped copy is not re-fitted).
+    The copies are a leading axis of the bumped columns only, so what reads
+    x alone (the curve, its frame, the series) runs once per node and the
+    rest broadcasts to (copies, nodes) with the same float operations per
+    element.  Returns, per function of row_fns, its rows as an array (rows,
+    copies, nodes); a row function takes the pass's chart data and flow(),
+    its slope and vertical jets, built by the first row function that reads
+    them."""
+    shape = (len(copies), len(xs))
     slots, series = _t1_series(chart.curve, store)
-    bumps = [np.repeat([c == slot for c in copies], n).astype(float) if slot in copies else None for slot in slots]
+    bumps = [np.array([[c == slot] for c in copies], dtype=float) if slot in copies else None for slot in slots]
 
     def columns(t):
-        # the series and its derivatives from one harmonic table of the nodes,
-        # repeated for every copy: bit for bit what TrigSeries gives at the
-        # repeated points, with a table of one copy instead of m
-        table, derivs, s = series._table(xs), [], series
-        for _ in range(t.composition_order + 1):
-            derivs.append(np.tile(s._apply(table), (m, 1)))
-            s = s.derivative()
-        return [c if b is None else c + b for c, b in zip(t.compose_univariate(derivs).unstack(), bumps)]
+        return [c if b is None else c + b for c, b in zip(series.columns(t), bumps)]
 
     field = TubularField(chart.curve, coefficients={slots: columns})
-    d = tubular.chart_data(field, chart, np.tile(xs, m), 0.0, 0.0, order=order)
+    d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=order)
     flow = functools.cache(lambda: _slope_and_vertical_jets(d))
-    rows = ([np.asarray(r, dtype=float) + np.zeros(n * m) for r in fn(d, flow)] for fn in row_fns)
-    return [np.stack(r).reshape(-1, m, n) for r in rows]
+    return [np.stack([np.broadcast_to(r, shape) for r in fn(d, flow)]) for fn in row_fns]
 
 
 def _t1_solve(curve, chart):
@@ -401,8 +397,6 @@ def _t1_solve(curve, chart):
     stages = _T1_ON_CURVE_STAGES + _T1_FLOW_STAGES
 
     def attempt(xs, probe):
-        n = len(xs)
-        per_pass = max(1, T1_PASS_POINTS // n)  # copies of the grid in one chart pass
         store = {}  # slot -> node samples of its coefficient function
         sens = []  # per stage: (nodes, conditions, unknowns) sensitivities
         initial_scale = 1.0
@@ -416,19 +410,15 @@ def _t1_solve(curve, chart):
         # cancellations leave roundoff in a single solve; one more solve with
         # the same sensitivities removes it (classical iterative refinement).
         # A stage's residual and its unit bumps are one pass over copies of the
-        # grid, and no stage's rows read a later stage's slots, so the refinement
+        # state, and no stage's rows read a later stage's slots, so the refinement
         # of stage s - 1 is read from the unbumped copy of stage s's pass
         for s, (order, fn, slots) in enumerate(stages):
             for slot in slots:
-                store[slot] = np.zeros(n)
-            copies = [None, *slots]
-            size = -(-len(copies) // -(-len(copies) // per_pass))  # the fewest passes, evenly filled
-            first, *rest = (copies[i : i + size] for i in range(0, len(copies), size))
-            fns, first_order = (fn,), order
+                store[slot] = np.zeros(len(xs))
+            fns, pass_order = (fn,), order
             if s:
-                fns, first_order = (fn, stages[s - 1][1]), max(order, stages[s - 1][0])
-            rows, *earlier = _t1_pass(chart, store, xs, first_order, fns, first)
-            F = np.concatenate([rows] + [_t1_pass(chart, store, xs, order, (fn,), chunk)[0] for chunk in rest], axis=1)
+                fns, pass_order = (fn, stages[s - 1][1]), max(order, stages[s - 1][0])
+            F, *earlier = _t1_pass(chart, store, xs, pass_order, fns, [None, *slots])
             F0 = F[:, 0]
             if s >= len(_T1_ON_CURVE_STAGES):
                 initial_scale = max(initial_scale, float(np.max(np.abs(F0))))
@@ -487,12 +477,14 @@ def build_t1():
 
     Each stage is a pointwise linear solve at uniform nodes.  Its residual
     and its sensitivities, a unit bump of each unknown, come from one chart
-    pass over copies of the node grid, split at T1_PASS_POINTS points (so
-    the cubic stages take two passes); a singular sensitivity matrix
-    (|det| < 1e-10) at any node raises ConstructError.  One step of
-    iterative refinement with the same sensitivities follows, read from the
-    unbumped copy of the next stage's pass, since no stage's rows read a
-    later stage's unknowns; the last stage gets a pass of its own.  The node samples are interpolated
+    pass over the nodes, the unbumped state and each bump a row of a
+    leading axis that only the bumped coefficient columns carry; a singular
+    sensitivity matrix (|det| < 1e-10) at any node raises ConstructError.
+    One step of iterative refinement with the same sensitivities follows,
+    read from the unbumped row of the next stage's pass, since no stage's
+    rows read a later stage's unknowns; the last stage gets a pass of its
+    own, and with the midpoint check a build makes 8 chart passes of
+    T1_NODES points.  The node samples are interpolated
     trigonometrically as one vector series, and one residual check at the
     midpoints covers all six stages: the on-curve rows of stages 1-2 to
     T1_RESIDUAL_TOL absolute, and the quadratic and cubic Taylor coefficients

@@ -89,7 +89,8 @@ class ChartData:
     At order 0 every field is a plain value (a float, an array or a
     Fraction); at a higher order the jet fields keep their Taylor
     coefficients in (y, z) up to that order, on monomials free of x, and the
-    scalar convenience accessors read their values.
+    scalar convenience accessors read their values.  order is that jet
+    order.
     """
 
     x: object
@@ -104,20 +105,23 @@ class ChartData:
     g: object
     A: object
     B: object
+    order: int = 0
 
     def value(self, name):
         return value_of(getattr(self, name))
 
     def partial(self, name, var):
-        """The first partial of field name in var ("y" or "z"); 0.0 on
-        order-0 data.  Order >= 1 data carries no partial in x: "x" raises
-        ValueError."""
+        """The first partial of field name in var ("y" or "z"); 0.0 for an
+        output that is a constant, not a jet.  Order-0 data carries no
+        partial, and no data a partial in x: both raise ValueError."""
+        if not self.order:
+            raise ValueError("order-0 chart data carries no partials: ask chart_data for order >= 1")
         j = getattr(self, name)
         index = {"x": 0, "y": 1, "z": 2}[var]
-        if not isinstance(j, jets.Jet):
-            return 0.0
         if not index:
             raise ValueError("chart_data carries transverse partials only (in y and z), not the partial in x")
+        if not isinstance(j, jets.Jet):
+            return 0.0
         exps = tuple(1 if i == index else 0 for i in range(3))
         return j.deriv(*exps)
 
@@ -148,7 +152,9 @@ def chart_data(field, chart, x, y, z, order=0, program=None):
     (ChartData.partial reads the first ones).  The outputs carry no
     x-monomial: the reduction reads the first x-partials of the field and
     the chart, and no reader wants one of its own.  x, y, z may be numpy
-    arrays (broadcast evaluation at many points at once).  The curve is
+    arrays (broadcast evaluation at many points at once), and the field's
+    coefficients may carry a leading axis that broadcasts against x: the
+    outputs that read them take the broadcast shape.  The curve is
     expanded to field.curve_order, the highest derivative of gamma that
     field.chart_components reads.  program, the ChartProgram of one
     equation of this field and chart, runs an order-0 point of three Python
@@ -197,7 +203,7 @@ def _reduce(field, chart, x, y, z, order):
     A = -(a * r)
     B = -(b * r)
     e, f, g = reduced_coefficients(A, B, L)
-    return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=L, e=e, f=f, g=g, A=A, B=B)
+    return ChartData(x=x, y=y, z=z, a=a, b=b, c=c, L=L, e=e, f=f, g=g, A=A, B=B, order=order)
 
 
 class ChartProgram:

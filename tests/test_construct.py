@@ -241,24 +241,29 @@ def test_t1_stage_rows_read_no_later_slot(t1_field, t1_chart):
         assert np.all(moved[len(later) :] >= 0.2), (s + 1, moved)
 
 
-def _slot_coefficients(field):
-    ((_, columns),) = field.coefficients.items()
-    return columns.__self__.cos_coeffs.tobytes() + columns.__self__.sin_coeffs.tobytes()
-
-
-def test_t1_slots_do_not_depend_on_the_pass_bound(t1_field, monkeypatch):
-    # every operation of a pass is elementwise over its points, so one copy of
-    # the grid per pass and all copies in one pass give the same bits
-    expected = _slot_coefficients(t1_field)
-    for bound in (1, 10**6):
-        monkeypatch.setattr(construct, "T1_PASS_POINTS", bound)
-        assert _slot_coefficients(construct.build_t1()) == expected
+def test_t1_pass_broadcast_copies_match_single_copy_passes(t1_field, t1_chart):
+    # the copies of a pass are a leading axis of the bumped columns, so each
+    # copy takes the float operations of a pass over that copy alone, bit for
+    # bit; the reference for a bump is the state with the slot's node samples
+    # plus 1, re-fitted, which moves the last bits (measured 7.3e-12 of
+    # max(1, |rows|), stage 6) but pins the bump to its own copy and slot
+    xs, store = _t1_node_state(t1_field)
+    for order, fn, own in construct._T1_ON_CURVE_STAGES + construct._T1_FLOW_STAGES:
+        (plain,) = construct._t1_pass(t1_chart, store, xs, order, (fn,), [None])
+        for slot in own:
+            (rows,) = construct._t1_pass(t1_chart, store, xs, order, (fn,), [None, slot])
+            (bumped,) = construct._t1_pass(t1_chart, store, xs, order, (fn,), [slot])
+            (refit,) = construct._t1_pass(t1_chart, {**store, slot: store[slot] + 1.0}, xs, order, (fn,), [None])
+            assert rows.shape == (len(plain), 2, len(xs))
+            assert rows[:, 0].tobytes() == plain[:, 0].tobytes()
+            assert rows[:, 1].tobytes() == bumped[:, 0].tobytes(), slot
+            assert np.max(np.abs(rows[:, 1] - refit[:, 0])) <= 5e-11 * max(1.0, np.max(np.abs(refit))), slot
 
 
 def test_t1_build_makes_at_most_ten_chart_passes(monkeypatch):
-    # one pass per stage, but two for each of the cubic stages' five copies
-    # of the grid, then the last stage's refinement and the midpoint check;
-    # the earlier schedule of two sweeps made 31
+    # one pass over the nodes per stage, its unit bumps a broadcast axis of
+    # the bumped columns, then the last stage's refinement and the midpoint
+    # check; a pass over tiled copies of the grid would count more points
     sizes = []
     chart_data = tubular.chart_data
 
@@ -268,18 +273,18 @@ def test_t1_build_makes_at_most_ten_chart_passes(monkeypatch):
 
     monkeypatch.setattr(tubular, "chart_data", counted)
     construct.build_t1()
-    assert len(sizes) <= 10 and max(sizes) <= construct.T1_PASS_POINTS, sizes
+    assert sizes == [construct.T1_NODES] * 8, sizes
 
 
 def test_t1_build_makes_the_slope_jets_once_per_flow_pass(monkeypatch):
-    # the seven passes that read flow rows (stages 3-6, the cubic ones in two
-    # passes, and the last refinement) and the midpoint check; a pass whose
-    # rows read two stages built them once per row function, 11 in all
+    # the five passes that read flow rows (stages 3-6 and the last
+    # refinement) and the midpoint check, once each although the passes of
+    # stages 4-6 also read the previous stage's rows
     calls = []
     jets_of = construct._slope_and_vertical_jets
     monkeypatch.setattr(construct, "_slope_and_vertical_jets", lambda d: calls.append(d) or jets_of(d))
     built = construct.build_t1()
-    assert len(calls) == 8
+    assert len(calls) == 6
     ((slots, columns),) = built.coefficients.items()
     assert columns.__self__.nodes == construct.T1_NODES  # one attempt: a second would double the count
 

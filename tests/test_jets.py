@@ -446,3 +446,49 @@ def test_a_product_past_the_cap_drops_the_sink():
     # a cap of 0 leaves no pair past it: its rows are the full table's on the monomials free of x
     transverse = jets._Monomials(3, 3, 0)
     assert all(table_row and max(table_row) < transverse.sink for table_row in transverse.rows)
+
+
+def _shaped_terms(rnd, nvars, order, shapes):
+    """A sparse coefficient dict whose coefficients draw their shapes from
+    shapes, with a value in [1, 2] of the first shape."""
+    def coefficient(shape, low=-1.0, high=1.0):
+        return np.array([rnd.uniform(low, high) for _ in range(math.prod(shape))]).reshape(shape)
+
+    terms = {e: coefficient(rnd.choice(shapes)) for e in _monomials(nvars, order) if any(e) and rnd.random() < 0.5}
+    terms[(0,) * nvars] = coefficient(shapes[0], 1.0, 2.0)
+    return terms
+
+
+def _row(c, k):
+    """Row k of a coefficient of shape (m, n); one of shape (n,) is every row's."""
+    return c[k] if c.ndim == 2 else c
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_mixed_coefficient_shapes_broadcast_row_by_row(rnd):
+    # a jet whose value has shape (m, n) and whose other coefficients mix (n,)
+    # and (m, n), as a bumped coefficient column of a chart pass does, against
+    # one of shape (n,): each row k of a result has the bits of the same
+    # operation on row k of the operands, whose coefficients are all (n,)
+    nvars, order, m, n = rnd.randint(1, 3), rnd.randint(0, 4), 3, 4
+    ta = _shaped_terms(rnd, nvars, order, [(m, n), (n,)])
+    tb = _shaped_terms(rnd, nvars, order, [(n,)])
+    derivs = [rnd.choice([np.full((m, n), rnd.uniform(-1, 1)), np.full(n, rnd.uniform(-1, 1))]) for _ in range(order + 1)]
+    p = rnd.randint(-3, 6)
+
+    def cases(a, b, derivs):
+        return [
+            a * b, b * a, a + b, b - a, a - b, a / b, b / a, a ** p,
+            a.compose_univariate(derivs), b.compose_univariate(derivs),
+        ]
+
+    got = cases(Jet(nvars, order, ta), Jet(nvars, order, tb), derivs)
+    assert got[0].value.shape == (m, n)
+    for k in range(m):
+        a = Jet(nvars, order, {e: _row(c, k) for e, c in ta.items()})
+        rows = cases(a, Jet(nvars, order, tb), [_row(d, k) for d in derivs])
+        for case, (jet, row) in enumerate(zip(got, rows)):
+            for e in _monomials(nvars, order):
+                c, want = np.asarray(jet.coefficient(e), dtype=float), np.asarray(row.coefficient(e), dtype=float)
+                assert np.broadcast_to(c, (m, n))[k].tobytes() == np.broadcast_to(want, (n,)).tobytes(), (case, k, e)

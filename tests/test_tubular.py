@@ -524,4 +524,6 @@ def test_order_one_chart_data_has_no_partial_in_x(t1_field, t1_chart):
         d.partial("e", "x")
     assert d.partial("e", "y") == d.e.deriv(0, 1, 0) and d.partial("A", "z") == d.A.deriv(0, 0, 1)
     plain = chart_data(t1_field, t1_chart, 0.7, 0.0, 0.0)
-    assert plain.partial("e", "x") == plain.partial("e", "y") == 0.0
+    for var in "xyz":  # order-0 data has no partials: an error, not a silent 0.0
+        with pytest.raises(ValueError, match="order-0 chart data carries no partials"):
+            plain.partial("e", var)
