@@ -268,8 +268,17 @@ def cmd_poincare(args):
         except ValueError as exc:
             raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
-    result = monodromy.monodromy(field, chart, period)
-    fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h) if args.fd_check else None
+    cache = failure = None
+    if args.fd_check:  # one sampling of the curve: the variational fit reads the chart cache's passes
+        try:
+            cache = flow.ChartSpectralCache(field, chart, period)
+        except Exception as exc:  # raised after the monodromy, whose own errors come first
+            failure = exc
+    variational = None if cache is None else monodromy.VariationalCache(field, chart, period, cache)
+    result = monodromy.monodromy(field, chart, period, cache=variational)
+    if failure is not None:
+        raise failure
+    fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h, cache=cache) if args.fd_check else None
     doc = result.to_dict()
     code = EXIT_OK
     if args.fd_check:

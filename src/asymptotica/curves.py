@@ -102,13 +102,23 @@ class Curve:
         return self.interval[1] - self.interval[0]
 
     def _check_closed(self):
-        x0 = float(self.interval[0])
-        l = float(self.period)
-        for i in range(32):
-            s = x0 + l * i / 32.0
-            p0 = self.point(s)
-            p1 = self.point(s + l)
-            if np.max(np.abs(p0 - p1)) > _CLOSED_TOL * max(1.0, np.max(np.abs(p0))):
+        """gamma(s) = gamma(s + period) at 32 points s over one period, all 64
+        points as one array evaluation.  Where that evaluation raises, sets a
+        floating-point flag or meets a non-finite value, the points are checked
+        one by one in order, so the verdict and any domain error are those of
+        scalar evaluation."""
+        x0, l = float(self.interval[0]), float(self.period)
+        s = x0 + l * np.arange(32) / 32.0
+        ends = np.empty((3, 64))  # a row per component, gamma(s) then gamma(s + period)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for row, v in zip(ends, self.jet(np.concatenate([s, s + l]), 0)[0]):
+                    row[...] = v
+            pairs = [(ends[:, :32], ends[:, 32:])] if np.isfinite(ends).all() else None
+        except Exception:
+            pairs = None
+        for p0, p1 in pairs or ((self.point(t), self.point(t + l)) for t in s.tolist()):
+            if (np.abs(p0 - p1).max(axis=0) > _CLOSED_TOL * np.maximum(1.0, np.abs(p0).max(axis=0))).any():
                 raise CurveError("curve marked closed but gamma(x) != gamma(x + period)")
 
     # -- evaluation --------------------------------------------------------

@@ -157,6 +157,7 @@ class ChartSpectralCache:
 
     def __init__(self, field, chart, period):
         self.period = float(period)
+        self.passes = []  # (points, Taylor table) of each chart pass of the fit, for sampled
         self.series = TrigSeries.fit(
             lambda xs: self._taylor_table(field, chart, xs), self.period, CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES
         )
@@ -165,7 +166,7 @@ class ChartSpectralCache:
     def _taylor_table(self, field, chart, xs):
         """Taylor coefficients at (x, 0, 0), shape (len(xs), nquant * nmono)."""
         d = tubular.chart_data(field, chart, xs, 0.0, 0.0, order=CACHE_DEGREE)
-        return np.stack(
+        table = np.stack(
             [
                 np.broadcast_to(np.asarray(getattr(d, name).coefficient((0, i, j)), dtype=float), xs.shape)
                 for name in self._QUANTITIES
@@ -173,6 +174,18 @@ class ChartSpectralCache:
             ],
             axis=1,
         )
+        self.passes.append((xs, table))
+        return table
+
+    def sampled(self, xs, *columns):
+        """The columns (name, i, j), the coefficient of y^i z^j in quantity name
+        at (x, 0, 0), of the fit's chart pass at exactly the points xs; None
+        when the fit made no pass there.  A VariationalCache reads M from them."""
+        for points, table in self.passes:
+            if np.array_equal(points, xs):
+                n = len(self.monomials)
+                return [table[:, self._QUANTITIES.index(name) * n + self.monomials.index((i, j))] for name, i, j in columns]
+        return None
 
     # efgab(x, y, z, row): (e, f, g, A, B) at a point of floats, row = self.series(x).tolist()
     # already evaluated (a row of rk45's stage table, shared by a lockstep batch); the

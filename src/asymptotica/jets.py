@@ -62,11 +62,12 @@ class _Monomials:
 
     Monomials are numbered by degree, then by exponent tuple, largest first:
     a monomial has one number at every order, and those of degree <= d come
-    first.  ``rows[i][j]`` numbers monomial i times monomial j, for the
-    prefix of j that keeps the product within the order.  ``first`` caps
-    the first variable's exponent (None: no cap); a pair past the cap
-    numbers ``sink``, one past the monomials, which a product drops once.
-    Every call passes ``first``, so one table has one cache key.
+    first.  ``first`` caps the first variable's exponent (None: no cap).
+    ``rows[i][j]`` numbers monomial i times monomial j, or is None where the
+    product passes the order or the cap, so a product never forms such a
+    pair; ``top[i]`` says that monomial i has the full degree and pairs only
+    with the constant.  Every call passes ``first``, so one table has one
+    cache key.
     """
 
     def __init__(self, nvars, order, first):
@@ -75,11 +76,11 @@ class _Monomials:
         monomials = (e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order and e[0] <= cap)
         self.exponents = sorted(monomials, key=lambda e: (sum(e), [-x for x in e]))
         self.index = {e: i for i, e in enumerate(self.exponents)}
-        self.sink = len(self.exponents)
         self.rows = [
-            [self.index.get(tuple(map(sum, zip(a, b))), self.sink) for b in self.exponents if sum(a) + sum(b) <= order]
+            [self.index.get(tuple(map(sum, zip(a, b)))) if sum(a) + sum(b) <= order else None for b in self.exponents]
             for a in self.exponents
         ]
+        self.top = [sum(a) == order for a in self.exponents]
         # lowered[v][i]: (number of monomial i over x_v, exponent of x_v), None where x_v is absent
         self.lowered = [
             [(self.index[e[:v] + (e[v] - 1,) + e[v + 1 :]], e[v]) if e[v] else None for e in self.exponents]
@@ -247,22 +248,21 @@ class Jet:
         table = self._table
         if other._table is not table:
             raise ValueError("jet shape mismatch")
-        rows, b = table.rows, other._coef
+        rows, top, b = table.rows, table.top, other._coef
         b0, pairs = b.get(0), b.items()
         out = {}
         for i, ca in self._coef.items():
-            row = rows[i]
-            n = len(row)
-            if n == 1:  # a top-degree monomial pairs only with the constant
+            if top[i]:  # a top-degree monomial pairs only with the constant
                 if b0 is not None:
                     t = ca * b0
                     out[i] = out[i] + t if i in out else t
                 continue
+            row = rows[i]
             for j, cb in pairs:
-                if j < n:
-                    k, t = row[j], ca * cb
+                k = row[j]
+                if k is not None:  # within the order and the first variable's cap
+                    t = ca * cb
                     out[k] = out[k] + t if k in out else t
-        out.pop(table.sink, None)  # the pairs past the first variable's cap
         j = _new(Jet)  # _jet inlined: this is the hottest constructor
         j._table, j._coef = table, out
         return j

@@ -16,6 +16,9 @@ Liouville's identity, det Q = exp of the integrated trace of M.
 
 VariationalCache fits M from FIT_NODES nodes, doubling them until the
 midpoint residual is below FIT_TOL, and raises FitError past FIT_MAX_NODES.
+Given the ChartSpectralCache that poincare --fd-check builds for
+fd_poincare_derivative, it reads M's Taylor columns from that cache's
+passes, so both fits sample the curve once; _matrix turns the columns into M.
 """
 
 from __future__ import annotations
@@ -35,8 +38,27 @@ FD_RTOL, FD_ATOL = 1e-11, 1e-14  # the finite-difference batch
 FIT_NODES, FIT_TOL, FIT_MAX_NODES = 256, 1e-9, 2048  # VariationalCache's fit: nodes, midpoint residual, node cap
 
 
+# the Taylor columns (quantity, i, j), coefficients of y^i z^j at (x, 0, 0), that _matrix reads after x
+_COLUMNS = (("f", 0, 0), ("B", 0, 0), ("e", 1, 0), ("e", 0, 1), ("A", 1, 0), ("A", 0, 1))
+
+
 class ParabolicOnCurve(Exception):
     """f(x,0,0) = 0 somewhere on the curve; the variational matrix is undefined."""
+
+
+def _matrix(x, f, B, e_y, e_z, A_y, A_z):
+    """M at x (an array of shape s) from the Taylor columns at (x, 0, 0): the
+    values of f and B and the first partials of e and A in y and z, each a
+    float or an array that broadcasts to s; the result has shape s + (2, 2)."""
+    f = np.asarray(f, dtype=float)
+    if np.any(np.abs(f) < 1e-12):  # name the point of least |f|
+        size, xs = np.broadcast_arrays(np.abs(f), x)
+        i = np.nanargmin(size)
+        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve: |f| = {size.flat[i]} at x = {xs.flat[i]}")
+    m11 = -e_y / (2 * f)
+    m12 = -e_z / (2 * f)
+    entries = (m11, m12, A_y + B * m11, A_z + B * m12)
+    return np.stack([np.broadcast_to(m, x.shape) for m in entries], axis=-1).reshape(x.shape + (2, 2))
 
 
 def variational_matrix(field, chart, x):
@@ -47,16 +69,9 @@ def variational_matrix(field, chart, x):
     """
     x = np.asarray(x, dtype=float)
     d = tubular.chart_data(field, chart, x if x.ndim else float(x), 0.0, 0.0, order=1)
-    f = np.asarray(d.value("f"), dtype=float)
-    if np.any(np.abs(f) < 1e-12):  # name the point of least |f|
-        size, xs = np.broadcast_arrays(np.abs(f), x)
-        i = np.nanargmin(size)
-        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve: |f| = {size.flat[i]} at x = {xs.flat[i]}")
-    b0 = d.value("B")
-    m11 = -d.partial("e", "y") / (2 * f)
-    m12 = -d.partial("e", "z") / (2 * f)
-    entries = (m11, m12, d.partial("A", "y") + b0 * m11, d.partial("A", "z") + b0 * m12)
-    return np.stack([np.broadcast_to(m, x.shape) for m in entries], axis=-1).reshape(x.shape + (2, 2))
+    return _matrix(
+        x, d.value("f"), d.value("B"), d.partial("e", "y"), d.partial("e", "z"), d.partial("A", "y"), d.partial("A", "z")
+    )
 
 
 class VariationalCache:
@@ -66,14 +81,20 @@ class VariationalCache:
     pass and fitted as one vector TrigSeries (TrigSeries.fit doubles the node
     count until the midpoint residual passes).  This makes the Q integration
     cheap, and the mean of each entry gives its exact integral over a period.
+    With chart_cache, a ChartSpectralCache of the same field, chart and
+    period, a level whose points the chart cache's fit sampled reads M from
+    the degree-0 and degree-1 Taylor columns of that pass (the same values an
+    order-1 pass gives); any other level makes its own order-1 pass.
     """
 
-    def __init__(self, field, chart, period):
+    def __init__(self, field, chart, period, chart_cache=None):
         self.period = float(period)
-        self.series = TrigSeries.fit(
-            lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4), self.period, FIT_NODES, FIT_TOL,
-            FIT_MAX_NODES,
-        )
+
+        def sample(xs):
+            columns = None if chart_cache is None else chart_cache.sampled(xs, *_COLUMNS)
+            return (variational_matrix(field, chart, xs) if columns is None else _matrix(xs, *columns)).reshape(-1, 4)
+
+        self.series = TrigSeries.fit(sample, self.period, FIT_NODES, FIT_TOL, FIT_MAX_NODES)
         self.nodes = self.series.nodes
         self.residual = self.series.residual
 
@@ -214,17 +235,19 @@ def check_fd_step(h, chart):
         raise ValueError(f"step h = {h} outside (1e-8, tube radius {chart.radius})")
 
 
-def fd_poincare_derivative(field, chart, period, h=1e-5):
+def fd_poincare_derivative(field, chart, period, h=1e-5, cache=None):
     """Central-difference Jacobian of the actual return map at the fixed point.
 
     This is the independent oracle for the variational route: it only uses
     the flow integrator, never the variational matrix.  The right-hand side
-    is evaluated through a ChartSpectralCache of its own (validated against
-    the direct pipeline), which keeps the evaluation smooth enough for the
-    central differences to resolve.
+    is evaluated through a ChartSpectralCache (validated against the direct
+    pipeline), which keeps the evaluation smooth enough for the central
+    differences to resolve: cache when given (one built for the same field,
+    chart and period), else one of its own.
     """
     check_fd_step(h, chart)
-    cache = flow.ChartSpectralCache(field, chart, float(period))
+    if cache is None:
+        cache = flow.ChartSpectralCache(field, chart, float(period))
     starts = np.array([[h, 0.0], [-h, 0.0], [0.0, h], [0.0, -h]])
     ends = flow.integrate_batch(field, chart, starts, 0.0, float(period), rtol=FD_RTOL, atol=FD_ATOL, cache=cache)
     col_y = (ends[0] - ends[1]) / (2 * h)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import SADDLE
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +93,51 @@ def test_poincare_fd_check(capsys):
     doc = json.loads(out)
     assert doc["fd_within_tolerance"] is True
     assert doc["fd_max_deviation"] <= 1e-6
+
+
+class _OwnPasses(monodromy.VariationalCache):
+    # the variational fit with chart passes of its own: the two caches built separately
+    def __init__(self, field, chart, period, chart_cache=None):
+        super().__init__(field, chart, period)
+
+
+def _poincare_passes(capsys, monkeypatch, argv, separate=False):
+    """(exit code, stdout, stderr, points of each vector chart_data pass) of one run."""
+    passes, real = [], tubular.chart_data
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            tubular, "chart_data", lambda *a, **kw: isinstance(a[2], np.ndarray) and passes.append(a[2].size) or real(*a, **kw)
+        )
+        if separate:
+            patch.setattr(monodromy, "VariationalCache", _OwnPasses)
+        return (*run(capsys, "poincare", *argv), passes)
+
+
+@pytest.mark.parametrize("field, passes", [("t1", [512, 512]), ("circle-example", [512]), ("saddle", [512])])
+def test_fd_check_samples_the_curve_once(capsys, monkeypatch, field, passes):
+    # both fits read the chart cache's passes: the same document as the two caches
+    # built separately, with one chart pass per refinement level in place of 3 (t1) or 2
+    cli._t1_field()  # built before the count
+    argv = ["--field", json.dumps(SADDLE) if field == "saddle" else field, "--fd-check", "--format", "json"]
+    code, out, err, shared = _poincare_passes(capsys, monkeypatch, argv)
+    want = _poincare_passes(capsys, monkeypatch, argv, separate=True)
+    assert (code, out, err) == want[:3] and code == 0 and out
+    assert shared == passes and want[3] == [2 * monodromy.FIT_NODES] + passes
+
+
+@pytest.mark.parametrize("xi, curve, message", [
+    (["0*x", "0*x", "1 + 0*x"], "circle", "f(x,0,0) vanishes on the curve: |f| = 0.0 at x = 0.0"),
+    (["0*x", "z/x", "1"], "circle", "f(x,0,0) vanishes on the curve: |f| = 0.0 at x = 0.0"),
+    (["1/x", "z - y", "1"], "t1", "periodic fit sample not finite at x = 0.0"),
+])
+def test_fd_check_keeps_the_monodromy_errors_first(capsys, monkeypatch, xi, curve, message):
+    # f = 0 on the curve: the chart cache fits, and the variational fit on its passes
+    # stops; or the chart cache fails (z/x: its residual at 1,024 nodes; 1/x: a non-finite
+    # sample), and its error waits for the monodromy's own
+    argv = ["--field", json.dumps({"xi": xi, "curve": curve}), "--fd-check"]
+    code, out, err, _ = _poincare_passes(capsys, monkeypatch, argv)
+    assert (code, out, err.splitlines()) == (3, "", [f"numerical failure: {message}"])
+    assert (code, out, err) == _poincare_passes(capsys, monkeypatch, argv, separate=True)[:3]
 
 
 def test_integrate_reached(capsys):

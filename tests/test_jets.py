@@ -436,16 +436,31 @@ def test_the_x_seed_composes_to_first_degree_and_a_y_seed_to_every_order():
         assert got.coefficient((2, 0, 0)) == 0 != want.coefficient((2, 0, 0))
 
 
-def test_a_product_past_the_cap_drops_the_sink():
-    # the pairs past the first variable's cap number the sink, dropped once per product
+def test_a_product_never_forms_a_pair_past_the_cap():
+    # a pair past the first variable's cap has no number, like a pair past the order,
+    # so a product skips it: x * x forms 3 of its 4 coefficient products
     table = jets._Monomials(3, 3, 1)
     x = jets.seed((0.5, 0.0, 0.0), 3)[0].restricted(1)
-    assert table.sink == len(table.exponents) == 16
-    assert table.rows[table.index[(1, 0, 0)]][table.index[(1, 0, 0)]] == table.sink
-    assert sorted((x * x)._coef) == [0, 1] and (x * x).coefficient((1, 0, 0)) == 1.0
-    # a cap of 0 leaves no pair past it: its rows are the full table's on the monomials free of x
+    i = table.index[(1, 0, 0)]
+    assert table.rows[i][i] is None and table.rows[i][0] == i
+    formed = []
+
+    class Counted(float):
+        def __mul__(self, other):
+            formed.append((float(self), float(other)))
+            return float(self) * float(other)
+
+    counted = jets._jet(table, {k: Counted(c) for k, c in x._coef.items()})
+    square = counted * counted
+    assert sorted(formed) == [(0.5, 0.5), (0.5, 1.0), (1.0, 0.5)]
+    assert sorted(square._coef) == [0, 1] and square.coefficient((1, 0, 0)) == 1.0
+    # a cap of 0 leaves no pair past it: every pair within the order has its number
     transverse = jets._Monomials(3, 3, 0)
-    assert all(table_row and max(table_row) < transverse.sink for table_row in transverse.rows)
+    assert all(
+        (k is None) == (sum(a) + sum(b) > 3)
+        for a, row in zip(transverse.exponents, transverse.rows)
+        for b, k in zip(transverse.exponents, row)
+    )
 
 
 def _shaped_terms(rnd, nvars, order, shapes):

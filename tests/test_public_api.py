@@ -74,7 +74,7 @@ PARAMETERS = {
     asymptotica.build_t1: [],
     asymptotica.chart_data: ["field", "chart", "x", "y", "z", "order", "program"],
     asymptotica.classify: ["field", "chart", "point"],
-    asymptotica.fd_poincare_derivative: ["field", "chart", "period", "h"],
+    asymptotica.fd_poincare_derivative: ["field", "chart", "period", "h", "cache"],
     asymptotica.finite_type_symbol: ["curve", "x"],
     asymptotica.finite_type_symbol_numeric: ["curve", "x"],
     asymptotica.gauge_scale: ["field", "phi_source"],
@@ -83,7 +83,7 @@ PARAMETERS = {
     asymptotica.normal_curvature: ["field", "p", "dr"],
     asymptotica.realize_t5: ["curve"],
     flow.rk45: ["rhs", "x0", "x1", "y0", "rtol", "atol", "on_accept", "coefficients"],
-    monodromy.VariationalCache: ["field", "chart", "period"],
+    monodromy.VariationalCache: ["field", "chart", "period", "chart_cache"],
     monodromy.monodromy: ["field", "chart", "period", "cache"],
 }
 

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from conftest import SADDLE
 
-from asymptotica import cli, monodromy, tubular
+from asymptotica import cli, flow, monodromy, tubular
 from asymptotica.curves import Curve
 
 M = np.array([[-3.0, 5.0], [-1.0, 2.0]])  # the saddle fixture's M (tests/conftest.py)
@@ -93,3 +93,35 @@ def test_saddle_reversed_inverts_its_eigenvalues(saddle, cache):
     result = _reparametrized_monodromy(saddle, ("cos(-x)", "sin(-x)", "0"), 2 * math.pi, cache)
     _assert_moduli(result, math.exp(math.pi * (1 + ROOT5)), math.exp(math.pi * (1 - ROOT5)), 4e-11)
     assert abs(result.integrals["trace"] - 2 * math.pi) <= 1e-12
+
+
+def _rotated(source):
+    """source at R^T p, R the rotation by cos = 3/5, sin = 4/5 about the x axis."""
+    return source.replace("y", "Y").replace("z", "((-4*y + 3*z)/5)").replace("Y", "((3*y + 4*z)/5)")
+
+
+@pytest.fixture(scope="module")
+def tilted_saddle():
+    # the saddle turned by R (the field R xi(R^T p), the circle R gamma) and run at
+    # period 3, which does not divide 2 pi: the adapted frame of the tilted circle does
+    # not turn with the rotation, so M varies along it; the orbit and its eigenvalues
+    # exp(pi (-1 +- sqrt 5)) stay
+    xi1, xi2, xi3 = map(_rotated, SADDLE["xi"])
+    field = cli.resolve_field(json.dumps({"xi": [xi1, f"(3*({xi2}) - 4*({xi3}))/5", f"(4*({xi2}) + 3*({xi3}))/5"]}))[0]
+    curve = Curve.from_expressions(("cos(2*pi*x/3)", "3*sin(2*pi*x/3)/5", "4*sin(2*pi*x/3)/5"), (0.0, 3.0), closed=True)
+    return field, tubular.TubularChart(curve)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_tilted_saddle_at_period_three_keeps_its_eigenvalues(tilted_saddle, shared):
+    # the variational fit over its own passes, or over a chart cache's; a fit over 2 pi
+    # in place of the period fails this.  Measured: each entry of M spreads by 6.9 to 30.4
+    # along the curve; 3.31e-12 relative on both eigenvalues for both fits, the trace
+    # integral -2 pi to 8.9e-16
+    field, chart = tilted_saddle
+    assert np.min(np.ptp(monodromy.variational_matrix(field, chart, np.linspace(0.0, 3.0, 13)), axis=0)) > 5
+    chart_cache = flow.ChartSpectralCache(field, chart, 3.0) if shared else None
+    vc = monodromy.VariationalCache(field, chart, 3.0, chart_cache)
+    result = monodromy.monodromy(field, chart, 3.0, cache=vc)
+    _assert_moduli(result, math.exp(math.pi * (ROOT5 - 1)), math.exp(-math.pi * (1 + ROOT5)), 1.5e-11)
+    assert abs(result.integrals["trace"] + 2 * math.pi) <= 1e-12
