@@ -7,7 +7,7 @@ variational equation of its first-return map.
 """
 
 from . import exprlang, jets
-from .curves import Curve, finite_type_symbol, finite_type_symbol_numeric, is_starlike_projection
+from .curves import Curve, finite_type_symbol, is_starlike_projection
 from .planefield import (
     AmbientField,
     circle_example_field,
@@ -22,7 +22,6 @@ from .tubular import (
     binary_equation_data,
     chart_data,
     classify,
-    gaussian_curvature,
 )
 from .construct import (
     ConstructError,
@@ -51,7 +50,6 @@ from .monodromy import (
     variational_matrix,
 )
 from .surfaces import (
-    ParamSurface,
     arnold_k1,
     arnold_surface,
     f_on_curve,
@@ -69,7 +67,6 @@ __all__ = [
     "FlowError",
     "MonodromyResult",
     "ParabolicOnCurve",
-    "ParamSurface",
     "Path",
     "PointClass",
     "ReductionSingular",
@@ -89,9 +86,7 @@ __all__ = [
     "f_on_curve",
     "fd_poincare_derivative",
     "finite_type_symbol",
-    "finite_type_symbol_numeric",
     "gauge_scale",
-    "gaussian_curvature",
     "integrability_defect",
     "integrate_asymptotic",
     "integrate_batch",

@@ -184,10 +184,10 @@ def check_outputs(args):
 
 
 def emit(args, document, csv_rows=None, csv_header=None):
-    """Write the result document (strict JSON: a non-finite float is null) or rows (CSV) to --output or stdout."""
+    """Write the document (strict JSON: a non-finite float is null) or rows (CSV, table) to --output or stdout."""
     out = sys.stdout if args.output is None else open_output(args.output, "--output")
     try:
-        if args.format == "csv":  # offered where there are rows
+        if args.format != "json":  # csv or table, offered where there are rows
             if csv_header:
                 out.write(",".join(csv_header) + "\n")
             for row in csv_rows:
@@ -391,13 +391,14 @@ def cmd_verify_paper(args):
     if args.format == "json":
         emit(args, {"seed": seed, "passed": all_passed, "checks": results})
     else:
-        width = max(len(r["name"]) for r in results)
+        width, lines = max(len(r["name"]) for r in results), []
         for r in results:
             status = "PASS" if r["passed"] else "FAIL"
-            print(f"{r['name']:<{width}}  {status}  {r['seconds']:>6.2f}s  {r.get('error', '')}".rstrip())
+            lines.append(f"{r['name']:<{width}}  {status}  {r['seconds']:>6.2f}s  {r.get('error', '')}".rstrip())
             column = max((len(m["label"]) for m in r["measurements"]), default=0)
-            for m in r["measurements"]:
-                print(f"    {m['label']:<{column}}  {m['measured']:.3g} {'<=' if m['passed'] else '>'} {m['bound']:g}")
+            lines += [f"    {m['label']:<{column}}  {m['measured']:.3g} {'<=' if m['passed'] else '>'} {m['bound']:g}"
+                      for m in r["measurements"]]
+        emit(args, None, csv_rows=[(line,) for line in lines])
         print(("all checks passed" if all_passed else "some checks FAILED"), file=sys.stderr)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

@@ -42,10 +42,6 @@ from .jets import value_of
 from .rational_series import PowerSeriesQ, SeriesError
 from .spectral import TrigSeries, refine
 
-COEFFICIENT_NAMES = (
-    "k1", "k2", "k3", "l1", "l2", "l3",
-    "kt1", "kt2", "kt3", "jt1", "jt2", "jt3", "lt1", "lt2", "lt3",
-)
 T1_NODES, T1_RESIDUAL_TOL, T1_MAX_NODES = 256, 1e-9, 1024  # build_t1's node grid and residual bound
 
 
@@ -132,9 +128,9 @@ class TubularField:
     xi = l0 Y + k0 Z + PX X + PY Y + PZ Z in the adapted frame of the curve.
     Each factor P is a sum of coefficient functions of x times chart
     monomials y^i z^j / w.  A coefficient slot (row, i, j) names one such
-    term, row 1, 2, 3 for X, Y, Z.  The named coefficients (COEFFICIENT_NAMES) are the
-    slots of degree one and two, with w = 2 on y^2 and z^2 (3 on the Z
-    row's z^2) and w = 1 otherwise.
+    term, row 1, 2, 3 for X, Y, Z.  The named coefficients (_SLOTS, k1 to lt3)
+    are the slots of degree one and two, with w = 2 on y^2 and z^2 (3 on the
+    Z row's z^2) and w = 1 otherwise.
 
     coefficients maps a name to its function of x (an expression string, a
     number or a callable), or a tuple of slots to one callable whose value

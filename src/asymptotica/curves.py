@@ -189,11 +189,6 @@ def finite_type_symbol(curve, x):
     return _symbol(rows, _rank_exact if exact else _rank_numeric, x)
 
 
-def finite_type_symbol_numeric(curve, x):
-    """The symbol with the SVD rank test at float(x), even for rational curves."""
-    return _symbol(curve.jet(float(x), SYMBOL_MAX_ORDER)[1:], _rank_numeric, x)
-
-
 def _symbol(rows, rank, x):
     m = None
     for k in range(1, len(rows) + 1):

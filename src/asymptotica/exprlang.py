@@ -262,10 +262,22 @@ def _prec_of(expr) -> int:
     return 100
 
 
+def _literal(v: Fraction) -> str:
+    """A number's source: its exact decimal, which every parser literal has,
+    else the parenthesized quotient p/q."""
+    if v.denominator == 1:
+        return str(v.numerator)
+    k = v.denominator.bit_length()  # a denominator 2^a 5^b divides 10^k
+    scaled, rest = divmod(v.numerator * 10**k, v.denominator)
+    if rest:
+        return f"({v.numerator}/{v.denominator})"
+    digits = str(abs(scaled)).rjust(k + 1, "0")
+    return f"{'-' * (scaled < 0)}{digits[:-k]}.{digits[-k:].rstrip('0')}"
+
+
 def to_source(expr: Expr) -> str:
     if isinstance(expr, Num):
-        v = expr.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return _literal(expr.value)
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Pi):

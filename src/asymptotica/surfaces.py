@@ -1,10 +1,10 @@
 """Parametrized surfaces and the rotating-type local model.
 
-A ParamSurface wraps one map (u, v) -> three components, evaluated through
-two-variable jets; second_fundamental extracts the coefficients (e, f, g) of
-the binary asymptotic equation e du^2 + 2 f du dv + g dv^2 = 0.  The normal
-degenerates where |alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v|, a test
-that does not depend on the surface's scale.
+A surface is one ring-generic map alpha(u, v) -> three components, evaluated
+on two-variable jets; second_fundamental extracts the coefficients (e, f, g)
+of the binary asymptotic equation e du^2 + 2 f du dv + g dv^2 = 0.  The
+normal degenerates where |alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v|, a
+test that does not depend on the surface's scale.
 
 The rotating-type construction pairs the local curve model (u, u^m, u^n),
 1 < m < n, with its planar normal N(u) = (m u^{m-1}, -1, 0) and the slope
@@ -34,31 +34,13 @@ class DegenerateNormal(Exception):
     """|alpha_u ^ alpha_v| <= 1e-14 |alpha_u| |alpha_v| at the queried point: the tangents are parallel."""
 
 
-class ParamSurface:
-    """Surface given by one ring-generic map alpha(u, v) -> its three components."""
-
-    def __init__(self, alpha, name=""):
-        self.alpha = alpha
-        self.name = name
-
-    def point(self, u, v):
-        return np.array([float(jets.value_of(c)) for c in self.alpha(u, v)])
-
-    def jet(self, u, v):
-        """Component jets at (u, v) to second order, as far as second_fundamental reads."""
-        cj = tuple(self.alpha(*jets.seed((u, v), 2)))
-        if len(cj) != 3:
-            raise ValueError(f"a surface map returns three components, got {len(cj)}")
-        return cj
-
-
 def _second_partials(cj):
     """(alpha_uu, alpha_uv, alpha_vv), w = alpha_u ^ alpha_v and |alpha_u|^2 |alpha_v|^2 from component jets."""
     a_u = tuple(c.deriv(1, 0) for c in cj)
     a_v = tuple(c.deriv(0, 1) for c in cj)
-    a_uu = tuple(2 * c.deriv(2, 0) for c in cj)
+    a_uu = tuple(c.deriv(2, 0) for c in cj)
     a_uv = tuple(c.deriv(1, 1) for c in cj)
-    a_vv = tuple(2 * c.deriv(0, 2) for c in cj)
+    a_vv = tuple(c.deriv(0, 2) for c in cj)
     return (a_uu, a_uv, a_vv), jets.cross(a_u, a_v), jets.dot(a_u, a_u) * jets.dot(a_v, a_v)
 
 
@@ -73,27 +55,18 @@ def _unit_coefficients(second, w, tangents, u, v):
     return tuple(jets.dot(a, n) for a in second)
 
 
-def second_fundamental(surface, u, v):
-    """Coefficients (e, f, g) of the second fundamental form at (u, v).
+def second_fundamental(alpha, u, v):
+    """Coefficients (e, f, g) of the second fundamental form of the surface alpha at (u, v).
 
     e = <alpha_uu, N>, f = <alpha_uv, N>, g = <alpha_vv, N> with the unit
     normal N = (alpha_u ^ alpha_v)/|alpha_u ^ alpha_v|.  Accepts scalars or
     numpy arrays of parameter values.  Raises DegenerateNormal where the
     tangents are parallel (the module docstring gives the scale-free test).
     """
-    return _unit_coefficients(*_second_partials(surface.jet(u, v)), u, v)
-
-
-def second_fundamental_unnormalized(surface, u, v):
-    """(e, f, g) against the *unnormalized* normal alpha_u ^ alpha_v.
-
-    These are |alpha_u ^ alpha_v| times the classical coefficients; they
-    define the same binary asymptotic equation (the common factor cancels)
-    and match the closed forms quoted for the rotating-type model, which
-    are triple products [alpha_u, alpha_v, alpha_**].
-    """
-    second, w, _ = _second_partials(surface.jet(u, v))
-    return tuple(jets.dot(a, w) for a in second)
+    cj = tuple(alpha(*jets.seed((u, v), 2)))
+    if len(cj) != 3:
+        raise ValueError(f"a surface map returns three components, got {len(cj)}")
+    return _unit_coefficients(*_second_partials(cj), u, v)
 
 
 # -- rotating-type local model ------------------------------------------------
@@ -132,7 +105,7 @@ def f_on_curve(m, n, u):
 def arnold_surface(m, n, samples=64):
     """Surface beta(u, v) for the local model, plus an on-curve report.
 
-    Returns (surface, report).  The report holds e(u, 0) and f(u, 0) samples
+    Returns (beta, report).  The report holds e(u, 0) and f(u, 0) samples
     over |u| <= U_MAX, the closed-form comparison for f, and f(0, 0).
     """
     _check_orders(m, n)
@@ -146,8 +119,6 @@ def arnold_surface(m, n, samples=64):
         k = arnold_k1(m, n, u)
         return tuple(g[i] + v * N[i] + k * v * R[i] for i in range(3))
 
-    surface = ParamSurface(beta, name=f"arnold:{m},{n}")
-
     us = np.linspace(-U_MAX, U_MAX, samples)
     vs = 0.0 * us
     # one second-order jet of beta on the grid gives e (unit normal) and f
@@ -156,7 +127,7 @@ def arnold_surface(m, n, samples=64):
     e_s, _, _ = _unit_coefficients(second, w, tangents, us, vs)
     f_s = jets.dot(second[1], w)
     f_closed = f_on_curve(m, n, us)
-    _, f00, _ = _unit_coefficients(*_second_partials(beta(*jets.seed((0.0, 0.0), 2))), 0.0, 0.0)
+    _, f00, _ = second_fundamental(beta, 0.0, 0.0)
     scale = np.maximum(np.abs(f_closed), 1.0)
     report = {
         "m": m,
@@ -171,4 +142,4 @@ def arnold_surface(m, n, samples=64):
         "max_abs_e": float(np.max(np.abs(e_s))),
         "max_rel_f_mismatch": float(np.max(np.abs(np.asarray(f_s) - f_closed) / scale)),
     }
-    return surface, report
+    return beta, report

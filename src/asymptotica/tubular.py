@@ -263,10 +263,6 @@ def reduced_coefficients(A, B, L):
     return e, f, g
 
 
-def gaussian_curvature(field, chart, x, y, z):
-    return chart_data(field, chart, x, y, z, order=0).K
-
-
 def classify(field, chart, point):
     """Sign classification of eg - f^2, scale-free, with a Parabolic band."""
     return _classes(chart_data(field, chart, *point))[0]

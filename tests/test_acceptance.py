@@ -104,7 +104,7 @@ def test_local_model_realization(series, expected_C000):
     for x in np.linspace(-0.3, 0.3, 64):
         if abs(x) < 1e-9:
             continue
-        K = tubular.gaussian_curvature(field, chart, float(x), 0.0, 0.0)
+        K = tubular.chart_data(field, chart, float(x), 0.0, 0.0).K
         assert abs(K + 1.0) <= 1e-8
 
 

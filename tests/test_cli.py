@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -651,7 +652,7 @@ def test_curvature_matches_pointwise_gaussian_curvature(capsys, name):
     rows = json.loads(out)["K"]
     assert len(rows) == 128
     for x, K in rows:
-        want = tubular.gaussian_curvature(field, chart, x, 0.0, 0.0)
+        want = tubular.chart_data(field, chart, x, 0.0, 0.0).K
         assert abs(K - want) <= 1e-13 * max(1.0, abs(want)), x
 
 
@@ -685,6 +686,17 @@ def test_verify_paper_single_check(capsys):
     assert code == 0
     assert "appendix" in out and "PASS" in out
     assert "|f(0,0)| at (m,n) = (2,4)" in out and "<= 1e-09" in out
+
+
+def test_verify_paper_table_goes_to_output(capsys, tmp_path):
+    # --output receives the table that stdout shows without it, up to the timing column
+    target = tmp_path / "table.txt"
+    code, out, err = run(capsys, "verify-paper", "--only", "appendix", "--output", str(target))
+    assert code == 0 and out == "" and err == "all checks passed\n"
+    code, out, _ = run(capsys, "verify-paper", "--only", "appendix")
+    assert code == 0
+    untimed = [re.sub(r" +\d+\.\d\ds", "", line) for text in (target.read_text(), out) for line in text.splitlines()]
+    assert len(untimed) == 8 and untimed[:4] == untimed[4:]
 
 
 def test_verify_paper_json_format(capsys):

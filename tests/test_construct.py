@@ -162,7 +162,7 @@ def test_realize_t5_numeric_curvature():
     for x in np.linspace(-0.3, 0.3, 64):
         if abs(x) < 1e-8:
             continue
-        K = tubular.gaussian_curvature(field, chart, float(x), 0.0, 0.0)
+        K = tubular.chart_data(field, chart, float(x), 0.0, 0.0).K
         assert K == pytest.approx(-1.0, abs=1e-8)
 
 

@@ -13,7 +13,6 @@ from asymptotica.curves import (
     NotFiniteType,
     NotSimple,
     finite_type_symbol,
-    finite_type_symbol_numeric,
     is_starlike_projection,
 )
 
@@ -110,7 +109,7 @@ def test_planar_curve_is_not_finite_type():
 def test_numeric_symbol_agrees_with_exact():
     c = Curve.from_series([[0, 1], [0, 0, 1], [0, 0, 0, 1]])
     s_exact = finite_type_symbol(c, Fraction(0))
-    s_num = finite_type_symbol_numeric(c, 0.0)
+    s_num = curves._symbol(c.jet(0.0, curves.SYMBOL_MAX_ORDER)[1:], curves._rank_numeric, 0.0)
     assert (s_exact.m, s_exact.n) == (s_num.m, s_num.n)
 
 

@@ -33,6 +33,12 @@ def test_parse_power_of_function():
     assert evaluate(tree, {"x": math.pi / 2}) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("source, text", [("2/0.5", "2 / 0.5"), ("x/0.25", "x / 0.25"), (".125^2", "0.125^2")])
+def test_decimal_literal_prints_as_its_decimal(source, text):
+    assert to_source(parse(source)) == text
+    assert parse(text) == parse(source)
+
+
 def test_parse_two_pi():
     assert evaluate(parse("2*pi"), {}) == pytest.approx(2 * math.pi)
 
@@ -137,7 +143,8 @@ def test_real_evaluation_equals_jet_value_slot():
 
 
 def _random_source(rng):
-    atoms = ["x", "x", "pi", str(int(rng.integers(1, 9)))]
+    # the decimal atom (k/40, as 0.025 or 3.5) is a literal whose printed form must stay one atom
+    atoms = ["x", "x", "pi", str(int(rng.integers(1, 9))), str(int(rng.integers(1, 400)) / 40)]
     expr = str(rng.choice(atoms))
     for _ in range(int(rng.integers(1, 4))):
         op = rng.choice(["+", "-", "*", "/"])

@@ -99,6 +99,12 @@ def test_gauge_scale_by_two():
     assert v == pytest.approx([-6.0, 0.0, 2.0])
 
 
+def test_gauge_scale_keeps_decimal_divisors():
+    # the rebuilt components print 0.5 and 0.25 as decimals, not as 1/2 and 1/4 next to a division
+    g = gauge_scale(AmbientField(("2/0.5", "x/0.25", "1")), "1")
+    assert [float(c) for c in g.components(3.0, 0.0, 0.0)] == [4.0, 12.0, 1.0]
+
+
 def test_gauge_vanishing_phi_rejected():
     with pytest.raises(FieldError):
         gauge_scale(contact_field(), "x - 1")

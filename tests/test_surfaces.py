@@ -3,79 +3,73 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from asymptotica import surfaces
+from asymptotica import jets, surfaces
 from asymptotica.surfaces import (
     DegenerateNormal,
-    ParamSurface,
     arnold_k1,
     arnold_surface,
     f_on_curve,
     second_fundamental,
-    second_fundamental_unnormalized,
 )
 
 
 def test_plane_has_zero_second_fundamental():
-    plane = ParamSurface(lambda u, v: (u, v, 0 * u))
-    e, f, g = second_fundamental(plane, 0.3, -0.7)
+    e, f, g = second_fundamental(lambda u, v: (u, v, 0 * u), 0.3, -0.7)
     assert (e, f, g) == pytest.approx((0.0, 0.0, 0.0), abs=1e-14)
 
 
 def test_hyperbolic_paraboloid_mixed_coefficient():
-    s = ParamSurface(lambda u, v: (u, v, u * v))
-    e, f, g = second_fundamental(s, 0.0, 0.0)
+    e, f, g = second_fundamental(lambda u, v: (u, v, u * v), 0.0, 0.0)
     assert e == pytest.approx(0.0, abs=1e-14)
     assert g == pytest.approx(0.0, abs=1e-14)
     assert abs(f) == pytest.approx(1.0)
     assert e * g - f * f < 0
 
 
+def test_graph_form_is_the_hessian_at_the_origin():
+    # z = (u^2 + v^2)/2 + 1.5 uv has the unit normal (0, 0, 1) and Hessian
+    # ((1, 1.5), (1.5, 1)) at the origin: the form is (1, 1.5, 1), hyperbolic
+    e, f, g = second_fundamental(lambda u, v: (u, v, (u * u + v * v) / 2 + 1.5 * u * v), 0.0, 0.0)
+    assert (e, f, g) == pytest.approx((1.0, 1.5, 1.0), abs=1e-15)
+    assert e * g - f * f == pytest.approx(-1.25, abs=1e-15)
+
+
+def test_sphere_of_radius_two_has_form_minus_one_half():
+    # the upper hemisphere of radius 2 with the upward normal: e = g = -1/2, f = 0 at the pole
+    e, f, g = second_fundamental(lambda u, v: (u, v, jets.sqrt(4 - u * u - v * v)), 0.0, 0.0)
+    assert (e, f, g) == pytest.approx((-0.5, 0.0, -0.5), abs=1e-15)
+
+
 def test_sphere_elliptic():
-    import asymptotica.jets as jets
-
-    def z(u, v):
-        return jets.sqrt(1 - u * u - v * v)
-
-    s = ParamSurface(lambda u, v: (u, v, z(u, v)))
-    e, f, g = second_fundamental(s, 0.1, 0.2)
+    e, f, g = second_fundamental(lambda u, v: (u, v, jets.sqrt(1 - u * u - v * v)), 0.1, 0.2)
     assert e * g - f * f > 0
 
 
 def test_cylinder_parabolic():
-    import asymptotica.jets as jets
-
-    s = ParamSurface(lambda u, v: (jets.cos(u), jets.sin(u), v))
-    e, f, g = second_fundamental(s, 0.4, 1.0)
+    e, f, g = second_fundamental(lambda u, v: (jets.cos(u), jets.sin(u), v), 0.4, 1.0)
     assert e * g - f * f == pytest.approx(0.0, abs=1e-13)
 
 
 def test_degenerate_normal_raises():
-    s = ParamSurface(lambda u, v: (u, u, 0 * u))
     with pytest.raises(DegenerateNormal):
-        second_fundamental(s, 0.0, 0.0)
+        second_fundamental(lambda u, v: (u, u, 0 * u), 0.0, 0.0)
+
+
+def test_surface_map_needs_three_components():
+    with pytest.raises(ValueError, match="three components, got 2"):
+        second_fundamental(lambda u, v: (u, v), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-8, 1.0, 1e8])
 def test_degenerate_normal_test_is_scale_free(s):
     # (e, f, g) scale with the surface, and the degeneracy test with it
     def surface(k):
-        return ParamSurface(lambda u, v: (k * u, k * v, k * (u * v + u * u)))
+        return lambda u, v: (k * u, k * v, k * (u * v + u * u))
 
     unit = second_fundamental(surface(1.0), 0.1, 0.2)
     assert second_fundamental(surface(s), 0.1, 0.2) == pytest.approx(tuple(s * c for c in unit), rel=1e-12, abs=0)
-    line = ParamSurface(lambda u, v: (s * u, s * u, 0 * u))
     with pytest.raises(DegenerateNormal):
-        second_fundamental(line, 0.1, 0.2)
-
-
-def test_unnormalized_scales_by_normal_length():
-    s = ParamSurface(lambda u, v: (u, v, u * v + u * u))
-    u0, v0 = 0.3, -0.2
-    e1, f1, g1 = second_fundamental(s, u0, v0)
-    e2, f2, g2 = second_fundamental_unnormalized(s, u0, v0)
-    # same binary equation: proportional coefficient triples
-    assert e2 * f1 == pytest.approx(e1 * f2, abs=1e-12)
-    assert g2 * f1 == pytest.approx(g1 * f2, abs=1e-12)
+        second_fundamental(lambda u, v: (s * u, s * u, 0 * u), 0.1, 0.2)
 
 
 def test_arnold_k1_values():
@@ -99,9 +93,9 @@ def test_bad_orders_rejected():
 
 
 def test_surface_contains_model_curve():
-    surface, _ = arnold_surface(2, 3)
+    beta, _ = arnold_surface(2, 3)
     for u in (-0.4, 0.0, 0.25):
-        assert np.allclose(surface.point(u, 0.0), [u, u ** 2, u ** 3], atol=1e-14)
+        assert np.allclose(beta(u, 0.0), [u, u ** 2, u ** 3], atol=1e-14)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -126,12 +120,15 @@ def test_f_closed_form_matches_triple_product():
 
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 5), (2, 9), (8, 9)])
 def test_arnold_report_matches_generic_path(m, n):
-    # the report's one grid jet and one origin jet give the bits of the per-component path
-    surface, report = arnold_surface(m, n)
+    # the report's one grid jet and one origin jet give the bits of the per-point path;
+    # f is against the unnormalized normal: the triple product alpha_uv . (alpha_u ^ alpha_v)
+    beta, report = arnold_surface(m, n)
     us = report["u"]
-    e, _, _ = second_fundamental(surface, us, 0.0 * us)
-    _, f, _ = second_fundamental_unnormalized(surface, us, 0.0 * us)
-    _, f00, _ = second_fundamental(surface, 0.0, 0.0)
+    e, _, _ = second_fundamental(beta, us, 0.0 * us)
+    cj = beta(*jets.seed((us, 0.0 * us), 2))
+    a_u, a_v, a_uv = (tuple(c.deriv(*k) for c in cj) for k in ((1, 0), (0, 1), (1, 1)))
+    f = jets.dot(a_uv, jets.cross(a_u, a_v))
+    _, f00, _ = second_fundamental(beta, 0.0, 0.0)
     closed = np.asarray(f_on_curve(m, n, us), dtype=float)
     mismatch = np.max(np.abs(f - closed) / np.maximum(np.abs(closed), 1.0))
     assert report["e_on_curve"].tobytes() == np.asarray(e, dtype=float).tobytes()
@@ -154,10 +151,10 @@ def test_arnold_surface_evaluates_the_model_twice(monkeypatch):
     monkeypatch.setattr(surfaces, "arnold_k1", counted)
     for m, n in ((2, 3), (4, 7)):
         calls.clear()
-        surface, _ = arnold_surface(m, n)
+        beta, _ = arnold_surface(m, n)
         assert len(calls) == 2
         us = np.linspace(-0.4, 0.4, 5)
-        for probe in (lambda: second_fundamental(surface, us, 0.0 * us), lambda: surface.point(0.1, 0.2)):
+        for probe in (lambda: second_fundamental(beta, us, 0.0 * us), lambda: beta(0.1, 0.2)):
             calls.clear()
             probe()
             assert len(calls) == 1

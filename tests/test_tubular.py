@@ -22,7 +22,6 @@ from asymptotica.tubular import (
     TubularChart,
     chart_data,
     classify,
-    gaussian_curvature,
 )
 
 
@@ -176,8 +175,7 @@ def test_t1_on_curve_values(t1_field, t1_chart):
         e, f, g = d.value("e"), d.value("f"), d.value("g")
         assert abs(e) <= 1e-9
         assert f == pytest.approx(1.0, abs=1e-9)
-        K = gaussian_curvature(t1_field, t1_chart, float(x), 0.0, 0.0)
-        assert K == pytest.approx(-1.0, abs=1e-8)
+        assert d.K == pytest.approx(-1.0, abs=1e-8)
         assert classify(t1_field, t1_chart, (float(x), 0.0, 0.0)) is PointClass.HYPERBOLIC
 
 
