@@ -272,6 +272,8 @@ def cmd_poincare(args):
     if args.fd_check:  # one sampling of the curve: the variational fit reads the chart cache's passes
         try:
             cache = flow.ChartSpectralCache(field, chart, period)
+        except monodromy.ParabolicOnCurve:  # from its first pass, whose points and f the monodromy's first pass repeats
+            raise
         except Exception as exc:  # raised after the monodromy, whose own errors come first
             failure = exc
     variational = None if cache is None else monodromy.VariationalCache(field, chart, period, cache)

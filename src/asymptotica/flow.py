@@ -67,6 +67,23 @@ class VerticalDirection(FlowError):
     """Only the dx = 0 direction solves the equation; x cannot be the parameter."""
 
 
+class ParabolicOnCurve(Exception):
+    """f(x,0,0) = 0 somewhere on the curve; the variational matrix is undefined.
+
+    monodromy raises it from M; a ChartSpectralCache from its first pass."""
+
+
+def _require_f_on_curve(x, f):
+    """f(x,0,0) at the points x as a float array; ParabolicOnCurve where any
+    |f| < 1e-12, naming the point of least |f|."""
+    f = np.asarray(f, dtype=float)
+    if np.any(np.abs(f) < 1e-12):
+        size, xs = np.broadcast_arrays(np.abs(f), x)
+        i = np.nanargmin(size)
+        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve: |f| = {size.flat[i]} at x = {xs.flat[i]}")
+    return f
+
+
 @dataclass
 class Path:
     xs: np.ndarray
@@ -149,7 +166,10 @@ class ChartSpectralCache:
     x-interpolation is validated off-node against the direct pipeline at
     matching truncation; the (y, z) truncation error scales like
     (excursion)^(degree+1), far below the integrator tolerances for the
-    small excursions the finite-difference probes make.
+    small excursions the finite-difference probes make.  Where f(x,0,0)
+    vanishes at a point of the first pass (nodes and midpoints), the fit
+    stops there with ParabolicOnCurve, as the variational fit's first pass,
+    made at the same points, would.
     """
 
     _QUANTITIES = ("e", "f", "g", "A", "B")
@@ -175,6 +195,8 @@ class ChartSpectralCache:
             axis=1,
         )
         self.passes.append((xs, table))
+        if len(self.passes) == 1:  # the variational fit's first pass too: f = 0 there ends both fits
+            _require_f_on_curve(xs, *self.sampled(xs, ("f", 0, 0)))
         return table
 
     def sampled(self, xs, *columns):

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import flow, tubular
+from .flow import ParabolicOnCurve  # what _matrix raises, under the name the package exports
 from .spectral import TrigSeries
 
 HYPERBOLIC_TOL = 1e-6  # an eigenvalue modulus within this of 1 is on the unit circle
@@ -42,19 +43,11 @@ FIT_NODES, FIT_TOL, FIT_MAX_NODES = 256, 1e-9, 2048  # VariationalCache's fit: n
 _COLUMNS = (("f", 0, 0), ("B", 0, 0), ("e", 1, 0), ("e", 0, 1), ("A", 1, 0), ("A", 0, 1))
 
 
-class ParabolicOnCurve(Exception):
-    """f(x,0,0) = 0 somewhere on the curve; the variational matrix is undefined."""
-
-
 def _matrix(x, f, B, e_y, e_z, A_y, A_z):
     """M at x (an array of shape s) from the Taylor columns at (x, 0, 0): the
     values of f and B and the first partials of e and A in y and z, each a
     float or an array that broadcasts to s; the result has shape s + (2, 2)."""
-    f = np.asarray(f, dtype=float)
-    if np.any(np.abs(f) < 1e-12):  # name the point of least |f|
-        size, xs = np.broadcast_arrays(np.abs(f), x)
-        i = np.nanargmin(size)
-        raise ParabolicOnCurve(f"f(x,0,0) vanishes on the curve: |f| = {size.flat[i]} at x = {xs.flat[i]}")
+    f = flow._require_f_on_curve(x, f)
     m11 = -e_y / (2 * f)
     m12 = -e_z / (2 * f)
     entries = (m11, m12, A_y + B * m11, A_z + B * m12)
@@ -79,8 +72,9 @@ class VariationalCache:
 
     The entries are sampled at uniform nodes with one vectorized pipeline
     pass and fitted as one vector TrigSeries (TrigSeries.fit doubles the node
-    count until the midpoint residual passes).  This makes the Q integration
-    cheap, and the mean of each entry gives its exact integral over a period.
+    count until the midpoint residual passes, and keeps the harmonics that
+    check validated).  This makes the Q integration cheap, and the mean of
+    each entry gives its exact integral over a period.
     With chart_cache, a ChartSpectralCache of the same field, chart and
     period, a level whose points the chart cache's fit sampled reads M from
     the degree-0 and degree-1 Taylor columns of that pass (the same values an

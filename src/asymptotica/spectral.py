@@ -6,7 +6,9 @@ samples of shape (N, m) give m series that share nodes and are evaluated
 together.  For trigonometric polynomials of degree < N/2 the interpolant is
 exact; for other analytic periodic functions the node count is doubled until
 an off-node residual check passes (refine), so the error is spectrally small;
-fit samples once per level and stops at the first non-finite sample.
+fit samples once per level, stops at the first non-finite sample, checks its
+midpoints through the FFT and keeps only the K' harmonics that check
+validated, so an evaluation costs O(K').
 Series evaluate on floats, numpy arrays, and jets (through univariate
 Taylor recomposition); columns splits the value of a vector series into its
 m series.
@@ -72,8 +74,14 @@ class TrigSeries:
         the previous nodes and midpoints interleaved, on the new midpoints
         only; a fit that stops at 2n nodes calls fn on 4n points in two calls.
         A non-finite sample raises FitError at once, naming the least such x.
-        The result records its node count in .nodes and the worst scaled
-        residual in .residual.
+        The midpoint values of the interpolant come from its spectrum, shifted
+        by half a node (one FFT, no harmonic table).  The result keeps only the
+        harmonics the check validated: the fewest K' whose dropped tail, the
+        sum of |a_k| + |b_k| over k >= K' scaled as the check scales, stays in
+        every row within the headroom tol - residual the level passed with, so
+        the kept series still passes the check; the mean always stays.  It
+        records its node count in .nodes and the worst scaled midpoint
+        residual of the kept series in .residual.
         """
         samples = []  # [node values, midpoint values] of the previous attempt
 
@@ -88,10 +96,26 @@ class TrigSeries:
                 vals = np.empty((len(xs),) + new.shape[1:])
                 vals[0::2], vals[1::2] = samples
             samples[:] = vals, probe_vals
-            series = cls.from_samples(vals, period)
+            full = cls.from_samples(vals, period)
+            n, harmonics = len(xs), len(full.cos_coeffs)
             scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-            err = np.max(np.abs(series(probe) - probe_vals), axis=0)
-            series.residual = float(np.max(err / scale))
+            # the interpolant at the midpoints is its spectrum shifted by half a node, e^(i pi k / n)
+            shifted = np.fft.rfft(vals, axis=0)
+            shifted *= np.exp(1j * np.pi / n * np.arange(harmonics)).reshape((-1,) + (1,) * (vals.ndim - 1))
+
+            def residual(k):  # the worst row's scaled midpoint error of the first k harmonics
+                mid = np.fft.irfft(shifted[:k], n, axis=0)
+                return float(np.max(np.max(np.abs(mid - probe_vals), axis=0) / scale))
+
+            # tail[k], the worst row's scaled sum of |a_j| + |b_j| over j >= k, bounds what
+            # dropping those harmonics moves the series at any x; it never grows with k, so
+            # the count of tails above the headroom the level passed with is the fewest
+            # harmonics to keep (all of them at a level that failed); the mean always stays
+            terms = ((np.abs(full.cos_coeffs) + np.abs(full.sin_coeffs)) / scale).reshape(harmonics, -1)
+            tail = np.max(np.cumsum(terms[::-1], axis=0)[::-1], axis=1)
+            keep = max(1, int(np.count_nonzero(tail > tol - residual(harmonics))))
+            series = cls(full.cos_coeffs[:keep], full.sin_coeffs[:keep], period)
+            series.nodes, series.residual = n, residual(keep)
             return series, series.residual, tol
 
         return refine(attempt, period, nodes, max_nodes)

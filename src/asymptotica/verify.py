@@ -174,7 +174,8 @@ def checks(seed=0):
 
 
 def _random_expression(rng):
-    atoms = ["x", "x", "pi", str(int(rng.integers(1, 9)))]
+    # the decimal atom (k/40, as 0.025 or 3.5) is a literal whose printed form must stay one atom
+    atoms = ["x", "x", "pi", str(int(rng.integers(1, 9))), str(int(rng.integers(1, 400)) / 40)]
     expr = rng.choice(atoms)
     for _ in range(int(rng.integers(1, 4))):
         op = rng.choice(["+", "-", "*", "/"])

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from asymptotica import cli, construct, monodromy, tubular
+from asymptotica.curves import Curve
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,23 @@ SADDLE = {
 @pytest.fixture(scope="session")
 def saddle():
     return cli.resolve_field(json.dumps(SADDLE))
+
+
+def _rotated(source):
+    """source at R^T p, R the rotation by cos = 3/5, sin = 4/5 about the x axis."""
+    return source.replace("y", "Y").replace("z", "((-4*y + 3*z)/5)").replace("Y", "((3*y + 4*z)/5)")
+
+
+@pytest.fixture(scope="session")
+def tilted_saddle():
+    # the saddle turned by R (the field R xi(R^T p), the circle R gamma) and run at
+    # period 3, which does not divide 2 pi: the adapted frame of the tilted circle does
+    # not turn with the rotation, so M varies along it; the orbit and its eigenvalues
+    # exp(pi (-1 +- sqrt 5)) stay (tests/test_saddle.py)
+    xi1, xi2, xi3 = map(_rotated, SADDLE["xi"])
+    field = cli.resolve_field(json.dumps({"xi": [xi1, f"(3*({xi2}) - 4*({xi3}))/5", f"(4*({xi2}) + 3*({xi3}))/5"]}))[0]
+    curve = Curve.from_expressions(("cos(2*pi*x/3)", "3*sin(2*pi*x/3)/5", "4*sin(2*pi*x/3)/5"), (0.0, 3.0), closed=True)
+    return field, tubular.TubularChart(curve)
 
 
 @pytest.fixture(scope="session")

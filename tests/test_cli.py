@@ -12,7 +12,7 @@ from conftest import SADDLE
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, flow, jets, monodromy, planefield, rational_series, tubular, verify
+from asymptotica import cli, exprlang, flow, jets, monodromy, planefield, rational_series, tubular, verify
 
 
 def run(capsys, *argv):
@@ -132,13 +132,25 @@ def test_fd_check_samples_the_curve_once(capsys, monkeypatch, field, passes):
     (["1/x", "z - y", "1"], "t1", "periodic fit sample not finite at x = 0.0"),
 ])
 def test_fd_check_keeps_the_monodromy_errors_first(capsys, monkeypatch, xi, curve, message):
-    # f = 0 on the curve: the chart cache fits, and the variational fit on its passes
-    # stops; or the chart cache fails (z/x: its residual at 1,024 nodes; 1/x: a non-finite
-    # sample), and its error waits for the monodromy's own
+    # f = 0 on the curve: the chart cache's first pass stops the run as the variational
+    # fit's would; or the chart cache fails (1/x: a non-finite sample), and its error
+    # waits for the monodromy's own
     argv = ["--field", json.dumps({"xi": xi, "curve": curve}), "--fd-check"]
     code, out, err, _ = _poincare_passes(capsys, monkeypatch, argv)
     assert (code, out, err.splitlines()) == (3, "", [f"numerical failure: {message}"])
     assert (code, out, err) == _poincare_passes(capsys, monkeypatch, argv, separate=True)[:3]
+
+
+@pytest.mark.parametrize("xi", [["0*x", "0*x", "1 + 0*x"], ["0*x", "z/x", "1"]])
+def test_fd_check_stops_a_parabolic_curve_after_one_pass(capsys, monkeypatch, xi):
+    # f = 0 at a point of the chart cache's first pass, whose points the variational
+    # fit's first pass repeats: the run stops there, as it does without --fd-check, with
+    # the same exit code, stderr line and one pass of 512 points (z/x made 4 passes of
+    # 2,560 points before: its chart cache refined to 1,024 nodes, where its residual fails)
+    argv = ["--field", json.dumps({"xi": xi, "curve": "circle"})]
+    with_check, without = (_poincare_passes(capsys, monkeypatch, argv + fd) for fd in (["--fd-check"], []))
+    message = "numerical failure: f(x,0,0) vanishes on the curve: |f| = 0.0 at x = 0.0\n"
+    assert with_check == without == (3, "", message, [512])
 
 
 def test_integrate_reached(capsys):
@@ -783,8 +795,14 @@ def _dp5_exponent_rk45():
     return scope["rk45"]
 
 
+def _bare_quotient(v):
+    # exprlang._literal printing a non-integer literal as bare p/q
+    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+
+
 # each mutant of the library: the check that has to catch it, and the patch
 MUTANTS = {
+    "bare-quotient-literal": ("properties", (exprlang, "_literal", _bare_quotient)),
     "dp5-step-exponent": ("t1-eigenvalues", (flow, "rk45", _dp5_exponent_rk45())),
     "wide-class-band": ("t1-eigenvalues", (tubular, "CLASS_TOL", 1e-2)),
     "degree-1-chart-cache": ("fd-oracle", (flow, "ChartSpectralCache", _DegreeOneCache)),

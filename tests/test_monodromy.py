@@ -1,10 +1,13 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import SADDLE
 
+from asymptotica import cli, flow, tubular, verify
 from asymptotica import monodromy as mono
-from asymptotica import tubular, verify
 from asymptotica.flow import FlowError
 from asymptotica.curves import Curve
 from asymptotica.monodromy import (
@@ -15,6 +18,7 @@ from asymptotica.monodromy import (
     variational_matrix,
 )
 from asymptotica.planefield import AmbientField, circle_example_field
+from asymptotica.spectral import TrigSeries
 
 
 def circle_setup():
@@ -192,3 +196,51 @@ def test_fd_rejects_bad_step(t1_field, t1_chart):
         fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, h=1.0)
     with pytest.raises(ValueError):
         fd_poincare_derivative(t1_field, t1_chart, 2 * math.pi, h=1e-9)
+
+
+def _subject(name, t1_field, t1_chart, tilted_saddle):
+    """(field, chart, period) of a subject of the chopped-fit comparison."""
+    if name == "t1":
+        return t1_field, t1_chart, 2 * math.pi
+    if name == "tilted saddle":
+        return (*tilted_saddle, 3.0)
+    field, chart = cli.resolve_field(json.dumps(SADDLE) if name == "saddle" else name)
+    return field, chart, chart.curve.period
+
+
+def _unchopped(cache, sample):
+    """A copy of cache whose series is the whole interpolant of sample at its nodes."""
+    whole = copy.copy(cache)
+    whole.series = TrigSeries.from_samples(sample(np.arange(cache.nodes) * (cache.period / cache.nodes)), cache.period)
+    kept = len(cache.series.cos_coeffs)
+    assert kept < len(whole.series.cos_coeffs)
+    assert np.array_equal(cache.series.cos_coeffs, whole.series.cos_coeffs[:kept])
+    assert np.array_equal(cache.series.sin_coeffs, whole.series.sin_coeffs[:kept])
+    return whole
+
+
+@pytest.mark.parametrize("name, kept, bound", [
+    ("t1", (142, 82), 1e-10), ("circle-example", (1, 1), 1e-10), ("saddle", (1, 1), 1e-10),
+    ("tilted saddle", (11, 33), 6e-10),
+])
+def test_chopped_fits_keep_q_and_the_fd_jacobian(t1_field, t1_chart, tilted_saddle, name, kept, bound):
+    # both caches as poincare --fd-check builds them (harmonics kept: chart cache, then
+    # variational), against the same caches with the whole interpolant at the same nodes
+    # (from_samples).  Measured, max |chopped - whole| / max(1, |entry|): Q 2.5e-13 (t1),
+    # 5.0e-15 (circle-example), 5.4e-15 (saddle), 1.33e-10 (tilted saddle, whose chop
+    # moves M by up to 5.1e-9 against a gate of 3.2e-8 while Q's entries reach 228; its
+    # eigenvalues move by 1.3e-14 relative); the FD Jacobian 2.2e-12, 5.3e-15, 5.6e-15,
+    # 1.1e-14.  The integrals read the mean, which no chop drops: they keep their bits
+    field, chart, period = _subject(name, t1_field, t1_chart, tilted_saddle)
+    chart_cache = flow.ChartSpectralCache(field, chart, period)
+    vc = mono.VariationalCache(field, chart, period, chart_cache)
+    assert (len(chart_cache.series.cos_coeffs), len(vc.series.cos_coeffs)) == kept
+    sampler = copy.copy(chart_cache)
+    sampler.passes = []  # its own list: the chart cache keeps the passes of its fit only
+    whole_chart = _unchopped(chart_cache, lambda xs: sampler._taylor_table(field, chart, xs))
+    whole_vc = _unchopped(vc, lambda xs: variational_matrix(field, chart, xs).reshape(-1, 4))
+    chopped, whole = (mono.monodromy(field, chart, period, cache=c) for c in (vc, whole_vc))
+    assert np.max(np.abs(chopped.Q - whole.Q) / np.maximum(1.0, np.abs(whole.Q))) <= bound
+    assert chopped.integrals == whole.integrals
+    fd, fd_whole = (fd_poincare_derivative(field, chart, period, cache=c) for c in (chart_cache, whole_chart))
+    assert np.max(np.abs(fd - fd_whole) / np.maximum(1.0, np.abs(fd_whole))) <= 1e-10

@@ -113,6 +113,30 @@ def _two_rows(x):
     return np.stack([1e6 * np.cos(x), np.exp(np.sin(x))], axis=1)
 
 
+def _midpoint_error(series, fn, n):
+    """The worst row's scaled error of series at the n midpoints of n nodes,
+    evaluated through its harmonic table: the fit's midpoint check as it was
+    before the FFT shift, kept as the oracle."""
+    period = series.period
+    scale = np.maximum(1.0, np.max(np.abs(fn(np.arange(n) * (period / n))), axis=0))
+    probe = np.arange(1, 2 * n, 2) * (period / (2 * n))
+    return float(np.max(np.max(np.abs(series(probe) - fn(probe)), axis=0) / scale))
+
+
+def _assert_a_validated_prefix(s, fn, tol):
+    # s is a prefix of the interpolant at its nodes, bit for bit, and the harmonics it
+    # drops sum, in every row, to no more than the headroom tol - residual with which
+    # the whole interpolant passed
+    n, period, kept = s.nodes, s.period, len(s.cos_coeffs)
+    vals = fn(np.arange(n) * (period / n))
+    full = TrigSeries.from_samples(vals, period)
+    assert kept < len(full.cos_coeffs)
+    assert np.array_equal(s.cos_coeffs, full.cos_coeffs[:kept]) and np.array_equal(s.sin_coeffs, full.sin_coeffs[:kept])
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+    tail = np.sum(np.abs(full.cos_coeffs[kept:]) + np.abs(full.sin_coeffs[kept:]), axis=0) / scale
+    assert np.max(tail) <= tol - _midpoint_error(full, fn, n)
+
+
 def test_vector_fit_stops_where_the_worse_row_does():
     period = 2 * math.pi
     v = TrigSeries.fit(_two_rows, period, nodes=8)
@@ -120,15 +144,18 @@ def test_vector_fit_stops_where_the_worse_row_does():
     assert needed == [8, 32]
     assert v.nodes == 32
     assert 0.0 <= v.residual <= 1e-11
+    _assert_a_validated_prefix(v, _two_rows, 1e-11)  # 11 of 17 harmonics
     xs = np.arange(v.nodes) * (period / v.nodes)
     for k in range(2):
         row = TrigSeries.from_samples(_two_rows(xs)[:, k], period)
-        assert np.array_equal(v.cos_coeffs[:, k], row.cos_coeffs)
-        assert np.array_equal(v.sin_coeffs[:, k], row.sin_coeffs)
+        assert np.array_equal(v.cos_coeffs[:, k], row.cos_coeffs[: len(v.cos_coeffs)])
+        assert np.array_equal(v.sin_coeffs[:, k], row.sin_coeffs[: len(v.sin_coeffs)])
     probe = np.linspace(0, period, 37)
     assert v(probe).shape == (37, 2)
     assert v(0.3).shape == (2,)
-    assert np.max(np.abs(v(probe) - _two_rows(probe)) / [1e6, 1.0]) < 1e-11
+    # off the nodes too, within the gate tol * max(1, max |row|): the kept harmonics spend
+    # the headroom, measured 9.6e-12 of e = max exp(sin x) in the second row
+    assert np.max(np.abs(v(probe) - _two_rows(probe)) / [1e6, math.e]) < 1e-11
 
 
 def test_vector_derivative_and_mean_are_row_wise():
@@ -190,10 +217,7 @@ def test_fit_reuses_node_and_midpoint_samples():
     s = TrigSeries.fit(fn, 2 * math.pi, nodes=n, tol=1e-9)
     assert s.nodes == 2 * n  # one doubling
     assert points == [2 * n, 2 * n]  # n nodes with n midpoints, then the 2n new midpoints
-    xs = np.arange(2 * n) * (2 * math.pi / (2 * n))
-    direct = TrigSeries.from_samples(rows(xs), 2 * math.pi)
-    assert np.array_equal(s.cos_coeffs, direct.cos_coeffs)
-    assert np.array_equal(s.sin_coeffs, direct.sin_coeffs)
+    _assert_a_validated_prefix(s, rows, 1e-9)  # 14 of 17 harmonics
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -243,3 +267,51 @@ def test_columns_split_one_evaluation_into_its_series():
             for e in ((0, 0, 0), (1, 0, 0), (2, 0, 0)):
                 assert np.array_equal(column.coefficient(e), np.asarray(whole.coefficient(e))[..., k])
                 assert np.allclose(column.coefficient(e), scalar.coefficient(e), rtol=1e-14, atol=1e-14)
+
+
+def test_fft_midpoints_match_the_harmonic_table():
+    # random rows, whose harmonics the fit keeps all: fn returns the interpolant at the
+    # midpoints by its harmonic table, so the fit's residual is the distance between its
+    # FFT-shifted midpoint values and the table's, measured 9.6e-14 of max(1, max |row|)
+    n, period = 512, 2 * math.pi
+    vals = np.random.default_rng(37).standard_normal((n, 50))
+    table = TrigSeries.from_samples(vals, period)
+    s = TrigSeries.fit(lambda x: np.concatenate([vals, table(x[n:])]), period, nodes=n, tol=1e-12, max_nodes=n)
+    assert len(s.cos_coeffs) == n // 2 + 1
+    assert 0.0 < s.residual <= 1e-12
+
+
+@pytest.mark.parametrize("degrees, period", [
+    ((0,), 2 * math.pi), ((1,), 2 * math.pi), ((7,), 3.0), ((3, 20), 2 * math.pi),
+])
+def test_a_trig_polynomial_keeps_its_degree_plus_one_harmonics(degrees, period):
+    # each row a trig polynomial with every coefficient of modulus 0.5 to 2 up to its degree
+    rng = np.random.default_rng(sum(degrees))
+    w = 2 * math.pi / period
+    coeffs = [rng.uniform(0.5, 2.0, (2, d + 1)) * rng.choice([-1.0, 1.0], (2, d + 1)) for d in degrees]
+
+    def fn(x):
+        k = np.arange(max(degrees) + 1)[:, None] * w * x
+        return np.stack([a @ np.cos(k[: len(a)]) + b @ np.sin(k[: len(b)]) for a, b in coeffs], axis=1)
+
+    s = TrigSeries.fit(fn, period, nodes=64)
+    assert (s.nodes, len(s.cos_coeffs), len(s.sin_coeffs)) == (64, max(degrees) + 1, max(degrees) + 1)
+    xs = np.linspace(0.0, period, 101)
+    assert np.max(np.abs(s(xs) - fn(xs))) < 1e-12
+
+
+def _analytic_rows(x):
+    return np.stack([np.exp(np.sin(x)), 1e3 / (2 + np.cos(x)), np.cos(3 * x) / (1.5 + np.sin(2 * x))], axis=1)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+def test_the_kept_harmonics_pass_the_midpoint_check_by_the_table(tol):
+    # the chopped series evaluated through its harmonic table, not the FFT, stays within
+    # the gate at the midpoints, and its .residual is that error up to rounding: measured
+    # 7.8e-7, 5.0e-10 and 4.2e-12 (32 of 33, 46 of 65 and 56 of 65 harmonics), at most
+    # 3.9e-16 from .residual
+    s = TrigSeries.fit(_analytic_rows, 2 * math.pi, nodes=8, tol=tol)
+    _assert_a_validated_prefix(s, _analytic_rows, tol)
+    err = _midpoint_error(s, _analytic_rows, s.nodes)
+    assert err <= tol
+    assert abs(err - s.residual) <= 1e-14
