@@ -169,7 +169,7 @@ class ChartSpectralCache:
     small excursions the finite-difference probes make.  Where f(x,0,0)
     vanishes at a point of the first pass (nodes and midpoints), the fit
     stops there with ParabolicOnCurve, as the variational fit's first pass,
-    made at the same points, would.
+    made at the same points (monodromy.FIT_NODES is CACHE_NODES), would.
     """
 
     _QUANTITIES = ("e", "f", "g", "A", "B")

@@ -14,8 +14,9 @@ derivative of the return map at the fixed point; the orbit is hyperbolic
 when both eigenvalues stay off the unit circle.  They take det Q from
 Liouville's identity, det Q = exp of the integrated trace of M.
 
-VariationalCache fits M from FIT_NODES nodes, doubling them until the
-midpoint residual is below FIT_TOL, and raises FitError past FIT_MAX_NODES.
+VariationalCache fits M from FIT_NODES nodes (flow.CACHE_NODES, the chart
+cache's), doubling them until the midpoint residual is below FIT_TOL, and
+raises FitError past FIT_MAX_NODES.
 Given the ChartSpectralCache that poincare --fd-check builds for
 fd_poincare_derivative, it reads M's Taylor columns from that cache's
 passes, so both fits sample the curve once; _matrix turns the columns into M.
@@ -36,7 +37,9 @@ from .spectral import TrigSeries
 HYPERBOLIC_TOL = 1e-6  # an eigenvalue modulus within this of 1 is on the unit circle
 RTOL, ATOL = 1e-11, 1e-13  # the Q integration
 FD_RTOL, FD_ATOL = 1e-11, 1e-14  # the finite-difference batch
-FIT_NODES, FIT_TOL, FIT_MAX_NODES = 256, 1e-9, 2048  # VariationalCache's fit: nodes, midpoint residual, node cap
+# VariationalCache's fit: nodes, midpoint residual, node cap; it starts on the chart cache's first grid,
+# so a ChartSpectralCache's first pass is the variational fit's too (and ends both where f vanishes)
+FIT_NODES, FIT_TOL, FIT_MAX_NODES = flow.CACHE_NODES, 1e-9, 2048
 
 
 # the Taylor columns (quantity, i, j), coefficients of y^i z^j at (x, 0, 0), that _matrix reads after x

@@ -7,8 +7,9 @@ together.  For trigonometric polynomials of degree < N/2 the interpolant is
 exact; for other analytic periodic functions the node count is doubled until
 an off-node residual check passes (refine), so the error is spectrally small;
 fit samples once per level, stops at the first non-finite sample, checks its
-midpoints through the FFT and keeps only the K' harmonics that check
-validated, so an evaluation costs O(K').
+midpoints through the FFT and keeps only the K' harmonics its samples
+validated (within twice the whole interpolant's own error at the nodes and
+midpoints), so an evaluation costs O(K').
 Series evaluate on floats, numpy arrays, and jets (through univariate
 Taylor recomposition); columns splits the value of a vector series into its
 m series.
@@ -74,14 +75,21 @@ class TrigSeries:
         the previous nodes and midpoints interleaved, on the new midpoints
         only; a fit that stops at 2n nodes calls fn on 4n points in two calls.
         A non-finite sample raises FitError at once, naming the least such x.
-        The midpoint values of the interpolant come from its spectrum, shifted
-        by half a node (one FFT, no harmonic table).  The result keeps only the
-        harmonics the check validated: the fewest K' whose dropped tail, the
-        sum of |a_k| + |b_k| over k >= K' scaled as the check scales, stays in
-        every row within the headroom tol - residual the level passed with, so
-        the kept series still passes the check; the mean always stays.  It
-        records its node count in .nodes and the worst scaled midpoint
-        residual of the kept series in .residual.
+        The interpolant's values at the nodes and at the midpoints come from its
+        spectrum, the midpoints' shifted by half a node (an inverse FFT each, no
+        harmonic table).  At a level that passes, the result keeps only the
+        harmonics the samples validated: with e the whole interpolant's worst
+        scaled error on the 2n points, K' harmonics whose series is within
+        min(tol, 2e) of every sample there, K' - 1 not, by bisection between
+        two counts: the count whose dropped tail, the sum of |a_k| + |b_k| over
+        k >= K' scaled as the check scales, stays within min(tol, 2e) - e (it
+        passes) and the count whose dropped root mean square exceeds
+        min(tol, 2e) + e (it cannot pass).  The mean always stays.  What the
+        chop drops is then at most 3e on the 2n points (within sqrt 2 of that
+        anywhere, a trigonometric polynomial of degree n/2 at most), and the
+        kept series still passes the check.  It records its node count in
+        .nodes and the worst scaled midpoint residual of the kept series in
+        .residual.
         """
         samples = []  # [node values, midpoint values] of the previous attempt
 
@@ -99,24 +107,37 @@ class TrigSeries:
             full = cls.from_samples(vals, period)
             n, harmonics = len(xs), len(full.cos_coeffs)
             scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-            # the interpolant at the midpoints is its spectrum shifted by half a node, e^(i pi k / n)
-            shifted = np.fft.rfft(vals, axis=0)
-            shifted *= np.exp(1j * np.pi / n * np.arange(harmonics)).reshape((-1,) + (1,) * (vals.ndim - 1))
+            # the interpolant at the nodes is its spectrum's inverse FFT; at the midpoints, that
+            # of its spectrum shifted by half a node, e^(i pi k / n)
+            spectrum = np.fft.rfft(vals, axis=0)
+            shift = np.exp(1j * np.pi / n * np.arange(harmonics)).reshape((-1,) + (1,) * (vals.ndim - 1))
+            spectra = (spectrum, vals), (spectrum * shift, probe_vals)
 
-            def residual(k):  # the worst row's scaled midpoint error of the first k harmonics
-                mid = np.fft.irfft(shifted[:k], n, axis=0)
-                return float(np.max(np.max(np.abs(mid - probe_vals), axis=0) / scale))
+            def errors(k):  # the worst row's scaled error of the first k harmonics at the nodes, at the midpoints
+                return [float(np.max(np.max(np.abs(np.fft.irfft(s[:k], n, axis=0) - v), axis=0) / scale))
+                        for s, v in spectra]
 
-            # tail[k], the worst row's scaled sum of |a_j| + |b_j| over j >= k, bounds what
-            # dropping those harmonics moves the series at any x; it never grows with k, so
-            # the count of tails above the headroom the level passed with is the fewest
-            # harmonics to keep (all of them at a level that failed); the mean always stays
-            terms = ((np.abs(full.cos_coeffs) + np.abs(full.sin_coeffs)) / scale).reshape(harmonics, -1)
-            tail = np.max(np.cumsum(terms[::-1], axis=0)[::-1], axis=1)
-            keep = max(1, int(np.count_nonzero(tail > tol - residual(harmonics))))
+            keep, (at_nodes, residual) = harmonics, errors(harmonics)
+            if residual <= tol:
+                e = max(at_nodes, residual)
+                bound = min(tol, 2 * e)
+                a, b = (np.abs(c / scale).reshape(harmonics, -1) for c in (full.cos_coeffs, full.sin_coeffs))
+
+                def tail(t):  # the worst row's sum of t over the harmonics k and up, for each k
+                    return np.max(np.cumsum(t[::-1], axis=0)[::-1], axis=1)
+
+                # dropping the harmonics k and up moves the series by at most tail(a + b)[k] at any
+                # x, and by at least sqrt(tail((a^2 + b^2) / 2)[k]), their root mean square, at one
+                # of the 2n points: fewer harmonics than lo cannot pass, keep can
+                lo = max(1, int(np.count_nonzero(np.sqrt(tail((a * a + b * b) / 2)) > bound + e)))
+                keep = max(1, int(np.count_nonzero(tail(a + b) > bound - e)))
+                while lo < keep:
+                    mid = (lo + keep) // 2
+                    lo, keep = (lo, mid) if max(errors(mid)) <= bound else (mid + 1, keep)
+                residual = errors(keep)[1]
             series = cls(full.cos_coeffs[:keep], full.sin_coeffs[:keep], period)
-            series.nodes, series.residual = n, residual(keep)
-            return series, series.residual, tol
+            series.nodes, series.residual = n, residual
+            return series, residual, tol
 
         return refine(attempt, period, nodes, max_nodes)
 
