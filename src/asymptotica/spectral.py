@@ -17,6 +17,8 @@ m series.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import jets
@@ -111,15 +113,16 @@ class TrigSeries:
             # of its spectrum shifted by half a node, e^(i pi k / n)
             spectrum = np.fft.rfft(vals, axis=0)
             shift = np.exp(1j * np.pi / n * np.arange(harmonics)).reshape((-1,) + (1,) * (vals.ndim - 1))
-            spectra = (spectrum, vals), (spectrum * shift, probe_vals)
+            spectra = (spectrum * shift, probe_vals), (spectrum, vals)
 
-            def errors(k):  # the worst row's scaled error of the first k harmonics at the nodes, at the midpoints
-                return [float(np.max(np.max(np.abs(np.fft.irfft(s[:k], n, axis=0) - v), axis=0) / scale))
-                        for s, v in spectra]
+            @functools.cache
+            def error(k, at):  # the worst row's scaled error of the first k harmonics at the midpoints (0), nodes (1)
+                s, v = spectra[at]
+                return float(np.max(np.max(np.abs(np.fft.irfft(s[:k], n, axis=0) - v), axis=0) / scale))
 
-            keep, (at_nodes, residual) = harmonics, errors(harmonics)
-            if residual <= tol:
-                e = max(at_nodes, residual)
+            keep = harmonics
+            if error(keep, 0) <= tol:
+                e = max(error(keep, 0), error(keep, 1))
                 bound = min(tol, 2 * e)
                 a, b = (np.abs(c / scale).reshape(harmonics, -1) for c in (full.cos_coeffs, full.sin_coeffs))
 
@@ -133,8 +136,8 @@ class TrigSeries:
                 keep = max(1, int(np.count_nonzero(tail(a + b) > bound - e)))
                 while lo < keep:
                     mid = (lo + keep) // 2
-                    lo, keep = (lo, mid) if max(errors(mid)) <= bound else (mid + 1, keep)
-                residual = errors(keep)[1]
+                    lo, keep = (lo, mid) if error(mid, 0) <= bound and error(mid, 1) <= bound else (mid + 1, keep)
+            residual = error(keep, 0)
             series = cls(full.cos_coeffs[:keep], full.sin_coeffs[:keep], period)
             series.nodes, series.residual = n, residual
             return series, residual, tol
