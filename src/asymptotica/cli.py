@@ -268,18 +268,9 @@ def cmd_poincare(args):
         except ValueError as exc:
             raise UsageError(f"--h: {exc}") from exc
     period = chart.curve.period
-    cache = failure = None
-    if args.fd_check:  # one sampling of the curve: the variational fit reads the chart cache's passes
-        try:
-            cache = flow.ChartSpectralCache(field, chart, period)
-        except monodromy.ParabolicOnCurve:  # from its first pass, whose points and f the monodromy's first pass repeats
-            raise
-        except Exception as exc:  # raised after the monodromy, whose own errors come first
-            failure = exc
-    variational = None if cache is None else monodromy.VariationalCache(field, chart, period, cache)
-    result = monodromy.monodromy(field, chart, period, cache=variational)
-    if failure is not None:
-        raise failure
+    # one sampling of the curve: the variational fit reads the chart cache's passes
+    cache = flow.ChartSpectralCache(field, chart, period) if args.fd_check else None
+    result = monodromy.monodromy(field, chart, period, cache=monodromy.VariationalCache(field, chart, period, cache))
     fd = monodromy.fd_poincare_derivative(field, chart, period, h=args.h, cache=cache) if args.fd_check else None
     doc = result.to_dict()
     code = EXIT_OK

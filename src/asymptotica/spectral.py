@@ -82,16 +82,16 @@ class TrigSeries:
         harmonic table).  At a level that passes, the result keeps only the
         harmonics the samples validated: with e the whole interpolant's worst
         scaled error on the 2n points, K' harmonics whose series is within
-        min(tol, 2e) of every sample there, K' - 1 not, by bisection between
-        two counts: the count whose dropped tail, the sum of |a_k| + |b_k| over
-        k >= K' scaled as the check scales, stays within min(tol, 2e) - e (it
-        passes) and the count whose dropped root mean square exceeds
-        min(tol, 2e) + e (it cannot pass).  The mean always stays.  What the
-        chop drops is then at most 3e on the 2n points (within sqrt 2 of that
-        anywhere, a trigonometric polynomial of degree n/2 at most), and the
-        kept series still passes the check.  It records its node count in
-        .nodes and the worst scaled midpoint residual of the kept series in
-        .residual.
+        min(tol, 2e) of every sample there, K' - 1 not: the count whose dropped
+        root mean square exceeds min(tol, 2e) + e (fewer cannot pass) when it
+        passes, as at rounding level, else by bisection between that count and
+        the count whose dropped tail, the sum of |a_k| + |b_k| over k >= K'
+        scaled as the check scales, stays within min(tol, 2e) - e (it passes).
+        The mean always stays.  What the chop drops is then at most 3e on the
+        2n points (within sqrt 2 of that anywhere, a trigonometric polynomial
+        of degree n/2 at most), and the kept series still passes the check.
+        It records its node count in .nodes and the worst scaled midpoint
+        residual of the kept series in .residual.
         """
         samples = []  # [node values, midpoint values] of the previous attempt
 
@@ -129,14 +129,17 @@ class TrigSeries:
                 def tail(t):  # the worst row's sum of t over the harmonics k and up, for each k
                     return np.max(np.cumsum(t[::-1], axis=0)[::-1], axis=1)
 
+                def passes(k):
+                    return error(k, 0) <= bound and error(k, 1) <= bound
+
                 # dropping the harmonics k and up moves the series by at most tail(a + b)[k] at any
                 # x, and by at least sqrt(tail((a^2 + b^2) / 2)[k]), their root mean square, at one
                 # of the 2n points: fewer harmonics than lo cannot pass, keep can
                 lo = max(1, int(np.count_nonzero(np.sqrt(tail((a * a + b * b) / 2)) > bound + e)))
-                keep = max(1, int(np.count_nonzero(tail(a + b) > bound - e)))
+                keep = lo if passes(lo) else max(1, int(np.count_nonzero(tail(a + b) > bound - e)))
                 while lo < keep:
                     mid = (lo + keep) // 2
-                    lo, keep = (lo, mid) if error(mid, 0) <= bound and error(mid, 1) <= bound else (mid + 1, keep)
+                    lo, keep = (lo, mid) if passes(mid) else (mid + 1, keep)
             residual = error(keep, 0)
             series = cls(full.cos_coeffs[:keep], full.sin_coeffs[:keep], period)
             series.nodes, series.residual = n, residual

@@ -123,7 +123,7 @@ def checks(seed=0):
         xi = planefield.AmbientField(("z - y", "1 + 0*x", "1 + y*y"))
         chart = tubular.TubularChart(_circle_curve())
         direct = tubular.binary_equation_data(xi, chart)
-        r, worst, far = chart.radius, 0.0, 0
+        r, worst, far, lost = chart.radius, 0.0, 0, 0
         for phi in ("2 + sin(x)*cos(y) + z^2", "1 + x^2/20", "3 - cos(z)", "exp(y)", "2 + sin(x*y)"):
             scaled = tubular.binary_equation_data(planefield.gauge_scale(xi, phi), chart)
             hits = 0
@@ -131,13 +131,19 @@ def checks(seed=0):
                 point = (rng.uniform(0.0, 2 * math.pi), rng.uniform(-r, r), rng.uniform(-r, r))
                 picks = [flow.branch_slopes(*efgab(*point)[:3]) for efgab in (direct, scaled)]
                 (s1, _), (s2, _) = picks
-                if len(s1) != 2 or len(s2) != 2:
+                if len(s1) != 2:
                     continue
                 hits += 1
+                if len(s2) != 2:  # the gauge must keep a two-root point two-root
+                    lost += 1
+                    continue
                 worst = max(worst, max(abs(a - b) for a, b in zip(sorted(s1), sorted(s2))))
                 # without a previous slope every path starts on the root of least modulus
                 far += sum(p != min(s, key=abs) for s, p in picks)
-        return [("worst slope deviation", worst, 1e-9), ("selected slope not the root of least modulus", far, 0)]
+        return [
+            ("worst slope deviation", worst, 1e-9), ("selected slope not the root of least modulus", far, 0),
+            ("two-root points not two-root after the gauge", lost, 0),
+        ]
 
     def properties():
         trips = jet_fd = drift = residual = 0.0

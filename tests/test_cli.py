@@ -12,7 +12,7 @@ from conftest import SADDLE
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from asymptotica import cli, exprlang, flow, jets, monodromy, planefield, rational_series, tubular, verify
+from asymptotica import cli, exprlang, flow, jets, monodromy, planefield, rational_series, spectral, tubular, verify
 
 
 def run(capsys, *argv):
@@ -131,14 +131,25 @@ def test_fd_check_samples_the_curve_once(capsys, monkeypatch, field, passes):
     (["0*x", "z/x", "1"], "circle", "f(x,0,0) vanishes on the curve: |f| = 0.0 at x = 0.0"),
     (["1/x", "z - y", "1"], "t1", "periodic fit sample not finite at x = 0.0"),
 ])
-def test_fd_check_keeps_the_monodromy_errors_first(capsys, monkeypatch, xi, curve, message):
-    # f = 0 on the curve: the chart cache's first pass stops the run as the variational
-    # fit's would; or the chart cache fails (1/x: a non-finite sample), and its error
-    # waits for the monodromy's own
+def test_fd_check_stops_with_the_variational_fits_line(capsys, monkeypatch, xi, curve, message):
+    # f = 0 on the curve or a non-finite sample (1/x at x = 0): the chart cache's first
+    # pass stops the run, and its points are the variational fit's first pass, so the
+    # line is the one the two caches built separately give
     argv = ["--field", json.dumps({"xi": xi, "curve": curve}), "--fd-check"]
     code, out, err, _ = _poincare_passes(capsys, monkeypatch, argv)
     assert (code, out, err.splitlines()) == (3, "", [f"numerical failure: {message}"])
     assert (code, out, err) == _poincare_passes(capsys, monkeypatch, argv, separate=True)[:3]
+
+
+def test_fd_check_reports_a_chart_cache_failure_before_the_monodromy(capsys, monkeypatch):
+    def fail(*args):
+        raise spectral.FitError("periodic fit residual 1 above 1e-09 at 1024 nodes")
+
+    calls = []
+    monkeypatch.setattr(flow, "ChartSpectralCache", fail)
+    monkeypatch.setattr(monodromy, "monodromy", lambda *a, **kw: calls.append(a))
+    code, out, err = run(capsys, "poincare", "--field", "circle-example", "--fd-check")
+    assert (code, out, len(err.splitlines()), calls) == (3, "", 1, [])
 
 
 @pytest.mark.parametrize("xi", [["0*x", "0*x", "1 + 0*x"], ["0*x", "z/x", "1"]])

@@ -312,3 +312,14 @@ def test_the_kept_harmonics_pass_the_midpoint_check_by_the_table(tol):
     err = _errors(s, _analytic_rows, s.nodes)[1]
     assert err <= tol
     assert abs(err - s.residual) <= 1e-14
+
+
+def test_a_chop_at_rounding_level_keeps_the_rms_count_without_bisecting(monkeypatch):
+    # 4 + cos x at 256 nodes is exact to rounding: the count the dropped root mean square
+    # bounds from below, 2, passes at once, so the fit makes two inverse FFTs for the
+    # whole interpolant's errors and two for that count's (a bisection from the l1
+    # count made 16)
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or irfft(*a, **kw))
+    s = TrigSeries.fit(lambda x: 4.0 + np.cos(x), 2 * math.pi, nodes=256, tol=1e-9)
+    assert (len(calls), len(s.cos_coeffs)) == (4, 2)
