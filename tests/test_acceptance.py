@@ -3,7 +3,8 @@
 Every row of `verify-paper` is frozen here with its bound: each check runs
 directly (at three seeds where it draws at random), its row labels must be
 the frozen ones, its measured values within the frozen bounds, and verify's
-own bounds equal to them.  The other tests keep the oracles that verify
+own bounds equal to them; the lac row's two prescribed H are each held to
+its bounds, and each covered by it.  The other tests keep the oracles that verify
 does not run: the `poincare` CLI document and its runtime gate, the diagonal
 integrals by quadrature independent of the fit's mean, the exact C000
 values of the polynomial local models, and the runtime gate of the suite.
@@ -136,6 +137,17 @@ def test_check_rows_within_frozen_bounds(seeds, name):
         for label, measured, bound in rows:
             assert float(measured) <= frozen[label], f"{name}: {label} = {measured} > {frozen[label]} at seed {s}"
             assert bound == frozen[label], f"{name}: verify bounds {label} by {bound}, frozen at {frozen[label]}"
+
+
+@pytest.mark.parametrize("H_spec", [1, "2 + sin(x)"])
+def test_prescribed_mixed_coefficient(H_spec):
+    # the lac row reports the worst of its two prescribed H; each H alone meets the row's bounds
+    # and is covered by the row, so dropping an H from the row fails here
+    frozen = PROPERTY_BOUNDS["lac"]
+    row = {label: measured for label, measured, _ in dict(verify.checks())["lac"]()}
+    for (label, bound), dev in zip(frozen.items(), verify.lac_deviations(H_spec)):
+        assert dev <= bound, f"H = {H_spec}: {label} = {dev} > {bound}"
+        assert dev <= row[label], f"H = {H_spec}: {label} = {dev} not covered by the lac row's {row[label]}"
 
 
 def test_gauge_row_counts_two_root_points_the_gauge_makes_linear(seeds, monkeypatch):
