@@ -32,12 +32,14 @@ float point never carries an exact unit, and a later ``jet / 2`` stays a
 float product instead of making ``Fraction`` coefficients (which turn
 array coefficients into object arrays).
 
-A ``Tape`` records one evaluation on ``Recorded`` values as straight-line
-code that repeats its float operations (tubular.ChartProgram replays so).
-The code is trimmed as a tape is (Griewank & Walther, ch. 6) without
-changing those operations: a float's unit factor or divisor is not
-recorded, a value read once is written into its reader, and an unread
-value goes where its operation cannot raise.
+A ``Tape`` records one evaluation on ``Recorded`` values, one record per
+operation, as straight-line code that repeats its float operations
+(tubular.ChartProgram replays so).  The code is trimmed as a tape is
+(Griewank & Walther, ch. 6) without changing those operations: a float's
+unit factor or divisor is not recorded, a value read once is written into
+its reader, in parentheses only where Python's precedence needs them (the
+parse tree of full parentheses), and an unread value goes where its
+operation cannot raise.
 """
 
 from __future__ import annotations
@@ -456,25 +458,39 @@ class Recorded:
         raise Untraceable(f"a recorded value cannot be converted or tested: {self.v!r}")
 
     __float__ = __bool__ = _untraceable
-    __neg__ = lambda self: self.tape.op(operator.neg, "-{}", self)
-    __abs__ = lambda self: self.tape.op(abs, "abs({})", self)
+    __neg__ = lambda self: self.tape.record(operator.neg, ("-{}", _NEGATION, (_NEGATION,), 0), self, _ALONE)
+    __abs__ = lambda self: self.tape.record(abs, ("abs({})", _ATOM, (_ANY,), 1), self, _ALONE)
 
 
-def _operators(name, symbol):
-    fn, form = getattr(operator, name), f"{{}} {symbol} {{}}"
-    if name in ("lt", "le", "gt", "ge", "eq", "ne"):
-        return (lambda self, other: self.tape.guard(fn, form, self, other),)
+# how tightly a program's expressions bind, loosest first: any (a call's
+# argument, a comparison's operand, an entry of the returned tuple), a sum, a
+# product, a negation (a negative literal too), a power, an atom (a name, a
+# call, a literal >= 0).  A record's kind is (its form with one {} per
+# operand, the level of its value, the level each operand needs, the nesting
+# of the form); an operand written into it below its need is parenthesised
+_ANY, _SUM, _PRODUCT, _NEGATION, _POWER, _ATOM = range(6)
+_ALONE = object()  # the second operand of a one-operand record
+
+
+def _operators(name, symbol, level, needs):
+    fn, kind = getattr(operator, name), (f"{{}} {symbol} {{}}", level, needs, 0)
+    if level is None:  # a comparison, guarded
+        return (lambda self, other: self.tape.record(fn, kind, self, other),)
     # a jet operand takes the jet's reflected operator
-    forward = lambda self, other: NotImplemented if type(other) is Jet else self.tape.op(fn, form, self, other)
-    reverse = lambda self, other: NotImplemented if type(other) is Jet else self.tape.op(fn, form, other, self)
+    forward = lambda self, other: NotImplemented if type(other) is Jet else self.tape.record(fn, kind, self, other)
+    reverse = lambda self, other: NotImplemented if type(other) is Jet else self.tape.record(fn, kind, other, self)
     return forward, reverse
 
 
-for _name, _symbol in (
-    ("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/"), ("pow", "**"),
-    ("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="), ("eq", "=="), ("ne", "!="),
+# the right operand of a left-associative operator binds tighter than it; **
+# is right-associative and its left operand an atom: (-a) ** b, (a ** b) ** c
+for _name, _symbol, _level, _needs in (
+    ("add", "+", _SUM, (_SUM, _PRODUCT)), ("sub", "-", _SUM, (_SUM, _PRODUCT)),
+    ("mul", "*", _PRODUCT, (_PRODUCT, _NEGATION)), ("truediv", "/", _PRODUCT, (_PRODUCT, _NEGATION)),
+    ("pow", "**", _POWER, (_ATOM, _NEGATION)), ("lt", "<", None, None), ("le", "<=", None, None),
+    ("gt", ">", None, None), ("ge", ">=", None, None), ("eq", "==", None, None), ("ne", "!=", None, None),
 ):
-    for _prefix, _method in zip(("__", "__r"), _operators(_name, _symbol)):
+    for _prefix, _method in zip(("__", "__r"), _operators(_name, _symbol, _level, _needs)):
         setattr(Recorded, f"{_prefix}{_name}__", _method)
 
 
@@ -485,17 +501,16 @@ def unwrap(v):
     return tuple(map(unwrap, v)) if type(v) is tuple else v
 
 
-def opaque(fn, *args):
-    """fn(*args), recorded as one call when an argument is Recorded: a replay
-    makes the call again (the numpy calls of sin, cos, exp, sqrt, a series;
-    of a float as float(fn(v)), numpy's bits, so the replay runs on floats)."""
-    for a in args:
-        if type(a) is Recorded:
-            form = f"{a.tape.ref(fn)}({', '.join(['{}'] * len(args))})"
-            if fn in (np.sin, np.cos, np.exp, np.sqrt) and type(a.v) is float:
-                return a.tape.op(lambda v: float(fn(v)), f"float({form})", a)
-            return a.tape.op(fn, form, *args)
-    return fn(*args)
+def opaque(fn, x):
+    """fn(x), recorded as one call when x is Recorded: a replay makes the call
+    again (the numpy calls of sin, cos, exp, sqrt, a series; of a float as
+    float(fn(v)), numpy's bits, so the replay runs on floats)."""
+    if type(x) is not Recorded:
+        return fn(x)
+    form = f"{x.tape.ref(fn)}({{}})"
+    if fn in (np.sin, np.cos, np.exp, np.sqrt) and type(x.v) is float:
+        return x.tape.record(lambda v: float(fn(v)), (f"float({form})", _ATOM, (_ANY,), 2), x, _ALONE)
+    return x.tape.record(fn, (form, _ATOM, (_ANY,), 1), x, _ALONE)
 
 
 # recorded values' names stay interned: fresh names for each compile, freed
@@ -505,17 +520,9 @@ _NAMES = []
 # is never read may go.  A division, a power or a call stays, since whether
 # it raises decides whether a point takes the jet pipeline
 _TOTAL = (operator.add, operator.sub, operator.mul, operator.neg)
-# nested parentheses of one expression in a program (CPython parses 200)
+# expressions nested in one expression of a program, counted as if each had
+# its parentheses, with a call's own (CPython parses 200 parentheses)
 DEPTH_CAP = 50
-
-
-def _cannot_raise(fn, values):
-    # an int operand converts to float, which raises past the float range
-    return fn in _TOTAL and all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max for v in values)
-
-
-def _is_unit(v):
-    return (type(v) is int or type(v) is float) and v == 1
 
 
 def _unit_keeps(v):
@@ -550,100 +557,91 @@ class Tape:
     GuardTripped where a guard fails."""
 
     def __init__(self):
-        # records are (target index or None, form with one {} per operand,
-        # operands, droppable); an operand is a value's index or a constant's
-        # source, so no Recorded value is kept in a cycle.  uses[i] counts the
-        # operands that are value i
-        self.records, self.constants, self.uses = [], {}, []
+        # records are (target index or None, kind, operands, droppable), an operand a value's
+        # index or a constant's source, so no Recorded value is kept in a cycle; size counts values
+        self.records, self.constants, self.size = [], {}, 0
 
     def new(self, value):
         """A Recorded value carrying value: an input, or the result of a record."""
-        i = len(self.uses)
+        i = self.size
         if i == len(_NAMES):
             _NAMES.append(sys.intern(f"v{i}"))
         r = _new(Recorded)
-        r.v, r.tape, r.index = value, self, i
-        self.uses.append(0)
+        r.v, r.tape, r.index, self.size = value, self, i, i + 1
         return r
 
     def ref(self, obj):
         """A constant in the source: an int or finite float literal or a bound constant."""
         if type(obj) is int or type(obj) is float and math.isfinite(obj):
-            return f"({obj!r})" if repr(obj).startswith("-") else repr(obj)
+            return repr(obj)
         self.constants[name := f"c{len(self.constants)}"] = obj
         return name
 
-    def _operands(self, args, uses):
-        """The operands of args, each value's use counted in uses."""
-        operands = []
-        for a in args:
-            if type(a) is Recorded:
-                uses[a.index] += 1
-                operands.append(a.index)
-            else:
-                operands.append(self.ref(a))
-        return operands
-
-    def _record(self, target, form, args, droppable):
-        self.records.append((target, form, self._operands(args, self.uses), droppable))
-
-    def op(self, fn, form, *args):
-        """fn(*args) as a Recorded value, recorded as form filled with the operands."""
+    def record(self, fn, kind, a, b):
+        """fn(a, b), or fn(a) where b is _ALONE, as a Recorded value recorded
+        as kind, each operand read once.  Droppable where it cannot raise: a
+        float +, -, * or unary - of floats, or of ints within the float range."""
+        ra, rb = type(a) is Recorded, type(b) is Recorded
+        av, bv = a.v if ra else a, b.v if rb else b
         if fn is operator.mul or fn is operator.truediv:
-            a, b = args
-            if _is_unit(b) and type(a) is Recorded and _unit_keeps(a.v):
+            if ra and (type(b) is int or type(b) is float) and b == 1 and _unit_keeps(av):
                 return a
-            if fn is operator.mul and _is_unit(a) and type(b) is Recorded and _unit_keeps(b.v):
+            if rb and fn is operator.mul and (type(a) is int or type(a) is float) and a == 1 and _unit_keeps(bv):
                 return b
-        values = [a.v if type(a) is Recorded else a for a in args]
-        out = self.new(fn(*values))
-        self._record(out.index, form, args, _cannot_raise(fn, values))
+        value = fn(av) if b is _ALONE else fn(av, bv)
+        operand = a.index if ra else self.ref(a)
+        operands = (operand,) if b is _ALONE else (operand, b.index if rb else self.ref(b))
+        if kind[1] is None:  # a comparison: its outcome, guarded
+            guard = f"if {'not ' if value else ''}({kind[0]}): raise Trip"
+            self.records.append((None, (guard, None, (_ANY, _ANY), 0), operands, False))
+            return value
+        droppable = fn in _TOTAL and (type(av) is float or type(av) is int and abs(av) <= sys.float_info.max) and (
+            b is _ALONE or type(bv) is float or type(bv) is int and abs(bv) <= sys.float_info.max
+        )
+        out = self.new(value)
+        self.records.append((out.index, kind, operands, droppable))
         return out
-
-    def guard(self, fn, form, a, b):
-        outcome = fn(unwrap(a), unwrap(b))
-        self._record(None, f"if {'not ' if outcome else ''}({form}): raise Trip", (a, b), False)
-        return outcome
 
     def unpack(self, a):
         """a.tolist() of a recorded vector, one Recorded value per entry."""
         out = [self.new(v) for v in a.v.tolist()]
-        self._record(None, f"[{', '.join(_NAMES[r.index] for r in out)}] = {{}}.tolist()", (a,), False)
+        names = ", ".join(_NAMES[r.index] for r in out)
+        self.records.append((None, (f"[{names}] = {{}}.tolist()", None, (_ATOM,), 0), (a.index,), False))
         return out
 
     def source(self, inputs, outputs):
         """The records as the source of program(inputs) returning outputs
         (Recorded values, constants and tuples of them).  A value read once
-        is written into its reader, in parentheses, unless that nests deeper
-        than DEPTH_CAP; a value never read goes with its record where the
-        record cannot raise.  Guards, unpacks and values read more often are
-        lines of their own."""
+        is written into its reader, parenthesised only where the reader's
+        precedence needs it, unless that nests deeper than DEPTH_CAP; a value
+        never read goes with its record where the record cannot raise.
+        Guards, unpacks and values read more often are lines of their own."""
         form, args = _flat(tuple(outputs))
-        uses, live = self.uses.copy(), []
-        records = self.records + [(None, f"return {form}", self._operands(args, uses), False)]
-        for record in reversed(records):  # readers first, so a dropped reader frees its operands
+        operands = [a.index if type(a) is Recorded else self.ref(a) for a in args]
+        records = self.records + [(None, (f"return {form}", None, (_ANY,) * len(operands), 0), operands, False)]
+        uses, live = [0] * self.size, []  # uses[i]: the operands that are value i, of the records kept
+        for record in reversed(records):  # readers first, so a record read by none that may go goes
             target, _, operands, droppable = record
-            if droppable and not uses[target]:
+            if not droppable or uses[target]:
+                live.append(record)
                 for r in operands:
                     if type(r) is int:
-                        uses[r] -= 1
-            else:
-                live.append(record)
-        inlined, lines = {}, []  # inlined: index -> (parenthesised source, nesting depth)
-        for target, form, operands, _ in reversed(live):
+                        uses[r] += 1
+        inlined, lines = {}, []  # inlined: index -> (source, binding level, nesting depth)
+        for target, (form, level, needs, nest), operands, _ in reversed(live):
             texts, depth = [], 0
-            for r in operands:
-                if type(r) is not int:
-                    texts.append(r)
+            for r, need in zip(operands, needs):
+                if type(r) is not int:  # a literal or a bound constant
+                    texts.append(r if r[0] != "-" or _NEGATION >= need else f"({r})")
                 elif r in inlined:
-                    text, d = inlined.pop(r)
-                    texts.append(text)
+                    text, bound, d = inlined.pop(r)
+                    texts.append(text if bound >= need else f"({text})")
                     depth = max(depth, d)
                 else:
                     texts.append(_NAMES[r])
-            text, depth = form.format(*texts), depth + form.count("(")
+            text, depth = form.format(*texts), depth + nest
             if target is not None and uses[target] == 1 and depth < DEPTH_CAP:
-                inlined[target] = f"({text})", depth + 1
+                inlined[target] = text, level, depth + 1
             else:
                 lines.append(text if target is None else f"{_NAMES[target]} = {text}")
         return f"def program({', '.join(_NAMES[r.index] for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in lines)

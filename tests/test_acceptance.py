@@ -111,6 +111,7 @@ PROPERTY_BOUNDS = {
         "worst slope deviation": 1e-9,
         "selected slope not the root of least modulus": 0,
         "two-root points not two-root after the gauge": 0,
+        "two-root points short of 100": 0,
     },
     "properties": {
         "round-trip failures": 0,

@@ -791,6 +791,21 @@ def _far_root(e, f, g, prev_p=None, _real=flow.branch_slopes):
     return slopes, slopes[-1] if selected == slopes[0] else slopes[0]
 
 
+def _one_root(limit, _real=flow.branch_slopes):
+    # branch_slopes keeping only the first root, so no point has two: the gauge check
+    # runs out of draws (5 gauges x 1,000 draws x 2 calls = 10,000 calls).  Past limit
+    # calls it raises, so a gauge that draws without a cap fails instead of hanging
+    calls = iter(range(limit))
+
+    def first_root(e, f, g, prev_p=None):
+        if next(calls, None) is None:
+            raise RuntimeError(f"branch_slopes called more than {limit} times")
+        slopes, _ = _real(e, f, g, prev_p)
+        return slopes[:1], slopes[0]
+
+    return first_root
+
+
 class _DegreeOneCache(flow.ChartSpectralCache):
     # the FD batch's cache with its (y, z) expansion cut at degree 1
     monomials = ((0, 0), (0, 1), (1, 0))
@@ -820,6 +835,7 @@ MUTANTS = {
     "fd-times-1.001": ("fd-oracle", (monodromy, "fd_poincare_derivative", _fd_times_1_001)),
     "f-without-ABL6": ("gauge", (tubular, "reduced_coefficients", _f_without_abl6)),
     "far-root": ("gauge", (flow, "branch_slopes", _far_root)),
+    "one-root": ("gauge", (flow, "branch_slopes", _one_root(10_000))),
     "M-without-B": ("fd-oracle", (monodromy, "variational_matrix", _m_without_b)),
     "series-sum-over-left-denominator": ("t5", (rational_series.PowerSeriesQ, "_combine", _sum_over_left_denominator)),
 }

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -335,25 +336,114 @@ def test_replay_is_the_jet_pipeline_bit_for_bit(t1_field, t1_chart, name):
         assert replayed == plain
 
 
-def _program_source(field, chart, point=(0.3, 0.01, -0.02)):
-    """The source of the chart program recorded at point."""
+def _recording(field, chart, point=(0.3, 0.01, -0.02)):
+    """(tape, inputs, outputs) of the chart program recorded at point."""
     tape = jets.Tape()
     inputs = [tape.new(v) for v in point]
     d = tubular._reduce(field, chart, *inputs, 0)
-    return tape.source(inputs, (d.a, d.b, d.c, d.L, d.e, d.f, d.g, d.A, d.B))
+    return tape, inputs, (d.a, d.b, d.c, d.L, d.e, d.f, d.g, d.A, d.B)
+
+
+def _program_source(field, chart, point=(0.3, 0.01, -0.02)):
+    """The source of the chart program recorded at point."""
+    tape, inputs, outputs = _recording(field, chart, point)
+    return tape.source(inputs, outputs)
 
 
 # 707 and 658 statements when every operation was a line, 186 and 141 of
 # them sums seeded with 0; 95 and 59 measured, the return included.  The
-# one 0 + left in the circle's program is the curve's: its third component
-# 0*x is an exact 0, and 0 + y*0 makes the sign of the zero
-@pytest.mark.parametrize("name, zero_sums, statements", [("t1", 0, 110), ("circle-example", 1, 66)])
-def test_chart_programs_carry_no_zero_seeds_or_unit_factors(t1_field, t1_chart, name, zero_sums, statements):
+# one sum that starts with 0 left in the circle's program is the curve's:
+# its third component 0*x is an exact 0, and 0 + y*0 makes the sign of the
+# zero.  358 and 433 parentheses when every inlined value had its own
+@pytest.mark.parametrize(
+    "name, zero_sums, statements, parentheses", [("t1", 0, 110, 54), ("circle-example", 1, 66, 99)]
+)
+def test_chart_programs_carry_no_zero_seeds_or_unit_factors(
+    t1_field, t1_chart, name, zero_sums, statements, parentheses
+):
     field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
     source = _program_source(field, chart)
-    assert len(re.findall(r"(?<![\w.])0 \+ ", source)) == zero_sums
+    # a sum that starts with 0 (v1 * 0 + v2 is a product's 0, not a seed)
+    assert len(re.findall(r"(?:= |\(|, |return )0 \+ ", source)) == zero_sums
     assert not re.search(r"[*/] 1(\.0)?(?![\w.])|(?<![\w.])1(\.0)? \*", source)
     assert source.count("\n") - 1 <= statements
+    assert source.count("(") == parentheses
+
+
+def _parenthesised_source(tape, inputs, outputs):
+    """Tape.source as it was, the reference of the emitter: every value
+    written into its reader, and every negative literal, in parentheses."""
+    form, args = jets._flat(tuple(outputs))
+    operands = [a.index if type(a) is jets.Recorded else tape.ref(a) for a in args]
+    records = tape.records + [(None, (f"return {form}",), operands, False)]
+    uses, live = [0] * tape.size, []
+    for _, _, operands, _ in records:
+        for r in operands:
+            if type(r) is int:
+                uses[r] += 1
+    for record in reversed(records):  # readers first, so a dropped reader frees its operands
+        target, _, operands, droppable = record
+        if droppable and not uses[target]:
+            for r in operands:
+                if type(r) is int:
+                    uses[r] -= 1
+        else:
+            live.append(record)
+    inlined, lines = {}, []  # inlined: index -> (parenthesised source, nesting depth)
+    for target, (form, *_), operands, _ in reversed(live):
+        texts, depth = [], 0
+        for r in operands:
+            if type(r) is not int:
+                texts.append(f"({r})" if r.startswith("-") else r)
+            elif r in inlined:
+                text, d = inlined.pop(r)
+                texts.append(text)
+                depth = max(depth, d)
+            else:
+                texts.append(jets._NAMES[r])
+        text, depth = form.format(*texts), depth + form.count("(")
+        if target is not None and uses[target] == 1 and depth < jets.DEPTH_CAP:
+            inlined[target] = f"({text})", depth + 1
+        else:
+            lines.append(text if target is None else f"{jets._NAMES[target]} = {text}")
+    return f"def program({', '.join(jets._NAMES[r.index] for r in inputs)}):\n" + "".join(f"    {ln}\n" for ln in lines)
+
+
+def _parses_as_the_parenthesised_source(tape, inputs, outputs):
+    source, reference = tape.source(inputs, outputs), _parenthesised_source(tape, inputs, outputs)
+    assert ast.dump(ast.parse(source)) == ast.dump(ast.parse(reference))
+    return source
+
+
+def _lac(H):
+    curve = t1_curve()
+    return build_lac(curve, H=H), TubularChart(curve)
+
+
+@pytest.mark.parametrize("name", ["t1", "circle-example", "saddle", "tilted-saddle", "lac 1", "lac 2 + sin(x)"])
+def test_chart_program_parses_as_the_parenthesised_source(name, t1_field, t1_chart, saddle, tilted_saddle):
+    # the same AST, so the same bytecode and replayed bits, from under a third of the parentheses
+    cases = {"t1": (t1_field, t1_chart), "saddle": saddle, "tilted-saddle": tilted_saddle}
+    field, chart = cases.get(name) or (_lac(name[4:]) if name.startswith("lac") else cli.resolve_field(name))
+    tape, inputs, outputs = _recording(field, chart)
+    source = _parses_as_the_parenthesised_source(tape, inputs, outputs)
+    assert source.count("(") < _parenthesised_source(tape, inputs, outputs).count("(") / 3
+
+
+def test_source_parenthesises_only_where_precedence_needs_it():
+    tape = jets.Tape()
+    a, b, c, u, w = (tape.new(v) for v in (1.5, 2.0, 3.0, np.array([1.0, 2.0]), np.array([0.5, 4.0])))
+    outputs = (
+        -(a * b), (-a) ** b, a ** b ** c, (a ** b) ** c, a - (b - c), a - b - c, a / (b * c), a / b / c,
+        -a * b, a + b * c, (a + b) * c, a * -2.0, (-2.0) ** a, -2.0 ** a, 2.0 ** -a, *(u + w).tolist(),
+    )
+    source = _parses_as_the_parenthesised_source(tape, [a, b, c, u, w], outputs)
+    assert source.splitlines()[1:] == [
+        "    [v34, v35] = (v3 + v4).tolist()",
+        "    return (-(v0 * v1), (-v0) ** v1, v0 ** v1 ** v2, (v0 ** v1) ** v2, v0 - (v1 - v2), v0 - v1 - v2, "
+        "v0 / (v1 * v2), v0 / v1 / v2, -v0 * v1, v0 + v1 * v2, (v0 + v1) * v2, v0 * -2.0, (-2.0) ** v0, "
+        "-2.0 ** v0, 2.0 ** -v0, v34, v35, )",
+    ]
 
 
 def test_an_unread_division_still_raises_in_the_replay():
@@ -424,6 +514,19 @@ def test_replay_matches_the_jet_pipeline_on_random_fields(case):
     with np.errstate(all="ignore"):
         replayed, plain, _ = _through_one_program(field, chart, _points(seed, 8, (-3.0, 3.0)))
     assert replayed == plain, document
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=recorder_cases())
+def test_random_field_programs_parse_as_the_parenthesised_source(case):
+    document, seed = case
+    field, chart = cli.resolve_field(document)
+    with np.errstate(all="ignore"):
+        try:
+            recording = _recording(field, chart, _points(seed, 1, (-3.0, 3.0))[0])
+        except Exception:  # a field the recording cannot follow, or a point the pipeline fails at
+            return
+    _parses_as_the_parenthesised_source(*recording)
 
 
 def test_a_coefficient_calling_float_records_no_program():
