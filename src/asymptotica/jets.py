@@ -620,7 +620,7 @@ class Tape:
         operands = [a.index if type(a) is Recorded else self.ref(a) for a in args]
         records = self.records + [(None, (f"return {form}", None, (_ANY,) * len(operands), 0), operands, False)]
         uses, live = [0] * self.size, []  # uses[i]: the operands that are value i, of the records kept
-        for record in reversed(records):  # readers first, so a record read by none that may go goes
+        for record in reversed(records):  # readers first: one that may go goes if no kept record reads it
             target, _, operands, droppable = record
             if not droppable or uses[target]:
                 live.append(record)

@@ -354,20 +354,17 @@ def _program_source(field, chart, point=(0.3, 0.01, -0.02)):
 # them sums seeded with 0; 95 and 59 measured, the return included.  The
 # one sum that starts with 0 left in the circle's program is the curve's:
 # its third component 0*x is an exact 0, and 0 + y*0 makes the sign of the
-# zero.  358 and 433 parentheses when every inlined value had its own
-@pytest.mark.parametrize(
-    "name, zero_sums, statements, parentheses", [("t1", 0, 110, 54), ("circle-example", 1, 66, 99)]
-)
-def test_chart_programs_carry_no_zero_seeds_or_unit_factors(
-    t1_field, t1_chart, name, zero_sums, statements, parentheses
-):
+# zero
+@pytest.mark.parametrize("name, zero_sums, statements", [("t1", 0, 110), ("circle-example", 1, 66)])
+def test_chart_programs_carry_no_zero_seeds_or_unit_factors(t1_field, t1_chart, name, zero_sums, statements):
     field, chart = (t1_field, t1_chart) if name == "t1" else cli.resolve_field(name)
     source = _program_source(field, chart)
     # a sum that starts with 0 (v1 * 0 + v2 is a product's 0, not a seed)
     assert len(re.findall(r"(?:= |\(|, |return )0 \+ ", source)) == zero_sums
     assert not re.search(r"[*/] 1(\.0)?(?![\w.])|(?<![\w.])1(\.0)? \*", source)
     assert source.count("\n") - 1 <= statements
-    assert source.count("(") == parentheses
+    # parentheses only where precedence needs them: 358 and 433 when every inlined value had its own
+    assert source.count("(") == {"t1": 54, "circle-example": 99}[name]
 
 
 def _parenthesised_source(tape, inputs, outputs):
@@ -415,16 +412,19 @@ def _parses_as_the_parenthesised_source(tape, inputs, outputs):
     return source
 
 
-def _lac(H):
-    curve = t1_curve()
-    return build_lac(curve, H=H), TubularChart(curve)
-
-
-@pytest.mark.parametrize("name", ["t1", "circle-example", "saddle", "tilted-saddle", "lac 1", "lac 2 + sin(x)"])
-def test_chart_program_parses_as_the_parenthesised_source(name, t1_field, t1_chart, saddle, tilted_saddle):
+@pytest.mark.parametrize(
+    "name, H",
+    [("t1", None), ("circle-example", None), ("saddle", None), ("tilted-saddle", None)]
+    + [("lac", 1), ("lac", "2 + sin(x)")],
+)
+def test_chart_program_parses_as_the_parenthesised_source(name, H, t1_field, t1_chart, saddle, tilted_saddle):
     # the same AST, so the same bytecode and replayed bits, from under a third of the parentheses
-    cases = {"t1": (t1_field, t1_chart), "saddle": saddle, "tilted-saddle": tilted_saddle}
-    field, chart = cases.get(name) or (_lac(name[4:]) if name.startswith("lac") else cli.resolve_field(name))
+    if name == "lac":
+        curve = t1_curve()
+        field, chart = build_lac(curve, H=H), TubularChart(curve)
+    else:
+        cases = {"t1": (t1_field, t1_chart), "saddle": saddle, "tilted-saddle": tilted_saddle}
+        field, chart = cases.get(name) or cli.resolve_field(name)
     tape, inputs, outputs = _recording(field, chart)
     source = _parses_as_the_parenthesised_source(tape, inputs, outputs)
     assert source.count("(") < _parenthesised_source(tape, inputs, outputs).count("(") / 3
