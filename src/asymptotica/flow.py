@@ -20,14 +20,15 @@ step budget).
 integrate_asymptotic reports the status with the partial path;
 integrate_batch raises FlowError with a message that begins with it.
 ChartSpectralCache expands the chart data to degree CACHE_DEGREE in (y, z)
-and fits them from CACHE_NODES nodes; its per-point polynomial efgab is
-straight-line code generated at import from that degree's monomials.  An
-rk45 step attempt is straight-line code too, generated on first use for each
-state size, and so is the tracker's right-hand side for each number of
-points: the stage row unpacked once, then point by point the tube test, the
-data (a cache's polynomial written out, or one equation call) and
-branch_slopes' root choice with the collision test.  An import compiles none
-of it, and each generated function compiles under its own file name.  Since
+and fits them from CACHE_NODES nodes.  An rk45 step attempt is
+straight-line code, generated on first use for each state size, and so is
+the tracker's point work for each number of points: the stage row unpacked
+once, then point by point the data (a cache's polynomial written out, or
+one equation call) and branch_slopes' root choice, one body in two
+functions: the stages' right-hand side adds the tube and collision tests,
+and the choice at the start and each accepted step adds the residual.  An
+import compiles none of it, and each generated function compiles under its
+own file name.  Since
 the generated code grows with the points, integrate_batch takes at most
 MAX_BATCH starts and rk45 a state of at most 2 * MAX_BATCH floats.
 """
@@ -48,11 +49,11 @@ from .spectral import TrigSeries
 SLOPE_TOL = 1e-12  # branch_slopes: |g| <= SLOPE_TOL * max(|e|, |f|, |g|) is the linear case
 COLLISION_TOL = 1e-6  # _track: roots closer than COLLISION_TOL * (1 + |p|) stop the run "parabolic"
 CACHE_NODES, CACHE_TOL, CACHE_MAX_NODES = 256, 1e-9, 1024  # ChartSpectralCache's fit
-CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its efgab is generated from _MONOMIALS
+CACHE_DEGREE = 3  # ChartSpectralCache's Taylor degree in (y, z); its monomials are _MONOMIALS
 _MONOMIALS = tuple((i, total - i) for total in range(CACHE_DEGREE + 1) for i in range(total + 1))  # y^i z^j
 MIN_STEP = 1e-14  # rk45's smallest step
 MAX_STEPS = 100_000  # rk45's step attempts per run (Hairer's NMAX)
-MAX_BATCH = 16  # integrate_batch's most starts: its generated step and rhs grow with them (about 25 ms at 16)
+MAX_BATCH = 16  # integrate_batch's most starts: its generated step and point work grow with them (about 27 ms at 16)
 
 
 class FlowError(Exception):
@@ -144,16 +145,6 @@ def _polynomial(monomials, count, y, z):
     return lines, [" + ".join(f"r{k + m}{t}" for m, t in enumerate(factors)) for k in range(0, count * n, n)]
 
 
-def _polynomial_sums(monomials, count):
-    """efgab(self, x, y, z, row) as straight-line code: the count sums of
-    _polynomial at (y, z) on row = [r0, r1, ...], unpacked once.  A body that
-    indexes the row per term costs the FD batch about 30 % more."""
-    lines, sums = _polynomial(monomials, count, "y", "z")
-    lines.insert(0, ", ".join(f"r{k}" for k in range(count * len(monomials))) + ", = row")
-    source = "def efgab(self, x, y, z, row):\n    " + "\n    ".join(lines + [f"return [{', '.join(sums)}]"])
-    return _compiled(source, "<ChartSpectralCache.efgab>", {}, "efgab")
-
-
 class ChartSpectralCache:
     """Fast surrogate for the reduced data (e, f, g, A, B) around a closed curve.
 
@@ -208,11 +199,6 @@ class ChartSpectralCache:
                 n = len(self.monomials)
                 return [table[:, self._QUANTITIES.index(name) * n + self.monomials.index((i, j))] for name, i, j in columns]
         return None
-
-    # efgab(x, y, z, row): (e, f, g, A, B) at a point of floats, row = self.series(x).tolist()
-    # already evaluated (a row of rk45's stage table, shared by a lockstep batch); the
-    # tracker's generated right-hand side writes the same sums out per point
-    efgab = _polynomial_sums(monomials, len(_QUANTITIES))
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10); rows of _ERR: 5th- and 3rd-order error weights
@@ -321,11 +307,12 @@ def _stopped(exc, x):
     return _Stop(_STATUS.get(type(exc), "singular"), f"{exc}{at}")
 
 
-# One point of _track's right-hand side after its data e, f, g, A, B: branch_slopes'
-# root choice nearest the tracked slope q@ and the collision test, giving p@ and v@ =
-# A + B p@ (@ is the point's index).  Its abs, max and isfinite calls are comparisons,
-# with the same outcomes: each |.| and max only enters comparisons, where a sign of zero
-# does not count, and a float v is finite when |v| < inf.  The linear-case test
+# One point's root choice after its data e, f, g, A, B, in both rhs and accept of
+# _rhs_function: branch_slopes' choice of p@ nearest the tracked slope q@ (@ is the
+# point's index).  Its last line is in the two-root branch, where rhs appends the
+# collision test.  Its abs, max and isfinite calls are comparisons, with the same
+# outcomes: each |.| and max only enters comparisons, where a sign of zero does not
+# count, and a float v is finite when |v| < inf.  The linear-case test
 # |g| <= SLOPE_TOL * max(|e|, |f|, |g|) reads max(|e|, |f|) as m, since |g| <= SLOPE_TOL * |g|
 # holds only at g = 0; then e = f = g = 0 is m == 0.
 _ROOT_CHOICE = f"""\
@@ -350,52 +337,60 @@ else:
     t1 = s / g
     t2 = e / s if s != 0 else -2 * f / g
     d1, d2 = t1 - q@, t2 - q@
-    p@ = t2 if (d2 if d2 > 0 else -d2) < (d1 if d1 > 0 else -d1) else t1
-    d = t1 - t2
-    if (d if d > 0 else -d) < {COLLISION_TOL!r} * (1 + (p@ if p@ > 0 else -p@)):
-        raise _Stop("parabolic", "root branches collided")
-v@ = A + B * p@"""
+    p@ = t2 if (d2 if d2 > 0 else -d2) < (d1 if d1 > 0 else -d1) else t1"""
 
 
 @functools.cache
 def _rhs_function(n, monomials):
-    """_track's right-hand side on n points as straight-line code:
-    bind(equation, radius, prev) -> rhs(x, state[, row]) -> [p0, A0 + B0 p0,
-    p1, ...], the slopes dy/dx = p and dz/dx = A + B p of the points (y, z)
-    of state = [y0, z0, y1, z1, ...].  Point after point it writes the tube
-    test |y|, |z| <= radius, the data (e, f, g, A, B) and branch_slopes' root
-    choice nearest prev[i] with the collision test; a stop raises _Stop with
-    the status and reason of the exception that branch_slopes or equation
-    raises there.  With monomials (a ChartSpectralCache's), the data are the
-    sums of its efgab, written out on the stage row unpacked once; without,
-    one call of equation(x, y, z) per point.  The float operations and their
-    order are those of equation (or efgab) and branch_slopes, so each slope
-    keeps its bits: tests/test_flow.py keeps a loop over those two calls as
-    the reference.  The file name "<_track rhs n>" (or "<_track rhs n on m
+    """_track's point work on n points as straight-line code:
+    bind(equation, radius, prev) -> (rhs, accept), two functions of (x,
+    state[, row]) on the points (y, z) of state = [y0, z0, y1, z1, ...].
+    Point after point both write the data (e, f, g, A, B) and branch_slopes'
+    root choice of p nearest prev[i] from one body.  rhs adds the tube test
+    |y|, |z| <= radius before them and the collision test after, and returns
+    the slopes [p0, A0 + B0 p0, p1, ...] of dy/dx = p and dz/dx = A + B p.
+    accept adds the residual |g p^2 + 2 f p + e|, stores the slopes in prev
+    and returns the residuals.  A stop raises _Stop with the status and
+    reason of the exception that branch_slopes or equation raises there.
+    With monomials (a ChartSpectralCache's), the data are the cache's
+    polynomial written out on the stage row unpacked once; without, one call
+    of equation(x, y, z) per point.  The float operations and their order are
+    those of equation (or the polynomial) and branch_slopes, so each slope
+    keeps its bits: tests/test_flow.py keeps a loop over those calls as the
+    reference.  The file name "<_track rhs n>" (or "<_track rhs n on m
     monomials>") keeps each kind apart in a profile."""
     points, quantities = [str(i) for i in range(n)], ChartSpectralCache._QUANTITIES  # e, f, g, A, B name the data
-    lines = [f"[{', '.join(f'y{i}, z{i}' for i in points)}] = state", f"[{', '.join('q' + i for i in points)}] = prev"]
+    head = [f"[{', '.join(f'y{i}, z{i}' for i in points)}] = state", f"[{', '.join('q' + i for i in points)}] = prev"]
     if monomials is not None:
-        lines.insert(0, f"[{', '.join(f'r{k}' for k in range(len(quantities) * len(monomials)))}] = row")
+        head.insert(0, f"[{', '.join(f'r{k}' for k in range(len(quantities) * len(monomials)))}] = row")
+    rhs, accept = list(head), list(head)
     for i in points:
-        lines.append(f"if y{i} > radius or y{i} < low or z{i} > radius or z{i} < low:")
-        lines.append('    raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")')
         if monomials is None:
-            lines += ["try:", f"    e, f, g, A, B = equation(x, y{i}, z{i})",
+            shared = ["try:", f"    e, f, g, A, B = equation(x, y{i}, z{i})",
                       "except _POINT_ERRORS as exc:", "    raise _stopped(exc, x)"]
         else:
             powers, sums = _polynomial(monomials, len(quantities), f"y{i}", f"z{i}")
-            lines += powers + [f"{q} = {total}" for q, total in zip(quantities, sums)]
-        lines += _ROOT_CHOICE.replace("@", i).splitlines()
-    lines.append(f"return [{', '.join(f'p{i}, v{i}' for i in points)}]")
+            shared = powers + [f"{q} = {total}" for q, total in zip(quantities, sums)]
+        shared += _ROOT_CHOICE.replace("@", i).splitlines()
+        rhs += [f"if y{i} > radius or y{i} < low or z{i} > radius or z{i} < low:",
+                '    raise _Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")', *shared,
+                "    d = t1 - t2",
+                f"    if (d if d > 0 else -d) < {COLLISION_TOL!r} * (1 + (p{i} if p{i} > 0 else -p{i})):",
+                '        raise _Stop("parabolic", "root branches collided")',
+                f"v{i} = A + B * p{i}"]
+        accept += [*shared, f"res{i} = abs(g * p{i} * p{i} + 2 * f * p{i} + e)"]
+    rhs.append(f"return [{', '.join(f'p{i}, v{i}' for i in points)}]")
+    accept += [f"prev[:] = [{', '.join('p' + i for i in points)}]", f"return [{', '.join('res' + i for i in points)}]"]
     signature, name = ("x, state", f"<_track rhs {n}>") if monomials is None else (
         "x, state, row", f"<_track rhs {n} on {len(monomials)} monomials>")
     source = "\n".join([
         "def bind(equation, radius, prev):",
         "    low = -radius",
         f"    def rhs({signature}):",
-        *("        " + line for line in lines),
-        "    return rhs",
+        *("        " + line for line in rhs),
+        f"    def accept({signature}):",
+        *("        " + line for line in accept),
+        "    return rhs, accept",
     ])
     scope = {"inf": math.inf, "sqrt": math.sqrt, "_Stop": _Stop, "_stopped": _stopped, "_POINT_ERRORS": _POINT_ERRORS}
     return _compiled(source, name, scope, "bind")
@@ -501,44 +496,41 @@ def _track(equation, x0, x1, state0, radius, rtol, atol, cache=None):
     n = 1): dy/dx = p and dz/dx = A + B p.  equation(x, y, z) -> (e, f, g,
     A, B) gives the data at a point; with a cache (a ChartSpectralCache),
     equation is None and the data are the cache's polynomial on the stage
-    rows of its series, which go to rk45 as coefficients.  The right-hand side is
+    rows of its series, which go to rk45 as coefficients.  The point work is
     _rhs_function's straight-line code for n points (and the cache's
-    monomials), generated once per kind in a process: point by point, the
-    tube test, the data, the root choice and the collision test.  The start
-    and each accepted step select with equation (or cache.efgab) and
-    branch_slopes: the start takes the root of least modulus, each accepted
-    step the root nearest the last one.  A start with no real root raises
-    EllipticStop or VerticalDirection; any other stop of any point ends the
-    run (a "tube-exit" outside |y|, |z| <= radius, "parabolic" for roots
-    closer than COLLISION_TOL * (1 + |p|), "singular" for an expression
-    evaluated outside its domain).  Returns (xs, states, ps, stats) at the
-    start and every accepted step, states of shape (samples, n, 2), ps
-    (samples, n); stats are rk45's plus the slope equation's "max_residual".
+    monomials), generated once per kind in a process: rk45's stages call its
+    rhs, and the start and each accepted step its accept, which selects
+    without the tube and collision tests.  The start takes the root of least
+    modulus, each accepted step the root nearest the last one.  A start with
+    no real root raises EllipticStop or VerticalDirection; any other stop of
+    any point ends the run (a "tube-exit" outside |y|, |z| <= radius,
+    "parabolic" for roots closer than COLLISION_TOL * (1 + |p|), "singular"
+    for an expression evaluated outside its domain).  Returns (xs, states,
+    ps, stats) at the start and every accepted step, states of shape
+    (samples, n, 2), ps (samples, n); stats are rk45's plus the slope
+    equation's "max_residual".
     """
     n, start = len(state0), np.asarray(state0, dtype=float).ravel().tolist()
     prev = [0.0] * n  # the tracked slope of each point; 0.0 selects as no slope does: the root of least modulus
     samples = []  # (x, state, ps, residuals) at the start and every accepted step, one p and residual per point
     if cache is None:
-        coefficients, rhs = None, _rhs_function(n, None)(equation, radius, prev)
+        coefficients, monomials = None, None
     else:
-        equation, coefficients = cache.efgab, lambda xs: cache.series(xs).tolist()
-        rhs = _rhs_function(n, tuple(map(tuple, cache.monomials)))(None, radius, prev)
+        coefficients, monomials = (lambda xs: cache.series(xs).tolist()), tuple(map(tuple, cache.monomials))
+    rhs, accept = _rhs_function(n, monomials)(equation, radius, prev)
 
     def on_accept(x, state, *row):
         if coefficients is not None and not row:  # the start, or a landing that rounded x away from the last row
             row = (coefficients(x),)
-        residuals = []
-        for i, y, z in zip(range(n), state[0::2], state[1::2]):
-            e, f, g, _, _ = equation(x, y, z, *row)
-            p = prev[i] = branch_slopes(e, f, g, prev[i])[1]
-            residuals.append(abs(g * p * p + 2 * f * p + e))
+        residuals = accept(x, state, *row)
         samples.append((x, state, list(prev), residuals))
 
     try:
         on_accept(x0, start)
-    except _POINT_ERRORS as exc:
-        if type(exc) in _STATUS:  # no real branch at the start
-            raise
+    except _Stop as stop:
+        for error, status in _STATUS.items():
+            if stop.status == status:  # no real branch at the start
+                raise error(stop.reason) from None
         nan = [math.nan] * n
         samples.append((x0, start, nan, nan))  # rk45's first stage stops the run "singular"
     _, _, stats = rk45(rhs, x0, x1, start, rtol=rtol, atol=atol, on_accept=on_accept, coefficients=coefficients)
@@ -578,8 +570,8 @@ def integrate_batch(field, chart, starts, x0, x1, rtol=1e-10, atol=1e-13, cache=
     "tube-exit") stops the batch and raises FlowError, its message beginning
     with the status.  starts of any other shape, or more than MAX_BATCH of
     them, raise ValueError before any code is generated: the rk45 step and
-    the right-hand side that a batch compiles grow with its starts, to about
-    25 ms at 16 starts (2 vCPUs) and over half a second at 512.
+    the point work that a batch compiles grow with its starts, to about
+    27 ms at 16 starts (2 vCPUs) and over half a second at 512.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != 2 or not len(starts):

@@ -809,7 +809,6 @@ def _one_root(limit, _real=flow.branch_slopes):
 class _DegreeOneCache(flow.ChartSpectralCache):
     # the FD batch's cache with its (y, z) expansion cut at degree 1
     monomials = ((0, 0), (0, 1), (1, 0))
-    efgab = flow._polynomial_sums(monomials, 5)
 
 
 def _dp5_exponent_rk45():
@@ -848,6 +847,18 @@ def test_verify_paper_fails_each_mutant(monkeypatch, capsys, mutant):
     code, out, _ = run(capsys, "verify-paper", "--only", check, "--format", "json")
     (result,) = json.loads(out)["checks"]
     assert code == 1 and result["name"] == check and not result["passed"] and "error" not in result
+
+
+def test_tracking_makes_no_branch_slopes_call(monkeypatch, capsys):
+    # the tracker chooses its roots in generated code; branch_slopes is left to verify's gauge picks
+    commands = [("integrate", "--field", "t1", "--to", "6.28"), ("poincare", "--field", "t1", "--fd-check")]
+    plain = [run(capsys, *argv)[:2] for argv in commands]
+
+    def raising(*args):
+        raise AssertionError("the tracker called branch_slopes")
+
+    monkeypatch.setattr(flow, "branch_slopes", raising)
+    assert [run(capsys, *argv)[:2] for argv in commands] == plain
 
 
 def test_verify_paper_perturb_is_a_negative_control(monkeypatch, capsys):

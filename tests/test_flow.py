@@ -153,6 +153,7 @@ def test_elliptic_start_raises():
 def test_cache_matches_direct_pipeline(t1_field, t1_chart):
     cache = ChartSpectralCache(t1_field, t1_chart, 2 * math.pi)
     direct = tubular.binary_equation_data(t1_field, t1_chart)
+    data = _row_sums(cache.monomials)
     rng = np.random.default_rng(1)
     # the cache truncates at cubic order in (y, z): keep the excursion small
     # enough that the quartic remainder sits below the comparison tolerance
@@ -161,8 +162,8 @@ def test_cache_matches_direct_pipeline(t1_field, t1_chart):
     zs = rng.uniform(-2e-4, 2e-4, 20)
     i, j = np.array(cache.monomials).T
     for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
-        got = cache.efgab(x, y, z, cache.series(x).tolist())
-        assert got == cache.efgab(x, y, z, cache.series(np.array([x])).tolist()[0])
+        got = data(cache.series(x).tolist(), y, z)
+        assert got == data(cache.series(np.array([x])).tolist()[0], y, z)
         # the float polynomial is the series' coefficients times the monomials
         table = cache.series(x).reshape(len(got), len(cache.monomials))
         for v, w in zip(got, table @ (y**i * z**j)):
@@ -172,7 +173,7 @@ def test_cache_matches_direct_pipeline(t1_field, t1_chart):
 
 
 def _written_cubic(row, y, z):
-    # efgab's degree-3 body as it was written by hand: the reference for the generated code's bits
+    # the degree-3 data as they were written by hand: the reference for the generated code's bits
     yy, yz, zz = y * y, y * z, z * z
     yyy, yyz, yzz, zzz = yy * y, yz * y, yz * z, zz * z
     return [
@@ -186,7 +187,55 @@ def _monomials(degree):
     return [(i, total - i) for total in range(degree + 1) for i in range(total + 1)]
 
 
-def test_generated_efgab_keeps_the_bits_of_the_written_cubic(t1_chart):
+def _row_sums(monomials):
+    # a cache's data (e, f, g, A, B) at (y, z) from its row: the written cubic at degree 3,
+    # else a left-to-right sum from the first term, each monomial formed as m(i - 1, j) * y
+    # when i > j, else m(i, j - 1) * z
+    monomials = [tuple(m) for m in monomials]
+    if monomials == _monomials(3):
+        return _written_cubic
+
+    def sums(row, y, z):
+        power = {(1, 0): y, (0, 1): z}
+        for i, j in monomials:
+            if i + j > 1:
+                power[i, j] = power[i - 1, j] * y if i > j else power[i, j - 1] * z
+        out = []
+        for k in range(0, len(row), len(monomials)):
+            terms = [row[k + m] * power[i, j] if i + j else row[k + m] for m, (i, j) in enumerate(monomials)]
+            total = terms[0]
+            for term in terms[1:]:
+                total = total + term
+            out.append(total)
+        return out
+
+    return sums
+
+
+def _generated_data(monomials, y, z, row):
+    # (e, f, g, A, B) of one point as the generated code forms them on a cache's row:
+    # accept's locals as it returns or stops
+    _, accept = flow._rhs_function(1, tuple(monomials))(None, 1.0, [0.0])
+    data = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            data[:] = [frame.f_locals[q] for q in ChartSpectralCache._QUANTITIES]
+        return local
+
+    tracer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is accept.__code__ else None)
+    try:
+        accept(0.5, [y, z], row)
+    except flow._Stop:
+        pass
+    finally:
+        sys.settrace(tracer)
+    assert len(data) == 5
+    return data
+
+
+def test_generated_data_keep_the_bits_of_the_written_cubic(t1_chart):
     assert flow.CACHE_DEGREE == 3 and list(ChartSpectralCache.monomials) == _monomials(3)
     rng = np.random.default_rng(7)
     r = t1_chart.radius
@@ -197,21 +246,20 @@ def test_generated_efgab_keeps_the_bits_of_the_written_cubic(t1_chart):
     for y, z in points:
         row = (rng.choice([-1.0, 1.0], 50) * 10 ** rng.uniform(-8, 8, 50)).tolist()
         row[rng.integers(50)], row[rng.integers(50)] = 0.0, -0.0
-        got = ChartSpectralCache.efgab(None, 0.5, y, z, row)
-        assert [v.hex() for v in got] == [v.hex() for v in _written_cubic(row, y, z)]
+        got = _generated_data(ChartSpectralCache.monomials, y, z, row)
+        assert _hex(got) == _hex(_written_cubic(row, y, z))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4])
 def test_generated_sums_at_other_degrees(degree):
     monomials = _monomials(degree)
     n = len(monomials)
-    efgab = flow._polynomial_sums(monomials, 5)
     rng = np.random.default_rng(degree)
     for y, z in rng.uniform(-0.1, 0.1, (30, 2)).tolist() + [(0.0, -0.0), (-0.1, 0.1)]:
         row = rng.uniform(-1, 1, 5 * n).tolist()
         want = [sum(row[k + m] * y**i * z**j for m, (i, j) in enumerate(monomials)) for k in range(0, 5 * n, n)]
-        got = efgab(None, 0.5, y, z, row)
-        assert len(got) == 5
+        got = _generated_data(monomials, y, z, row)
+        assert _hex(got) == _hex(_row_sums(monomials)(row, y, z))
         for v, w in zip(got, want):
             assert abs(v - w) <= 1e-14 * max(1.0, abs(w))
 
@@ -225,15 +273,15 @@ def test_each_generated_function_has_its_own_file_name_for_a_profile():
     assert names[4:6] == ["<rk45 step 2>", "<rk45 step 2 with rows>"]
     assert names[-1] == "<rk45 step 8 with rows>"
     assert flow._step_function(8, True) is steps[-1]  # generated once per size
-    assert ChartSpectralCache.efgab.__code__.co_filename == "<ChartSpectralCache.efgab>"
-    # _track's rhs, per size, without and with rows of a cache's monomials; bind and the rhs it returns share one
+    # _track's point work, per size, without and with rows of a cache's monomials; bind and the rhs
+    # and accept it returns share one
     binds = [flow._rhs_function(n, monomials) for n in range(1, 5) for monomials in (None, flow._MONOMIALS)]
     binds.append(flow._rhs_function(4, ((0, 0), (0, 1), (1, 0))))
     rhs_names = [fn.__code__.co_filename for fn in binds]
     assert rhs_names[:2] == ["<_track rhs 1>", "<_track rhs 1 on 10 monomials>"]
     assert rhs_names[-1] == "<_track rhs 4 on 3 monomials>"
     assert len(set(rhs_names)) == 9 and not set(rhs_names) & set(names)
-    assert [binds[-1](None, 1.0, [0.0] * 4).__code__.co_filename] == rhs_names[-1:]
+    assert [fn.__code__.co_filename for fn in binds[-1](None, 1.0, [0.0] * 4)] == rhs_names[-1:] * 2
     assert flow._rhs_function(4, flow._MONOMIALS) is binds[7]  # generated once per kind
     # a chart program is named after its field, or after the field's type when it has no name
     fields = [cli.resolve_field(name) for name in ("t1", "circle-example")]
@@ -359,37 +407,51 @@ def test_rk45_on_an_empty_state(coefficients):
 
 
 def _reference_rhs_function(n, monomials):
-    # _track's rhs as it was written before the generated one, as the same
-    # bind(equation, radius, prev): the reference for its bits and its stops
-    efgab = None if monomials is None else flow._polynomial_sums(monomials, 5)
+    # _track's point work as it was written before the generated code, as the same
+    # bind(equation, radius, prev) -> (rhs, accept): the reference for its bits and its stops
+    sums = None if monomials is None else _row_sums(monomials)
 
     def bind(equation, radius, prev):
-        data = equation if efgab is None else (lambda x, y, z, row: efgab(None, x, y, z, row))
+        data = equation if sums is None else (lambda x, y, z, row: sums(row, y, z))
+
+        def choose(x, i, y, z, row):
+            # the data, roots and choice of point i, or the _Stop of what the data or branch_slopes raise
+            try:
+                e, f, g, A, B = data(x, y, z, *row)
+                return (e, f, g, A, B), *branch_slopes(e, f, g, prev[i])
+            except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+                at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
+                raise flow._Stop(flow._STATUS.get(type(exc), "singular"), f"{exc}{at}")
 
         def rhs(x, state, *row):
             out = []
             for i, y, z in zip(range(n), state[0::2], state[1::2]):
                 if abs(y) > radius or abs(z) > radius:
                     raise flow._Stop("tube-exit", f"|y| or |z| exceeded radius {radius} at x = {x}")
-                try:
-                    e, f, g, A, B = data(x, y, z, *row)
-                    slopes, p = branch_slopes(e, f, g, prev[i])
-                except (FlowError, tubular.ReductionSingular, DomainError) as exc:
-                    at = f" at x = {x}" if type(exc) in (FlowError, DomainError) else ""
-                    raise flow._Stop(flow._STATUS.get(type(exc), "singular"), f"{exc}{at}")
+                (_, _, _, A, B), slopes, p = choose(x, i, y, z, row)
                 if len(slopes) == 2 and abs(slopes[0] - slopes[1]) < flow.COLLISION_TOL * (1 + abs(p)):
                     raise flow._Stop("parabolic", "root branches collided")
                 out += p, A + B * p
             return out
 
-        return rhs
+        def accept(x, state, *row):
+            ps, residuals = [], []
+            for i, y, z in zip(range(n), state[0::2], state[1::2]):
+                (e, f, g, _, _), _, p = choose(x, i, y, z, row)
+                ps.append(p)
+                residuals.append(abs(g * p * p + 2 * f * p + e))
+            prev[:] = ps
+            return residuals
+
+        return rhs, accept
 
     return bind
 
 
-def _rhs_outcomes(monomials, points, prev, radius, x, row=None):
-    # (generated, reference): the hex of each slope, or a stop's (status, reason); points
-    # holds each point's (y, z, data), data being (e, f, g, A, B) or an exception to raise
+def _rhs_outcomes(monomials, points, prev, radius, x, row=None, part=0):
+    # (generated, reference) of rhs (part 0) or accept (part 1): the hex of each value it
+    # returns, then for accept of prev, or a stop's (status, reason); points holds each
+    # point's (y, z, data), data being (e, f, g, A, B) or an exception to raise
     outcomes = []
     for make in (flow._rhs_function, _reference_rhs_function):
         calls = iter([data for _, _, data in points])
@@ -400,10 +462,12 @@ def _rhs_outcomes(monomials, points, prev, radius, x, row=None):
                 raise data
             return data
 
-        rhs = make(len(points), monomials)(equation if monomials is None else None, radius, list(prev))
+        tracked = list(prev)
+        fn = make(len(points), monomials)(equation if monomials is None else None, radius, tracked)[part]
         state = [v for y, z, _ in points for v in (y, z)]
         try:
-            outcomes.append(_hex(rhs(x, state) if monomials is None else rhs(x, state, row)))
+            values = fn(x, state) if monomials is None else fn(x, state, row)
+            outcomes.append(_hex(values if part == 0 else values + tracked))
         except flow._Stop as stop:
             outcomes.append((stop.status, stop.reason))
     return outcomes
@@ -495,12 +559,63 @@ def test_generated_rhs_keeps_the_bits_of_the_point_loop(degree):
             y = float(rng.choice([radius, -radius, 1.5 * radius, -1.5 * radius, math.nan]))
             points[rng.integers(n)] = (y, *points[rng.integers(n)][1:])
         prev = [float(rng.choice([0.0, -0.0])) if rng.random() < 0.3 else _draw(rng, 3) for _ in range(n)]
-        generated, reference = _rhs_outcomes(monomials, points, prev, radius, float(rng.uniform(-5, 5)), row)
+        x = float(rng.uniform(-5, 5))
+        generated, reference = _rhs_outcomes(monomials, points, prev, radius, x, row)
         assert generated == reference
+        accepted = _rhs_outcomes(monomials, points, prev, radius, x, row, part=1)
+        assert accepted[0] == accepted[1]
         seen.add("value" if isinstance(generated, list) else (generated[0], generated[1].split(" ")[0]))
     # every stop that the draws can reach was reached
     assert {"value", ("tube-exit", "|y|"), ("singular", "non-finite"), ("elliptic", "discriminant"),
             ("parabolic", "root")} <= seen
+
+
+def _accept_against_branch_slopes(data, near, y, z, radius=0.01):
+    # (accept's, branch_slopes'): the hex of the slope stored in prev and of the residual
+    # |g p^2 + 2 f p + e|, or the stop's status; data is (e, f, g, A, B) or an exception to raise
+    def equation(x, y, z):
+        if isinstance(data, Exception):
+            raise data
+        return data
+
+    prev = [near]
+    _, accept = flow._rhs_function(1, None)(equation, radius, prev)
+    try:
+        residuals = accept(0.5, [y, z])
+        generated = _hex([prev[0], *residuals])
+    except flow._Stop as stop:
+        assert prev == [near]
+        generated = stop.status
+    try:
+        e, f, g, _, _ = equation(0.5, y, z)
+        p = branch_slopes(e, f, g, near)[1]
+        expected = _hex([p, abs(g * p * p + 2 * f * p + e)])
+    except (FlowError, tubular.ReductionSingular, DomainError) as exc:
+        expected = {EllipticStop: "elliptic", VerticalDirection: "vertical"}.get(type(exc), "singular")
+    return generated, expected
+
+
+@pytest.mark.parametrize("case", sorted(_RHS_CASES))
+def test_accept_selects_as_branch_slopes(case):
+    data, near, status = _RHS_CASES[case]
+    for y, z in [(1e-3, -0.0), (0.02, 0.0), (-0.0, -0.015)]:  # inside the tube, then outside: accept tests neither
+        generated, expected = _accept_against_branch_slopes(data, near, y, z)
+        assert generated == expected
+        # accept makes no collision test: where a stage stops "parabolic", it selects
+        assert (generated if isinstance(generated, str) else "value") == ("value" if status == "parabolic" else status)
+
+
+def test_accept_selects_as_branch_slopes_on_random_data():
+    rng = np.random.default_rng(40)
+    seen = set()
+    for _ in range(600):
+        data = _random_point_data(rng)
+        near = float(rng.choice([0.0, -0.0])) if rng.random() < 0.3 else _draw(rng, 3)
+        y, z = (float(v) for v in rng.uniform(-0.015, 0.015, 2))  # a third of the points outside the tube
+        generated, expected = _accept_against_branch_slopes(data, near, y, z)
+        assert generated == expected
+        seen.add("value" if isinstance(generated, list) else generated)
+    assert seen == {"value", "singular", "elliptic", "vertical"}
 
 
 def test_rk45_runs_keep_the_bits_of_the_point_loop(monkeypatch, t1_field, t1_chart):
@@ -518,6 +633,32 @@ def test_rk45_runs_keep_the_bits_of_the_point_loop(monkeypatch, t1_field, t1_cha
     generated = runs()
     monkeypatch.setattr(flow, "_rhs_function", _reference_rhs_function)
     assert runs() == generated
+
+
+def test_a_stop_at_an_accepted_step_ends_the_run_with_its_partial_path(monkeypatch, t1_field, t1_chart):
+    full = integrate_asymptotic(t1_field, t1_chart, (0.0, 1e-4, 0.0), 2.0)
+    real = tubular.binary_equation_data
+
+    def raising_on_a_repeat(field, chart):
+        # the equation raises at its third evaluation of the point it has just evaluated:
+        # the first repeat is rk45's first stage at the start, the second the first
+        # step's accept and the third the second step's
+        equation, last, repeats = real(field, chart), [None], iter(range(1, 4))
+
+        def raising(x, y, z):
+            if (x, y, z) == last[0] and next(repeats, None) == 3:
+                raise DomainError("sqrt of a negative number")
+            last[0] = (x, y, z)
+            return equation(x, y, z)
+
+        return raising
+
+    monkeypatch.setattr(tubular, "binary_equation_data", raising_on_a_repeat)
+    path = integrate_asymptotic(t1_field, t1_chart, (0.0, 1e-4, 0.0), 2.0)
+    assert (path.status, path.reason) == ("singular", f"sqrt of a negative number at x = {full.xs[2]}")
+    assert path.stats["steps"] == 2 and len(full.xs) > 3
+    for got, want in [(path.xs, full.xs), (path.ys, full.ys), (path.zs, full.zs), (path.ps, full.ps)]:
+        assert got.tobytes() == want[:2].tobytes()
 
 
 @pytest.mark.parametrize(
